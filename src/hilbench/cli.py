@@ -17,10 +17,10 @@ from pathlib import Path
 
 from . import config as cfg_mod
 from . import orchestrator, presets, registration, temporal
-from .core import Stage
+from .core import write_json
 from .plant import fit_fopdt, run_step_experiment
 from .safety import write_safety_csv
-from .spatial import ReferencePath, TrajectorySample, write_trajectory_csv
+from .spatial import write_trajectory_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -47,49 +47,35 @@ def _out_dir(args) -> Path:
 
 
 def _write_manifest(out: Path, command: str, artifacts: dict, flags: dict | None = None) -> None:
-    doc = {
+    write_json(out / "manifest.json", {
         "schema_version": 1,
         "command": command,
         "artifacts": [{"name": k, "path": v} for k, v in sorted(artifacts.items())],
         "flags": flags or {},
-    }
-    with open(out / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
 
 
-def _write_run_artifacts(out: Path, runner: orchestrator.Runner, report: dict) -> dict:
+def _write_run_artifacts(out: Path, runner: orchestrator.Runner,
+                         analysis: orchestrator.Analysis) -> dict:
+    """Write the audit log and every artifact derived from it; returns the
+    artifact names and paths, all read from the one analysis of the run."""
     names = orchestrator.ARTIFACTS
-    artifacts = {}
+    report = analysis.report
     runner.ctx.audit.write_ndjson(out / names["audit"])
-    artifacts["audit"] = names["audit"]
-    with open(out / names["report"], "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(orchestrator.report_to_json(report))
-    artifacts["report"] = names["report"]
-
-    events = runner.ctx.audit.events
-    cfg = runner.cfg
-    traj = [TrajectorySample(ev.t_ns, ev.payload["x"], ev.payload["y"], ev.payload["heading"])
-            for ev in events if ev.stage is Stage.GtsSample]
-    if traj:
-        path_obj = ReferencePath(cfg["path"]["vertices"], closed=cfg["path"]["closed"])
-        write_trajectory_csv(path_obj, traj, out / names["trajectory"],
-                             goal_speed=cfg["sut"]["goal_speed_mps"])
-        artifacts["trajectory"] = names["trajectory"]
-    records, _ = temporal.assemble_all(events)
-    if len(records) >= 2:
-        temporal.write_latency_report(records, out / names["latency"])
-        artifacts["latency"] = names["latency"]
-    if cfg["scenario"] is not None:
-        trace = orchestrator.trace_from_report_events(events, cfg["report"]["ego_radius_m"])
-        if len(trace):
-            write_safety_csv(trace, out / names["safety"])
-            artifacts["safety"] = names["safety"]
-            with open(out / names["events"], "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(report["safety"]["events"], fh, sort_keys=True, indent=2)
-                fh.write("\n")
-            artifacts["events"] = names["events"]
-    return artifacts
+    write_json(out / names["report"], report)
+    written = ["audit", "report"]
+    if analysis.trajectory:
+        write_trajectory_csv(runner.path, analysis.trajectory, out / names["trajectory"],
+                             runner.goal_speed)
+        written.append("trajectory")
+    if all(report["latency_ms"].values()):
+        temporal.write_latency_report(report["latency_ms"], out / names["latency"])
+        written.append("latency")
+    if analysis.safety_trace is not None:
+        write_safety_csv(analysis.safety_trace, out / names["safety"])
+        write_json(out / names["events"], report["safety"]["events"])
+        written += ["safety", "events"]
+    return {key: names[key] for key in written}
 
 
 def _apply_seed_override(doc: dict, seed: int | None) -> dict:
@@ -99,30 +85,21 @@ def _apply_seed_override(doc: dict, seed: int | None) -> dict:
     return doc
 
 
-def _cmd_stage1(args) -> int:
-    doc = _apply_seed_override(_load_config_arg(args.config), args.seed)
-    resolved = cfg_mod.resolve_run_config(doc)
-    out = _out_dir(args)
-    report, runner = orchestrator.run_stage1(resolved)
-    artifacts = _write_run_artifacts(out, runner, report)
-    _write_manifest(out, "stage1", artifacts, {"aborted": report["aborted"]})
-    _print_run_summary(report, args)
-    return EXIT_ABORT if report["aborted"] else EXIT_OK
-
-
-def _cmd_stage3(args) -> int:
+def _cmd_run(args) -> int:
+    """One closed-loop run (``stage1``, or ``stage3``, which needs a scenario)."""
     doc = _apply_seed_override(_load_config_arg(args.config), args.seed)
     if args.script:
-        script_doc = cfg_mod.load_json(args.script)
         doc = dict(doc)
-        doc["scenario"] = script_doc
+        doc["scenario"] = cfg_mod.load_json(args.script)
     resolved = cfg_mod.resolve_run_config(doc)
-    if resolved["scenario"] is None:
+    if args.command == "stage3" and resolved["scenario"] is None:
         raise cfg_mod.ConfigError("scenario", "stage 3 requires a scenario (config or --script)")
     out = _out_dir(args)
-    report, runner = orchestrator.run_stage3(resolved)
-    artifacts = _write_run_artifacts(out, runner, report)
-    _write_manifest(out, "stage3", artifacts, {"aborted": report["aborted"]})
+    runner = orchestrator.Runner(resolved)
+    analysis = runner.run()
+    report = analysis.report
+    artifacts = _write_run_artifacts(out, runner, analysis)
+    _write_manifest(out, args.command, artifacts, {"aborted": report["aborted"]})
     _print_run_summary(report, args)
     return EXIT_ABORT if report["aborted"] else EXIT_OK
 
@@ -142,8 +119,7 @@ def _cmd_stage2(args) -> int:
         sub = out / f"delay_{delay:g}ms_rep{rep}"
         sub.mkdir(parents=True, exist_ok=True)
         runner.ctx.audit.write_ndjson(sub / "audit.ndjson")
-        with open(sub / "report.json", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(orchestrator.report_to_json(report))
+        write_json(sub / "report.json", report)
         artifacts[f"audit_d{delay:g}_r{rep}"] = f"delay_{delay:g}ms_rep{rep}/audit.ndjson"
         artifacts[f"report_d{delay:g}_r{rep}"] = f"delay_{delay:g}ms_rep{rep}/report.json"
 
@@ -179,9 +155,7 @@ def _cmd_identify(args) -> int:
         "r2": fit.r2,
         "t90_s": fit.t90,
     }
-    with open(out / "fopdt_fit.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(fit_doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out / "fopdt_fit.json", fit_doc)
     _write_manifest(out, "identify", {"step_log": "step_log.csv", "fit": "fopdt_fit.json"})
     if not args.quiet:
         print(f"{args.channel}: K={fit.params.K:.4f} tau_p={fit.params.tau_p:.4f} s "
@@ -206,9 +180,7 @@ def _cmd_calibrate(args) -> int:
         "n_test": int(test_idx.size),
         "metrics": metrics,
     }
-    with open(out / "calibration_metrics.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(metrics_doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out / "calibration_metrics.json", metrics_doc)
     _write_manifest(out, "calibrate", {
         "dataset": "dataset.csv", "model": "model.json",
         "metrics": "calibration_metrics.json",
@@ -222,8 +194,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_replay_report(args) -> int:
     report = orchestrator.replay_report(args.log)
     out = _out_dir(args)
-    with open(out / "report.json", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(orchestrator.report_to_json(report))
+    write_json(out / "report.json", report)
     _write_manifest(out, "replay-report", {"report": "report.json"},
                     {"aborted": report["aborted"], "truncated": report["truncated"]})
     _print_run_summary(report, args)
@@ -267,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p1 = sub.add_parser("stage1", help="baseline run")
     common(p1)
-    p1.set_defaults(fn=_cmd_stage1)
+    p1.set_defaults(fn=_cmd_run, script=None)
 
     p2 = sub.add_parser("stage2", help="latency sweep")
     common(p2)
@@ -276,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p3 = sub.add_parser("stage3", help="scripted multi-agent run")
     common(p3)
     p3.add_argument("--script", default=None, help="scenario script JSON (overrides config.scenario)")
-    p3.set_defaults(fn=_cmd_stage3)
+    p3.set_defaults(fn=_cmd_run)
 
     pi = sub.add_parser("identify", help="open-loop step test + model fit")
     common(pi)
@@ -319,9 +290,6 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except orchestrator.RunAborted as exc:
-        print(f"run aborted: {exc}", file=sys.stderr)
-        return EXIT_ABORT
 
 
 if __name__ == "__main__":

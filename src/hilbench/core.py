@@ -220,3 +220,13 @@ def ms_to_ns(ms: float) -> int:
 
 def s_to_ns(seconds: float) -> int:
     return round(seconds * NS_PER_S)
+
+
+def json_document(doc) -> str:
+    """Text of a JSON artifact file: sorted keys, 2-space indent, final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json_document(doc))

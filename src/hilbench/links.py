@@ -134,10 +134,6 @@ class R2VSchedule:
     t_adv_done: int
     t_sense_done: int
 
-    @property
-    def t_deliver(self) -> int:
-        return self.t_sense_done
-
 
 class R2VLink:
     """Pose synchronization pipeline; independent per-sample timing, no drops."""
@@ -217,16 +213,11 @@ class V2RLink:
         self._jitter_rng = stream_factory("perturb.jitter")
         self._last_perturb_out: int | None = None
         self._last_deliver: int | None = None
-        self.sent = 0
-        self.delivered = 0
-        self.dropped = 0
 
     def transmit(self, t_now_ns: int) -> V2RSchedule:
-        self.sent += 1
         out = perturb(self.cfg.perturbation, t_now_ns, self._loss_rng,
                       self._jitter_rng, self._last_perturb_out)
         if out.dropped:
-            self.dropped += 1
             return V2RSchedule(dropped=True, t_perturb_in=int(t_now_ns))
         self._last_perturb_out = out.t_out_ns
         t_deliver = out.t_out_ns + ms_to_ns(self.cfg.base.sample_ms(self._base_rng))
@@ -236,7 +227,6 @@ class V2RLink:
             t_deliver = self._last_deliver
             clamped = True
         self._last_deliver = t_deliver
-        self.delivered += 1
         return V2RSchedule(
             dropped=False,
             t_perturb_in=int(t_now_ns),

@@ -28,20 +28,17 @@ import numpy as np
 
 from . import config as cfg_mod
 from . import temporal
-from .core import NS_PER_S, RunContext, Stage, TimedEvent, ms_to_ns, s_to_ns, substream_seed
+from .core import (NS_PER_S, RunContext, Stage, TimedEvent, json_document, ms_to_ns, s_to_ns,
+                   substream_seed)
 from .links import R2VLink, V2RLink
 from .plant import Plant
 from .safety import AgentState, SafetyTrace, d_min_trace, extract_events
-from .spatial import MetricSummary, ReferencePath, TrajectorySample, ate, project, summarize
+from .spatial import MetricSummary, ReferencePath, TrajectorySample, project, summarize, track_errors
 from .sut import Observation, build_sut
 
 
 class SchedulerCorruptionError(RuntimeError):
     """An event was scheduled or popped out of causal order."""
-
-
-class RunAborted(RuntimeError):
-    pass
 
 
 #: Standard relative artifact names for one run directory.
@@ -219,14 +216,7 @@ class Runner:
     def _track_progress(self, x: float, y: float) -> None:
         s = project(self.path, (x, y)).arclength
         if self._last_s is not None:
-            delta = s - self._last_s
-            if self.path.closed:
-                half = self.path.total_length / 2.0
-                delta = math.fmod(delta + half, self.path.total_length)
-                if delta < 0.0:
-                    delta += self.path.total_length
-                delta -= half
-            self._progress += delta
+            self._progress += self.path.lap_delta(s - self._last_s)
         self._last_s = s
 
     def _laps_reached(self) -> bool:
@@ -323,7 +313,7 @@ class Runner:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self) -> dict:
+    def run(self) -> Analysis:
         self.ctx.emit(Stage.RunHeader, 0, 0, {"config_json": cfg_mod.canonical_json(self.cfg)})
         self._schedule(0, self._on_gts)
         while len(self.queue) and not self.aborted:
@@ -338,7 +328,7 @@ class Runner:
             "abort_reason": self.abort_reason or "",
             "gts_samples": self.gts_count,
         })
-        return build_report(self.ctx.audit.events)
+        return analyze(self.ctx.audit.events)
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +339,6 @@ def _summary_dict(s: MetricSummary | None) -> dict | None:
     if s is None:
         return None
     return {"mean": s.mean, "std": s.std, "rmse": s.rmse, "mae": s.mae, "p95": s.p95, "n": s.n}
-
-
-def _stats_dict(st: temporal.LatencyStats | None) -> dict | None:
-    if st is None:
-        return None
-    return {"mean_ms": st.mean_ms, "std_ms": st.std_ms, "cv": st.cv, "p95_ms": st.p95_ms, "n": st.n}
 
 
 def _frames_from_events(events, ego_radius: float) -> list[list[AgentState]]:
@@ -376,8 +360,22 @@ def _frames_from_events(events, ego_radius: float) -> list[list[AgentState]]:
     return frames
 
 
-def build_report(events: list[TimedEvent]) -> dict:
-    """Recompute every reported number from an audit event list.
+@dataclass(frozen=True)
+class Analysis:
+    """Everything derived from one run's audit events.
+
+    ``report`` is the stage report; ``trajectory`` holds the ground-truth
+    samples as ``(t_ns, x, y, heading)``; ``safety_trace`` is the trace behind
+    ``report["safety"]`` (None when the report has no safety section).
+    """
+
+    report: dict
+    trajectory: list[tuple[int, float, float, float]]
+    safety_trace: SafetyTrace | None
+
+
+def analyze(events: list[TimedEvent]) -> Analysis:
+    """Recompute every reported number from an audit event list, in one pass.
 
     The first record must be the run header (it carries the resolved config);
     a missing end record marks the log as truncated.
@@ -393,37 +391,22 @@ def build_report(events: list[TimedEvent]) -> dict:
     aborted = bool(end.payload["aborted"]) if end else False
 
     run_path = ReferencePath(cfg["path"]["vertices"], closed=cfg["path"]["closed"])
-    goal_speed = cfg["sut"]["goal_speed_mps"]
 
-    traj = [(ev.t_ns, ev.payload["x"], ev.payload["y"]) for ev in events
+    traj = [(ev.t_ns, ev.payload["x"], ev.payload["y"], ev.payload["heading"]) for ev in events
             if ev.stage is Stage.GtsSample]
     cte_summary = ate_summary = None
     distance = 0.0
     max_cte = 0.0
     progress = 0.0
     if traj:
-        t0 = traj[0][0]
         ctes, ates = [], []
         last_s = None
-        for t_ns, x, y in traj:
-            proj = project(run_path, (x, y))
-            c = math.hypot(x - proj.point[0], y - proj.point[1])
-            ctes.append(c)
-            sched = goal_speed * (t_ns - t0) / NS_PER_S
-            if run_path.closed:
-                sched = math.fmod(sched, run_path.total_length)
-            else:
-                sched = min(sched, run_path.total_length)
-            ates.append(ate(run_path, (x, y), sched))
+        errors = track_errors(run_path, traj, cfg["sut"]["goal_speed_mps"])
+        for (_, x, y, _), (proj, a) in zip(traj, errors):
+            ctes.append(math.hypot(x - proj.point[0], y - proj.point[1]))
+            ates.append(a)
             if last_s is not None:
-                delta = proj.arclength - last_s
-                if run_path.closed:
-                    half = run_path.total_length / 2.0
-                    delta = math.fmod(delta + half, run_path.total_length)
-                    if delta < 0.0:
-                        delta += run_path.total_length
-                    delta -= half
-                progress += delta
+                progress += run_path.lap_delta(proj.arclength - last_s)
             last_s = proj.arclength
         for i in range(1, len(traj)):
             distance += math.hypot(traj[i][1] - traj[i - 1][1], traj[i][2] - traj[i - 1][2])
@@ -433,9 +416,6 @@ def build_report(events: list[TimedEvent]) -> dict:
 
     records, incomplete = temporal.assemble_all(events)
     completeness = temporal.check_completeness(records)
-    latency = {}
-    for comp in temporal.COMPONENT_FIELDS:
-        latency[comp] = _stats_dict(temporal.aggregate(records, comp) if len(records) >= 2 else None)
 
     sent = sum(1 for ev in events if ev.stage is Stage.PerturbIn)
     dropped = sum(1 for ev in events if ev.stage is Stage.PerturbIn and ev.payload.get("dropped"))
@@ -446,7 +426,7 @@ def build_report(events: list[TimedEvent]) -> dict:
     if cfg["termination"]["mode"] == "laps":
         completed = completed and progress >= cfg["termination"]["laps"] * run_path.total_length
 
-    safety = None
+    safety = trace = None
     if cfg["scenario"] is not None:
         frames = _frames_from_events(events, cfg["report"]["ego_radius_m"])
         if frames:
@@ -470,8 +450,7 @@ def build_report(events: list[TimedEvent]) -> dict:
             }
 
     stage_id = "stage3" if cfg["scenario"] is not None else "stage1"
-    cycles_total = sum(1 for ev in events if ev.stage is Stage.GtsSample)
-    return {
+    report = {
         "schema_version": 1,
         "stage": stage_id,
         "run_id": header.run_id,
@@ -481,7 +460,7 @@ def build_report(events: list[TimedEvent]) -> dict:
         "truncated": truncated,
         "completed": completed,
         "cycles": {
-            "gts_samples": cycles_total,
+            "gts_samples": len(traj),
             "latency_records": len(records),
             "incomplete": {str(cid): stage.name for cid, stage in sorted(incomplete.items())},
             "v2r_sent": sent,
@@ -497,14 +476,20 @@ def build_report(events: list[TimedEvent]) -> dict:
         "distance_m": distance,
         "progress_m": progress,
         "max_cte_m": max_cte,
-        "latency_ms": latency,
+        "latency_ms": temporal.summarize_latency(records),
         "safety": safety,
         "files": dict(ARTIFACTS),
     }
+    return Analysis(report, traj, trace)
 
 
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+def build_report(events: list[TimedEvent]) -> dict:
+    """The report of ``analyze``."""
+    return analyze(events).report
+
+
+#: Text of ``report.json``, in the format of every JSON artifact.
+report_to_json = json_document
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +499,7 @@ def report_to_json(report: dict) -> str:
 def run_stage1(resolved: dict) -> tuple[dict, "Runner"]:
     """Baseline run (no scenario required); returns (report, runner)."""
     runner = Runner(resolved)
-    report = runner.run()
-    return report, runner
+    return runner.run().report, runner
 
 
 def sweep_point_seed(base_seed: int, delay_ms: float, rep: int) -> int:
@@ -587,8 +571,3 @@ def replay_report(log_path) -> dict:
     if not events:
         raise ValueError(f"audit log {log_path} is empty")
     return build_report(events)
-
-
-def trace_from_report_events(events: list[TimedEvent], ego_radius: float) -> SafetyTrace:
-    """Safety trace straight from a log's sense records (for export)."""
-    return d_min_trace(_frames_from_events(events, ego_radius), "ego")

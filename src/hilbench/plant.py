@@ -183,8 +183,6 @@ class PlantState:
     pose: TrajectorySample
     v_actual: float
     steer_actual: float
-    pending_speed: tuple = ()
-    pending_steer: tuple = ()
 
 
 class Plant:
@@ -226,8 +224,6 @@ class Plant:
             pose=TrajectorySample(self._t_ns, self._x, self._y, self._heading),
             v_actual=self.v_actual,
             steer_actual=self.steer_actual,
-            pending_speed=self._speed_ch.pending(),
-            pending_steer=self._steer_ch.pending(),
         )
 
     def apply_command(self, t_ns: int, speed_cmd: float, steer_cmd: float) -> dict:
@@ -277,10 +273,6 @@ class Plant:
         self.apply_command(self._t_ns, speed_cmd, steer_cmd)
         self.advance_to(self._t_ns + s_to_ns(dt_s))
         return self.state()
-
-
-def plant_step(plant: Plant, speed_cmd: float, steer_cmd: float, dt_s: float) -> PlantState:
-    return plant.step(speed_cmd, steer_cmd, dt_s)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ prominence-filtered valleys.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -236,9 +235,3 @@ def write_safety_csv(trace: SafetyTrace, path) -> None:
             ttc_s = "inf" if not math.isfinite(ttc) else repr(float(ttc))
             dm_s = "inf" if not math.isfinite(dm) else repr(float(dm))
             fh.write(f"{int(t)},{ttc_s},{dm_s}\n")
-
-
-def write_events_json(events: list[SafetyEvent], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump([e.to_dict() for e in events], fh, sort_keys=True, indent=2)
-        fh.write("\n")

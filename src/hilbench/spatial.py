@@ -115,6 +115,17 @@ class ReferencePath:
             return s
         return min(max(s, 0.0), self.total_length)
 
+    def lap_delta(self, d: float) -> float:
+        """Arc-length difference ``d`` wrapped to the nearest lap on a closed
+        path, so ``|d| <= total_length / 2``; unchanged on an open path."""
+        if not self.closed:
+            return d
+        half = self.total_length / 2.0
+        d = math.fmod(d + half, self.total_length)
+        if d < 0.0:
+            d += self.total_length
+        return d - half
+
     def to_json_dict(self) -> dict:
         return {"closed": self.closed, "vertices": [[float(x), float(y)] for x, y in self.vertices]}
 
@@ -165,15 +176,7 @@ def ate(path: ReferencePath, p, s_d: float) -> float:
     """
     if not (0.0 <= s_d <= path.total_length):
         raise PathError(f"scheduled arc length {s_d} outside [0, {path.total_length}]")
-    proj = project(path, p)
-    diff = proj.arclength - s_d
-    if path.closed:
-        half = path.total_length / 2.0
-        diff = math.fmod(diff + half, path.total_length)
-        if diff < 0.0:
-            diff += path.total_length
-        diff -= half
-    return float(diff)
+    return float(path.lap_delta(project(path, p).arclength - s_d))
 
 
 @dataclass(frozen=True)
@@ -215,25 +218,27 @@ def trajectory_stats(path: ReferencePath, traj) -> MetricSummary:
     return summarize(values)
 
 
-def write_trajectory_csv(path_obj: ReferencePath, traj, out_path, goal_speed: float | None = None) -> None:
-    """Export ``t_ns,x,y,heading,cte,ate`` rows for a trajectory.
+def track_errors(path: ReferencePath, samples, goal_speed: float) -> list[tuple[Projection, float]]:
+    """Path projection and along-track error of each ``(t_ns, x, y, heading)`` sample.
 
     The along-track schedule assumes constant progress at ``goal_speed``
-    starting at the first sample; when no speed is given the ate column is
-    left empty.
+    from the first sample, wrapped on a closed path and clamped at the end
+    of an open one.
     """
-    t0 = traj[0].t_ns if traj else 0
+    t0 = samples[0][0] if samples else 0
+    out = []
+    for t_ns, x, y, _heading in samples:
+        sched = path._wrap_s(goal_speed * (t_ns - t0) / 1e9)
+        out.append((project(path, (x, y)), ate(path, (x, y), sched)))
+    return out
+
+
+def write_trajectory_csv(path_obj: ReferencePath, samples, out_path, goal_speed: float) -> None:
+    """Export ``t_ns,x,y,heading,cte,ate`` rows for ``(t_ns, x, y, heading)`` samples."""
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t_ns,x,y,heading,cte,ate\n")
-        for s in traj:
-            c = cte(path_obj, (s.x, s.y))
-            if goal_speed is None:
-                a = ""
-            else:
-                sched = goal_speed * (s.t_ns - t0) / 1e9
-                if path_obj.closed:
-                    sched = math.fmod(sched, path_obj.total_length)
-                else:
-                    sched = min(sched, path_obj.total_length)
-                a = repr(ate(path_obj, (s.x, s.y), sched))
-            fh.write(f"{s.t_ns},{s.x!r},{s.y!r},{s.heading!r},{c!r},{a}\n")
+        for (t_ns, x, y, heading), (proj, a) in zip(samples, track_errors(path_obj, samples, goal_speed)):
+            # np.hypot, as ``cte`` computes it; the report's math.hypot can
+            # differ from it in the last bit on diagonal segments.
+            c = float(np.hypot(x - proj.point[0], y - proj.point[1]))
+            fh.write(f"{t_ns},{x!r},{y!r},{heading!r},{c!r},{a!r}\n")

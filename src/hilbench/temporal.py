@@ -190,14 +190,28 @@ def check_completeness(records: list[LatencyRecord]) -> CompletenessReport:
     )
 
 
-def write_latency_report(records: list[LatencyRecord], out_path) -> None:
-    """CSV report, one row per component.
+def summarize_latency(records: list[LatencyRecord]) -> dict[str, dict | None]:
+    """The report's ``latency_ms`` section: the statistics of every component,
+    or None for each when there are fewer than 2 records."""
+    if len(records) < 2:
+        return dict.fromkeys(COMPONENT_FIELDS)
+    out = {}
+    for name in COMPONENT_FIELDS:
+        st = aggregate(records, name)
+        out[name] = {"mean_ms": st.mean_ms, "std_ms": st.std_ms, "cv": st.cv,
+                     "p95_ms": st.p95_ms, "n": st.n}
+    return out
+
+
+def write_latency_report(stats: dict[str, dict], out_path) -> None:
+    """CSV report, one row per component, from ``summarize_latency`` output.
 
     CV is rounded to 2 decimals in the file; full precision stays available
-    through ``aggregate``.
+    in the report.
     """
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("component,mean_ms,std_ms,cv,p95_ms,n\n")
         for name in COMPONENT_FIELDS:
-            st = aggregate(records, name)
-            fh.write(f"{name},{st.mean_ms:.4f},{st.std_ms:.4f},{st.cv:.2f},{st.p95_ms:.4f},{st.n}\n")
+            st = stats[name]
+            fh.write(f"{name},{st['mean_ms']:.4f},{st['std_ms']:.4f},{st['cv']:.2f},"
+                     f"{st['p95_ms']:.4f},{st['n']}\n")

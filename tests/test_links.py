@@ -158,11 +158,11 @@ class TestV2R:
                         perturbation=PerturbationConfig(loss_probability=0.3))
         link = V2RLink(cfg, factory_for(11))
         n = 2000
-        for i in range(n):
-            link.transmit(i * ms_to_ns(20.0))
-        assert link.sent == n
-        assert link.delivered + link.dropped == n
-        assert 0.25 * n < link.dropped < 0.35 * n
+        scheds = [link.transmit(i * ms_to_ns(20.0)) for i in range(n)]
+        delivered = [s for s in scheds if not s.dropped]
+        dropped = n - len(delivered)
+        assert all(s.t_deliver >= s.t_perturb_out >= s.t_perturb_in for s in delivered)
+        assert 0.25 * n < dropped < 0.35 * n
 
     def test_dropped_schedule_has_no_delivery(self):
         cfg = V2RConfig(base=StageLatencyModel.constant(5.0),

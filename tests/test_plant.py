@@ -12,7 +12,6 @@ from hilbench.plant import (
     Plant,
     StepLog,
     fit_fopdt,
-    plant_step,
     preset,
     run_step_experiment,
 )
@@ -107,7 +106,7 @@ class TestPlantMotion:
     def test_zero_command_from_rest_keeps_pose(self):
         cfg = preset("calibrated")
         plant = Plant(cfg, 1.0, 2.0, 0.5)
-        st = plant_step(plant, 0.0, 0.0, cfg.control_period_s)
+        st = plant.step(0.0, 0.0, cfg.control_period_s)
         assert (st.pose.x, st.pose.y, st.pose.heading) == (1.0, 2.0, 0.5)
 
     def test_velocity_step_reaches_gain_times_setpoint(self):

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from hilbench.core import rng_stream
+from hilbench.core import rng_stream, write_json
 from hilbench.safety import (
     AgentState,
     SafetyEvent,
@@ -11,7 +12,6 @@ from hilbench.safety import (
     d_min_trace,
     extract_events,
     ttc_body,
-    write_events_json,
     write_safety_csv,
 )
 
@@ -216,5 +216,5 @@ def test_csv_and_json_exports(tmp_path):
     assert lines[0] == "t_ns,ttc_s,dmin_m"
     assert len(lines) == 6
     events = extract_events(trace)
-    write_events_json(events, tmp_path / "e.json")
-    assert (tmp_path / "e.json").read_text().startswith("[")
+    write_json(tmp_path / "e.json", [e.to_dict() for e in events])
+    assert json.loads((tmp_path / "e.json").read_text()) == [e.to_dict() for e in events]

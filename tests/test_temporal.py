@@ -11,6 +11,7 @@ from hilbench.temporal import (
     assemble_all,
     assemble_record,
     check_completeness,
+    summarize_latency,
     write_latency_report,
 )
 
@@ -158,7 +159,7 @@ class TestCompleteness:
 def test_report_csv(tmp_path):
     records = [assemble_record(chain_events(cid=i + 1, adv=20.0 + i)) for i in range(5)]
     out = tmp_path / "latency.csv"
-    write_latency_report(records, out)
+    write_latency_report(summarize_latency(records), out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "component,mean_ms,std_ms,cv,p95_ms,n"
     assert len(lines) == 1 + len(COMPONENT_FIELDS)
