@@ -32,7 +32,7 @@ from .core import (NS_PER_S, RunContext, Stage, TimedEvent, json_document, ms_to
                    substream_seed)
 from .links import R2VLink, V2RLink
 from .plant import Plant
-from .safety import AgentState, SafetyTrace, d_min_trace, extract_events
+from .safety import AgentState, SafetyTrace, d_min_trace, extract_events, finite_or_none
 from .spatial import MetricSummary, ReferencePath, TrajectorySample, project, summarize, track_errors
 from .sut import Observation, build_sut
 
@@ -440,9 +440,9 @@ def analyze(events: list[TimedEvent]) -> Analysis:
             )
             safety = {
                 "n_frames": len(trace),
-                "ttc_min_s": None if not math.isfinite(trace.ttc_min) else trace.ttc_min,
+                "ttc_min_s": finite_or_none(trace.ttc_min),
                 "t_at_ttc_min_ns": trace.t_at_ttc_min,
-                "d_min_m": None if not math.isfinite(trace.d_min) else trace.d_min,
+                "d_min_m": finite_or_none(trace.d_min),
                 "t_at_d_min_ns": trace.t_at_d_min,
                 "events": [e.to_dict() for e in sev],
                 "triggered": any(key.startswith("npc_") for ev in events

@@ -123,6 +123,11 @@ def d_min_trace(frames: list[list[AgentState]], ego_id: str) -> SafetyTrace:
     return trace
 
 
+def finite_or_none(v: float | None) -> float | None:
+    """A metric as written to JSON, which has no infinity: non-finite is null."""
+    return v if v is not None and math.isfinite(v) else None
+
+
 @dataclass(frozen=True)
 class SafetyEvent:
     kind: str        # GlobalMin | Valley | ThresholdCross
@@ -136,8 +141,8 @@ class SafetyEvent:
             "kind": self.kind,
             "metric": self.metric,
             "t_ns": self.t_ns,
-            "value": None if not math.isfinite(self.value) else self.value,
-            "prominence": self.prominence,
+            "value": finite_or_none(self.value),
+            "prominence": finite_or_none(self.prominence),
         }
 
 

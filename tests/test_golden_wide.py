@@ -139,6 +139,17 @@ def test_stage3_replay_reproduces_pinned_report(tmp_path):
     assert replayed == (STAGE3_DATA / "report.json").read_bytes()
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_stage3_json_artifacts_are_standard_json(stage3_out):
+    paths = sorted(stage3_out.glob("*.json"))
+    assert [p.name for p in paths] == ["events.json", "manifest.json", "report.json"]
+    for path in paths:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 def test_stage3_pin_covers_safety_events():
     report = json.loads((STAGE3_DATA / "report.json").read_text())
     assert report["completed"]
