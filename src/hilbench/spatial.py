@@ -218,26 +218,26 @@ def trajectory_stats(path: ReferencePath, traj) -> MetricSummary:
     return summarize(values)
 
 
-def track_errors(path: ReferencePath, samples, goal_speed: float) -> list[tuple[Projection, float]]:
-    """Path projection and along-track error of each ``(t_ns, x, y, heading)`` sample.
+def track_errors(path: ReferencePath, samples, goal_speed: float):
+    """Yield the path projection and the along-track error of each
+    ``(t_ns, x, y, heading)`` sample.
 
     The along-track schedule assumes constant progress at ``goal_speed``
     from the first sample, wrapped on a closed path and clamped at the end
     of an open one.
     """
     t0 = samples[0][0] if samples else 0
-    out = []
     for t_ns, x, y, _heading in samples:
         sched = path._wrap_s(goal_speed * (t_ns - t0) / 1e9)
-        out.append((project(path, (x, y)), ate(path, (x, y), sched)))
-    return out
+        yield project(path, (x, y)), ate(path, (x, y), sched)
 
 
 def write_trajectory_csv(path_obj: ReferencePath, samples, out_path, goal_speed: float) -> None:
     """Export ``t_ns,x,y,heading,cte,ate`` rows for ``(t_ns, x, y, heading)`` samples."""
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t_ns,x,y,heading,cte,ate\n")
-        for (t_ns, x, y, heading), (proj, a) in zip(samples, track_errors(path_obj, samples, goal_speed)):
+        errors = track_errors(path_obj, samples, goal_speed)
+        for (t_ns, x, y, heading), (proj, a) in zip(samples, errors):
             # np.hypot, as ``cte`` computes it; the report's math.hypot can
             # differ from it in the last bit on diagonal segments.
             c = float(np.hypot(x - proj.point[0], y - proj.point[1]))

@@ -14,6 +14,7 @@ from hilbench.spatial import (
     normalize_heading,
     project,
     summarize,
+    track_errors,
     trajectory_stats,
 )
 
@@ -175,6 +176,24 @@ class TestAte:
             ys = np.interp(s, path.cumulative_arclength, path.vertices[:, 1])
             i = int(np.argmin((xs - p[0]) ** 2 + (ys - p[1]) ** 2))
             assert got == pytest.approx(s[i] - s_d, abs=1e-4)
+
+
+class TestTrackErrors:
+    def test_lap_delta_wraps_only_on_closed_paths(self):
+        assert UNIT_SQUARE.lap_delta(3.9) == pytest.approx(-0.1)
+        assert UNIT_SQUARE.lap_delta(-3.9) == pytest.approx(0.1)
+        assert ReferencePath([(0, 0), (10, 0)]).lap_delta(9.5) == 9.5
+
+    def test_schedule_wraps_on_closed_and_clamps_on_open_paths(self):
+        # 1 m/s for 5 s is 1 m into the second lap of the 4 m square.
+        samples = [(0, 0.0, 0.0, 0.0), (5_000_000_000, 1.0, 0.0, 0.0)]
+        assert [a for _, a in track_errors(UNIT_SQUARE, samples, 1.0)] == pytest.approx([0.0, 0.0])
+        # 12 s at 1 m/s is past the end of a 10 m line: the schedule stops there.
+        straight = ReferencePath([(0, 0), (10, 0)])
+        samples = [(0, 0.0, 0.0, 0.0), (12_000_000_000, 10.0, 0.5, 0.0)]
+        errors = list(track_errors(straight, samples, 1.0))
+        assert [a for _, a in errors] == pytest.approx([0.0, 0.0])
+        assert [proj.arclength for proj, _ in errors] == pytest.approx([0.0, 10.0])
 
 
 class TestSummaries:
