@@ -57,8 +57,8 @@ def _write_manifest(out: Path, command: str, artifacts: dict, flags: dict | None
 
 def _write_run_artifacts(out: Path, runner: orchestrator.Runner,
                          analysis: orchestrator.Analysis) -> dict:
-    """Write the audit log and every artifact derived from it; returns the
-    artifact names and paths, all read from the one analysis of the run."""
+    """Write the audit log and the artifacts derived from ``analysis``;
+    return ``{artifact name: relative path}``."""
     names = orchestrator.ARTIFACTS
     report = analysis.report
     runner.ctx.audit.write_ndjson(out / names["audit"])
