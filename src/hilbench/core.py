@@ -75,6 +75,11 @@ class VirtualClock:
         return self._now_ns
 
 
+#: Encoder of one audit line: ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
+#: without building a new encoder per call.
+_encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 @dataclass(frozen=True)
 class TimedEvent:
     """One audit-log record: a stage boundary stamped in the run clock domain.
@@ -97,17 +102,20 @@ class TimedEvent:
             "t_ns": self.t_ns,
             "payload": self.payload,
         }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return _encode_line(obj)
 
     @staticmethod
     def from_json(line: str) -> "TimedEvent":
         obj = json.loads(line)
+        payload = obj.get("payload", {})
+        if not isinstance(payload, dict):
+            raise ValueError("payload must be an object")
         return TimedEvent(
             run_id=obj["run_id"],
             cid=int(obj["cid"]),
             stage=Stage[obj["stage"]],
             t_ns=int(obj["t_ns"]),
-            payload=obj.get("payload", {}),
+            payload=payload,
         )
 
 
@@ -156,13 +164,39 @@ class AuditLog:
 
     @staticmethod
     def read_ndjson(path) -> list[TimedEvent]:
-        events = []
+        """Read a log written by ``write_ndjson``, checking each record as
+        ``append`` does (one run_id, per-correlation chain order) and that
+        timestamps never decrease from one line to the next.
+
+        A final line that lacks its newline and does not parse, with no end
+        record before it, is a record torn by an interrupted write: it is
+        dropped, and the log then lacks its end record, so its report reads
+        as truncated.  Any other bad line raises ``ValueError`` naming its
+        line number.
+        """
+        log = None
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    events.append(TimedEvent.from_json(line))
-        return events
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                try:
+                    event = TimedEvent.from_json(text)
+                except (ValueError, KeyError, TypeError) as exc:
+                    ended = log is not None and log.events[-1].stage is Stage.RunEnd
+                    if not line.endswith("\n") and not ended:
+                        break  # torn final line
+                    raise ValueError(f"{path}: line {lineno}: not an audit record ({exc})") from exc
+                if log is None:
+                    log = AuditLog(event.run_id)
+                elif event.t_ns < log.events[-1].t_ns:
+                    raise ValueError(f"{path}: line {lineno}: t_ns {event.t_ns} earlier than "
+                                     f"the previous record's {log.events[-1].t_ns}")
+                try:
+                    log.append(event)
+                except AuditOrderError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+        return log.events if log is not None else []
 
 
 def substream_seed(root_seed: int, label: str) -> int:

@@ -32,7 +32,8 @@ from .core import (NS_PER_S, RunContext, Stage, TimedEvent, json_document, ms_to
                    substream_seed)
 from .links import R2VLink, V2RLink
 from .plant import Plant
-from .safety import AgentState, SafetyTrace, d_min_trace, extract_events, finite_or_none
+from .safety import (AgentState, SafetyTrace, check_agent, d_min_trace, extract_events,
+                     finite_or_none)
 from .spatial import MetricSummary, ReferencePath, TrajectorySample, project, summarize, track_errors
 from .sut import Observation, build_sut
 
@@ -129,10 +130,8 @@ class Npc:
             return None
         dt = (t_ns - self.activation_t_ns) / NS_PER_S
         s, v = self.profile.state_at(dt, self.route.total_length, self.route.closed)
-        pos = self.route.point_at(s)
-        tan = self.route.tangent_at(s)
-        return AgentState(self.npc_id, int(t_ns), float(pos[0]), float(pos[1]),
-                          float(v * tan[0]), float(v * tan[1]), self.radius)
+        x, y, tx, ty = self.route.pose_at(s)
+        return AgentState(self.npc_id, int(t_ns), x, y, v * tx, v * ty, self.radius)
 
 
 class Runner:
@@ -167,6 +166,9 @@ class Runner:
         self.npcs = [Npc(spec) for spec in (resolved["scenario"] or {"npcs": []})["npcs"]]
         self.trigger_zone = (resolved["scenario"] or {}).get("trigger_zone")
         self.scenario_triggered = False
+        # (t_ns, state of each NPC at t_ns): computed once per sense event for
+        # its payload and reused by the controller step at the same instant.
+        self._npc_states: tuple[int, list[AgentState | None]] = (-1, [])
 
         self.aborted = False
         self.abort_reason: str | None = None
@@ -240,8 +242,9 @@ class Runner:
             "heading": self._mirror["heading"], "v": self._mirror["v"],
             "stale": stale,
         }
-        for npc in self.npcs:
-            a = npc.state_at(t_ns)
+        states = [npc.state_at(t_ns) for npc in self.npcs]
+        self._npc_states = (t_ns, states)
+        for a in states:
             if a is not None:
                 payload[f"npc_{a.agent_id}_x"] = a.x
                 payload[f"npc_{a.agent_id}_y"] = a.y
@@ -253,14 +256,14 @@ class Runner:
 
     def _detections(self, t_ns: int) -> tuple[AgentState, ...]:
         rng_m = self.cfg["report"]["sensing_range_m"]
-        out = []
-        for npc in self.npcs:
-            a = npc.state_at(t_ns)
-            if a is None:
-                continue
-            if math.hypot(a.x - self._mirror["x"], a.y - self._mirror["y"]) <= rng_m:
-                out.append(a)
-        return tuple(out)
+        # An NPC's state depends only on t_ns and its activation time, and
+        # activation happens only where the cache is refreshed.
+        t_cached, states = self._npc_states
+        if t_cached != t_ns:
+            states = [npc.state_at(t_ns) for npc in self.npcs]
+        x, y = self._mirror["x"], self._mirror["y"]
+        return tuple(a for a in states
+                     if a is not None and math.hypot(a.x - x, a.y - y) <= rng_m)
 
     def _on_sut_in(self, t_ns: int, cid: int) -> None:
         self.ctx.emit(Stage.SutCmdIn, cid, t_ns)
@@ -341,22 +344,26 @@ def _summary_dict(s: MetricSummary | None) -> dict | None:
     return {"mean": s.mean, "std": s.std, "rmse": s.rmse, "mae": s.mae, "p95": s.p95, "n": s.n}
 
 
-def _frames_from_events(events, ego_radius: float) -> list[list[AgentState]]:
+def _safety_frames(events, cfg: dict) -> list[tuple[int, dict]]:
+    """The ``d_min_trace`` frames of a scenario run: at each sense event, the
+    ego's mirrored state and the state of every NPC the payload carries, each
+    checked with ``check_agent``."""
+    ego_radius = cfg["report"]["ego_radius_m"]
+    npc_keys = [(nid, *(f"npc_{nid}_{k}" for k in ("x", "y", "vx", "vy", "r")))
+                for nid in (npc["id"] for npc in cfg["scenario"]["npcs"])]
     frames = []
     for ev in events:
         if ev.stage is not Stage.R2vSenseDone or "x" not in ev.payload:
             continue
         p = ev.payload
-        ego = AgentState("ego", ev.t_ns, p["x"], p["y"],
-                         p["v"] * math.cos(p["heading"]), p["v"] * math.sin(p["heading"]),
-                         ego_radius)
-        frame = [ego]
-        for key in p:
-            if key.startswith("npc_") and key.endswith("_x"):
-                nid = key[len("npc_"):-len("_x")]
-                frame.append(AgentState(nid, ev.t_ns, p[f"npc_{nid}_x"], p[f"npc_{nid}_y"],
-                                        p[f"npc_{nid}_vx"], p[f"npc_{nid}_vy"], p[f"npc_{nid}_r"]))
-        frames.append(frame)
+        v, heading = p["v"], p["heading"]
+        agents = {"ego": (p["x"], p["y"], v * math.cos(heading), v * math.sin(heading), ego_radius)}
+        for nid, kx, ky, kvx, kvy, kr in npc_keys:
+            if kx in p:
+                agents[nid] = (p[kx], p[ky], p[kvx], p[kvy], p[kr])
+        for state in agents.values():
+            check_agent(*state)
+        frames.append((ev.t_ns, agents))
     return frames
 
 
@@ -428,7 +435,7 @@ def analyze(events: list[TimedEvent]) -> Analysis:
 
     safety = trace = None
     if cfg["scenario"] is not None:
-        frames = _frames_from_events(events, cfg["report"]["ego_radius_m"])
+        frames = _safety_frames(events, cfg)
         if frames:
             trace = d_min_trace(frames, "ego")
             sev = extract_events(
@@ -445,8 +452,7 @@ def analyze(events: list[TimedEvent]) -> Analysis:
                 "d_min_m": finite_or_none(trace.d_min),
                 "t_at_d_min_ns": trace.t_at_d_min,
                 "events": [e.to_dict() for e in sev],
-                "triggered": any(key.startswith("npc_") for ev in events
-                                 if ev.stage is Stage.R2vSenseDone for key in ev.payload),
+                "triggered": any(len(agents) > 1 for _t, agents in frames),
             }
 
     stage_id = "stage3" if cfg["scenario"] is not None else "stage1"

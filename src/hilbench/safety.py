@@ -16,6 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_agent(x: float, y: float, vx: float, vy: float, radius: float) -> None:
+    """Reject a non-positive footprint radius or non-finite kinematics."""
+    if radius <= 0.0:
+        raise ValueError("footprint radius must be positive")
+    for v in (x, y, vx, vy):
+        if not math.isfinite(v):
+            raise ValueError("agent kinematics must be finite")
+
+
 @dataclass(frozen=True)
 class AgentState:
     """One agent's synchronized planar state at a frame time."""
@@ -29,24 +38,16 @@ class AgentState:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError("footprint radius must be positive")
-        for v in (self.x, self.y, self.vx, self.vy):
-            if not math.isfinite(v):
-                raise ValueError("agent kinematics must be finite")
+        check_agent(self.x, self.y, self.vx, self.vy, self.radius)
 
 
-def ttc_body(ego: AgentState, other: AgentState) -> float:
-    """Seconds until the two bodies touch under constant velocities.
+def contact_ttc(dpx: float, dpy: float, dvx: float, dvy: float, rsum: float) -> float:
+    """Seconds until two bodies at relative position ``(dpx, dpy)`` and
+    relative velocity ``(dvx, dvy)`` touch, with ``rsum`` the sum of their radii.
 
-    Solves ||dp + dv*s|| = r_ego + r_other for the smallest s > 0; returns
-    +inf when the bodies never touch, and 0.0 when they already overlap.
+    Solves ||dp + dv*s|| = rsum for the smallest s > 0; returns +inf when the
+    bodies never touch, and 0.0 when they already overlap.
     """
-    if ego.t_ns != other.t_ns:
-        raise ValueError("agent states must share a timestamp")
-    dpx, dpy = other.x - ego.x, other.y - ego.y
-    dvx, dvy = other.vx - ego.vx, other.vy - ego.vy
-    rsum = ego.radius + other.radius
     c = dpx * dpx + dpy * dpy - rsum * rsum
     if c <= 0.0:
         return 0.0  # already in contact
@@ -65,10 +66,24 @@ def ttc_body(ego: AgentState, other: AgentState) -> float:
     return s2 if s2 > 0.0 else math.inf
 
 
+def contact_gap(dpx: float, dpy: float, rsum: float) -> float:
+    """Gap between two bodies at relative position ``(dpx, dpy)`` whose radii
+    sum to ``rsum``, floored at 0 (overlap counts as collision)."""
+    return max(math.hypot(dpx, dpy) - rsum, 0.0)
+
+
+def ttc_body(ego: AgentState, other: AgentState) -> float:
+    """Seconds until the two bodies touch under constant velocities
+    (``contact_ttc`` of their relative motion)."""
+    if ego.t_ns != other.t_ns:
+        raise ValueError("agent states must share a timestamp")
+    return contact_ttc(other.x - ego.x, other.y - ego.y, other.vx - ego.vx, other.vy - ego.vy,
+                       ego.radius + other.radius)
+
+
 def body_gap(a: AgentState, b: AgentState) -> float:
     """Inter-body gap, floored at 0 (overlap counts as collision)."""
-    d = math.hypot(b.x - a.x, b.y - a.y) - (a.radius + b.radius)
-    return max(d, 0.0)
+    return contact_gap(b.x - a.x, b.y - a.y, a.radius + b.radius)
 
 
 @dataclass
@@ -78,7 +93,6 @@ class SafetyTrace:
     t_ns: np.ndarray
     ttc_s: np.ndarray
     dmin_m: np.ndarray
-    frame_gaps: list[dict]
     ttc_min: float = math.inf
     t_at_ttc_min: int | None = None
     d_min: float = math.inf
@@ -88,38 +102,39 @@ class SafetyTrace:
         return int(self.t_ns.size)
 
 
-def d_min_trace(frames: list[list[AgentState]], ego_id: str) -> SafetyTrace:
+def d_min_trace(frames, ego_id: str) -> SafetyTrace:
     """Build the safety trace of an ego agent across frames.
 
-    Every frame must contain the ego.  Frames without any other agent record
-    +inf for both metrics.
+    Each frame is ``(t_ns, agents)``, with ``agents`` mapping an agent id to
+    its ``(x, y, vx, vy, radius)``.  Every frame must contain the ego.  Frames
+    without any other agent record +inf for both metrics.
     """
-    ts, ttcs, dmins, gaps_per_frame = [], [], [], []
-    for i, frame in enumerate(frames):
-        ego = next((a for a in frame if a.agent_id == ego_id), None)
+    ts, ttcs, dmins = [], [], []
+    for i, (t_ns, agents) in enumerate(frames):
+        ego = agents.get(ego_id)
         if ego is None:
             raise ValueError(f"frame {i} does not contain ego agent {ego_id!r}")
-        others = [a for a in frame if a.agent_id != ego_id]
-        gaps = {a.agent_id: body_gap(ego, a) for a in others}
-        frame_ttc = min((ttc_body(ego, a) for a in others), default=math.inf)
-        frame_dmin = min(gaps.values(), default=math.inf)
-        ts.append(ego.t_ns)
+        ex, ey, evx, evy, er = ego
+        frame_ttc = frame_dmin = math.inf
+        for agent_id, (x, y, vx, vy, r) in agents.items():
+            if agent_id == ego_id:
+                continue
+            dpx, dpy, rsum = x - ex, y - ey, er + r
+            frame_ttc = min(frame_ttc, contact_ttc(dpx, dpy, vx - evx, vy - evy, rsum))
+            frame_dmin = min(frame_dmin, contact_gap(dpx, dpy, rsum))
+        ts.append(t_ns)
         ttcs.append(frame_ttc)
         dmins.append(frame_dmin)
-        gaps_per_frame.append(gaps)
     trace = SafetyTrace(
         t_ns=np.array(ts, dtype=np.int64),
         ttc_s=np.array(ttcs, dtype=float),
         dmin_m=np.array(dmins, dtype=float),
-        frame_gaps=gaps_per_frame,
     )
-    for i in range(len(trace)):
-        if trace.ttc_s[i] < trace.ttc_min:
-            trace.ttc_min = float(trace.ttc_s[i])
-            trace.t_at_ttc_min = int(trace.t_ns[i])
-        if trace.dmin_m[i] < trace.d_min:
-            trace.d_min = float(trace.dmin_m[i])
-            trace.t_at_d_min = int(trace.t_ns[i])
+    for t, ttc, dmin in zip(ts, ttcs, dmins):
+        if ttc < trace.ttc_min:
+            trace.ttc_min, trace.t_at_ttc_min = float(ttc), int(t)
+        if dmin < trace.d_min:
+            trace.d_min, trace.t_at_d_min = float(dmin), int(t)
     return trace
 
 
@@ -146,36 +161,47 @@ class SafetyEvent:
         }
 
 
-def _valley_prominence(values: np.ndarray, i: int) -> float:
-    """Topographic prominence of a local minimum in a 1-D series."""
-    v = values[i]
-    left_peak = -math.inf
-    for j in range(i - 1, -1, -1):
-        if values[j] < v:
-            break
-        left_peak = max(left_peak, values[j])
-    right_peak = -math.inf
-    for j in range(i + 1, values.size):
-        if values[j] < v:
-            break
-        right_peak = max(right_peak, values[j])
+def _peaks_before_lower(values: list[float]) -> list[float]:
+    """For each index i, the highest value between i and the nearest value to
+    its left that is strictly lower than ``values[i]`` (the series start if
+    none is); -inf when nothing lies between.
+
+    One pass with a stack of ``(value, highest value since the entry below)``
+    whose values strictly increase upwards.
+    """
+    peaks, stack = [], []
+    for v in values:
+        peak = -math.inf
+        while stack and not stack[-1][0] < v:
+            peak = max(peak, stack.pop()[1])
+        peaks.append(peak)
+        stack.append((v, max(peak, v)))
+    return peaks
+
+
+def _valley_prominence(v: float, left_peak: float, right_peak: float) -> float:
+    """Topographic prominence of a local minimum ``v`` whose left and right
+    peaks (``_peaks_before_lower``) are given."""
     if not math.isfinite(left_peak) and not math.isfinite(right_peak):
         return 0.0
-    ref = min(p for p in (left_peak, right_peak) if math.isfinite(p)) \
+    ref = min(left_peak, right_peak) \
         if (math.isfinite(left_peak) and math.isfinite(right_peak)) \
         else max(left_peak, right_peak)
     return float(ref - v)
 
 
 def _find_valleys(t_ns, values, min_prominence, min_separation_ns, exclude_idx):
+    vals = values.tolist()
+    left = _peaks_before_lower(vals)
+    right = _peaks_before_lower(vals[::-1])[::-1]
     candidates = []
-    for i in range(1, values.size - 1):
-        if not math.isfinite(values[i]) or i == exclude_idx:
+    for i in range(1, len(vals) - 1):
+        if not math.isfinite(vals[i]) or i == exclude_idx:
             continue
-        if values[i - 1] > values[i] < values[i + 1]:
-            prom = _valley_prominence(values, i)
+        if vals[i - 1] > vals[i] < vals[i + 1]:
+            prom = _valley_prominence(vals[i], left[i], right[i])
             if prom >= min_prominence:
-                candidates.append((float(values[i]), int(i), prom))
+                candidates.append((vals[i], i, prom))
     candidates.sort()  # ascending by value, then index
     chosen = []
     for val, i, prom in candidates:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,31 +82,37 @@ class ReferencePath:
             raise PathError("path contains a zero-length segment")
         self.vertices = v
         self.closed = bool(closed)
-        self._seg_start = seg_start
-        self._seg_dir = d
-        self._seg_len = lengths
         # Arc length at each vertex; for closed paths total includes the wrap.
         self.cumulative_arclength = np.concatenate([[0.0], np.cumsum(lengths)])[: v.shape[0]]
         self.total_length = float(np.sum(lengths))
+        # Per-segment Python floats (x0, y0, dx, dy, length, length^2, arc length
+        # at the start) for the per-sample kernels below: on a path of a few
+        # segments, numpy's per-call overhead costs more than the arithmetic.
+        self._cum = self.cumulative_arclength.tolist()
+        self._segs = [(x0, y0, dx, dy, ln, ln * ln, s0) for (x0, y0), (dx, dy), ln, s0
+                      in zip(seg_start.tolist(), d.tolist(), lengths.tolist(), self._cum)]
 
     @property
     def n_segments(self) -> int:
-        return self._seg_start.shape[0]
+        return len(self._segs)
+
+    def pose_at(self, s: float) -> tuple[float, float, float, float]:
+        """``(x, y, tx, ty)``: position and unit tangent at arc length ``s``
+        (wraps on closed paths)."""
+        s = self._wrap_s(s)
+        idx = min(max(bisect_right(self._cum, s) - 1, 0), len(self._segs) - 1)
+        x0, y0, dx, dy, ln, _ln2, s0 = self._segs[idx]
+        frac = (s - s0) / ln
+        return x0 + frac * dx, y0 + frac * dy, dx / ln, dy / ln
 
     def point_at(self, s: float) -> np.ndarray:
         """Position at arc length ``s`` (wraps on closed paths)."""
-        s = self._wrap_s(s)
-        idx = int(np.searchsorted(self.cumulative_arclength, s, side="right") - 1)
-        idx = min(max(idx, 0), self.n_segments - 1)
-        local = s - self.cumulative_arclength[idx]
-        frac = local / self._seg_len[idx]
-        return self._seg_start[idx] + frac * self._seg_dir[idx]
+        x, y, _tx, _ty = self.pose_at(s)
+        return np.array([x, y])
 
     def tangent_at(self, s: float) -> np.ndarray:
-        s = self._wrap_s(s)
-        idx = int(np.searchsorted(self.cumulative_arclength, s, side="right") - 1)
-        idx = min(max(idx, 0), self.n_segments - 1)
-        return self._seg_dir[idx] / self._seg_len[idx]
+        _x, _y, tx, ty = self.pose_at(s)
+        return np.array([tx, ty])
 
     def _wrap_s(self, s: float) -> float:
         if self.closed:
@@ -149,15 +156,22 @@ def project(path: ReferencePath, p) -> Projection:
     Closed-form per segment: clamp the scalar projection onto each segment and
     keep the strictly best candidate, so earlier segments win exact ties.
     """
-    p = np.asarray(p, dtype=float)
-    rel = p - path._seg_start
-    t = (rel[:, 0] * path._seg_dir[:, 0] + rel[:, 1] * path._seg_dir[:, 1]) / (path._seg_len**2)
-    t = np.clip(t, 0.0, 1.0)
-    cand = path._seg_start + t[:, None] * path._seg_dir
-    d2 = (p[0] - cand[:, 0]) ** 2 + (p[1] - cand[:, 1]) ** 2
-    idx = int(np.argmin(d2))  # argmin returns the first (lowest) index on ties
-    s = float(path.cumulative_arclength[idx] + t[idx] * path._seg_len[idx])
-    return Projection(point=cand[idx].copy(), arclength=s, segment_index=idx)
+    px, py = float(p[0]), float(p[1])
+    best = math.inf
+    for i, (x0, y0, dx, dy, ln, ln2, s0) in enumerate(path._segs):
+        t = ((px - x0) * dx + (py - y0) * dy) / ln2
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        cx, cy = x0 + t * dx, y0 + t * dy
+        ex, ey = px - cx, py - cy
+        d2 = ex * ex + ey * ey
+        # Strict: the lowest segment index wins a tie; segment 0 is kept even
+        # when no distance compares (a NaN query), as np.argmin would.
+        if d2 < best or i == 0:
+            best, idx, bx, by, s = d2, i, cx, cy, s0 + t * ln
+    return Projection(point=np.array([bx, by]), arclength=s, segment_index=idx)
 
 
 def cte(path: ReferencePath, p) -> float:

@@ -17,7 +17,6 @@ from hilbench import presets
 from hilbench.config import resolve_run_config, resolve_sweep_config
 from hilbench.core import Stage, rng_stream
 from hilbench.orchestrator import (
-    _frames_from_events,
     replay_report,
     report_to_json,
     run_stage1,
@@ -26,7 +25,7 @@ from hilbench.orchestrator import (
 )
 from hilbench.plant import LN10, fit_fopdt, preset, run_step_experiment
 from hilbench.registration import run_benchmark
-from hilbench.safety import body_gap, ttc_body
+from hilbench.safety import AgentState, body_gap, ttc_body
 from hilbench.spatial import ReferencePath, cte, project
 from hilbench.temporal import assemble_all, check_completeness
 
@@ -211,6 +210,25 @@ def test_07_stage2_cliff():
             f"cliff at {cliff} ms runtime {elapsed:.0f}s")
 
 
+def _frames_from_events(events, ego_radius: float) -> list[list[AgentState]]:
+    frames = []
+    for ev in events:
+        if ev.stage is not Stage.R2vSenseDone or "x" not in ev.payload:
+            continue
+        p = ev.payload
+        ego = AgentState("ego", ev.t_ns, p["x"], p["y"],
+                         p["v"] * math.cos(p["heading"]), p["v"] * math.sin(p["heading"]),
+                         ego_radius)
+        frame = [ego]
+        for key in p:
+            if key.startswith("npc_") and key.endswith("_x"):
+                nid = key[len("npc_"):-len("_x")]
+                frame.append(AgentState(nid, ev.t_ns, p[f"npc_{nid}_x"], p[f"npc_{nid}_y"],
+                                        p[f"npc_{nid}_vx"], p[f"npc_{nid}_vy"], p[f"npc_{nid}_r"]))
+        frames.append(frame)
+    return frames
+
+
 def test_08_stage3_safety_accounting():
     resolved = resolve_run_config(presets.load("stage3-intersection"))
     report, runner = run_stage3(resolved)
@@ -285,5 +303,4 @@ def test_09_ttc_oracle():
 
 
 def _agent(aid, x, y, vx, vy, r):
-    from hilbench.safety import AgentState
     return AgentState(aid, 0, x, y, vx, vy, r)

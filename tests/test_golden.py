@@ -10,6 +10,9 @@ reproducibility of previously recorded experiments.
 import json
 from pathlib import Path
 
+import pytest
+
+from hilbench.cli import EXIT_CONFIG, EXIT_OK, main
 from hilbench.config import resolve_run_config
 from hilbench.orchestrator import replay_report, report_to_json, run_stage1
 
@@ -43,3 +46,67 @@ def test_stored_report_sanity():
     assert report["completed"]
     assert report["cycles"]["gts_samples"] == 50
     assert report["completeness"]["fraction"] == 1.0
+
+
+def _golden_lines() -> list[str]:
+    return (DATA / "audit.ndjson").read_text().splitlines(keepends=True)
+
+
+def test_replay_rejects_a_changed_run_id_naming_the_line(tmp_path):
+    lines = _golden_lines()
+    lines[200] = lines[200].replace('"run_id":"golden-stage1"', '"run_id":"golden-stage1x"')
+    log = tmp_path / "audit.ndjson"
+    log.write_text("".join(lines))
+    with pytest.raises(ValueError, match="line 201: .*run_id 'golden-stage1x'"):
+        replay_report(log)
+    assert main(["replay-report", "--log", str(log), "--out", str(tmp_path / "r"), "-q"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("first, message", [
+    # cid 1's R2vSenseDone and SutCmdIn share a timestamp: only the chain
+    # order breaks.
+    (9, "line 10: cid 1: stage R2vSenseDone after SutCmdIn violates chain order"),
+    # cid 1's R2vAdvDone and cid 2's GtsSample: only the time order breaks.
+    (5, "line 6: t_ns 15232362 earlier than the previous record's 20000000"),
+])
+def test_replay_rejects_swapped_records_naming_the_line(tmp_path, first, message):
+    lines = _golden_lines()
+    lines[first - 1], lines[first] = lines[first], lines[first - 1]
+    log = tmp_path / "audit.ndjson"
+    log.write_text("".join(lines))
+    with pytest.raises(ValueError, match=message):
+        replay_report(log)
+
+
+@pytest.mark.parametrize("keep_lines", [551, 300])
+def test_replay_drops_a_torn_final_line_and_reports_truncation(tmp_path, keep_lines):
+    lines = _golden_lines()
+    torn = lines[keep_lines][: len(lines[keep_lines]) // 2]
+    log = tmp_path / "audit.ndjson"
+    log.write_text("".join(lines[:keep_lines]) + torn)
+    report = replay_report(log)
+    assert report["truncated"] and not report["completed"]
+    complete = tmp_path / "complete.ndjson"
+    complete.write_text("".join(lines[:keep_lines]))
+    assert report_to_json(report) == report_to_json(replay_report(complete))
+    assert main(["replay-report", "--log", str(log), "--out", str(tmp_path / "r"), "-q"]) == EXIT_OK
+    assert json.loads((tmp_path / "r" / "report.json").read_text())["truncated"] is True
+
+
+@pytest.mark.parametrize("bad_line, damage", [
+    (1, lambda line: line[:40] + "\n"),
+    (300, lambda line: line[:40] + "\n"),
+    (552, lambda line: line[:40] + "\n"),
+    (2, lambda line: line.replace('"payload":{"heading":0.0,"v":0.0,"x":0.7,"y":0.7}',
+                                  '"payload":[0.7,0.7]')),
+])
+def test_replay_rejects_any_other_bad_line_naming_it(tmp_path, bad_line, damage):
+    lines = _golden_lines()
+    damaged = damage(lines[bad_line - 1])
+    assert damaged != lines[bad_line - 1]
+    lines[bad_line - 1] = damaged
+    log = tmp_path / "audit.ndjson"
+    log.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"line {bad_line}: not an audit record"):
+        replay_report(log)
+    assert main(["replay-report", "--log", str(log), "--out", str(tmp_path / "r"), "-q"]) == EXIT_CONFIG

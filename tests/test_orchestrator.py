@@ -9,6 +9,7 @@ from hilbench.core import Stage
 from hilbench.orchestrator import (
     EventQueue,
     Npc,
+    Runner,
     SchedulerCorruptionError,
     build_report,
     replay_report,
@@ -252,6 +253,32 @@ class TestStage3:
         assert mid.vx == pytest.approx(0.5)  # cruising
         end = npc.state_at(int(60e9))
         assert end.vx == 0.0 and end.x == pytest.approx(3.0)  # stopped at route end
+
+    def test_detections_equal_fresh_npc_states(self):
+        doc = presets.load("stage3-intersection")
+        doc["termination"] = {"duration_s": 8.0}
+        doc["report"]["sensing_range_m"] = 50.0  # every active NPC is detected
+        runner = Runner(resolve_run_config(doc))
+
+        def fresh(t_ns):
+            return tuple(a for a in (npc.state_at(t_ns) for npc in runner.npcs) if a is not None)
+
+        checked = []
+        on_sense_done = runner._on_sense_done
+
+        def checking_sense_done(t_ns, cid, pose):
+            on_sense_done(t_ns, cid, pose)
+            if runner.scenario_triggered and len(checked) < 2:
+                # At this sense event (cached states) and one period later
+                # (recomputed ones).
+                for t in (t_ns, t_ns + runner.period_ns):
+                    assert runner._detections(t) == fresh(t)
+                    assert len(fresh(t)) == len(runner.npcs)
+                checked.append(t_ns)
+
+        runner._on_sense_done = checking_sense_done
+        runner.run()
+        assert len(checked) == 2 and checked[0] == runner.npcs[0].activation_t_ns
 
     def test_closed_route_loops(self):
         spec = {

@@ -8,6 +8,7 @@ from hilbench.core import rng_stream, write_json
 from hilbench.safety import (
     AgentState,
     SafetyEvent,
+    _find_valleys,
     body_gap,
     d_min_trace,
     extract_events,
@@ -18,6 +19,11 @@ from hilbench.safety import (
 
 def agent(aid, t, x, y, vx=0.0, vy=0.0, r=1.0):
     return AgentState(aid, t, x, y, vx, vy, r)
+
+
+def frame_of(*agents):
+    """The ``d_min_trace`` frame of agent states that share a timestamp."""
+    return agents[0].t_ns, {a.agent_id: (a.x, a.y, a.vx, a.vy, a.radius) for a in agents}
 
 
 def stepping_oracle(ego, other, horizon=30.0, dt=1e-4):
@@ -95,19 +101,19 @@ class TestTtcBody:
 class TestDminTrace:
     def test_static_npc_fixture_gap(self):
         # Constructed anchor: a single static agent at body gap 5.05 m.
-        frames = [[agent("ego", t, 0.0, 0.0, r=0.5), agent("n", t, 6.05, 0.0, r=0.5)]
+        frames = [frame_of(agent("ego", t, 0.0, 0.0, r=0.5), agent("n", t, 6.05, 0.0, r=0.5))
                   for t in range(10)]
         trace = d_min_trace(frames, "ego")
         assert trace.d_min == pytest.approx(5.05)
 
     def test_ego_alone_is_inf(self):
-        frames = [[agent("ego", t, 0.0, 0.0)] for t in range(5)]
+        frames = [frame_of(agent("ego", t, 0.0, 0.0)) for t in range(5)]
         trace = d_min_trace(frames, "ego")
         assert trace.d_min == math.inf
         assert trace.t_at_d_min is None
 
     def test_missing_ego_names_frame(self):
-        frames = [[agent("ego", 0, 0, 0)], [agent("other", 1, 0, 0)]]
+        frames = [frame_of(agent("ego", 0, 0, 0)), frame_of(agent("other", 1, 0, 0))]
         with pytest.raises(ValueError, match="frame 1"):
             d_min_trace(frames, "ego")
 
@@ -120,7 +126,7 @@ class TestDminTrace:
                 frame.append(agent(f"n{k}", t, *rng.uniform(-5, 5, 2),
                                    *rng.uniform(-1, 1, 2), r=0.2 + 0.1 * k))
             frames.append(frame)
-        trace = d_min_trace(frames, "ego")
+        trace = d_min_trace([frame_of(*f) for f in frames], "ego")
         best = math.inf
         for frame in frames:
             ego = frame[0]
@@ -136,12 +142,12 @@ def dipping_trace(values, metric="dmin", dt_s=1.0):
     for i, v in enumerate(values):
         t = int(i * dt_s * 1e9)
         if metric == "dmin":
-            frames.append([agent("ego", t, 0.0, 0.0, r=0.5),
-                           agent("n", t, v + 1.0, 0.0, r=0.5)])
+            frames.append(frame_of(agent("ego", t, 0.0, 0.0, r=0.5),
+                                   agent("n", t, v + 1.0, 0.0, r=0.5)))
         else:
             # approach at 1 m/s from gap v: ttc == v
-            frames.append([agent("ego", t, 0.0, 0.0, vx=1.0, r=0.5),
-                           agent("n", t, v + 1.0, 0.0, r=0.5)])
+            frames.append(frame_of(agent("ego", t, 0.0, 0.0, vx=1.0, r=0.5),
+                                   agent("n", t, v + 1.0, 0.0, r=0.5)))
     return d_min_trace(frames, "ego")
 
 
@@ -207,6 +213,87 @@ class TestEvents:
                                   min_separation_s=2.0)
         assert [e for e in base if e.kind == "Valley"] == \
             [e for e in extended if e.kind == "Valley"]
+
+
+def quadratic_valley_prominence(values, i):
+    """Prominence of the local minimum ``values[i]`` by walking outwards from
+    it to the nearest strictly lower value on each side (O(n) per valley)."""
+    v = values[i]
+    left_peak = -math.inf
+    for j in range(i - 1, -1, -1):
+        if values[j] < v:
+            break
+        left_peak = max(left_peak, values[j])
+    right_peak = -math.inf
+    for j in range(i + 1, len(values)):
+        if values[j] < v:
+            break
+        right_peak = max(right_peak, values[j])
+    if not math.isfinite(left_peak) and not math.isfinite(right_peak):
+        return 0.0
+    ref = min(p for p in (left_peak, right_peak) if math.isfinite(p)) \
+        if (math.isfinite(left_peak) and math.isfinite(right_peak)) \
+        else max(left_peak, right_peak)
+    return float(ref - v)
+
+
+def valley_prominences(values):
+    """``{index: prominence}`` of every valley candidate ``_find_valleys`` sees."""
+    values = np.asarray(values, dtype=float)
+    t_ns = np.arange(values.size, dtype=np.int64)
+    return {i: prom for _v, i, prom in _find_valleys(t_ns, values, 0.0, 0, None)}
+
+
+def strict_minima(values):
+    return [i for i in range(1, len(values) - 1)
+            if math.isfinite(values[i]) and values[i - 1] > values[i] < values[i + 1]]
+
+
+def plateau_series(rng, n, inf_runs):
+    """Integer levels (so equal neighbours and plateaus are common), with
+    ``inf_runs`` runs of +inf."""
+    values = rng.integers(0, 6, size=n).astype(float)
+    values = np.repeat(values, rng.integers(1, 4, size=n))[:n]
+    for _ in range(inf_runs):
+        start = int(rng.integers(0, n))
+        values[start:start + int(rng.integers(1, 6))] = math.inf
+    return values
+
+
+class TestValleyProminence:
+    @pytest.mark.parametrize("values, expected", [
+        ([math.inf, 2.0, math.inf], {1: 0.0}),
+        ([3.0, 1.0, math.inf, math.inf], {1: math.inf}),
+        ([3.0, 1.0, 2.0, 2.0, 2.0, 0.5, 4.0], {1: 1.0, 5: 2.5}),
+        ([4.0, 2.0, 2.5, 1.0, 5.0, 5.0, 3.0, 6.0], {1: 0.5, 3: 3.0, 6: 2.0}),
+    ])
+    def test_hand_cases(self, values, expected):
+        assert valley_prominences(values) == expected
+        assert {i: quadratic_valley_prominence(values, i) for i in strict_minima(values)} == expected
+
+    def test_matches_the_quadratic_walk_with_plateaus_and_inf_runs(self):
+        rng = rng_stream(51, "safety.valleys")
+        checked = 0
+        for case in range(300):
+            values = plateau_series(rng, int(rng.integers(3, 80)), int(rng.integers(0, 4)))
+            expected = {i: quadratic_valley_prominence(values.tolist(), i) for i in strict_minima(values)}
+            assert valley_prominences(values) == expected, case
+            checked += len(expected)
+        assert checked > 400
+
+    def test_matches_scipy_peak_prominences_on_finite_series(self):
+        signal = pytest.importorskip("scipy.signal")
+        rng = rng_stream(53, "safety.valleys")
+        for case in range(200):
+            n = int(rng.integers(3, 300))
+            values = rng.normal(0.0, 1.0, size=n).cumsum()
+            if case % 2:
+                values = np.round(values)  # plateaus and repeated levels
+            got = valley_prominences(values)
+            idx = np.array(sorted(got), dtype=np.intp)
+            assert idx.tolist() == strict_minima(values)
+            if idx.size:
+                assert [got[i] for i in idx.tolist()] == signal.peak_prominences(-values, idx)[0].tolist()
 
 
 def test_csv_and_json_exports(tmp_path):

@@ -117,6 +117,106 @@ class TestProjection:
                 math.hypot(p[0] - pr.point[0], p[1] - pr.point[1]), abs=0.0)
 
 
+def reference_segments(path):
+    """The per-segment arrays of the numpy kernels below: start, direction, length."""
+    v = path.vertices
+    end = np.vstack([v[1:], v[:1]]) if path.closed else v[1:]
+    start = v if path.closed else v[:-1]
+    d = end - start
+    return start, d, np.hypot(d[:, 0], d[:, 1])
+
+
+def reference_project(path, p):
+    """The array formulation of ``project``: every segment at once, np.argmin."""
+    start, d, length = reference_segments(path)
+    p = np.asarray(p, dtype=float)
+    rel = p - start
+    t = np.clip((rel[:, 0] * d[:, 0] + rel[:, 1] * d[:, 1]) / (length**2), 0.0, 1.0)
+    cand = start + t[:, None] * d
+    d2 = (p[0] - cand[:, 0]) ** 2 + (p[1] - cand[:, 1]) ** 2
+    idx = int(np.argmin(d2))
+    s = float(path.cumulative_arclength[idx] + t[idx] * length[idx])
+    return cand[idx].copy(), s, idx
+
+
+def _reference_segment_at(path, s):
+    s = path._wrap_s(s)
+    idx = int(np.searchsorted(path.cumulative_arclength, s, side="right") - 1)
+    return s, min(max(idx, 0), path.n_segments - 1)
+
+
+def reference_point_at(path, s):
+    start, d, length = reference_segments(path)
+    s, idx = _reference_segment_at(path, s)
+    return start[idx] + (s - path.cumulative_arclength[idx]) / length[idx] * d[idx]
+
+
+def reference_tangent_at(path, s):
+    _start, d, length = reference_segments(path)
+    _s, idx = _reference_segment_at(path, s)
+    return d[idx] / length[idx]
+
+
+OCTAGON = ReferencePath([(2.0 + 1.5 * math.cos(k * math.pi / 4), 1.0 + 1.5 * math.sin(k * math.pi / 4))
+                         for k in range(8)], closed=True)
+OPEN_ZIGZAG = ReferencePath([(0.0, 0.0), (1.3, 0.4), (2.1, -0.7), (3.0, 0.2), (2.2, 1.9)])
+
+
+class TestScalarKernelsMatchArrayReference:
+    """``project``, ``point_at`` and ``tangent_at`` equal their numpy array
+    formulation bit for bit, ties and out-of-range arc lengths included."""
+
+    PATHS = {"square": UNIT_SQUARE, "octagon": OCTAGON, "open": OPEN_ZIGZAG}
+
+    @staticmethod
+    def assert_projection_equal(path, p):
+        got = project(path, p)
+        point, s, idx = reference_project(path, p)
+        assert isinstance(got.point, np.ndarray)
+        assert got.point.tolist() == point.tolist(), p
+        assert (got.arclength, got.segment_index) == (s, idx), p
+
+    @pytest.mark.parametrize("name", sorted(PATHS))
+    def test_project_on_seeded_random_points(self, name):
+        path = self.PATHS[name]
+        rng = rng_stream(41, f"spatial.scalar.{name}")
+        lo = path.vertices.min(axis=0) - 1.0
+        hi = path.vertices.max(axis=0) + 1.0
+        for p in rng.uniform(lo, hi, size=(2000, 2)):
+            self.assert_projection_equal(path, p)
+
+    @pytest.mark.parametrize("name", sorted(PATHS))
+    def test_project_on_vertices_and_equidistant_ties(self, name):
+        path = self.PATHS[name]
+        centroid = path.vertices.mean(axis=0)
+        points = [centroid, *path.vertices]
+        # Points on the bisector of each corner are equidistant from both
+        # segments that meet there.
+        for a, b, c in zip(path.vertices, path.vertices[1:], path.vertices[2:]):
+            u = (a - b) / np.hypot(*(a - b))
+            w = (c - b) / np.hypot(*(c - b))
+            for k in (0.05, 0.3, 0.7):
+                points += [b + k * (u + w), b - k * (u + w)]
+        for p in points:
+            self.assert_projection_equal(path, p)
+        if name == "square":
+            assert project(path, (0.5, 0.5)).segment_index == 0
+
+    @pytest.mark.parametrize("name", sorted(PATHS))
+    def test_point_and_tangent_at_any_arc_length(self, name):
+        path = self.PATHS[name]
+        total = path.total_length
+        rng = rng_stream(43, f"spatial.scalar.{name}")
+        arcs = [*rng.uniform(-2.5 * total, 2.5 * total, size=500).tolist(),
+                *path.cumulative_arclength.tolist(), -1e-12, -0.0, total, total + 1e-9, -total]
+        for s in arcs:
+            assert isinstance(path.point_at(s), np.ndarray)
+            assert path.point_at(s).tolist() == reference_point_at(path, s).tolist(), s
+            assert path.tangent_at(s).tolist() == reference_tangent_at(path, s).tolist(), s
+            x, y, tx, ty = path.pose_at(s)
+            assert [x, y, tx, ty] == [*path.point_at(s).tolist(), *path.tangent_at(s).tolist()]
+
+
 class TestCte:
     def test_zero_on_path(self):
         assert cte(UNIT_SQUARE, (0.25, 0.0)) == 0.0
