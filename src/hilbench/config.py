@@ -11,12 +11,13 @@ from __future__ import annotations
 import copy
 import json
 import math
+from dataclasses import fields
 
 from . import plant as plant_mod
 from .links import PerturbationConfig, R2VConfig, StageLatencyModel, V2RConfig
 from .plant import CommandMap, DeadTimeJitter, FOPDTParams, PlantConfig
 from .spatial import PathError, ReferencePath
-from .sut import SutLatencyModel
+from .sut import SUT_REGISTRY, PurePursuitParams
 
 SCHEMA_VERSION = 1
 
@@ -364,6 +365,18 @@ def resolve_run_config(obj: dict) -> dict:
     sut_in = obj.get("sut", {})
     if not isinstance(sut_in, dict):
         raise ConfigError("sut", "must be an object")
+    sut_name = _as_str(sut_in.get("name", "pure-pursuit"), "sut.name")
+    if sut_name not in SUT_REGISTRY:
+        raise ConfigError("sut.name", f"unknown SUT {sut_name!r}; registered: {sorted(SUT_REGISTRY)}")
+    sut_params = sut_in.get("params", {})
+    if not isinstance(sut_params, dict):
+        raise ConfigError("sut.params", "must be an object")
+    if sut_name == "pure-pursuit":
+        known = {f.name for f in fields(PurePursuitParams)}
+        for key, value in sut_params.items():
+            if key not in known:
+                raise ConfigError(f"sut.params.{key}", "unknown pure-pursuit parameter")
+            _as_number(value, f"sut.params.{key}")
     lat_in = sut_in.get("latency", {"mode": "constant", "ms": 15.48})
     if not isinstance(lat_in, dict):
         raise ConfigError("sut.latency", "must be an object")
@@ -413,16 +426,14 @@ def resolve_run_config(obj: dict) -> dict:
         "plant": resolve_plant(obj.get("plant"), "plant"),
         "links": {"r2v": r2v, "v2r": v2r},
         "sut": {
-            "name": _as_str(sut_in.get("name", "pure-pursuit"), "sut.name"),
+            "name": sut_name,
             "goal_speed_mps": _as_number(sut_in.get("goal_speed_mps", 0.3), "sut.goal_speed_mps", lo=0.0),
             "latency": latency,
-            "params": sut_in.get("params", {}),
+            "params": sut_params,
         },
         "report": report,
         "scenario": resolve_scenario(obj.get("scenario"), "scenario"),
     }
-    if not isinstance(resolved["sut"]["params"], dict):
-        raise ConfigError("sut.params", "must be an object")
     return resolved
 
 
@@ -449,12 +460,11 @@ def resolve_sweep_config(obj: dict) -> dict:
     }
 
 
-def build_r2v_config(resolved: dict, sample_period_ms: float) -> R2VConfig:
+def build_r2v_config(resolved: dict) -> R2VConfig:
     return R2VConfig(
         ingest=build_distribution(resolved["ingest"]),
         adv=build_distribution(resolved["adv"]),
         sense=build_distribution(resolved["sense"]),
-        sample_period_ms=sample_period_ms,
     )
 
 
@@ -471,12 +481,10 @@ def build_v2r_config(resolved: dict) -> V2RConfig:
     )
 
 
-def build_sut_latency(resolved: dict) -> SutLatencyModel:
-    return SutLatencyModel(resolved["mode"], {k: v for k, v in resolved.items() if k != "mode"})
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def build_sut_latency(resolved: dict) -> StageLatencyModel:
+    """The controller latency model of the echoed ``sut.latency`` section,
+    whose ``mode`` names the distribution kind."""
+    return StageLatencyModel(resolved["mode"], {k: v for k, v in resolved.items() if k != "mode"})
 
 
 def load_json(path):

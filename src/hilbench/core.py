@@ -18,9 +18,6 @@ import numpy as np
 NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
 
-#: Correlation ID 0 is reserved for "no correlation" (run-level records).
-NO_CORRELATION = 0
-
 
 class Stage(enum.IntEnum):
     """Event stages, in timing-chain order.
@@ -44,10 +41,6 @@ class Stage(enum.IntEnum):
     V2rDeliver = 10
     ActuatorApply = 11
     RunEnd = 12
-
-
-#: Stages that make up the per-cycle timing chain (excludes run bookkeeping).
-CHAIN_STAGES = tuple(s for s in Stage if s not in (Stage.RunHeader, Stage.RunEnd))
 
 
 class ClockError(ValueError):
@@ -75,9 +68,14 @@ class VirtualClock:
         return self._now_ns
 
 
-#: Encoder of one audit line: ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
+#: Canonical compact JSON, the encoding of every audit line and of the run
+#: header's config echo: ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
 #: without building a new encoder per call.
-_encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+#: JSON types of an audit payload value.
+_SCALARS = (bool, int, float, str)
 
 
 @dataclass(frozen=True)
@@ -102,19 +100,27 @@ class TimedEvent:
             "t_ns": self.t_ns,
             "payload": self.payload,
         }
-        return _encode_line(obj)
+        return canonical_json(obj)
 
     @staticmethod
     def from_json(line: str) -> "TimedEvent":
+        """Parse one audit line; ``cid`` and ``t_ns`` must be JSON integers and
+        every payload value a scalar, or ``ValueError`` names the field."""
         obj = json.loads(line)
+        for key in ("cid", "t_ns"):
+            if type(obj[key]) is not int:
+                raise ValueError(f"{key} must be an integer, not {obj[key]!r}")
         payload = obj.get("payload", {})
         if not isinstance(payload, dict):
             raise ValueError("payload must be an object")
+        for key, value in payload.items():
+            if type(value) not in _SCALARS:
+                raise ValueError(f"payload field {key!r} must be a scalar, not {value!r}")
         return TimedEvent(
             run_id=obj["run_id"],
-            cid=int(obj["cid"]),
+            cid=obj["cid"],
             stage=Stage[obj["stage"]],
-            t_ns=int(obj["t_ns"]),
+            t_ns=obj["t_ns"],
             payload=payload,
         )
 

@@ -20,6 +20,18 @@ import numpy as np
 from .core import ms_to_ns
 
 
+def _truncated_normal(rng: np.random.Generator, mean: float, std: float, lo: float,
+                      hi: float | None) -> float:
+    """A normal draw redrawn until it falls within [lo, hi] (hi None: no upper
+    bound); after 100 misses, the mean clamped into the bounds."""
+    for _ in range(100):
+        v = mean + std * float(rng.standard_normal())
+        if v >= lo and (hi is None or v <= hi):
+            return v
+    # Pathological truncation: fall back to clamping.
+    return min(max(mean, lo), hi) if hi is not None else max(mean, lo)
+
+
 @dataclass(frozen=True)
 class StageLatencyModel:
     """One stage-duration distribution; every sample is >= 0 ms.
@@ -28,6 +40,8 @@ class StageLatencyModel:
       constant            params: ms
       gaussian_truncated  params: mean_ms, std_ms, min_ms (default 0), max_ms (optional)
       lognormal           params: mu, sigma  (of the underlying normal, ms scale)
+      bimodal             params: components, two {mean_ms, std_ms, weight} dicts
+                          whose weights sum to 1; each a Gaussian truncated at 0
     """
 
     kind: str
@@ -47,6 +61,12 @@ class StageLatencyModel:
         elif self.kind == "lognormal":
             if self.params["sigma"] < 0.0:
                 raise ValueError("lognormal sigma must be >= 0")
+        elif self.kind == "bimodal":
+            comps = self.params["components"]
+            if len(comps) != 2:
+                raise ValueError("bimodal model needs exactly 2 components")
+            if abs(sum(c["weight"] for c in comps) - 1.0) > 1e-9:
+                raise ValueError("bimodal weights must sum to 1")
         else:
             raise ValueError(f"unknown latency distribution {self.kind!r}")
 
@@ -54,16 +74,12 @@ class StageLatencyModel:
         if self.kind == "constant":
             return float(self.params["ms"])
         if self.kind == "gaussian_truncated":
-            mean = self.params["mean_ms"]
-            std = self.params["std_ms"]
-            lo = self.params.get("min_ms", 0.0)
-            hi = self.params.get("max_ms")
-            for _ in range(100):
-                v = mean + std * float(rng.standard_normal())
-                if v >= lo and (hi is None or v <= hi):
-                    return v
-            # Pathological truncation: fall back to clamping.
-            return min(max(mean, lo), hi) if hi is not None else max(mean, lo)
+            return _truncated_normal(rng, self.params["mean_ms"], self.params["std_ms"],
+                                     self.params.get("min_ms", 0.0), self.params.get("max_ms"))
+        if self.kind == "bimodal":
+            comps = self.params["components"]
+            comp = comps[0] if float(rng.random()) < comps[0]["weight"] else comps[1]
+            return _truncated_normal(rng, comp["mean_ms"], comp["std_ms"], 0.0, None)
         # lognormal
         return float(math.exp(self.params["mu"] + self.params["sigma"] * float(rng.standard_normal())))
 
@@ -80,6 +96,14 @@ class StageLatencyModel:
         return StageLatencyModel("gaussian_truncated", p)
 
     @staticmethod
+    def bimodal(mean1_ms: float = 10.0, std1_ms: float = 2.0, weight1: float = 0.6,
+                mean2_ms: float = 28.0, std2_ms: float = 3.0) -> "StageLatencyModel":
+        return StageLatencyModel("bimodal", {"components": [
+            {"mean_ms": float(mean1_ms), "std_ms": float(std1_ms), "weight": float(weight1)},
+            {"mean_ms": float(mean2_ms), "std_ms": float(std2_ms), "weight": float(1.0 - weight1)},
+        ]})
+
+    @staticmethod
     def lognormal_from_mean_std(mean_ms: float, std_ms: float) -> "StageLatencyModel":
         """Solve (mu, sigma) so the lognormal has the requested mean and std."""
         if mean_ms <= 0.0:
@@ -90,7 +114,7 @@ class StageLatencyModel:
         return StageLatencyModel("lognormal", {"mu": mu, "sigma": math.sqrt(sigma2)})
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, **{k: float(v) for k, v in self.params.items()}}
+        return {"kind": self.kind, **self.params}
 
 
 @dataclass(frozen=True)
@@ -98,11 +122,6 @@ class R2VConfig:
     ingest: StageLatencyModel
     adv: StageLatencyModel
     sense: StageLatencyModel
-    sample_period_ms: float = 20.0
-
-    def __post_init__(self):
-        if self.sample_period_ms <= 0.0:
-            raise ValueError("sample period must be positive")
 
 
 @dataclass(frozen=True)
@@ -236,7 +255,7 @@ class V2RLink:
         )
 
 
-def default_r2v_config(sample_period_ms: float = 20.0) -> R2VConfig:
+def default_r2v_config() -> R2VConfig:
     """Shipped R2V stage distributions.
 
     Ingest and sense are tight truncated Gaussians; the simulator-advancement
@@ -247,7 +266,6 @@ def default_r2v_config(sample_period_ms: float = 20.0) -> R2VConfig:
         ingest=StageLatencyModel.gaussian_truncated(0.26, 0.11, min_ms=0.0),
         adv=StageLatencyModel.lognormal_from_mean_std(28.68, 23.22),
         sense=StageLatencyModel.gaussian_truncated(7.64, 2.66, min_ms=0.0),
-        sample_period_ms=sample_period_ms,
     )
 
 

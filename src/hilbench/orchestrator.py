@@ -28,8 +28,8 @@ import numpy as np
 
 from . import config as cfg_mod
 from . import temporal
-from .core import (NS_PER_S, RunContext, Stage, TimedEvent, json_document, ms_to_ns, s_to_ns,
-                   substream_seed)
+from .core import (NS_PER_S, RunContext, Stage, TimedEvent, canonical_json, json_document,
+                   ms_to_ns, s_to_ns, substream_seed)
 from .links import R2VLink, V2RLink
 from .plant import Plant
 from .safety import (AgentState, SafetyTrace, check_agent, d_min_trace, extract_events,
@@ -149,9 +149,7 @@ class Runner:
             pose = [float(start[0]), float(start[1]), math.atan2(tan[1], tan[0])]
         self.plant = Plant(plant_cfg, pose[0], pose[1], pose[2], rng=self.ctx.stream("plant.deadtime"))
         self.period_ns = ms_to_ns(resolved["gts"]["sample_period_ms"])
-        self.r2v = R2VLink(cfg_mod.build_r2v_config(resolved["links"]["r2v"],
-                                                    resolved["gts"]["sample_period_ms"]),
-                           self.ctx.stream)
+        self.r2v = R2VLink(cfg_mod.build_r2v_config(resolved["links"]["r2v"]), self.ctx.stream)
         self.v2r = V2RLink(cfg_mod.build_v2r_config(resolved["links"]["v2r"]), self.ctx.stream)
         sut_cfg = resolved["sut"]
         params = dict(sut_cfg["params"])
@@ -317,7 +315,7 @@ class Runner:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> Analysis:
-        self.ctx.emit(Stage.RunHeader, 0, 0, {"config_json": cfg_mod.canonical_json(self.cfg)})
+        self.ctx.emit(Stage.RunHeader, 0, 0, {"config_json": canonical_json(self.cfg)})
         self._schedule(0, self._on_gts)
         while len(self.queue) and not self.aborted:
             t_ns, _seq, fn = self.queue.pop()
@@ -344,23 +342,35 @@ def _summary_dict(s: MetricSummary | None) -> dict | None:
     return {"mean": s.mean, "std": s.std, "rmse": s.rmse, "mae": s.mae, "p95": s.p95, "n": s.n}
 
 
+def _numbers(ev: TimedEvent, keys) -> list:
+    """The payload values of ``keys``, each of which must be a JSON number
+    (an int or a float, not a bool)."""
+    out = []
+    for key in keys:
+        value = ev.payload.get(key)
+        if type(value) not in (int, float):
+            raise ValueError(f"{ev.stage.name} cid {ev.cid}: payload field {key!r} must be "
+                             f"a number, not {value!r}")
+        out.append(value)
+    return out
+
+
 def _safety_frames(events, cfg: dict) -> list[tuple[int, dict]]:
     """The ``d_min_trace`` frames of a scenario run: at each sense event, the
     ego's mirrored state and the state of every NPC the payload carries, each
     checked with ``check_agent``."""
     ego_radius = cfg["report"]["ego_radius_m"]
-    npc_keys = [(nid, *(f"npc_{nid}_{k}" for k in ("x", "y", "vx", "vy", "r")))
+    npc_keys = [(nid, tuple(f"npc_{nid}_{k}" for k in ("x", "y", "vx", "vy", "r")))
                 for nid in (npc["id"] for npc in cfg["scenario"]["npcs"])]
     frames = []
     for ev in events:
         if ev.stage is not Stage.R2vSenseDone or "x" not in ev.payload:
             continue
-        p = ev.payload
-        v, heading = p["v"], p["heading"]
-        agents = {"ego": (p["x"], p["y"], v * math.cos(heading), v * math.sin(heading), ego_radius)}
-        for nid, kx, ky, kvx, kvy, kr in npc_keys:
-            if kx in p:
-                agents[nid] = (p[kx], p[ky], p[kvx], p[kvy], p[kr])
+        x, y, v, heading = _numbers(ev, ("x", "y", "v", "heading"))
+        agents = {"ego": (x, y, v * math.cos(heading), v * math.sin(heading), ego_radius)}
+        for nid, keys in npc_keys:
+            if keys[0] in ev.payload:
+                agents[nid] = tuple(_numbers(ev, keys))
         for state in agents.values():
             check_agent(*state)
         frames.append((ev.t_ns, agents))
@@ -399,7 +409,7 @@ def analyze(events: list[TimedEvent]) -> Analysis:
 
     run_path = ReferencePath(cfg["path"]["vertices"], closed=cfg["path"]["closed"])
 
-    traj = [(ev.t_ns, ev.payload["x"], ev.payload["y"], ev.payload["heading"]) for ev in events
+    traj = [(ev.t_ns, *_numbers(ev, ("x", "y", "heading"))) for ev in events
             if ev.stage is Stage.GtsSample]
     cte_summary = ate_summary = None
     distance = 0.0
@@ -408,13 +418,12 @@ def analyze(events: list[TimedEvent]) -> Analysis:
     if traj:
         ctes, ates = [], []
         last_s = None
-        errors = track_errors(run_path, traj, cfg["sut"]["goal_speed_mps"])
-        for (_, x, y, _), (proj, a) in zip(traj, errors):
-            ctes.append(math.hypot(x - proj.point[0], y - proj.point[1]))
+        for s, c, a in track_errors(run_path, traj, cfg["sut"]["goal_speed_mps"]):
+            ctes.append(c)
             ates.append(a)
             if last_s is not None:
-                progress += run_path.lap_delta(proj.arclength - last_s)
-            last_s = proj.arclength
+                progress += run_path.lap_delta(s - last_s)
+            last_s = s
         for i in range(1, len(traj)):
             distance += math.hypot(traj[i][1] - traj[i - 1][1], traj[i][2] - traj[i - 1][2])
         cte_summary = summarize(ctes)

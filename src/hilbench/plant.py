@@ -131,8 +131,6 @@ class FopdtChannel:
     def __init__(
         self,
         params: FOPDTParams,
-        t0_ns: int = 0,
-        initial: float = 0.0,
         output_limit: float | None = None,
         jitter: DeadTimeJitter | None = None,
         rng: np.random.Generator | None = None,
@@ -141,9 +139,10 @@ class FopdtChannel:
         self._limit = output_limit
         self._jitter = jitter
         self._rng = rng
-        self._anchor_t = int(t0_ns)
-        self._anchor_val = float(initial)
-        self._target = float(initial)
+        # The channel rests at 0 from t = 0 until its first activation.
+        self._anchor_t = 0
+        self._anchor_val = 0.0
+        self._target = 0.0
         self._pending: deque[tuple[int, float]] = deque()
 
     def apply(self, t_ns: int, setpoint: float) -> None:
@@ -305,6 +304,12 @@ class StepLog:
         return StepLog(channel, np.array(t), np.array(c), np.array(r))
 
 
+#: Pre-step baseline of a step experiment, in seconds.
+STEP_BASELINE_S = 0.3
+#: Upper end of the dead-time search of ``fit_fopdt``, in seconds.
+DEAD_TIME_SEARCH_MAX_S = 0.3
+
+
 def run_step_experiment(
     cfg: PlantConfig,
     channel: str,
@@ -312,19 +317,18 @@ def run_step_experiment(
     duration_s: float,
     noise_std: float,
     seed: int,
-    baseline_s: float = 0.3,
 ) -> StepLog:
     """Simulate one open-loop step test on a channel.
 
-    The command is 0 until ``baseline_s`` then ``amplitude``; the response is
-    the channel output sampled every control period plus Gaussian measurement
-    noise drawn from the run's "plant" stream.
+    The command is 0 until ``STEP_BASELINE_S`` then ``amplitude``; the
+    response is the channel output sampled every control period plus Gaussian
+    measurement noise drawn from the run's "plant" stream.
     """
     params = {"steering": cfg.steering, "velocity": cfg.velocity}[channel]
     if duration_s <= params.L + 5.0 * params.tau_p:
         raise ValueError("duration too short: need more than L + 5*tau_p")
     period = cfg.control_period_s
-    n_base = int(round(baseline_s / period))
+    n_base = int(round(STEP_BASELINE_S / period))
     if n_base < 10:
         raise ValueError("baseline must cover at least 10 samples")
     ch = FopdtChannel(params)
@@ -399,14 +403,14 @@ def _sse_for_dead_time(dead, t, y, t_step, y0, k_amp):
     return float(np.sum((y - pred) ** 2)), tau
 
 
-def fit_fopdt(log: StepLog, l_max: float = 0.3) -> FopdtFit:
+def fit_fopdt(log: StepLog) -> FopdtFit:
     """Identify (K, tau_p, L) from a single-step log.
 
     K comes from the steady-state ratio (mean of the last 10% minus the
     pre-step baseline, over the step amplitude).  The dead time is grid
-    searched at one-sample resolution over [0, l_max] with tau fitted per
-    candidate on the log-linear form, then refined by golden section around
-    the best grid point.
+    searched at one-sample resolution over [0, DEAD_TIME_SEARCH_MAX_S] with
+    tau fitted per candidate on the log-linear form, then refined by golden
+    section around the best grid point.
     """
     t, cmd, y = log.t_s, log.command, log.response
     changed = np.nonzero(cmd != cmd[0])[0]
@@ -426,6 +430,7 @@ def fit_fopdt(log: StepLog, l_max: float = 0.3) -> FopdtFit:
     k_amp = y_ss - y0
 
     period = float(t[1] - t[0])
+    l_max = DEAD_TIME_SEARCH_MAX_S
     grid = np.arange(0.0, l_max + period / 2.0, period)
     scores = [_sse_for_dead_time(d, t, y, t_step, y0, k_amp) for d in grid]
     best_i = int(np.argmin([s for s, _ in scores]))
@@ -472,8 +477,7 @@ VELOCITY_TAU = 0.2199
 VELOCITY_DEAD = 0.0236
 
 
-def preset(name: str, control_period_s: float = 0.02, wheelbase: float = 0.09,
-           max_steer: float = 0.45, max_speed: float = 1.5) -> PlantConfig:
+def preset(name: str) -> PlantConfig:
     """Named plant presets.
 
     ``calibrated``: unit gains on both channels (the command units are the
@@ -482,12 +486,12 @@ def preset(name: str, control_period_s: float = 0.02, wheelbase: float = 0.09,
     dead-time jitter parameters available but disabled.
     """
     base = dict(
-        wheelbase=wheelbase,
+        wheelbase=0.09,
         steer_map=CommandMap.identity(),
         speed_map=CommandMap.identity(),
-        max_steer=max_steer,
-        max_speed=max_speed,
-        control_period_s=control_period_s,
+        max_steer=0.45,
+        max_speed=1.5,
+        control_period_s=0.02,
     )
     if name == "calibrated":
         return PlantConfig(

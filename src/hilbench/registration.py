@@ -242,12 +242,11 @@ class ResidualMlp:
             self.biases.append(np.zeros(n_out))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(h @ w + b)
-        return h @ self.weights[-1] + self.biases[-1]
+        return self.forward_with_cache(x)[0]
 
     def forward_with_cache(self, x):
+        """``(output, activations)``: the activations are the input of each
+        layer, as ``gradients`` takes them."""
         activations = [x]
         h = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
@@ -256,9 +255,9 @@ class ResidualMlp:
         out = h @ self.weights[-1] + self.biases[-1]
         return out, activations
 
-    def gradients(self, x, err):
-        """Backprop of mean-squared-error gradient ``err`` (dL/dout)."""
-        out, acts = self.forward_with_cache(x)
+    def gradients(self, acts, err):
+        """Backprop of the loss gradient ``err`` (dL/dout) through the layer
+        inputs ``acts`` of the forward pass that produced the output."""
         grads_w = [None] * len(self.weights)
         grads_b = [None] * len(self.biases)
         delta = err
@@ -285,11 +284,17 @@ class ResidualMlp:
 @dataclass(frozen=True)
 class MlpHyper:
     epochs: int = 2000
-    batch: int = 256
-    step: float = 1e-3
     seed: int = 0
-    val_fraction: float = 0.1
-    patience: int = 50
+
+
+#: Residual-network training constants: hidden layer widths, Adam mini-batch
+#: size and step size, the share of the training pairs held out for early
+#: stopping, and the epochs without a validation improvement that stop it.
+MLP_HIDDEN = (64, 64)
+MLP_BATCH = 256
+MLP_STEP = 1e-3
+MLP_VAL_FRACTION = 0.1
+MLP_PATIENCE = 50
 
 
 class TrainingDivergedError(RuntimeError):
@@ -297,8 +302,7 @@ class TrainingDivergedError(RuntimeError):
 
 
 def fit_residual_mlp(pairs: MatchedPairs, train_idx, affine: tuple[np.ndarray, np.ndarray],
-                     hyper: MlpHyper, normalizer: Normalizer | None = None,
-                     hidden: tuple[int, int] = (64, 64)) -> tuple[ResidualMlp, Normalizer]:
+                     hyper: MlpHyper) -> tuple[ResidualMlp, Normalizer]:
     """Train the residual network on the affine fit's training residuals.
 
     Mini-batch Adam with early stopping on a held-out validation fraction of
@@ -311,34 +315,29 @@ def fit_residual_mlp(pairs: MatchedPairs, train_idx, affine: tuple[np.ndarray, n
 
     x_all = pairs.p_tracker[idx]
     resid = pairs.p_reference[idx] - (x_all @ a_mat.T + t_vec)
-    if normalizer is None:
-        normalizer = Normalizer.fit(x_all)
+    normalizer = Normalizer.fit(x_all)
     xn = normalizer(x_all)
 
     n = idx.size
     order = rng.permutation(n)
-    n_val = max(int(round(hyper.val_fraction * n)), 1) if hyper.val_fraction > 0 else 0
+    n_val = max(int(round(MLP_VAL_FRACTION * n)), 1)
     val_sel = order[:n_val]
     tr_sel = order[n_val:]
     x_tr, y_tr = xn[tr_sel], resid[tr_sel]
     x_val, y_val = xn[val_sel], resid[val_sel]
 
     d = pairs.d
-    mlp = ResidualMlp([d, *hidden, d], rng=rng)
+    mlp = ResidualMlp([d, *MLP_HIDDEN, d], rng=rng)
 
-    m_w = [np.zeros_like(w) for w in mlp.weights]
-    v_w = [np.zeros_like(w) for w in mlp.weights]
-    m_b = [np.zeros_like(b) for b in mlp.biases]
-    v_b = [np.zeros_like(b) for b in mlp.biases]
+    # Adam moments of each parameter array, in ``weights + biases`` order.
+    params = mlp.weights + mlp.biases
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step_count = 0
 
     def val_loss() -> float:
-        if x_val.shape[0] == 0:
-            pred = mlp.forward(x_tr)
-            return float(np.mean((pred - y_tr) ** 2))
-        pred = mlp.forward(x_val)
-        return float(np.mean((pred - y_val) ** 2))
+        return float(np.mean((mlp.forward(x_val) - y_val) ** 2))
 
     best = val_loss()
     best_theta = mlp.params_flat()
@@ -346,25 +345,22 @@ def fit_residual_mlp(pairs: MatchedPairs, train_idx, affine: tuple[np.ndarray, n
     n_tr = x_tr.shape[0]
     for _epoch in range(hyper.epochs):
         perm = rng.permutation(n_tr)
-        for start in range(0, n_tr, hyper.batch):
-            sel = perm[start:start + hyper.batch]
+        for start in range(0, n_tr, MLP_BATCH):
+            sel = perm[start:start + MLP_BATCH]
             xb, yb = x_tr[sel], y_tr[sel]
-            pred = mlp.forward(xb)
+            pred, acts = mlp.forward_with_cache(xb)
             err = 2.0 * (pred - yb) / xb.shape[0]
             if not np.isfinite(pred).all():
                 raise TrainingDivergedError(
                     f"non-finite network output at step {step_count}")
-            gw, gb = mlp.gradients(xb, err)
+            gw, gb = mlp.gradients(acts, err)
             step_count += 1
             corr1 = 1.0 - beta1**step_count
             corr2 = 1.0 - beta2**step_count
-            for i in range(len(mlp.weights)):
-                m_w[i] = beta1 * m_w[i] + (1 - beta1) * gw[i]
-                v_w[i] = beta2 * v_w[i] + (1 - beta2) * gw[i] ** 2
-                mlp.weights[i] -= hyper.step * (m_w[i] / corr1) / (np.sqrt(v_w[i] / corr2) + eps)
-                m_b[i] = beta1 * m_b[i] + (1 - beta1) * gb[i]
-                v_b[i] = beta2 * v_b[i] + (1 - beta2) * gb[i] ** 2
-                mlp.biases[i] -= hyper.step * (m_b[i] / corr1) / (np.sqrt(v_b[i] / corr2) + eps)
+            for i, (p, g) in enumerate(zip(params, gw + gb)):
+                m[i] = beta1 * m[i] + (1 - beta1) * g
+                v[i] = beta2 * v[i] + (1 - beta2) * g ** 2
+                p -= MLP_STEP * (m[i] / corr1) / (np.sqrt(v[i] / corr2) + eps)
         loss = val_loss()
         if not math.isfinite(loss):
             raise TrainingDivergedError(f"non-finite validation loss at epoch {_epoch}")
@@ -374,7 +370,7 @@ def fit_residual_mlp(pairs: MatchedPairs, train_idx, affine: tuple[np.ndarray, n
             stale = 0
         else:
             stale += 1
-            if stale >= hyper.patience:
+            if stale >= MLP_PATIENCE:
                 break
     mlp.set_params_flat(best_theta)
     return mlp, normalizer

@@ -178,7 +178,7 @@ def cte(path: ReferencePath, p) -> float:
     """Cross-track error: Euclidean distance from ``p`` to its path projection."""
     p = np.asarray(p, dtype=float)
     proj = project(path, p)
-    return float(np.hypot(p[0] - proj.point[0], p[1] - proj.point[1]))
+    return math.hypot(p[0] - proj.point[0], p[1] - proj.point[1])
 
 
 def ate(path: ReferencePath, p, s_d: float) -> float:
@@ -233,8 +233,8 @@ def trajectory_stats(path: ReferencePath, traj) -> MetricSummary:
 
 
 def track_errors(path: ReferencePath, samples, goal_speed: float):
-    """Yield the path projection and the along-track error of each
-    ``(t_ns, x, y, heading)`` sample.
+    """Yield ``(arc length of the path projection, cross-track error,
+    along-track error)`` for each ``(t_ns, x, y, heading)`` sample.
 
     The along-track schedule assumes constant progress at ``goal_speed``
     from the first sample, wrapped on a closed path and clamped at the end
@@ -243,7 +243,9 @@ def track_errors(path: ReferencePath, samples, goal_speed: float):
     t0 = samples[0][0] if samples else 0
     for t_ns, x, y, _heading in samples:
         sched = path._wrap_s(goal_speed * (t_ns - t0) / 1e9)
-        yield project(path, (x, y)), ate(path, (x, y), sched)
+        proj = project(path, (x, y))
+        yield (proj.arclength, math.hypot(x - proj.point[0], y - proj.point[1]),
+               ate(path, (x, y), sched))
 
 
 def write_trajectory_csv(path_obj: ReferencePath, samples, out_path, goal_speed: float) -> None:
@@ -251,8 +253,5 @@ def write_trajectory_csv(path_obj: ReferencePath, samples, out_path, goal_speed:
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t_ns,x,y,heading,cte,ate\n")
         errors = track_errors(path_obj, samples, goal_speed)
-        for (t_ns, x, y, heading), (proj, a) in zip(samples, errors):
-            # np.hypot, as ``cte`` computes it; the report's math.hypot can
-            # differ from it in the last bit on diagonal segments.
-            c = float(np.hypot(x - proj.point[0], y - proj.point[1]))
+        for (t_ns, x, y, heading), (_s, c, a) in zip(samples, errors):
             fh.write(f"{t_ns},{x!r},{y!r},{heading!r},{c!r},{a!r}\n")

@@ -7,8 +7,9 @@ link, or orchestration layers: the observation is the whole world.
 
 The reference controller is pure pursuit for steering plus a curvature-based
 speed cap and a constant-velocity yield rule; its processing latency is drawn
-from a configurable model (constant or bimodal) so the closed loop exhibits a
-realistic, measurable compute-time signature.
+from the latency model the runner hands it (any object with
+``sample_ms(rng)``), so the closed loop exhibits a realistic, measurable
+compute-time signature.
 """
 
 from __future__ import annotations
@@ -46,51 +47,6 @@ class ControlCommand:
 
 
 @dataclass(frozen=True)
-class SutLatencyModel:
-    """Controller processing-latency model: constant or a bimodal mixture."""
-
-    mode: str
-    params: dict
-
-    def __post_init__(self):
-        if self.mode == "constant":
-            if self.params["ms"] < 0.0:
-                raise ValueError("latency must be >= 0")
-        elif self.mode == "bimodal":
-            comps = self.params["components"]
-            if len(comps) != 2:
-                raise ValueError("bimodal model needs exactly 2 components")
-            if abs(sum(c["weight"] for c in comps) - 1.0) > 1e-9:
-                raise ValueError("bimodal weights must sum to 1")
-        else:
-            raise ValueError(f"unknown latency mode {self.mode!r}")
-
-    def sample_ms(self, rng: np.random.Generator) -> float:
-        if self.mode == "constant":
-            return float(self.params["ms"])
-        comps = self.params["components"]
-        u = float(rng.random())
-        comp = comps[0] if u < comps[0]["weight"] else comps[1]
-        for _ in range(100):
-            v = comp["mean_ms"] + comp["std_ms"] * float(rng.standard_normal())
-            if v >= 0.0:
-                return v
-        return max(comp["mean_ms"], 0.0)
-
-    @staticmethod
-    def constant(ms: float) -> "SutLatencyModel":
-        return SutLatencyModel("constant", {"ms": float(ms)})
-
-    @staticmethod
-    def bimodal(mean1_ms: float = 10.0, std1_ms: float = 2.0, weight1: float = 0.6,
-                mean2_ms: float = 28.0, std2_ms: float = 3.0) -> "SutLatencyModel":
-        return SutLatencyModel("bimodal", {"components": [
-            {"mean_ms": float(mean1_ms), "std_ms": float(std1_ms), "weight": float(weight1)},
-            {"mean_ms": float(mean2_ms), "std_ms": float(std2_ms), "weight": float(1.0 - weight1)},
-        ]})
-
-
-@dataclass(frozen=True)
 class PurePursuitParams:
     wheelbase: float = 0.09
     k_v: float = 0.5          # lookahead gain, seconds of travel
@@ -109,7 +65,7 @@ class SutError(RuntimeError):
 class PurePursuitSut:
     """Reference controller: pure pursuit + speed governor + yield rule."""
 
-    def __init__(self, params: PurePursuitParams, latency: SutLatencyModel,
+    def __init__(self, params: PurePursuitParams, latency,
                  latency_rng: np.random.Generator) -> None:
         self.params = params
         self.latency = latency
@@ -204,13 +160,13 @@ def register_sut(name: str, factory) -> None:
     SUT_REGISTRY[name] = factory
 
 
-def build_sut(name: str, params: dict, latency: SutLatencyModel, latency_rng):
+def build_sut(name: str, params: dict, latency, latency_rng):
     if name not in SUT_REGISTRY:
         raise KeyError(f"unknown SUT {name!r}; registered: {sorted(SUT_REGISTRY)}")
     return SUT_REGISTRY[name](params, latency, latency_rng)
 
 
-def _pure_pursuit_factory(params: dict, latency: SutLatencyModel, latency_rng):
+def _pure_pursuit_factory(params: dict, latency, latency_rng):
     return PurePursuitSut(PurePursuitParams(**params), latency, latency_rng)
 
 

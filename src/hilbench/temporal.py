@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NS_PER_MS, Stage, TimedEvent
+from .spatial import summarize
 
 
 class IncompleteCycleError(ValueError):
@@ -160,13 +161,9 @@ def aggregate(records: list[LatencyRecord], component: str) -> LatencyStats:
     if len(records) < 2:
         raise ValueError("need at least 2 records to aggregate")
     field = COMPONENT_FIELDS.get(component, component)
-    vals_ms = np.array([getattr(r, field) for r in records], dtype=float) / NS_PER_MS
-    mean = float(np.mean(vals_ms))
-    std = float(np.std(vals_ms, ddof=1))
-    cv = std / mean if mean > 0.0 else 0.0
-    ranked = np.sort(vals_ms)
-    rank = max(int(np.ceil(0.95 * ranked.size)), 1)
-    return LatencyStats(mean_ms=mean, std_ms=std, cv=cv, p95_ms=float(ranked[rank - 1]), n=len(records))
+    s = summarize(np.array([getattr(r, field) for r in records], dtype=float) / NS_PER_MS)
+    cv = s.std / s.mean if s.mean > 0.0 else 0.0
+    return LatencyStats(mean_ms=s.mean, std_ms=s.std, cv=cv, p95_ms=s.p95, n=s.n)
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,36 @@ class TestValidateCommand:
         })
         assert main(["validate-config", "--config", sweep, "-q"]) == EXIT_OK
 
+    @pytest.mark.parametrize("sut, path", [
+        ({"params": {"foo": 1}}, "sut.params.foo"),
+        ({"params": {"k_v": "fast"}}, "sut.params.k_v"),
+        ({"name": "nope"}, "sut.name"),
+    ], ids=["unknown-param", "non-number-param", "unknown-name"])
+    @pytest.mark.parametrize("command", ["validate-config", "stage1"])
+    def test_bad_sut_settings_fail_before_the_run(self, tmp_path, capsys, sut, path, command):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "seed": 1, "termination": {"duration_s": 1.0}, "path": {"preset": "square-sandbox"},
+            "sut": sut,
+        })
+        argv = [command, "--config", cfg]
+        if command == "stage1":
+            argv += ["--out", str(tmp_path / "run"), "-q"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ")
+        assert "Traceback" not in err
+
+    def test_sut_params_are_echoed_as_given(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "seed": 1, "termination": {"duration_s": 0.2}, "path": {"preset": "square-sandbox"},
+            "sut": {"params": {"k_v": 1, "l_min": 0.25}},
+        })
+        assert main(["stage1", "--config", cfg, "--out", str(tmp_path / "run"), "-q"]) == EXIT_OK
+        header = json.loads((tmp_path / "run" / "audit.ndjson").read_text().splitlines()[0])
+        echoed = json.loads(header["payload"]["config_json"])["sut"]["params"]
+        assert echoed == {"k_v": 1, "l_min": 0.25}
+        assert isinstance(echoed["k_v"], int)
+
 
 class TestIdentifyCommand:
     def test_identify_writes_fit(self, tiny_cfg, tmp_path):

@@ -99,6 +99,12 @@ def test_replay_drops_a_torn_final_line_and_reports_truncation(tmp_path, keep_li
     (552, lambda line: line[:40] + "\n"),
     (2, lambda line: line.replace('"payload":{"heading":0.0,"v":0.0,"x":0.7,"y":0.7}',
                                   '"payload":[0.7,0.7]')),
+    # A mistyped cid, t_ns or payload value, which a lenient parse would
+    # coerce or carry into the report.
+    pytest.param(2, lambda line: line.replace('"x":0.7', '"x":null'), id="x-null"),
+    pytest.param(2, lambda line: line.replace('"t_ns":0}', '"t_ns":0.5}'), id="t_ns-float"),
+    pytest.param(2, lambda line: line.replace('"t_ns":0}', '"t_ns":false}'), id="t_ns-bool"),
+    pytest.param(2, lambda line: line.replace('"cid":1,', '"cid":"1",'), id="cid-string"),
 ])
 def test_replay_rejects_any_other_bad_line_naming_it(tmp_path, bad_line, damage):
     lines = _golden_lines()
@@ -110,3 +116,14 @@ def test_replay_rejects_any_other_bad_line_naming_it(tmp_path, bad_line, damage)
     with pytest.raises(ValueError, match=f"line {bad_line}: not an audit record"):
         replay_report(log)
     assert main(["replay-report", "--log", str(log), "--out", str(tmp_path / "r"), "-q"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("value", ['"a"', "true"], ids=["x-string", "x-bool"])
+def test_replay_rejects_a_non_number_pose_field_naming_it(tmp_path, capsys, value):
+    lines = _golden_lines()
+    lines[1] = lines[1].replace('"x":0.7', f'"x":{value}')
+    log = tmp_path / "audit.ndjson"
+    log.write_text("".join(lines))
+    assert main(["replay-report", "--log", str(log), "--out", str(tmp_path / "r"), "-q"]) == EXIT_CONFIG
+    assert f"GtsSample cid 1: payload field 'x' must be a number, not {json.loads(value)!r}" \
+        in capsys.readouterr().err

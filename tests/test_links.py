@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hilbench.config import build_distribution
 from hilbench.core import ms_to_ns, rng_stream
 from hilbench.links import (
     PerturbationConfig,
@@ -42,6 +43,15 @@ class TestDistributions:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             StageLatencyModel("weird", {})
+
+    @pytest.mark.parametrize("model", [
+        StageLatencyModel.constant(8.58),
+        StageLatencyModel.gaussian_truncated(4.0, 12.0, max_ms=30.0),
+        StageLatencyModel.lognormal_from_mean_std(28.68, 23.22),
+        StageLatencyModel.bimodal(),
+    ], ids=lambda m: m.kind)
+    def test_config_form_rebuilds_the_model(self, model):
+        assert build_distribution(model.to_dict()) == model
 
     def test_bad_truncation_bounds_rejected(self):
         with pytest.raises(ValueError):

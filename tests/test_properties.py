@@ -1,6 +1,7 @@
 """Property tests over random short runs: the report rebuilt from the audit
-log alone equals the live report byte for byte, and ``latency.csv`` is the
-report's ``latency_ms`` section formatted, row for row.
+log alone equals the live report byte for byte, ``latency.csv`` is the
+report's ``latency_ms`` section formatted, row for row, and every cycle's
+total latency spans exactly its first and last logged boundary.
 
 Hypothesis runs derandomized and without its example database, so the cases
 are the same on every run.
@@ -15,7 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbench import cli
-from hilbench.temporal import COMPONENT_FIELDS
+from hilbench.config import resolve_run_config
+from hilbench.core import Stage
+from hilbench.orchestrator import Runner
+from hilbench.temporal import COMPONENT_FIELDS, assemble_all
 
 # Even without a database, Hypothesis's pytest plugin caches constants found in
 # the source on disk when it collects these tests; keep that out of the tree.
@@ -81,3 +85,20 @@ def test_replay_and_latency_csv_agree_with_the_live_report(config):
         assert (replay / "report.json").read_text() == report
         latency_ms = json.loads(report)["latency_ms"]
         assert (live / "latency.csv").read_text() == _latency_rows(latency_ms)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(config=run_configs())
+def test_total_latency_spans_ingest_start_to_delivery(config):
+    # dt_total sums the stage intervals; it equals the end-to-end span only
+    # because the sense -> controller and controller -> injector hand-offs
+    # take no time.  A gap that no component counts would break this.
+    runner = Runner(resolve_run_config(config))
+    runner.run()
+    events = runner.ctx.audit.events
+    t = {(ev.cid, ev.stage): ev.t_ns for ev in events}
+    records, _incomplete = assemble_all(events)
+    assert records
+    for rec in records:
+        span = t[rec.cid, Stage.V2rDeliver] - t[rec.cid, Stage.R2vIngestStart]
+        assert rec.dt_total == span, rec.cid

@@ -13,6 +13,7 @@ from hilbench.registration import (
     Normalizer,
     PoseStream,
     RegistrationModel,
+    ResidualMlp,
     TrainingDivergedError,
     default_benchmark_field,
     evaluate,
@@ -221,6 +222,32 @@ class TestResidualMlp:
         mlp1, _ = fit_residual_mlp(p, train, affine, h)
         mlp2, _ = fit_residual_mlp(p, train, affine, h)
         assert np.array_equal(mlp1.params_flat(), mlp2.params_flat())
+
+    def test_gradients_match_central_finite_differences(self):
+        # Loss L = sum(out * r), so dL/dout = r: backprop through the cached
+        # activations must match the numerical derivative of every parameter.
+        rng = rng_stream(11, "reg.test")
+        mlp = ResidualMlp([2, 4, 3, 2], rng=rng)
+        for b in mlp.biases:
+            b[:] = rng.normal(0.0, 0.3, size=b.shape)
+        x = rng.normal(size=(5, 2))
+        r = rng.normal(size=(5, 2))
+        out, acts = mlp.forward_with_cache(x)
+        assert np.array_equal(out, mlp.forward(x))
+        gw, gb = mlp.gradients(acts, r)
+        analytic = np.concatenate([g.ravel() for g in gw + gb])
+        theta = mlp.params_flat()
+        h = 1e-6
+        numeric = np.empty_like(theta)
+        for i in range(theta.size):
+            step = np.zeros_like(theta)
+            step[i] = h
+            mlp.set_params_flat(theta + step)
+            up = float(np.sum(mlp.forward(x) * r))
+            mlp.set_params_flat(theta - step)
+            down = float(np.sum(mlp.forward(x) * r))
+            numeric[i] = (up - down) / (2.0 * h)
+        assert np.allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
 
 
 class TestEvaluate:

@@ -287,13 +287,13 @@ class TestTrackErrors:
     def test_schedule_wraps_on_closed_and_clamps_on_open_paths(self):
         # 1 m/s for 5 s is 1 m into the second lap of the 4 m square.
         samples = [(0, 0.0, 0.0, 0.0), (5_000_000_000, 1.0, 0.0, 0.0)]
-        assert [a for _, a in track_errors(UNIT_SQUARE, samples, 1.0)] == pytest.approx([0.0, 0.0])
+        assert [a for _, _, a in track_errors(UNIT_SQUARE, samples, 1.0)] == pytest.approx([0.0, 0.0])
         # 12 s at 1 m/s is past the end of a 10 m line: the schedule stops there.
         straight = ReferencePath([(0, 0), (10, 0)])
         samples = [(0, 0.0, 0.0, 0.0), (12_000_000_000, 10.0, 0.5, 0.0)]
         errors = list(track_errors(straight, samples, 1.0))
-        assert [a for _, a in errors] == pytest.approx([0.0, 0.0])
-        assert [proj.arclength for proj, _ in errors] == pytest.approx([0.0, 10.0])
+        assert [a for _, _, a in errors] == pytest.approx([0.0, 0.0])
+        assert [s for s, _, _ in errors] == pytest.approx([0.0, 10.0])
 
 
 class TestSummaries:

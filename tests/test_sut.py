@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hilbench.core import rng_stream
+from hilbench.links import StageLatencyModel
 from hilbench.safety import AgentState
 from hilbench.spatial import ReferencePath, TrajectorySample
 from hilbench.sut import (
@@ -13,7 +14,6 @@ from hilbench.sut import (
     PurePursuitParams,
     PurePursuitSut,
     SutError,
-    SutLatencyModel,
     ashman_d,
     build_sut,
 )
@@ -21,8 +21,23 @@ from hilbench.sut import (
 STRAIGHT = ReferencePath([(0, 0), (20, 0)])
 
 
+def _reference_sut_latency_ms(mode, params, rng):
+    """Reference draw of the controller latency: a constant, or a
+    two-component mixture of Gaussians, each redrawn until non-negative."""
+    if mode == "constant":
+        return float(params["ms"])
+    comps = params["components"]
+    u = float(rng.random())
+    comp = comps[0] if u < comps[0]["weight"] else comps[1]
+    for _ in range(100):
+        v = comp["mean_ms"] + comp["std_ms"] * float(rng.standard_normal())
+        if v >= 0.0:
+            return v
+    return max(comp["mean_ms"], 0.0)
+
+
 def make_sut(latency=None, seed=0, **params):
-    lat = latency or SutLatencyModel.constant(15.48)
+    lat = latency or StageLatencyModel.constant(15.48)
     sut = PurePursuitSut(PurePursuitParams(**params), lat, rng_stream(seed, "sut.lat"))
     return sut
 
@@ -61,7 +76,7 @@ class TestPurePursuit:
         assert cmd.speed_setpoint > 0.0
 
     def test_constant_latency_is_applied(self):
-        sut = make_sut(latency=SutLatencyModel.constant(15.48))
+        sut = make_sut(latency=StageLatencyModel.constant(15.48))
         sut.reset(STRAIGHT)
         cmd = sut.step(obs(1_000_000, 1.0, 0.0, 0.0))
         assert cmd.t_issued_ns - 1_000_000 == 15_480_000
@@ -112,13 +127,13 @@ class TestPurePursuit:
 
 class TestLatencyModels:
     def test_constant_has_zero_variance(self):
-        m = SutLatencyModel.constant(15.48)
+        m = StageLatencyModel.constant(15.48)
         rng = rng_stream(1, "x")
         vals = [m.sample_ms(rng) for _ in range(100)]
         assert min(vals) == max(vals) == 15.48
 
     def test_bimodal_preset_is_bimodal(self):
-        m = SutLatencyModel.bimodal()
+        m = StageLatencyModel.bimodal()
         rng = rng_stream(2, "x")
         samples = [m.sample_ms(rng) for _ in range(2000)]
         assert ashman_d(samples) > 4.0
@@ -129,38 +144,65 @@ class TestLatencyModels:
         unimodal = list(15.0 + 2.0 * rng.standard_normal(2000))
         assert ashman_d(unimodal) < 4.0
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 20240808])
+    def test_draws_equal_the_reference_controller_latency(self, seed):
+        # The stage model must reproduce the reference draw for draw from the
+        # same stream, or re-running a recorded config would no longer
+        # reproduce its audit log.
+        models = [
+            ("bimodal", StageLatencyModel.bimodal()),
+            # A component this close to 0 truncates often.
+            ("bimodal", StageLatencyModel.bimodal(mean1_ms=1.0, std1_ms=5.0)),
+            ("constant", StageLatencyModel.constant(15.48)),
+        ]
+        for mode, model in models:
+            ref_rng, rng = rng_stream(seed, "sut.lat"), rng_stream(seed, "sut.lat")
+            ref = [_reference_sut_latency_ms(mode, model.params, ref_rng) for _ in range(2000)]
+            assert [model.sample_ms(rng) for _ in range(2000)] == ref
+
     def test_weights_validated(self):
         with pytest.raises(ValueError):
-            SutLatencyModel("bimodal", {"components": [
+            StageLatencyModel("bimodal", {"components": [
                 {"mean_ms": 10, "std_ms": 1, "weight": 0.7},
                 {"mean_ms": 20, "std_ms": 1, "weight": 0.7},
             ]})
+
+
+def _imported_modules(src: str) -> set[str]:
+    """Last dotted part of every module an ``import`` in ``src`` names."""
+    names = set()
+    for node in ast.walk(ast.parse(src)):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names |= {a.name for a in node.names}
+    return {name.split(".")[-1] for name in names}
 
 
 class TestBlackBoxDiscipline:
     def test_module_has_no_platform_imports(self):
         # The controller may see only the observation data model: its module
         # must not import the plant, link, or orchestration layers.
+        # It takes the latency model the runner builds from the config with
+        # the link layer's stage model, so config is out of bounds too.
         src = Path(__import__("hilbench.sut", fromlist=["x"]).__file__).read_text()
-        tree = ast.parse(src)
-        forbidden = {"plant", "links", "orchestrator", "cli", "temporal"}
-        for node in ast.walk(tree):
-            names = []
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                names = [node.module]
-            elif isinstance(node, ast.ImportFrom) and node.level:
-                names = [a.name for a in node.names]
-            for name in names:
-                base = name.split(".")[-1]
-                assert base not in forbidden, f"sut imports {name}"
+        forbidden = {"plant", "links", "orchestrator", "config", "cli", "temporal"}
+        assert not _imported_modules(src) & forbidden
+
+    @pytest.mark.parametrize("line", [
+        "from .links import StageLatencyModel", "from . import config",
+        "import hilbench.plant", "from hilbench.orchestrator import Runner",
+    ])
+    def test_import_scan_sees_every_import_form(self, line):
+        assert _imported_modules(line) & {"links", "config", "plant", "orchestrator"}
 
 
 def test_registry_builds_reference_sut():
     sut = build_sut("pure-pursuit", {"wheelbase": 0.09},
-                    SutLatencyModel.constant(1.0), rng_stream(0, "sut.lat"))
+                    StageLatencyModel.constant(1.0), rng_stream(0, "sut.lat"))
     sut.reset(STRAIGHT)
     assert sut.step(obs(0, 0.0, 0.0, 0.0)).speed_setpoint >= 0.0
     with pytest.raises(KeyError):
-        build_sut("nope", {}, SutLatencyModel.constant(1.0), rng_stream(0, "x"))
+        build_sut("nope", {}, StageLatencyModel.constant(1.0), rng_stream(0, "x"))
