@@ -17,7 +17,7 @@ from . import plant as plant_mod
 from .links import PerturbationConfig, R2VConfig, StageLatencyModel, V2RConfig
 from .plant import CommandMap, DeadTimeJitter, FOPDTParams, PlantConfig
 from .spatial import PathError, ReferencePath
-from .sut import SUT_REGISTRY, PurePursuitParams
+from .sut import PurePursuitParams
 
 SCHEMA_VERSION = 1
 
@@ -73,15 +73,20 @@ def _as_str(value, path: str) -> str:
 # ---------------------------------------------------------------------------
 # Latency distributions
 
-def resolve_distribution(obj, path: str) -> dict:
+def resolve_distribution(obj, path: str, kind_key: str = "kind") -> dict:
+    """Validate one latency distribution and return its explicit form.
+
+    ``kind_key`` names the field that holds the kind: ``"kind"`` for the
+    link stages and ``"mode"`` for ``sut.latency``; the echo keeps it.
+    """
     if not isinstance(obj, dict):
         raise ConfigError(path, "must be an object")
-    kind = _as_str(_require(obj, "kind", path), f"{path}.kind")
+    kind = _as_str(_require(obj, kind_key, path), f"{path}.{kind_key}")
     if kind == "constant":
-        return {"kind": "constant", "ms": _as_number(_require(obj, "ms", path), f"{path}.ms", lo=0.0)}
+        return {kind_key: "constant", "ms": _as_number(_require(obj, "ms", path), f"{path}.ms", lo=0.0)}
     if kind == "gaussian_truncated":
         out = {
-            "kind": kind,
+            kind_key: kind,
             "mean_ms": _as_number(_require(obj, "mean_ms", path), f"{path}.mean_ms", lo=0.0),
             "std_ms": _as_number(_require(obj, "std_ms", path), f"{path}.std_ms", lo=0.0),
             "min_ms": _as_number(obj.get("min_ms", 0.0), f"{path}.min_ms", lo=0.0),
@@ -92,21 +97,37 @@ def resolve_distribution(obj, path: str) -> dict:
     if kind == "lognormal":
         if "mu" in obj or "sigma" in obj:
             return {
-                "kind": kind,
+                kind_key: kind,
                 "mu": _as_number(_require(obj, "mu", path), f"{path}.mu"),
                 "sigma": _as_number(_require(obj, "sigma", path), f"{path}.sigma", lo=0.0),
             }
         mean = _as_number(_require(obj, "mean_ms", path), f"{path}.mean_ms", lo=1e-12)
         std = _as_number(_require(obj, "std_ms", path), f"{path}.std_ms", lo=0.0)
         model = StageLatencyModel.lognormal_from_mean_std(mean, std)
-        return {"kind": kind, "mu": model.params["mu"], "sigma": model.params["sigma"]}
-    raise ConfigError(f"{path}.kind", f"unknown distribution kind {kind!r}")
+        return {kind_key: kind, "mu": model.params["mu"], "sigma": model.params["sigma"]}
+    if kind == "bimodal":
+        comps = obj.get("components")
+        if not (isinstance(comps, list) and len(comps) == 2):
+            raise ConfigError(f"{path}.components", "must list exactly 2 components")
+        out_comps = []
+        for i, c in enumerate(comps):
+            cpath = f"{path}.components[{i}]"
+            if not isinstance(c, dict):
+                raise ConfigError(cpath, "must be an object")
+            out_comps.append({
+                "mean_ms": _as_number(_require(c, "mean_ms", cpath), f"{cpath}.mean_ms", lo=0.0),
+                "std_ms": _as_number(_require(c, "std_ms", cpath), f"{cpath}.std_ms", lo=0.0),
+                "weight": _as_number(_require(c, "weight", cpath), f"{cpath}.weight", lo=0.0, hi=1.0),
+            })
+        if abs(out_comps[0]["weight"] + out_comps[1]["weight"] - 1.0) > 1e-9:
+            raise ConfigError(f"{path}.components", "weights must sum to 1")
+        return {kind_key: kind, "components": out_comps}
+    raise ConfigError(f"{path}.{kind_key}", f"unknown distribution kind {kind!r}")
 
 
-def build_distribution(resolved: dict) -> StageLatencyModel:
-    kind = resolved["kind"]
-    params = {k: v for k, v in resolved.items() if k != "kind"}
-    return StageLatencyModel(kind, params)
+def build_distribution(resolved: dict, kind_key: str = "kind") -> StageLatencyModel:
+    params = {k: v for k, v in resolved.items() if k != kind_key}
+    return StageLatencyModel(resolved[kind_key], params)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +186,11 @@ def resolve_plant(obj, path: str) -> dict:
         sub = obj.get(name, {})
         if not isinstance(sub, dict):
             raise ConfigError(f"{path}.{name}", "must be an object")
+        gain = _as_number(sub.get("K", params.K), f"{path}.{name}.K")
+        if gain == 0.0:
+            raise ConfigError(f"{path}.{name}.K", "must be nonzero")
         return {
-            "K": _as_number(sub.get("K", params.K), f"{path}.{name}.K"),
+            "K": gain,
             "tau_p_s": _as_number(sub.get("tau_p_s", params.tau_p), f"{path}.{name}.tau_p_s", lo=1e-9),
             "L_s": _as_number(sub.get("L_s", params.L), f"{path}.{name}.L_s", lo=0.0),
         }
@@ -276,7 +300,7 @@ def resolve_scenario(obj, path: str) -> dict | None:
                                          f"{npath}.speed.accel_mps2", lo=1e-6),
                 "cruise_mps": _as_number(_require(speed, "cruise_mps", f"{npath}.speed"),
                                          f"{npath}.speed.cruise_mps", lo=1e-6),
-                "decel_mps2": _as_number(speed.get("decel_mps2", speed.get("accel_mps2", 1.0)),
+                "decel_mps2": _as_number(speed.get("decel_mps2", speed["accel_mps2"]),
                                          f"{npath}.speed.decel_mps2", lo=1e-6),
             },
             "radius_m": _as_number(_require(npc, "radius_m", npath), f"{npath}.radius_m", lo=1e-6),
@@ -305,12 +329,7 @@ def resolve_run_config(obj: dict) -> dict:
     if version != SCHEMA_VERSION:
         raise ConfigError("schema_version", f"unsupported version {version}")
 
-    term_in = obj.get("termination")
-    if term_in is None:
-        if "duration_s" in obj:
-            term_in = {"duration_s": obj["duration_s"]}
-        else:
-            raise ConfigError("termination", "missing required field")
+    term_in = _require(obj, "termination", "")
     if not isinstance(term_in, dict):
         raise ConfigError("termination", "must be an object")
     if "laps" in term_in:
@@ -366,40 +385,18 @@ def resolve_run_config(obj: dict) -> dict:
     if not isinstance(sut_in, dict):
         raise ConfigError("sut", "must be an object")
     sut_name = _as_str(sut_in.get("name", "pure-pursuit"), "sut.name")
-    if sut_name not in SUT_REGISTRY:
-        raise ConfigError("sut.name", f"unknown SUT {sut_name!r}; registered: {sorted(SUT_REGISTRY)}")
+    if sut_name != "pure-pursuit":
+        raise ConfigError("sut.name", f"unknown SUT {sut_name!r}; the only controller is 'pure-pursuit'")
     sut_params = sut_in.get("params", {})
     if not isinstance(sut_params, dict):
         raise ConfigError("sut.params", "must be an object")
-    if sut_name == "pure-pursuit":
-        known = {f.name for f in fields(PurePursuitParams)}
-        for key, value in sut_params.items():
-            if key not in known:
-                raise ConfigError(f"sut.params.{key}", "unknown pure-pursuit parameter")
-            _as_number(value, f"sut.params.{key}")
-    lat_in = sut_in.get("latency", {"mode": "constant", "ms": 15.48})
-    if not isinstance(lat_in, dict):
-        raise ConfigError("sut.latency", "must be an object")
-    mode = _as_str(lat_in.get("mode", "constant"), "sut.latency.mode")
-    if mode == "constant":
-        latency = {"mode": "constant", "ms": _as_number(lat_in.get("ms", 15.48), "sut.latency.ms", lo=0.0)}
-    elif mode == "bimodal":
-        comps = lat_in.get("components")
-        if not (isinstance(comps, list) and len(comps) == 2):
-            raise ConfigError("sut.latency.components", "must list exactly 2 components")
-        out_comps = []
-        for i, c in enumerate(comps):
-            cpath = f"sut.latency.components[{i}]"
-            out_comps.append({
-                "mean_ms": _as_number(_require(c, "mean_ms", cpath), f"{cpath}.mean_ms", lo=0.0),
-                "std_ms": _as_number(_require(c, "std_ms", cpath), f"{cpath}.std_ms", lo=0.0),
-                "weight": _as_number(_require(c, "weight", cpath), f"{cpath}.weight", lo=0.0, hi=1.0),
-            })
-        if abs(out_comps[0]["weight"] + out_comps[1]["weight"] - 1.0) > 1e-9:
-            raise ConfigError("sut.latency.components", "weights must sum to 1")
-        latency = {"mode": "bimodal", "components": out_comps}
-    else:
-        raise ConfigError("sut.latency.mode", f"unknown mode {mode!r}")
+    known = {f.name for f in fields(PurePursuitParams)}
+    for key, value in sut_params.items():
+        if key not in known:
+            raise ConfigError(f"sut.params.{key}", "unknown pure-pursuit parameter")
+        _as_number(value, f"sut.params.{key}")
+    latency = resolve_distribution(sut_in.get("latency", {"mode": "constant", "ms": 15.48}),
+                                   "sut.latency", kind_key="mode")
 
     report = dict(_REPORT_DEFAULTS)
     rep_in = obj.get("report", {})
@@ -479,12 +476,6 @@ def build_v2r_config(resolved: dict) -> V2RConfig:
             reorder_allowed=pert["reorder_allowed"],
         ),
     )
-
-
-def build_sut_latency(resolved: dict) -> StageLatencyModel:
-    """The controller latency model of the echoed ``sut.latency`` section,
-    whose ``mode`` names the distribution kind."""
-    return StageLatencyModel(resolved["mode"], {k: v for k, v in resolved.items() if k != "mode"})
 
 
 def load_json(path):

@@ -35,7 +35,7 @@ from .plant import Plant
 from .safety import (AgentState, SafetyTrace, check_agent, d_min_trace, extract_events,
                      finite_or_none)
 from .spatial import MetricSummary, ReferencePath, TrajectorySample, project, summarize, track_errors
-from .sut import Observation, build_sut
+from .sut import Observation, PurePursuitParams, PurePursuitSut
 
 
 class SchedulerCorruptionError(RuntimeError):
@@ -152,12 +152,11 @@ class Runner:
         self.r2v = R2VLink(cfg_mod.build_r2v_config(resolved["links"]["r2v"]), self.ctx.stream)
         self.v2r = V2RLink(cfg_mod.build_v2r_config(resolved["links"]["v2r"]), self.ctx.stream)
         sut_cfg = resolved["sut"]
-        params = dict(sut_cfg["params"])
-        if sut_cfg["name"] == "pure-pursuit":
-            params.setdefault("wheelbase", resolved["plant"]["wheelbase_m"])
-            params.setdefault("ego_radius", resolved["report"]["ego_radius_m"])
-        self.sut = build_sut(sut_cfg["name"], params, cfg_mod.build_sut_latency(sut_cfg["latency"]),
-                             self.ctx.stream("sut.lat"))
+        params = {"wheelbase": resolved["plant"]["wheelbase_m"],
+                  "ego_radius": resolved["report"]["ego_radius_m"], **sut_cfg["params"]}
+        self.sut = PurePursuitSut(PurePursuitParams(**params),
+                                  cfg_mod.build_distribution(sut_cfg["latency"], kind_key="mode"),
+                                  self.ctx.stream("sut.lat"))
         self.sut.reset(self.path)
         self.goal_speed = sut_cfg["goal_speed_mps"]
         self.queue = EventQueue()

@@ -14,8 +14,3 @@ def load(name: str) -> dict:
     text = resources.files(__name__).joinpath(f"{name}.json").read_text("utf-8")
     return json.loads(text)
 
-
-def path_for(name: str) -> str:
-    if name not in PRESET_NAMES:
-        raise KeyError(f"unknown preset {name!r}; available: {PRESET_NAMES}")
-    return str(resources.files(__name__).joinpath(f"{name}.json"))

@@ -39,10 +39,6 @@ class TrajectorySample:
         if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.heading)):
             raise ValueError("trajectory sample must have finite coordinates")
 
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
 
 @dataclass(frozen=True)
 class Projection:

@@ -148,31 +148,6 @@ class PurePursuitSut:
         return False
 
 
-# ---------------------------------------------------------------------------
-# Plug-in registry: anything exposing reset/step with this data model
-# can be named in a run config.
-
-SUT_REGISTRY: dict = {}
-
-
-def register_sut(name: str, factory) -> None:
-    """factory(params_dict, latency_model, latency_rng) -> controller."""
-    SUT_REGISTRY[name] = factory
-
-
-def build_sut(name: str, params: dict, latency, latency_rng):
-    if name not in SUT_REGISTRY:
-        raise KeyError(f"unknown SUT {name!r}; registered: {sorted(SUT_REGISTRY)}")
-    return SUT_REGISTRY[name](params, latency, latency_rng)
-
-
-def _pure_pursuit_factory(params: dict, latency, latency_rng):
-    return PurePursuitSut(PurePursuitParams(**params), latency, latency_rng)
-
-
-register_sut("pure-pursuit", _pure_pursuit_factory)
-
-
 def ashman_d(samples) -> float:
     """Two-cluster separation statistic for latency samples.
 

@@ -126,7 +126,8 @@ class TestValidateCommand:
         ({"params": {"foo": 1}}, "sut.params.foo"),
         ({"params": {"k_v": "fast"}}, "sut.params.k_v"),
         ({"name": "nope"}, "sut.name"),
-    ], ids=["unknown-param", "non-number-param", "unknown-name"])
+        ({"latency": {"mode": "bimodal", "components": [1, 2]}}, "sut.latency.components[0]"),
+    ], ids=["unknown-param", "non-number-param", "unknown-name", "component-not-object"])
     @pytest.mark.parametrize("command", ["validate-config", "stage1"])
     def test_bad_sut_settings_fail_before_the_run(self, tmp_path, capsys, sut, path, command):
         cfg = write_json(tmp_path / "cfg.json", {
@@ -140,6 +141,19 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("channel", ["steering", "velocity"])
+    @pytest.mark.parametrize("command", ["validate-config", "stage1"])
+    def test_zero_plant_gain_fails_before_the_run(self, tmp_path, capsys, channel, command):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "seed": 1, "termination": {"duration_s": 1.0}, "path": {"preset": "square-sandbox"},
+            "plant": {channel: {"K": 0}},
+        })
+        argv = [command, "--config", cfg]
+        if command == "stage1":
+            argv += ["--out", str(tmp_path / "run"), "-q"]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: plant.{channel}.K: ")
 
     def test_sut_params_are_echoed_as_given(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {

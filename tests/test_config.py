@@ -84,6 +84,25 @@ class TestRunConfig:
             resolve_run_config(minimal(path={"closed": False, "vertices": [[0, 0], [1]]}))
         assert "vertices[1]" in exc.value.path
 
+    def test_termination_is_required(self):
+        doc = minimal(duration_s=5.0)
+        del doc["termination"]
+        with pytest.raises(ConfigError) as exc:
+            resolve_run_config(doc)
+        assert exc.value.path == "termination"
+
+    @pytest.mark.parametrize("latency, path", [
+        ({"ms": 20.0}, "sut.latency.mode"),
+        ({"mode": "constant"}, "sut.latency.ms"),
+        ({"mode": "cauchy"}, "sut.latency.mode"),
+        ({"mode": "bimodal", "components": [{"mean_ms": 1.0, "std_ms": 1.0, "weight": 0.5}] * 3},
+         "sut.latency.components"),
+    ], ids=["no-mode", "no-ms", "unknown-mode", "three-components"])
+    def test_sut_latency_needs_mode_and_its_parameters(self, latency, path):
+        with pytest.raises(ConfigError) as exc:
+            resolve_run_config(minimal(sut={"latency": latency}))
+        assert exc.value.path == path
+
     def test_unsupported_schema_version(self):
         with pytest.raises(ConfigError):
             resolve_run_config(minimal(schema_version=99))

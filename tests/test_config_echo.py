@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from hilbench import presets
+from hilbench.cli import EXIT_OK, main
 from hilbench.config import resolve_run_config, resolve_sweep_config
 from hilbench.core import canonical_json
 
@@ -38,3 +39,27 @@ def test_preset_echo_resolves_to_itself(name):
     if "base" in doc:
         base = canonical_json(resolve(doc)["base"])
         assert canonical_json(resolve_run_config(json.loads(base))) == base
+
+
+def test_any_latency_kind_runs_in_any_slot(tmp_path):
+    # A bimodal link stage and a lognormal controller latency: every latency
+    # slot goes through the same resolver and stage-latency model.
+    doc = {
+        "run_id": "any-kind", "seed": 3, "termination": {"duration_s": 1.0},
+        "path": {"preset": "square-sandbox"},
+        "links": {"r2v": {"adv": {"kind": "bimodal", "components": [
+            {"mean_ms": 10.0, "std_ms": 2.0, "weight": 0.6},
+            {"mean_ms": 28.0, "std_ms": 3.0, "weight": 0.4}]}}},
+        "sut": {"latency": {"mode": "lognormal", "mean_ms": 15.48, "std_ms": 4.0}},
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["stage1", "--config", str(cfg), "--out", str(out), "-q"]) == EXIT_OK
+    header = json.loads((out / "audit.ndjson").read_text().splitlines()[0])
+    echo = json.loads(header["payload"]["config_json"])
+    assert echo["links"]["r2v"]["adv"]["kind"] == "bimodal"
+    assert set(echo["sut"]["latency"]) == {"mode", "mu", "sigma"}
+    latency = json.loads((out / "report.json").read_text())["latency_ms"]
+    assert latency["sut"]["n"] == latency["adv"]["n"] == 50
+    assert latency["sut"]["std_ms"] > 0.0 and latency["adv"]["std_ms"] > 0.0

@@ -15,7 +15,6 @@ from hilbench.sut import (
     PurePursuitSut,
     SutError,
     ashman_d,
-    build_sut,
 )
 
 STRAIGHT = ReferencePath([(0, 0), (20, 0)])
@@ -198,11 +197,3 @@ class TestBlackBoxDiscipline:
     def test_import_scan_sees_every_import_form(self, line):
         assert _imported_modules(line) & {"links", "config", "plant", "orchestrator"}
 
-
-def test_registry_builds_reference_sut():
-    sut = build_sut("pure-pursuit", {"wheelbase": 0.09},
-                    StageLatencyModel.constant(1.0), rng_stream(0, "sut.lat"))
-    sut.reset(STRAIGHT)
-    assert sut.step(obs(0, 0.0, 0.0, 0.0)).speed_setpoint >= 0.0
-    with pytest.raises(KeyError):
-        build_sut("nope", {}, StageLatencyModel.constant(1.0), rng_stream(0, "x"))
