@@ -7,7 +7,7 @@ Subsystems:
   temporal      per-cycle latency decomposition and statistics
   plant         FOPDT actuator channels, kinematic bicycle, identification
   links         pose-sync pipeline and command link with perturbation injector
-  registration  stream fusion, smoothing, rigid/affine/hybrid calibration
+  registration  rigid/affine/hybrid calibration ladder and its benchmark
   safety        body time-to-collision, minimum-gap traces, event extraction
   sut           black-box controller contract and the pure-pursuit reference
   orchestrator  discrete-event loop, workflow stages, reports, log replay

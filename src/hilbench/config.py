@@ -95,6 +95,8 @@ def resolve_distribution(obj, path: str, kind_key: str = "kind") -> dict:
             out["max_ms"] = _as_number(obj["max_ms"], f"{path}.max_ms", lo=out["min_ms"])
         return out
     if kind == "lognormal":
+        if ("mu" in obj or "sigma" in obj) and ("mean_ms" in obj or "std_ms" in obj):
+            raise ConfigError(path, "give either mu/sigma or mean_ms/std_ms, not both")
         if "mu" in obj or "sigma" in obj:
             return {
                 kind_key: kind,
@@ -222,8 +224,15 @@ def resolve_plant(obj, path: str) -> dict:
         pts = resolved[map_key]
         if not isinstance(pts, list) or len(pts) < 2:
             raise ConfigError(f"{path}.{map_key}", "must be a list of at least 2 [command, setpoint] points")
+        checked = []
+        for i, pt in enumerate(pts):
+            ppath = f"{path}.{map_key}[{i}]"
+            if not (isinstance(pt, list) and len(pt) == 2):
+                raise ConfigError(ppath, "must be [command, setpoint]")
+            checked.append([_as_number(v, f"{ppath}[{j}]") for j, v in enumerate(pt)])
+        resolved[map_key] = checked
         try:
-            CommandMap(pts)
+            CommandMap(checked)
         except ValueError as exc:
             raise ConfigError(f"{path}.{map_key}", str(exc)) from exc
     ip = resolved["initial_pose"]
@@ -351,6 +360,9 @@ def resolve_run_config(obj: dict) -> dict:
         raise ConfigError("links", "must be an object")
     r2v_in = links_in.get("r2v", {})
     v2r_in = links_in.get("v2r", {})
+    for name, sub in (("r2v", r2v_in), ("v2r", v2r_in)):
+        if not isinstance(sub, dict):
+            raise ConfigError(f"links.{name}", "must be an object")
     from .links import default_r2v_config, default_v2r_config
     d_r2v = default_r2v_config()
     d_v2r = default_v2r_config()

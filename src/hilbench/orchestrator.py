@@ -511,7 +511,8 @@ report_to_json = json_document
 
 
 def run_stage1(resolved: dict) -> tuple[dict, "Runner"]:
-    """Baseline run (no scenario required); returns (report, runner)."""
+    """One closed-loop run, with the scenario if the config carries one;
+    returns (report, runner)."""
     runner = Runner(resolved)
     return runner.run().report, runner
 
@@ -565,13 +566,6 @@ def write_response_curve(rows: list[dict], path) -> None:
         for r in rows:
             fh.write(f"{r['delay_ms']:g},{r['cte_rmse_m']!r},{r['cte_mean_m']!r},"
                      f"{r['cte_p95_m']!r},{r['distance_m']!r},{str(r['completed']).lower()}\n")
-
-
-def run_stage3(resolved: dict) -> tuple[dict, "Runner"]:
-    """Scripted multi-agent run; the config must carry a scenario."""
-    if resolved["scenario"] is None:
-        raise cfg_mod.ConfigError("scenario", "stage 3 requires a scenario script")
-    return run_stage1(resolved)
 
 
 # ---------------------------------------------------------------------------

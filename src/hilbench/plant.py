@@ -13,7 +13,6 @@ t90 = L + tau_p * ln(10).
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -90,10 +89,6 @@ class CommandMap:
     @staticmethod
     def identity(lo: float = -10.0, hi: float = 10.0) -> "CommandMap":
         return CommandMap([(lo, lo), (hi, hi)])
-
-    @staticmethod
-    def scale(k: float, lo: float = -10.0, hi: float = 10.0) -> "CommandMap":
-        return CommandMap([(lo, k * lo), (hi, k * hi)])
 
     def to_points(self) -> list[list[float]]:
         return [[float(c), float(s)] for c, s in zip(self._cmds, self._setps)]
@@ -207,10 +202,6 @@ class Plant:
             jitter=cfg.steering_jitter, rng=rng)
 
     @property
-    def t_ns(self) -> int:
-        return self._t_ns
-
-    @property
     def v_actual(self) -> float:
         return self._speed_ch.value(self._t_ns)
 
@@ -265,14 +256,6 @@ class Plant:
             self._heading + (v / self.cfg.wheelbase) * math.tan(steer) * dt_s)
         self._t_ns = t_next_ns
 
-    def step(self, speed_cmd: float, steer_cmd: float, dt_s: float) -> PlantState:
-        """Apply one command and integrate forward by dt (<= control period)."""
-        if not (0.0 < dt_s <= self.cfg.control_period_s):
-            raise ValueError("dt must be in (0, control_period]")
-        self.apply_command(self._t_ns, speed_cmd, steer_cmd)
-        self.advance_to(self._t_ns + s_to_ns(dt_s))
-        return self.state()
-
 
 # ---------------------------------------------------------------------------
 # Step experiments and identification
@@ -292,16 +275,6 @@ class StepLog:
             fh.write("t_s,command,response\n")
             for t, c, r in zip(self.t_s, self.command, self.response):
                 fh.write(f"{float(t)!r},{float(c)!r},{float(r)!r}\n")
-
-    @staticmethod
-    def load_csv(path, channel: str = "") -> "StepLog":
-        t, c, r = [], [], []
-        with open(path, "r", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                t.append(float(row["t_s"]))
-                c.append(float(row["command"]))
-                r.append(float(row["response"]))
-        return StepLog(channel, np.array(t), np.array(c), np.array(r))
 
 
 #: Pre-step baseline of a step experiment, in seconds.

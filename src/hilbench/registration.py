@@ -1,9 +1,7 @@
 """Coordinate-registration pipeline for an external localization reference.
 
-Two asynchronous pose streams are fused by causal linear extrapolation of the
-high-rate stream onto the low-rate timestamps, smoothed with a Savitzky-Golay
-filter, and used to fit a hierarchy of mappings from the tracker frame to the
-reference frame:
+Matched tracker/reference position pairs are used to fit a hierarchy of
+mappings from the tracker frame to the reference frame:
 
     raw (identity)  ->  rigid SVD  ->  global affine  ->  affine + MLP residual
 
@@ -23,27 +21,6 @@ import numpy as np
 
 from .core import rng_stream
 from .spatial import MetricSummary, summarize
-
-
-@dataclass(frozen=True)
-class PoseStream:
-    """Strictly time-sorted positions of one sensor."""
-
-    t_ns: np.ndarray
-    p: np.ndarray  # (N, d)
-
-    def __post_init__(self):
-        if self.t_ns.ndim != 1 or self.p.ndim != 2 or self.t_ns.size != self.p.shape[0]:
-            raise ValueError("stream arrays must be (N,) and (N, d)")
-        if self.t_ns.size >= 2 and not np.all(np.diff(self.t_ns) > 0):
-            raise ValueError("stream timestamps must be strictly increasing")
-
-    @property
-    def d(self) -> int:
-        return int(self.p.shape[1])
-
-    def __len__(self) -> int:
-        return int(self.t_ns.size)
 
 
 @dataclass(frozen=True)
@@ -71,97 +48,6 @@ class MatchedPairs:
                 row += [repr(float(v)) for v in self.p_tracker[i]]
                 row += [repr(float(v)) for v in self.p_reference[i]]
                 fh.write(",".join(row) + "\n")
-
-    @staticmethod
-    def load_csv(path) -> "MatchedPairs":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            d = (len(header) - 1) // 2
-            t, pt, pl = [], [], []
-            for line in fh:
-                parts = line.strip().split(",")
-                if not parts or parts == [""]:
-                    continue
-                t.append(int(parts[0]))
-                pt.append([float(v) for v in parts[1:1 + d]])
-                pl.append([float(v) for v in parts[1 + d:1 + 2 * d]])
-        return MatchedPairs(np.array(t, dtype=np.int64), np.array(pt), np.array(pl))
-
-
-def fuse_streams(high: PoseStream, low: PoseStream, max_gap_s: float) -> MatchedPairs:
-    """Causally pair the streams at the low-rate timestamps.
-
-    For each low-rate time, the two most recent high-rate samples at or
-    before it are linearly extrapolated forward.  Pairs are rejected when
-    fewer than two such samples exist or the newest is older than
-    ``max_gap_s``.
-    """
-    if len(high) == 0 or len(low) == 0:
-        return MatchedPairs(np.empty(0, dtype=np.int64),
-                            np.empty((0, low.d if len(low) else 2)),
-                            np.empty((0, low.d if len(low) else 2)))
-    max_gap_ns = round(max_gap_s * 1e9)
-    t_out, pt_out, pl_out = [], [], []
-    idx = np.searchsorted(high.t_ns, low.t_ns, side="right") - 1
-    for k, i in enumerate(idx):
-        if i < 1:
-            continue
-        tau = int(low.t_ns[k])
-        t1, t0 = int(high.t_ns[i]), int(high.t_ns[i - 1])
-        if tau - t1 > max_gap_ns:
-            continue
-        frac = (tau - t1) / (t1 - t0)
-        p = high.p[i] + frac * (high.p[i] - high.p[i - 1])
-        t_out.append(tau)
-        pt_out.append(p)
-        pl_out.append(low.p[k])
-    if not t_out:
-        return MatchedPairs(np.empty(0, dtype=np.int64),
-                            np.empty((0, high.d)), np.empty((0, low.d)))
-    return MatchedPairs(np.array(t_out, dtype=np.int64), np.vstack(pt_out), np.vstack(pl_out))
-
-
-def _sg_center_coeffs(window: int, order: int) -> np.ndarray:
-    # Center row of the SG projection: fit a degree-`order` polynomial to the
-    # window and evaluate it at the middle sample.
-    half = (window - 1) // 2
-    x = np.arange(-half, half + 1, dtype=float)
-    vand = np.vander(x, order + 1, increasing=True)
-    pinv = np.linalg.pinv(vand)
-    return vand[half] @ pinv
-
-
-def sg_smooth(stream: PoseStream, window: int, order: int) -> PoseStream:
-    """Savitzky-Golay smoothing per dimension.
-
-    Near the ends the window shrinks to the largest centered odd window that
-    fits, with the polynomial order capped at window-1 (so the first and last
-    samples pass through unchanged).
-    """
-    if window % 2 == 0:
-        raise ValueError("window must be odd")
-    if order >= window:
-        raise ValueError("order must be less than window")
-    n = len(stream)
-    if n >= 3:
-        periods = np.diff(stream.t_ns).astype(float)
-        med = float(np.median(periods))
-        if np.max(np.abs(periods - med)) > 0.01 * med:
-            raise ValueError("stream must be uniform-rate within 1% period jitter")
-    out = stream.p.copy()
-    half_max = (window - 1) // 2
-    coeff_cache: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(n):
-        half = min(i, n - 1 - i, half_max)
-        if half == 0:
-            continue
-        w = 2 * half + 1
-        o = min(order, w - 1)
-        key = (w, o)
-        if key not in coeff_cache:
-            coeff_cache[key] = _sg_center_coeffs(w, o)
-        out[i] = coeff_cache[key] @ stream.p[i - half:i + half + 1]
-    return PoseStream(stream.t_ns.copy(), out)
 
 
 class DegenerateGeometryError(ValueError):
@@ -226,18 +112,15 @@ class Normalizer:
 class ResidualMlp:
     """Small tanh network mapping normalized inputs to residual corrections."""
 
-    def __init__(self, sizes: list[int], rng: np.random.Generator | None = None) -> None:
+    def __init__(self, sizes: list[int], rng: np.random.Generator) -> None:
         self.sizes = list(sizes)
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            if rng is None:
-                w = np.zeros((n_in, n_out))
-            else:
-                limit = math.sqrt(6.0 / (n_in + n_out))
-                w = rng.uniform(-limit, limit, size=(n_in, n_out))
-                if i == len(sizes) - 2:
-                    w *= 0.1  # start the correction head near zero output
+            limit = math.sqrt(6.0 / (n_in + n_out))
+            w = rng.uniform(-limit, limit, size=(n_in, n_out))
+            if i == len(sizes) - 2:
+                w *= 0.1  # start the correction head near zero output
             self.weights.append(w)
             self.biases.append(np.zeros(n_out))
 
@@ -418,22 +301,6 @@ class RegistrationModel:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(self.to_json_dict(), fh, sort_keys=True)
             fh.write("\n")
-
-    @staticmethod
-    def load(path) -> "RegistrationModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-        model = RegistrationModel(np.array(obj["A"], dtype=float), np.array(obj["t"], dtype=float))
-        if obj.get("normalizer") is not None:
-            model.normalizer = Normalizer(np.array(obj["normalizer"]["mean"], dtype=float),
-                                          np.array(obj["normalizer"]["scale"], dtype=float))
-        if obj.get("mlp") is not None:
-            mlp = ResidualMlp(obj["mlp"]["sizes"])
-            mlp.set_params_flat(np.array(obj["mlp"]["theta"], dtype=float))
-            model.mlp = mlp
-        if obj.get("train_idx") is not None:
-            model.train_idx = np.array(obj["train_idx"], dtype=int)
-        return model
 
 
 def evaluate(model: RegistrationModel, pairs: MatchedPairs, test_idx) -> MetricSummary:

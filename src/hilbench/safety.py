@@ -72,20 +72,6 @@ def contact_gap(dpx: float, dpy: float, rsum: float) -> float:
     return max(math.hypot(dpx, dpy) - rsum, 0.0)
 
 
-def ttc_body(ego: AgentState, other: AgentState) -> float:
-    """Seconds until the two bodies touch under constant velocities
-    (``contact_ttc`` of their relative motion)."""
-    if ego.t_ns != other.t_ns:
-        raise ValueError("agent states must share a timestamp")
-    return contact_ttc(other.x - ego.x, other.y - ego.y, other.vx - ego.vx, other.vy - ego.vy,
-                       ego.radius + other.radius)
-
-
-def body_gap(a: AgentState, b: AgentState) -> float:
-    """Inter-body gap, floored at 0 (overlap counts as collision)."""
-    return contact_gap(b.x - a.x, b.y - a.y, a.radius + b.radius)
-
-
 @dataclass
 class SafetyTrace:
     """Per-frame safety metrics plus global minima with their timestamps."""

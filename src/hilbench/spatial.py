@@ -8,7 +8,6 @@ arc-length deviation from a scheduled position).
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -88,10 +87,6 @@ class ReferencePath:
         self._segs = [(x0, y0, dx, dy, ln, ln * ln, s0) for (x0, y0), (dx, dy), ln, s0
                       in zip(seg_start.tolist(), d.tolist(), lengths.tolist(), self._cum)]
 
-    @property
-    def n_segments(self) -> int:
-        return len(self._segs)
-
     def pose_at(self, s: float) -> tuple[float, float, float, float]:
         """``(x, y, tx, ty)``: position and unit tangent at arc length ``s``
         (wraps on closed paths)."""
@@ -129,22 +124,6 @@ class ReferencePath:
             d += self.total_length
         return d - half
 
-    def to_json_dict(self) -> dict:
-        return {"closed": self.closed, "vertices": [[float(x), float(y)] for x, y in self.vertices]}
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "ReferencePath":
-        return ReferencePath(obj["vertices"], closed=bool(obj["closed"]))
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True)
-
-    @staticmethod
-    def load(path) -> "ReferencePath":
-        with open(path, "r", encoding="utf-8") as fh:
-            return ReferencePath.from_json_dict(json.load(fh))
-
 
 def project(path: ReferencePath, p) -> Projection:
     """Closest point on the path to ``p``; ties resolved to the lowest segment index.
@@ -168,13 +147,6 @@ def project(path: ReferencePath, p) -> Projection:
         if d2 < best or i == 0:
             best, idx, bx, by, s = d2, i, cx, cy, s0 + t * ln
     return Projection(point=np.array([bx, by]), arclength=s, segment_index=idx)
-
-
-def cte(path: ReferencePath, p) -> float:
-    """Cross-track error: Euclidean distance from ``p`` to its path projection."""
-    p = np.asarray(p, dtype=float)
-    proj = project(path, p)
-    return math.hypot(p[0] - proj.point[0], p[1] - proj.point[1])
 
 
 def ate(path: ReferencePath, p, s_d: float) -> float:
@@ -218,14 +190,6 @@ def summarize(values) -> MetricSummary:
     rmse = float(np.sqrt(np.mean(a**2)))
     mae = float(np.mean(np.abs(a)))
     return MetricSummary(mean=mean, std=std, rmse=rmse, mae=mae, p95=nearest_rank_p95(a), n=int(a.size))
-
-
-def trajectory_stats(path: ReferencePath, traj) -> MetricSummary:
-    """Summary of per-sample cross-track errors for a trajectory."""
-    if len(traj) == 0:
-        raise ValueError("trajectory is empty")
-    values = [cte(path, (s.x, s.y)) for s in traj]
-    return summarize(values)
 
 
 def track_errors(path: ReferencePath, samples, goal_speed: float):

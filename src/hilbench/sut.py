@@ -147,28 +147,3 @@ class PurePursuitSut:
                     return True
         return False
 
-
-def ashman_d(samples) -> float:
-    """Two-cluster separation statistic for latency samples.
-
-    1-D two-means split, then D = |mu1 - mu2| / sqrt((s1^2 + s2^2) / 2).
-    A forced split of a single Gaussian lands near 2.66; use D > 4 as the
-    bimodality verdict.
-    """
-    a = np.sort(np.asarray(samples, dtype=float))
-    if a.size < 4:
-        raise ValueError("need at least 4 samples")
-    centers = np.array([a[0], a[-1]])
-    for _ in range(100):
-        split = (np.abs(a[:, None] - centers[None, :])).argmin(axis=1)
-        new = np.array([a[split == k].mean() if np.any(split == k) else centers[k] for k in (0, 1)])
-        if np.allclose(new, centers):
-            break
-        centers = new
-    lo, hi = a[split == 0], a[split == 1]
-    if lo.size < 2 or hi.size < 2:
-        return 0.0
-    s2 = (lo.var(ddof=1) + hi.var(ddof=1)) / 2.0
-    if s2 == 0.0:
-        return math.inf
-    return float(abs(lo.mean() - hi.mean()) / math.sqrt(s2))

@@ -6,7 +6,6 @@ arithmetic consequence of the configured models or computed by the
 independent oracle implemented inside the test.
 """
 
-import json
 import math
 import time
 
@@ -21,12 +20,11 @@ from hilbench.orchestrator import (
     report_to_json,
     run_stage1,
     run_stage2,
-    run_stage3,
 )
-from hilbench.plant import LN10, fit_fopdt, preset, run_step_experiment
+from hilbench.plant import fit_fopdt, preset, run_step_experiment
 from hilbench.registration import run_benchmark
-from hilbench.safety import AgentState, body_gap, ttc_body
-from hilbench.spatial import ReferencePath, cte, project
+from hilbench.safety import AgentState, contact_ttc
+from hilbench.spatial import ReferencePath, project
 from hilbench.temporal import assemble_all, check_completeness
 
 
@@ -81,26 +79,41 @@ def test_02_link_character(default_run):
 
 _ORACLE_N = 1_000_000
 _ORACLE_FRAC = np.linspace(0.0, 1.0, _ORACLE_N)
-_ORACLE_BUF = {k: np.empty(_ORACLE_N) for k in ("s", "x", "y", "dx", "dy")}
+_ORACLE_BUF = {k: np.empty(_ORACLE_N) for k in ("s", "u")}
+
+
+def _cte(path: ReferencePath, p) -> float:
+    """Cross-track error: distance from ``p`` to its path projection."""
+    proj = project(path, p)
+    return math.hypot(p[0] - proj.point[0], p[1] - proj.point[1])
 
 
 def _dense_min_distance(path: ReferencePath, p) -> float:
-    """10^6 uniformly spaced path samples (plus the exact vertices)."""
+    """10^6 uniformly spaced path samples (plus the exact vertices).
+
+    A sample at arc length ``u`` past the start ``v`` of its segment, with
+    unit direction ``t``, lies at squared distance ``u^2 + 2u(e.t) + |e|^2``
+    from ``p``, where ``e = v - p``.
+    """
     verts = path.vertices
     if path.closed:
         verts = np.vstack([verts, verts[:1]])
-    cum = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(verts, axis=0).T))])
-    b = _ORACLE_BUF
-    np.multiply(_ORACLE_FRAC, cum[-1], out=b["s"])
-    b["x"][:] = np.interp(b["s"], cum, verts[:, 0])
-    b["y"][:] = np.interp(b["s"], cum, verts[:, 1])
-    np.subtract(b["x"], p[0], out=b["dx"])
-    np.subtract(b["y"], p[1], out=b["dy"])
-    np.multiply(b["dx"], b["dx"], out=b["dx"])
-    np.multiply(b["dy"], b["dy"], out=b["dy"])
-    np.add(b["dx"], b["dy"], out=b["dx"])
-    d2_vertices = ((verts[:, 0] - p[0]) ** 2 + (verts[:, 1] - p[1]) ** 2).min()
-    return math.sqrt(min(float(b["dx"].min()), float(d2_vertices)))
+    seg = np.diff(verts, axis=0)
+    lengths = np.hypot(*seg.T)
+    cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    e = verts[:-1] - p
+    e_dot_t = (e * seg).sum(axis=1) / lengths
+    e_sq = (e * e).sum(axis=1)
+    s = np.multiply(_ORACLE_FRAC, cum[-1], out=_ORACLE_BUF["s"])
+    best = float(((verts - p) ** 2).sum(axis=1).min())
+    bounds = np.searchsorted(s, cum[1:-1])
+    for i, (lo, hi) in enumerate(zip([0, *bounds], [*bounds, _ORACLE_N])):
+        if lo == hi:
+            continue
+        u = np.subtract(s[lo:hi], cum[i], out=_ORACLE_BUF["u"][lo:hi])
+        np.multiply(u, u + 2.0 * e_dot_t[i], out=u)  # |e|^2 is added to the minimum
+        best = min(best, float(u.min()) + e_sq[i])
+    return math.sqrt(best)
 
 
 def test_03_projection_oracle():
@@ -119,7 +132,7 @@ def test_03_projection_oracle():
         except ValueError:
             path = ReferencePath(verts, closed=False)
         p = rng.uniform(-3, 9, size=2)
-        d = cte(path, p)
+        d = _cte(path, p)
         oracle = _dense_min_distance(path, p)
         assert d <= oracle + 1e-9, f"case {case}: projection worse than a dense sample"
         worst = max(worst, abs(d - oracle))
@@ -229,9 +242,20 @@ def _frames_from_events(events, ego_radius: float) -> list[list[AgentState]]:
     return frames
 
 
+def _ttc_body(ego: AgentState, other: AgentState) -> float:
+    """Seconds until two bodies touch: ``contact_ttc`` of their relative motion."""
+    return contact_ttc(other.x - ego.x, other.y - ego.y, other.vx - ego.vx, other.vy - ego.vy,
+                       ego.radius + other.radius)
+
+
+def _body_gap(a: AgentState, b: AgentState) -> float:
+    """Gap between two circular bodies, floored at 0."""
+    return max(math.hypot(b.x - a.x, b.y - a.y) - (a.radius + b.radius), 0.0)
+
+
 def test_08_stage3_safety_accounting():
     resolved = resolve_run_config(presets.load("stage3-intersection"))
-    report, runner = run_stage3(resolved)
+    report, runner = run_stage1(resolved)
     safety = report["safety"]
     duration_ok = resolved["termination"]["duration_s"] >= 90.0
 
@@ -243,8 +267,8 @@ def test_08_stage3_safety_accounting():
         ego = next(a for a in frame if a.agent_id == "ego")
         others = [a for a in frame if a.agent_id != "ego"]
         for a in others:
-            brute_min = min(brute_min, body_gap(ego, a))
-        ttc_series.append(min((ttc_body(ego, a) for a in others), default=math.inf))
+            brute_min = min(brute_min, _body_gap(ego, a))
+        ttc_series.append(min((_ttc_body(ego, a) for a in others), default=math.inf))
 
     global_mins = [(e["kind"], e["metric"]) for e in safety["events"]
                    if e["kind"] == "GlobalMin"]
@@ -282,7 +306,7 @@ def test_09_ttc_oracle():
         r1 = float(rng.uniform(0.2, 1.2))
         ego = _agent("e", 0.0, 0.0, 0.0, 0.0, 0.5)
         other = _agent("o", px, py, vx, vy, r1)
-        closed = ttc_body(ego, other)
+        closed = _ttc_body(ego, other)
         if math.isfinite(closed) and closed > horizon - 5.0:
             continue  # outside the oracle's horizon
         s = np.arange(0.0, horizon, dt)

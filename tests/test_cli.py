@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -10,6 +9,23 @@ from hilbench.cli import EXIT_ABORT, EXIT_CONFIG, EXIT_OK, main
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def assert_config_error_at(tmp_path, capsys, command, doc, path):
+    """``command`` on a 1 s config with the fields of ``doc`` exits 1 before
+    any run, naming the JSON ``path``, with no traceback."""
+    cfg = write_json(tmp_path / "cfg.json", {
+        "seed": 1, "termination": {"duration_s": 1.0}, "path": {"preset": "square-sandbox"},
+        **doc,
+    })
+    argv = [command, "--config", cfg]
+    if command == "stage1":
+        argv += ["--out", str(tmp_path / "run"), "-q"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.fixture()
@@ -130,30 +146,28 @@ class TestValidateCommand:
     ], ids=["unknown-param", "non-number-param", "unknown-name", "component-not-object"])
     @pytest.mark.parametrize("command", ["validate-config", "stage1"])
     def test_bad_sut_settings_fail_before_the_run(self, tmp_path, capsys, sut, path, command):
-        cfg = write_json(tmp_path / "cfg.json", {
-            "seed": 1, "termination": {"duration_s": 1.0}, "path": {"preset": "square-sandbox"},
-            "sut": sut,
-        })
-        argv = [command, "--config", cfg]
-        if command == "stage1":
-            argv += ["--out", str(tmp_path / "run"), "-q"]
-        assert main(argv) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {path}: ")
-        assert "Traceback" not in err
+        assert_config_error_at(tmp_path, capsys, command, {"sut": sut}, path)
+
+    @pytest.mark.parametrize("doc, path", [
+        ({"links": {"r2v": 5}}, "links.r2v"),
+        ({"links": {"v2r": [1]}}, "links.v2r"),
+        ({"plant": {"steer_map": [1, 2]}}, "plant.steer_map[0]"),
+        ({"plant": {"speed_map": [[-1, "-1"], [1, "1"]]}}, "plant.speed_map[0][1]"),
+        ({"plant": {"steer_map": [[-1, -1], [1, float("nan")]]}}, "plant.steer_map[1][1]"),
+        ({"links": {"r2v": {"adv": {"kind": "lognormal", "mu": 3.0, "sigma": 0.5,
+                                    "mean_ms": 20.0}}}}, "links.r2v.adv"),
+    ], ids=["r2v-not-object", "v2r-not-object", "map-point-not-pair", "map-point-string",
+            "map-point-nan", "lognormal-both-forms"])
+    @pytest.mark.parametrize("command", ["validate-config", "stage1"])
+    def test_bad_links_and_plant_fields_fail_before_the_run(self, tmp_path, capsys, doc, path,
+                                                            command):
+        assert_config_error_at(tmp_path, capsys, command, doc, path)
 
     @pytest.mark.parametrize("channel", ["steering", "velocity"])
     @pytest.mark.parametrize("command", ["validate-config", "stage1"])
     def test_zero_plant_gain_fails_before_the_run(self, tmp_path, capsys, channel, command):
-        cfg = write_json(tmp_path / "cfg.json", {
-            "seed": 1, "termination": {"duration_s": 1.0}, "path": {"preset": "square-sandbox"},
-            "plant": {channel: {"K": 0}},
-        })
-        argv = [command, "--config", cfg]
-        if command == "stage1":
-            argv += ["--out", str(tmp_path / "run"), "-q"]
-        assert main(argv) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(f"config error: plant.{channel}.K: ")
+        assert_config_error_at(tmp_path, capsys, command, {"plant": {channel: {"K": 0}}},
+                               f"plant.{channel}.K")
 
     def test_sut_params_are_echoed_as_given(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {

@@ -36,6 +36,13 @@ class TestDistributions:
         out = resolve_distribution({"kind": "lognormal", "mu": 3.0, "sigma": 0.5}, "d")
         assert out == {"kind": "lognormal", "mu": 3.0, "sigma": 0.5}
 
+    @pytest.mark.parametrize("extra", [{"mean_ms": 28.68}, {"std_ms": 23.22}])
+    def test_lognormal_takes_one_form_only(self, extra):
+        with pytest.raises(ConfigError) as exc:
+            resolve_distribution({"kind": "lognormal", "mu": 3.0, "sigma": 0.5, **extra},
+                                 "links.r2v.adv")
+        assert exc.value.path == "links.r2v.adv"
+
     def test_unknown_kind_named(self):
         with pytest.raises(ConfigError) as exc:
             resolve_distribution({"kind": "cauchy"}, "links.r2v.adv")
@@ -132,6 +139,24 @@ class TestPlantSection:
         with pytest.raises(ConfigError) as exc:
             resolve_run_config(minimal(plant={"steer_map": [[0, 1], [1, 0]]}))
         assert exc.value.path == "plant.steer_map"
+
+    @pytest.mark.parametrize("points, path", [
+        ([1, 2], "plant.speed_map[0]"),
+        ([[-1, -1], [1, 1, 1]], "plant.speed_map[1]"),
+        ([[-1, "-1"], [1, "1"]], "plant.speed_map[0][1]"),
+        ([[-1, -1], [math.nan, 1]], "plant.speed_map[1][0]"),
+        ([[-1, -1], [True, 1]], "plant.speed_map[1][0]"),
+    ], ids=["not-a-pair", "triple", "string", "nan", "bool"])
+    def test_command_map_points_are_number_pairs(self, points, path):
+        with pytest.raises(ConfigError) as exc:
+            resolve_run_config(minimal(plant={"speed_map": points}))
+        assert exc.value.path == path
+
+    def test_command_map_echoed_as_floats(self):
+        resolved = resolve_run_config(minimal(plant={"steer_map": [[-1, -2], [1, 2]]}))
+        assert resolved["plant"]["steer_map"] == [[-1.0, -2.0], [1.0, 2.0]]
+        assert all(isinstance(v, float) for pt in resolved["plant"]["steer_map"] for v in pt)
+        assert resolve_run_config(resolved)["plant"] == resolved["plant"]
 
 
 class TestJitteredRunDeterminism:

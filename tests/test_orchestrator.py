@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from hilbench import presets
+from hilbench import cli, presets
 from hilbench.config import ConfigError, resolve_run_config, resolve_sweep_config
 from hilbench.core import Stage
 from hilbench.orchestrator import (
@@ -16,7 +16,6 @@ from hilbench.orchestrator import (
     report_to_json,
     run_stage1,
     run_stage2,
-    run_stage3,
     sweep_point_seed,
     write_response_curve,
 )
@@ -207,9 +206,15 @@ class TestStage2:
 
 
 class TestStage3:
-    def test_requires_scenario(self):
-        with pytest.raises(ConfigError):
-            run_stage3(small_cfg())
+    def test_requires_scenario(self, tmp_path, capsys):
+        # The ``stage3`` command checks for the scenario before it runs.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 7, "termination": {"duration_s": 1.0},
+                                   "path": {"preset": "square-sandbox"}}))
+        out = tmp_path / "s3"
+        assert cli.main(["stage3", "--config", str(cfg), "--out", str(out), "-q"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: scenario: ")
+        assert not out.exists()
 
     def test_empty_npc_list_rejected(self):
         with pytest.raises(ConfigError):
@@ -226,14 +231,14 @@ class TestStage3:
         doc = presets.load("stage3-intersection")
         doc["termination"] = {"duration_s": 0.5}  # ends before the zone
         doc["scenario"]["trigger_zone"] = [3.9, 3.9, 4.1, 4.1]  # unreachable
-        report, _ = run_stage3(resolve_run_config(doc))
+        report, _ = run_stage1(resolve_run_config(doc))
         assert report["safety"]["triggered"] is False
         assert report["safety"]["d_min_m"] is None  # +inf serialized as null
 
     def test_trigger_activates_npcs(self):
         doc = presets.load("stage3-intersection")
         doc["termination"] = {"duration_s": 8.0}
-        report, _ = run_stage3(resolve_run_config(doc))
+        report, _ = run_stage1(resolve_run_config(doc))
         assert report["safety"]["triggered"] is True
         assert report["safety"]["n_frames"] == 400
 

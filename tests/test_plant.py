@@ -23,7 +23,7 @@ class TestCommandMap:
         assert m(0.5) == (0.5, False)
 
     def test_uncalibrated_longitudinal_scale(self):
-        m = CommandMap.scale(2.11)
+        m = CommandMap([(-10.0, -21.1), (10.0, 21.1)])
         setpoint, clamped = m(1.0)
         assert setpoint == pytest.approx(2.11)
         assert not clamped
@@ -102,11 +102,19 @@ class TestFopdtChannel:
             assert dues == sorted(dues)
 
 
+def step(plant, speed_cmd, steer_cmd, dt_s):
+    """Apply one command now and integrate ``dt_s`` on, as the runner drives the plant."""
+    t_ns = plant.state().pose.t_ns
+    plant.apply_command(t_ns, speed_cmd, steer_cmd)
+    plant.advance_to(t_ns + s_to_ns(dt_s))
+    return plant.state()
+
+
 class TestPlantMotion:
     def test_zero_command_from_rest_keeps_pose(self):
         cfg = preset("calibrated")
         plant = Plant(cfg, 1.0, 2.0, 0.5)
-        st = plant.step(0.0, 0.0, cfg.control_period_s)
+        st = step(plant, 0.0, 0.0, cfg.control_period_s)
         assert (st.pose.x, st.pose.y, st.pose.heading) == (1.0, 2.0, 0.5)
 
     def test_velocity_step_reaches_gain_times_setpoint(self):
@@ -115,7 +123,7 @@ class TestPlantMotion:
         t_end = cfg.velocity.L + 10 * cfg.velocity.tau_p
         steps = int(t_end / cfg.control_period_s) + 1
         for _ in range(steps):
-            plant.step(1.0, 0.0, cfg.control_period_s)
+            step(plant, 1.0, 0.0, cfg.control_period_s)
         assert plant.v_actual == pytest.approx(2.11, abs=1e-4)
 
     def test_steering_response_crosses_90pct_at_t90(self):
@@ -125,7 +133,7 @@ class TestPlantMotion:
         t90 = cfg.steering.L + cfg.steering.tau_p * LN10
         t, crossed = 0.0, None
         while t < 2.0:
-            plant.step(0.0, target, cfg.control_period_s)
+            step(plant, 0.0, target, cfg.control_period_s)
             t += cfg.control_period_s
             if crossed is None and plant.steer_actual >= 0.9 * target:
                 crossed = t
@@ -135,7 +143,7 @@ class TestPlantMotion:
         cfg = preset("calibrated")
         plant = Plant(cfg, 0.0, 0.0, 0.0)
         for _ in range(500):
-            plant.step(0.5, 0.0, cfg.control_period_s)
+            step(plant, 0.5, 0.0, cfg.control_period_s)
         st = plant.state()
         assert st.pose.y == pytest.approx(0.0, abs=1e-12)
         assert 0.0 < st.pose.x < 0.5 * 500 * cfg.control_period_s  # lag means less than ideal
@@ -149,10 +157,12 @@ class TestPlantMotion:
     def test_dt_bounds_enforced(self):
         cfg = preset("calibrated")
         plant = Plant(cfg, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            plant.step(0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            plant.step(0.0, 0.0, cfg.control_period_s * 2)
+        step(plant, 0.0, 0.0, cfg.control_period_s)
+        # The plant never integrates backwards, and takes finite commands only.
+        with pytest.raises(ValueError, match="backwards"):
+            plant.advance_to(s_to_ns(cfg.control_period_s) - 1)
+        with pytest.raises(ValueError, match="finite"):
+            plant.apply_command(0, math.nan, 0.0)
 
 
 class TestStepExperiment:
@@ -189,9 +199,12 @@ class TestStepExperiment:
         log = run_step_experiment(cfg, "velocity", 1.0, 3.0, 0.01, seed=3)
         f = tmp_path / "log.csv"
         log.save_csv(f)
-        back = StepLog.load_csv(f, "velocity")
-        assert np.array_equal(back.response, log.response)
-        assert np.array_equal(back.t_s, log.t_s)
+        header, *rows = f.read_text().splitlines()
+        assert header == "t_s,command,response"
+        back = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert np.array_equal(back[:, 0], log.t_s)
+        assert np.array_equal(back[:, 1], log.command)
+        assert np.array_equal(back[:, 2], log.response)
 
 
 class TestFitFopdt:

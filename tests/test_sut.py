@@ -14,7 +14,6 @@ from hilbench.sut import (
     PurePursuitParams,
     PurePursuitSut,
     SutError,
-    ashman_d,
 )
 
 STRAIGHT = ReferencePath([(0, 0), (20, 0)])
@@ -122,6 +121,24 @@ class TestPurePursuit:
         far = sut.step(obs(0, 0.2, 0.0, 0.0, route=corner, goal=1.0))
         near = sut.step(obs(int(2e7), 1.8, 0.0, 0.0, route=corner, goal=1.0))
         assert near.speed_setpoint < far.speed_setpoint
+
+
+def ashman_d(samples) -> float:
+    """Ashman's D of a 1-D two-means split: |mu1 - mu2| / sqrt((s1^2 + s2^2) / 2).
+
+    A forced split of a single Gaussian lands near 2.66; D > 4 is the
+    bimodality verdict.
+    """
+    a = np.sort(np.asarray(samples, dtype=float))
+    centers = np.array([a[0], a[-1]])
+    for _ in range(100):
+        split = np.abs(a[:, None] - centers[None, :]).argmin(axis=1)
+        new = np.array([a[split == k].mean() for k in (0, 1)])
+        if np.allclose(new, centers):
+            break
+        centers = new
+    lo, hi = a[split == 0], a[split == 1]
+    return float(abs(lo.mean() - hi.mean()) / math.sqrt((lo.var(ddof=1) + hi.var(ddof=1)) / 2.0))
 
 
 class TestLatencyModels:
