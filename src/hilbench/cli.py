@@ -10,7 +10,6 @@ preset (``stage1-default``, ``stage2-cliff-sweep``, ``stage3-intersection``).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -28,15 +27,7 @@ EXIT_ABORT = 2
 
 
 def _load_config_arg(arg: str) -> dict:
-    if arg in presets.PRESET_NAMES:
-        return presets.load(arg)
-    path = Path(arg)
-    if not path.exists():
-        raise cfg_mod.ConfigError("", f"config file not found: {arg}")
-    try:
-        return cfg_mod.load_json(path)
-    except json.JSONDecodeError as exc:
-        raise cfg_mod.ConfigError("", f"invalid JSON: {exc}") from exc
+    return presets.load(arg) if arg in presets.PRESET_NAMES else cfg_mod.load_json(arg)
 
 
 def _out_dir(args) -> Path:
@@ -90,7 +81,7 @@ def _cmd_run(args) -> int:
     doc = _apply_seed_override(_load_config_arg(args.config), args.seed)
     if args.script:
         doc = dict(doc)
-        doc["scenario"] = cfg_mod.load_json(args.script)
+        doc["scenario"] = cfg_mod.load_json(args.script, "scenario")
     resolved = cfg_mod.resolve_run_config(doc)
     if args.command == "stage3" and resolved["scenario"] is None:
         raise cfg_mod.ConfigError("scenario", "stage 3 requires a scenario (config or --script)")

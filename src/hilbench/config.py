@@ -4,6 +4,12 @@ Configs are single JSON documents.  ``resolve_run_config`` validates a raw
 document, fills every default, and returns the fully explicit dict that gets
 echoed into the audit-log header (reports must be recomputable from the log
 alone, so the header carries the complete resolved configuration).
+
+Each section is declared once as a field table, ``{key: (check, default)}``;
+one walker, ``_fields``, checks the declared fields in order and rejects any
+other key at its JSON path.  ``check(value, path)`` returns the resolved
+value.  A default is a raw value for the same check, ``_REQUIRED``, or
+``_OMIT`` (left out of the echo).
 """
 
 from __future__ import annotations
@@ -11,15 +17,18 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import fields
 
 from . import plant as plant_mod
-from .links import PerturbationConfig, R2VConfig, StageLatencyModel, V2RConfig
+from .links import (PerturbationConfig, R2VConfig, StageLatencyModel, V2RConfig,
+                    default_r2v_config, default_v2r_config)
 from .plant import CommandMap, DeadTimeJitter, FOPDTParams, PlantConfig
 from .spatial import PathError, ReferencePath
 from .sut import PurePursuitParams
 
 SCHEMA_VERSION = 1
+
+_REQUIRED = object()
+_OMIT = object()
 
 
 class ConfigError(ValueError):
@@ -28,34 +37,57 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         self.message = message
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
 
 
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
-    return obj[key]
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def _as_number(value, path: str, lo=None, hi=None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, "must be a number")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ConfigError(path, "must be finite")
-    if lo is not None and v < lo:
-        raise ConfigError(path, f"must be >= {lo}")
-    if hi is not None and v > hi:
-        raise ConfigError(path, f"must be <= {hi}")
-    return v
+def _fields(obj, path: str, table: dict) -> dict:
+    """Check the object ``obj`` against ``table``; return its resolved form."""
+    if not isinstance(obj, dict):
+        raise ConfigError(path, "must be an object")
+    out = {}
+    for key, (check, default) in table.items():
+        if key in obj:
+            out[key] = check(obj[key], _at(path, key))
+        elif default is _REQUIRED:
+            raise ConfigError(_at(path, key), "missing required field")
+        elif default is not _OMIT:
+            out[key] = check(default, _at(path, key))
+    for key in obj:
+        if key not in table:
+            raise ConfigError(_at(path, key), "unexpected field")
+    return out
 
 
-def _as_int(value, path: str, lo=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, "must be an integer")
-    if lo is not None and value < lo:
-        raise ConfigError(path, f"must be >= {lo}")
-    return value
+# ---------------------------------------------------------------------------
+# Field checks: each takes ``(value, path)`` and returns the resolved value.
+
+def _section(table: dict):
+    return lambda value, path: _fields(value, path, table)
+
+
+def _num(lo=None, hi=None, positive=False, integer=False):
+    """A finite number within the bounds, resolved to a float (or an int)."""
+    def check(value, path):
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            raise ConfigError(path, "must be an integer" if integer else "must be a number")
+        try:
+            v = value if integer else float(value)
+        except OverflowError:  # an int beyond the float range
+            v = math.inf
+        if not integer and not math.isfinite(v):
+            raise ConfigError(path, "must be finite")
+        if lo is not None and v < lo:
+            raise ConfigError(path, f"must be >= {lo}")
+        if hi is not None and v > hi:
+            raise ConfigError(path, f"must be <= {hi}")
+        if positive and v <= 0.0:
+            raise ConfigError(path, "must be positive")
+        return v
+    return check
 
 
 def _as_bool(value, path: str) -> bool:
@@ -70,8 +102,60 @@ def _as_str(value, path: str) -> str:
     return value
 
 
+def _one_of(*names):
+    def check(value, path):
+        if value not in names:
+            raise ConfigError(path, "must be " + " or ".join(map(repr, names)))
+        return value
+    return check
+
+
+def _list(item, n: int, message: str, exact=False):
+    """A list of at least (``exact``: exactly) ``n`` items, each checked by ``item``."""
+    def check(value, path):
+        if not isinstance(value, list) or len(value) < n or (exact and len(value) != n):
+            raise ConfigError(path, message)
+        return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return check
+
+
+def _vector(n: int, shape: str):
+    return _list(_num(), n, f"must be {shape}", exact=True)
+
+
+def _or_null(check):
+    return lambda value, path: None if value is None else check(value, path)
+
+
+def _schema_version(value, path: str) -> int:
+    if value != SCHEMA_VERSION:
+        raise ConfigError(path, f"unsupported version {value}")
+    return SCHEMA_VERSION
+
+
 # ---------------------------------------------------------------------------
 # Latency distributions
+
+_COMPONENT = {
+    "mean_ms": (_num(lo=0.0), _REQUIRED),
+    "std_ms": (_num(lo=0.0), _REQUIRED),
+    "weight": (_num(lo=0.0, hi=1.0), _REQUIRED),
+}
+_DISTRIBUTIONS = {
+    "constant": {"ms": (_num(lo=0.0), _REQUIRED)},
+    "gaussian_truncated": {
+        "mean_ms": (_num(lo=0.0), _REQUIRED),
+        "std_ms": (_num(lo=0.0), _REQUIRED),
+        "min_ms": (_num(lo=0.0), 0.0),
+        "max_ms": (_num(lo=0.0), _OMIT),
+    },
+    "lognormal": {"mu": (_num(), _REQUIRED), "sigma": (_num(lo=0.0), _REQUIRED)},
+    "bimodal": {"components": (_list(_section(_COMPONENT), 2, "must list exactly 2 components",
+                                     exact=True), _REQUIRED)},
+}
+#: The other lognormal form, resolved to ``mu``/``sigma`` for the echo.
+_LOGNORMAL_MOMENTS = {"mean_ms": (_num(lo=1e-12), _REQUIRED), "std_ms": (_num(lo=0.0), _REQUIRED)}
+
 
 def resolve_distribution(obj, path: str, kind_key: str = "kind") -> dict:
     """Validate one latency distribution and return its explicit form.
@@ -81,50 +165,20 @@ def resolve_distribution(obj, path: str, kind_key: str = "kind") -> dict:
     """
     if not isinstance(obj, dict):
         raise ConfigError(path, "must be an object")
-    kind = _as_str(_require(obj, kind_key, path), f"{path}.{kind_key}")
-    if kind == "constant":
-        return {kind_key: "constant", "ms": _as_number(_require(obj, "ms", path), f"{path}.ms", lo=0.0)}
-    if kind == "gaussian_truncated":
-        out = {
-            kind_key: kind,
-            "mean_ms": _as_number(_require(obj, "mean_ms", path), f"{path}.mean_ms", lo=0.0),
-            "std_ms": _as_number(_require(obj, "std_ms", path), f"{path}.std_ms", lo=0.0),
-            "min_ms": _as_number(obj.get("min_ms", 0.0), f"{path}.min_ms", lo=0.0),
-        }
-        if "max_ms" in obj:
-            out["max_ms"] = _as_number(obj["max_ms"], f"{path}.max_ms", lo=out["min_ms"])
-        return out
-    if kind == "lognormal":
-        if ("mu" in obj or "sigma" in obj) and ("mean_ms" in obj or "std_ms" in obj):
-            raise ConfigError(path, "give either mu/sigma or mean_ms/std_ms, not both")
-        if "mu" in obj or "sigma" in obj:
-            return {
-                kind_key: kind,
-                "mu": _as_number(_require(obj, "mu", path), f"{path}.mu"),
-                "sigma": _as_number(_require(obj, "sigma", path), f"{path}.sigma", lo=0.0),
-            }
-        mean = _as_number(_require(obj, "mean_ms", path), f"{path}.mean_ms", lo=1e-12)
-        std = _as_number(_require(obj, "std_ms", path), f"{path}.std_ms", lo=0.0)
-        model = StageLatencyModel.lognormal_from_mean_std(mean, std)
-        return {kind_key: kind, "mu": model.params["mu"], "sigma": model.params["sigma"]}
-    if kind == "bimodal":
-        comps = obj.get("components")
-        if not (isinstance(comps, list) and len(comps) == 2):
-            raise ConfigError(f"{path}.components", "must list exactly 2 components")
-        out_comps = []
-        for i, c in enumerate(comps):
-            cpath = f"{path}.components[{i}]"
-            if not isinstance(c, dict):
-                raise ConfigError(cpath, "must be an object")
-            out_comps.append({
-                "mean_ms": _as_number(_require(c, "mean_ms", cpath), f"{cpath}.mean_ms", lo=0.0),
-                "std_ms": _as_number(_require(c, "std_ms", cpath), f"{cpath}.std_ms", lo=0.0),
-                "weight": _as_number(_require(c, "weight", cpath), f"{cpath}.weight", lo=0.0, hi=1.0),
-            })
-        if abs(out_comps[0]["weight"] + out_comps[1]["weight"] - 1.0) > 1e-9:
-            raise ConfigError(f"{path}.components", "weights must sum to 1")
-        return {kind_key: kind, "components": out_comps}
-    raise ConfigError(f"{path}.{kind_key}", f"unknown distribution kind {kind!r}")
+    kind = _one_of(*_DISTRIBUTIONS)(obj.get(kind_key), f"{path}.{kind_key}")
+    moments = kind == "lognormal" and "mu" not in obj and "sigma" not in obj
+    if kind == "lognormal" and not moments and ("mean_ms" in obj or "std_ms" in obj):
+        raise ConfigError(path, "give either mu/sigma or mean_ms/std_ms, not both")
+    table = _LOGNORMAL_MOMENTS if moments else _DISTRIBUTIONS[kind]
+    out = _fields(obj, path, {kind_key: (_as_str, _REQUIRED), **table})
+    if moments:
+        model = StageLatencyModel.lognormal_from_mean_std(out.pop("mean_ms"), out.pop("std_ms"))
+        out.update(mu=model.params["mu"], sigma=model.params["sigma"])
+    if "max_ms" in out and out["max_ms"] < out["min_ms"]:
+        raise ConfigError(f"{path}.max_ms", f"must be >= {out['min_ms']}")
+    if kind == "bimodal" and abs(sum(c["weight"] for c in out["components"]) - 1.0) > 1e-9:
+        raise ConfigError(f"{path}.components", "weights must sum to 1")
+    return out
 
 
 def build_distribution(resolved: dict, kind_key: str = "kind") -> StageLatencyModel:
@@ -143,104 +197,79 @@ _PATH_PRESETS = {
         "vertices": [[0.7, 0.7], [3.5, 0.7], [3.5, 3.5], [0.7, 3.5]],
     },
 }
+_PRESET_PATH = {"preset": (_one_of(*_PATH_PRESETS), _REQUIRED)}
+_PATH = {
+    "closed": (_as_bool, _REQUIRED),
+    "vertices": (_list(_vector(2, "[x, y]"), 2, "must be a list of at least 2 [x, y] points"),
+                 _REQUIRED),
+}
 
 
-def resolve_path(obj, path: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "must be an object")
-    if "preset" in obj:
-        name = _as_str(obj["preset"], f"{path}.preset")
-        if name not in _PATH_PRESETS:
-            raise ConfigError(f"{path}.preset", f"unknown path preset {name!r}")
-        return copy.deepcopy(_PATH_PRESETS[name])
-    closed = _as_bool(_require(obj, "closed", path), f"{path}.closed")
-    vertices = _require(obj, "vertices", path)
-    if not isinstance(vertices, list) or len(vertices) < 2:
-        raise ConfigError(f"{path}.vertices", "must be a list of at least 2 [x, y] points")
-    out = []
-    for i, v in enumerate(vertices):
-        if not (isinstance(v, list) and len(v) == 2):
-            raise ConfigError(f"{path}.vertices[{i}]", "must be [x, y]")
-        out.append([_as_number(v[0], f"{path}.vertices[{i}][0]"),
-                    _as_number(v[1], f"{path}.vertices[{i}][1]")])
+def _path(obj, path: str) -> dict:
+    """A polyline, or a named preset (which excludes ``closed``/``vertices``)."""
+    if isinstance(obj, dict) and "preset" in obj:
+        return copy.deepcopy(_PATH_PRESETS[_fields(obj, path, _PRESET_PATH)["preset"]])
+    out = _fields(obj, path, _PATH)
     try:
-        ReferencePath(out, closed=closed)
+        ReferencePath(out["vertices"], closed=out["closed"])
     except PathError as exc:
         raise ConfigError(f"{path}.vertices", str(exc)) from exc
-    return {"closed": closed, "vertices": out}
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Plant
 
-def resolve_plant(obj, path: str) -> dict:
-    if obj is None:
-        obj = {}
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "must be an object")
-    preset_name = obj.get("preset", "calibrated")
+_MAP_POINTS = _list(_vector(2, "[command, setpoint]"), 2,
+                    "must be a list of at least 2 [command, setpoint] points")
+_JITTER = {
+    "enabled": (_as_bool, False),
+    "steering_sigma": (_num(lo=0.0), plant_mod.STEERING_JITTER.sigma),
+    "velocity_sigma": (_num(lo=0.0), plant_mod.VELOCITY_JITTER.sigma),
+}
+
+
+def _command_map(value, path: str) -> list:
+    points = _MAP_POINTS(value, path)
     try:
-        base = plant_mod.preset(preset_name)
+        CommandMap(points)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+    return points
+
+
+def _channel(params: FOPDTParams) -> tuple:
+    return _section({
+        "K": (_num(), params.K),
+        "tau_p_s": (_num(lo=1e-9), params.tau_p),
+        "L_s": (_num(lo=0.0), params.L),
+    }), {}
+
+
+def _plant(obj, path: str) -> dict:
+    """The plant section; its ``preset`` supplies every other default."""
+    name = obj.get("preset", "calibrated") if isinstance(obj, dict) else "calibrated"
+    try:
+        base = plant_mod.preset(name)
     except ValueError as exc:
         raise ConfigError(f"{path}.preset", str(exc)) from exc
-
-    def chan(name: str, params: FOPDTParams) -> dict:
-        sub = obj.get(name, {})
-        if not isinstance(sub, dict):
-            raise ConfigError(f"{path}.{name}", "must be an object")
-        gain = _as_number(sub.get("K", params.K), f"{path}.{name}.K")
-        if gain == 0.0:
-            raise ConfigError(f"{path}.{name}.K", "must be nonzero")
-        return {
-            "K": gain,
-            "tau_p_s": _as_number(sub.get("tau_p_s", params.tau_p), f"{path}.{name}.tau_p_s", lo=1e-9),
-            "L_s": _as_number(sub.get("L_s", params.L), f"{path}.{name}.L_s", lo=0.0),
-        }
-
-    jitter = obj.get("dead_time_jitter", {})
-    if not isinstance(jitter, dict):
-        raise ConfigError(f"{path}.dead_time_jitter", "must be an object")
-    resolved = {
-        "preset": preset_name,
-        "wheelbase_m": _as_number(obj.get("wheelbase_m", base.wheelbase), f"{path}.wheelbase_m", lo=1e-6),
-        "control_period_ms": _as_number(obj.get("control_period_ms", base.control_period_s * 1e3),
-                                        f"{path}.control_period_ms", lo=1e-3),
-        "max_steer_rad": _as_number(obj.get("max_steer_rad", base.max_steer), f"{path}.max_steer_rad", lo=1e-6),
-        "max_speed_mps": _as_number(obj.get("max_speed_mps", base.max_speed), f"{path}.max_speed_mps", lo=1e-6),
-        "steering": chan("steering", base.steering),
-        "velocity": chan("velocity", base.velocity),
-        "steer_map": obj.get("steer_map", base.steer_map.to_points()),
-        "speed_map": obj.get("speed_map", base.speed_map.to_points()),
-        "dead_time_jitter": {
-            "enabled": _as_bool(jitter.get("enabled", False), f"{path}.dead_time_jitter.enabled"),
-            "steering_sigma": _as_number(jitter.get("steering_sigma", plant_mod.STEERING_JITTER.sigma),
-                                         f"{path}.dead_time_jitter.steering_sigma", lo=0.0),
-            "velocity_sigma": _as_number(jitter.get("velocity_sigma", plant_mod.VELOCITY_JITTER.sigma),
-                                         f"{path}.dead_time_jitter.velocity_sigma", lo=0.0),
-        },
-        "initial_pose": obj.get("initial_pose"),
-    }
-    for map_key in ("steer_map", "speed_map"):
-        pts = resolved[map_key]
-        if not isinstance(pts, list) or len(pts) < 2:
-            raise ConfigError(f"{path}.{map_key}", "must be a list of at least 2 [command, setpoint] points")
-        checked = []
-        for i, pt in enumerate(pts):
-            ppath = f"{path}.{map_key}[{i}]"
-            if not (isinstance(pt, list) and len(pt) == 2):
-                raise ConfigError(ppath, "must be [command, setpoint]")
-            checked.append([_as_number(v, f"{ppath}[{j}]") for j, v in enumerate(pt)])
-        resolved[map_key] = checked
-        try:
-            CommandMap(checked)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.{map_key}", str(exc)) from exc
-    ip = resolved["initial_pose"]
-    if ip is not None:
-        if not (isinstance(ip, list) and len(ip) == 3):
-            raise ConfigError(f"{path}.initial_pose", "must be [x, y, heading] or null")
-        resolved["initial_pose"] = [_as_number(v, f"{path}.initial_pose[{i}]") for i, v in enumerate(ip)]
-    return resolved
+    out = _fields(obj, path, {
+        "preset": (_as_str, name),
+        "wheelbase_m": (_num(lo=1e-6), base.wheelbase),
+        "control_period_ms": (_num(lo=1e-3), base.control_period_s * 1e3),
+        "max_steer_rad": (_num(lo=1e-6), base.max_steer),
+        "max_speed_mps": (_num(lo=1e-6), base.max_speed),
+        "steering": _channel(base.steering),
+        "velocity": _channel(base.velocity),
+        "steer_map": (_command_map, base.steer_map.to_points()),
+        "speed_map": (_command_map, base.speed_map.to_points()),
+        "dead_time_jitter": (_section(_JITTER), {}),
+        "initial_pose": (_or_null(_vector(3, "[x, y, heading] or null")), None),
+    })
+    for channel in ("steering", "velocity"):
+        if out[channel]["K"] == 0.0:
+            raise ConfigError(f"{path}.{channel}.K", "must be nonzero")
+    return out
 
 
 def build_plant_config(resolved: dict) -> PlantConfig:
@@ -265,208 +294,166 @@ def build_plant_config(resolved: dict) -> PlantConfig:
 # ---------------------------------------------------------------------------
 # Scenario scripts
 
-def resolve_scenario(obj, path: str) -> dict | None:
+_SPEED = {
+    "accel_mps2": (_num(lo=1e-6), _REQUIRED),
+    "cruise_mps": (_num(lo=1e-6), _REQUIRED),
+    "decel_mps2": (_num(lo=1e-6), _OMIT),
+}
+
+
+def _speed(obj, path: str) -> dict:
+    out = _fields(obj, path, _SPEED)
+    out.setdefault("decel_mps2", out["accel_mps2"])
+    return out
+
+
+_NPC = {
+    "id": (_as_str, _REQUIRED),
+    "spawn": (_vector(3, "[x, y, heading]"), _OMIT),
+    "route": (_path, _REQUIRED),
+    "speed": (_speed, _REQUIRED),
+    "radius_m": (_num(lo=1e-6), _REQUIRED),
+}
+_SCENARIO = {
+    "trigger_zone": (_vector(4, "[x0, y0, x1, y1]"), _REQUIRED),
+    "npcs": (_list(_section(_NPC), 1, "must list at least one agent"), _REQUIRED),
+}
+
+
+def _scenario(obj, path: str) -> dict | None:
     if obj is None:
         return None
-    if not isinstance(obj, dict):
-        raise ConfigError(path, "must be an object or null")
-    zone = _require(obj, "trigger_zone", path)
-    if not (isinstance(zone, list) and len(zone) == 4):
-        raise ConfigError(f"{path}.trigger_zone", "must be [x0, y0, x1, y1]")
-    zone = [_as_number(v, f"{path}.trigger_zone[{i}]") for i, v in enumerate(zone)]
-    if zone[0] >= zone[2] or zone[1] >= zone[3]:
+    out = _fields(obj, path, _SCENARIO)
+    x0, y0, x1, y1 = out["trigger_zone"]
+    if x0 >= x1 or y0 >= y1:
         raise ConfigError(f"{path}.trigger_zone", "must satisfy x0 < x1 and y0 < y1")
-    npcs = _require(obj, "npcs", path)
-    if not isinstance(npcs, list) or len(npcs) < 1:
-        raise ConfigError(f"{path}.npcs", "must list at least one agent")
-    out_npcs = []
     seen_ids = set()
-    for i, npc in enumerate(npcs):
+    for i, npc in enumerate(out["npcs"]):
         npath = f"{path}.npcs[{i}]"
-        if not isinstance(npc, dict):
-            raise ConfigError(npath, "must be an object")
-        nid = _as_str(_require(npc, "id", npath), f"{npath}.id")
-        if nid in seen_ids or nid == "ego":
-            raise ConfigError(f"{npath}.id", f"duplicate or reserved agent id {nid!r}")
-        seen_ids.add(nid)
-        spawn = _require(npc, "spawn", npath)
-        if not (isinstance(spawn, list) and len(spawn) == 3):
-            raise ConfigError(f"{npath}.spawn", "must be [x, y, heading]")
-        spawn = [_as_number(v, f"{npath}.spawn[{j}]") for j, v in enumerate(spawn)]
-        route = resolve_path(_require(npc, "route", npath), f"{npath}.route")
-        start = route["vertices"][0]
-        if math.hypot(spawn[0] - start[0], spawn[1] - start[1]) > 1e-3:
+        if npc["id"] in seen_ids or npc["id"] == "ego":
+            raise ConfigError(f"{npath}.id", f"duplicate or reserved agent id {npc['id']!r}")
+        seen_ids.add(npc["id"])
+        route = npc["route"]
+        if "spawn" not in npc:
+            npc["spawn"] = ReferencePath(route["vertices"], closed=route["closed"]).start_pose()
+        elif math.hypot(npc["spawn"][0] - route["vertices"][0][0],
+                        npc["spawn"][1] - route["vertices"][0][1]) > 1e-3:
             raise ConfigError(f"{npath}.spawn", "must coincide with the route start")
-        speed = _require(npc, "speed", npath)
-        if not isinstance(speed, dict):
-            raise ConfigError(f"{npath}.speed", "must be an object")
-        out_npcs.append({
-            "id": nid,
-            "spawn": spawn,
-            "route": route,
-            "speed": {
-                "accel_mps2": _as_number(_require(speed, "accel_mps2", f"{npath}.speed"),
-                                         f"{npath}.speed.accel_mps2", lo=1e-6),
-                "cruise_mps": _as_number(_require(speed, "cruise_mps", f"{npath}.speed"),
-                                         f"{npath}.speed.cruise_mps", lo=1e-6),
-                "decel_mps2": _as_number(speed.get("decel_mps2", speed["accel_mps2"]),
-                                         f"{npath}.speed.decel_mps2", lo=1e-6),
-            },
-            "radius_m": _as_number(_require(npc, "radius_m", npath), f"{npath}.radius_m", lo=1e-6),
-        })
-    return {"trigger_zone": zone, "npcs": out_npcs}
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Whole run documents
 
-_REPORT_DEFAULTS = {
-    "completion_corridor_m": 0.5,
-    "ttc_threshold_s": 1.5,
-    "ttc_prominence_s": 0.3,
-    "dmin_prominence_m": 1.0,
-    "min_separation_s": 5.0,
-    "ego_radius_m": 0.08,
+_TERMINATION = {
+    "duration": {"mode": (_as_str, _REQUIRED), "duration_s": (_num(positive=True), _REQUIRED)},
+    "laps": {"mode": (_as_str, _REQUIRED), "laps": (_num(lo=1, integer=True), _REQUIRED),
+             "max_duration_s": (_num(lo=1e-9), _REQUIRED)},
+}
+
+
+def _termination(obj, path: str) -> dict:
+    """By duration or by laps; a given ``mode`` must match the fields present."""
+    if not isinstance(obj, dict):
+        raise ConfigError(path, "must be an object")
+    mode = _one_of(*_TERMINATION)(obj.get("mode", "laps" if "laps" in obj else "duration"),
+                                  f"{path}.mode")
+    return _fields({"mode": mode, **obj}, path, _TERMINATION[mode])
+
+
+_R2V_DEFAULTS = default_r2v_config()
+_V2R_DEFAULTS = default_v2r_config()
+_PERTURBATION = {
+    "fixed_delay_ms": (_num(lo=0.0), 0.0),
+    "jitter": (_or_null(resolve_distribution), None),
+    "loss_probability": (_num(lo=0.0, hi=1.0), 0.0),
+    "reorder_allowed": (_as_bool, False),
+}
+_LINKS = {
+    "r2v": (_section({stage: (resolve_distribution, getattr(_R2V_DEFAULTS, stage).to_dict())
+                      for stage in ("ingest", "adv", "sense")}), {}),
+    "v2r": (_section({
+        "base": (resolve_distribution, _V2R_DEFAULTS.base.to_dict()),
+        "perturbation": (_section(_PERTURBATION), {}),
+    }), {}),
+}
+
+#: ``PurePursuitParams`` fields a config may set.  The wheelbase and the ego
+#: radius come from ``plant`` and ``report``.
+_SUT_PARAMS = {
+    "k_v": (_num(lo=0.0), _OMIT),
+    "l_min": (_num(positive=True), _OMIT),
+    "l_max": (_num(), _OMIT),
+    "a_lat_max": (_num(positive=True), _OMIT),
+    "t_h": (_num(lo=0.0), _OMIT),
+    "d_stop": (_num(lo=0.0), _OMIT),
+}
+
+
+def _sut_params(obj, path: str) -> dict:
+    """The given controller parameters, echoed as given (an int stays an int)."""
+    out = _fields(obj, path, _SUT_PARAMS)
+    l_min = out.get("l_min", PurePursuitParams.l_min)
+    if out.get("l_max", PurePursuitParams.l_max) < l_min:
+        raise ConfigError(f"{path}.l_max", f"must be >= l_min ({l_min})")
+    return {key: obj[key] for key in out}
+
+
+_SUT = {
+    "name": (_one_of("pure-pursuit"), "pure-pursuit"),
+    "goal_speed_mps": (_num(lo=0.0), 0.3),
+    "latency": (lambda value, path: resolve_distribution(value, path, kind_key="mode"),
+                {"mode": "constant", "ms": 15.48}),
+    "params": (_sut_params, {}),
+}
+_REPORT = {key: (_num(lo=0.0), default) for key, default in {
+    "completion_corridor_m": 0.5, "ttc_threshold_s": 1.5, "ttc_prominence_s": 0.3,
+    "dmin_prominence_m": 1.0, "min_separation_s": 5.0, "ego_radius_m": 0.08,
     "sensing_range_m": 2.5,
+}.items()}
+_RUN = {
+    "schema_version": (_schema_version, SCHEMA_VERSION),
+    "run_id": (_as_str, "run"),
+    "seed": (_num(lo=0, integer=True), _REQUIRED),
+    "termination": (_termination, _REQUIRED),
+    "path": (_path, _REQUIRED),
+    "gts": (_section({"sample_period_ms": (_num(lo=1e-3), 20.0)}), {}),
+    "plant": (_plant, {}),
+    "links": (_section(_LINKS), {}),
+    "sut": (_section(_SUT), {}),
+    "report": (_section(_REPORT), {}),
+    "scenario": (_scenario, None),
 }
 
 
 def resolve_run_config(obj: dict) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError("", "config must be a JSON object")
-    version = obj.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError("schema_version", f"unsupported version {version}")
+    return _fields(obj, "", _RUN)
 
-    term_in = _require(obj, "termination", "")
-    if not isinstance(term_in, dict):
-        raise ConfigError("termination", "must be an object")
-    if "laps" in term_in:
-        termination = {
-            "mode": "laps",
-            "laps": _as_int(term_in["laps"], "termination.laps", lo=1),
-            "max_duration_s": _as_number(_require(term_in, "max_duration_s", "termination"),
-                                         "termination.max_duration_s", lo=1e-9),
-        }
-    else:
-        duration = _as_number(_require(term_in, "duration_s", "termination"),
-                              "termination.duration_s")
-        if duration <= 0.0:
-            raise ConfigError("termination.duration_s", "must be positive")
-        termination = {"mode": "duration", "duration_s": duration}
 
-    links_in = obj.get("links", {})
-    if not isinstance(links_in, dict):
-        raise ConfigError("links", "must be an object")
-    r2v_in = links_in.get("r2v", {})
-    v2r_in = links_in.get("v2r", {})
-    for name, sub in (("r2v", r2v_in), ("v2r", v2r_in)):
-        if not isinstance(sub, dict):
-            raise ConfigError(f"links.{name}", "must be an object")
-    from .links import default_r2v_config, default_v2r_config
-    d_r2v = default_r2v_config()
-    d_v2r = default_v2r_config()
-    r2v = {
-        "ingest": resolve_distribution(r2v_in["ingest"], "links.r2v.ingest")
-        if "ingest" in r2v_in else d_r2v.ingest.to_dict(),
-        "adv": resolve_distribution(r2v_in["adv"], "links.r2v.adv")
-        if "adv" in r2v_in else d_r2v.adv.to_dict(),
-        "sense": resolve_distribution(r2v_in["sense"], "links.r2v.sense")
-        if "sense" in r2v_in else d_r2v.sense.to_dict(),
-    }
-    pert_in = v2r_in.get("perturbation", {})
-    if not isinstance(pert_in, dict):
-        raise ConfigError("links.v2r.perturbation", "must be an object")
-    perturbation = {
-        "fixed_delay_ms": _as_number(pert_in.get("fixed_delay_ms", 0.0),
-                                     "links.v2r.perturbation.fixed_delay_ms", lo=0.0),
-        "jitter": resolve_distribution(pert_in["jitter"], "links.v2r.perturbation.jitter")
-        if pert_in.get("jitter") is not None else None,
-        "loss_probability": _as_number(pert_in.get("loss_probability", 0.0),
-                                       "links.v2r.perturbation.loss_probability", lo=0.0, hi=1.0),
-        "reorder_allowed": _as_bool(pert_in.get("reorder_allowed", False),
-                                    "links.v2r.perturbation.reorder_allowed"),
-    }
-    v2r = {
-        "base": resolve_distribution(v2r_in["base"], "links.v2r.base")
-        if "base" in v2r_in else d_v2r.base.to_dict(),
-        "perturbation": perturbation,
-    }
+def _sorted_delays(value, path: str) -> list:
+    delays = _list(_num(lo=0.0), 1, "must be a non-empty list")(value, path)
+    if delays != sorted(delays):
+        raise ConfigError(path, "must be sorted ascending")
+    return delays
 
-    sut_in = obj.get("sut", {})
-    if not isinstance(sut_in, dict):
-        raise ConfigError("sut", "must be an object")
-    sut_name = _as_str(sut_in.get("name", "pure-pursuit"), "sut.name")
-    if sut_name != "pure-pursuit":
-        raise ConfigError("sut.name", f"unknown SUT {sut_name!r}; the only controller is 'pure-pursuit'")
-    sut_params = sut_in.get("params", {})
-    if not isinstance(sut_params, dict):
-        raise ConfigError("sut.params", "must be an object")
-    known = {f.name for f in fields(PurePursuitParams)}
-    for key, value in sut_params.items():
-        if key not in known:
-            raise ConfigError(f"sut.params.{key}", "unknown pure-pursuit parameter")
-        _as_number(value, f"sut.params.{key}")
-    latency = resolve_distribution(sut_in.get("latency", {"mode": "constant", "ms": 15.48}),
-                                   "sut.latency", kind_key="mode")
 
-    report = dict(_REPORT_DEFAULTS)
-    rep_in = obj.get("report", {})
-    if not isinstance(rep_in, dict):
-        raise ConfigError("report", "must be an object")
-    for key in rep_in:
-        if key not in _REPORT_DEFAULTS:
-            raise ConfigError(f"report.{key}", "unknown report option")
-        report[key] = _as_number(rep_in[key], f"report.{key}", lo=0.0)
+def _sweep_base(value, path: str) -> dict:
+    try:
+        return resolve_run_config(value)
+    except ConfigError as exc:
+        raise ConfigError(_at(path, exc.path) if exc.path else path, exc.message) from exc
 
-    gts_in = obj.get("gts", {})
-    if not isinstance(gts_in, dict):
-        raise ConfigError("gts", "must be an object")
-    gts = {"sample_period_ms": _as_number(gts_in.get("sample_period_ms", 20.0),
-                                          "gts.sample_period_ms", lo=1e-3)}
 
-    resolved = {
-        "schema_version": SCHEMA_VERSION,
-        "run_id": _as_str(obj.get("run_id", "run"), "run_id"),
-        "seed": _as_int(_require(obj, "seed", ""), "seed", lo=0),
-        "termination": termination,
-        "path": resolve_path(_require(obj, "path", ""), "path"),
-        "gts": gts,
-        "plant": resolve_plant(obj.get("plant"), "plant"),
-        "links": {"r2v": r2v, "v2r": v2r},
-        "sut": {
-            "name": sut_name,
-            "goal_speed_mps": _as_number(sut_in.get("goal_speed_mps", 0.3), "sut.goal_speed_mps", lo=0.0),
-            "latency": latency,
-            "params": sut_params,
-        },
-        "report": report,
-        "scenario": resolve_scenario(obj.get("scenario"), "scenario"),
-    }
-    return resolved
+_SWEEP = {
+    "schema_version": (_schema_version, SCHEMA_VERSION),
+    "injected_delays_ms": (_sorted_delays, _REQUIRED),
+    "repetitions": (_num(lo=1, integer=True), 1),
+    "base": (_sweep_base, _REQUIRED),
+}
 
 
 def resolve_sweep_config(obj: dict) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError("", "sweep config must be a JSON object")
-    delays = _require(obj, "injected_delays_ms", "")
-    if not isinstance(delays, list) or not delays:
-        raise ConfigError("injected_delays_ms", "must be a non-empty list")
-    vals = [_as_number(d, f"injected_delays_ms[{i}]", lo=0.0) for i, d in enumerate(delays)]
-    if vals != sorted(vals):
-        raise ConfigError("injected_delays_ms", "must be sorted ascending")
-    reps = _as_int(obj.get("repetitions", 1), "repetitions", lo=1)
-    base_in = _require(obj, "base", "")
-    try:
-        base = resolve_run_config(base_in)
-    except ConfigError as exc:
-        raise ConfigError(f"base.{exc.path}" if exc.path else "base", exc.message) from exc
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "injected_delays_ms": vals,
-        "repetitions": reps,
-        "base": base,
-    }
+    return _fields(obj, "", _SWEEP)
 
 
 def build_r2v_config(resolved: dict) -> R2VConfig:
@@ -490,6 +477,12 @@ def build_v2r_config(resolved: dict) -> V2RConfig:
     )
 
 
-def load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def load_json(path, field: str = ""):
+    """Read the JSON document at ``path``; a failure is a ``ConfigError`` at ``field``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(field, f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ConfigError(field, f"invalid JSON in {path}: {exc}") from exc

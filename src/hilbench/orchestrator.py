@@ -144,9 +144,7 @@ class Runner:
         plant_cfg = cfg_mod.build_plant_config(resolved["plant"])
         pose = resolved["plant"]["initial_pose"]
         if pose is None:
-            start = self.path.vertices[0]
-            tan = self.path.tangent_at(0.0)
-            pose = [float(start[0]), float(start[1]), math.atan2(tan[1], tan[0])]
+            pose = self.path.start_pose()
         self.plant = Plant(plant_cfg, pose[0], pose[1], pose[2], rng=self.ctx.stream("plant.deadtime"))
         self.period_ns = ms_to_ns(resolved["gts"]["sample_period_ms"])
         self.r2v = R2VLink(cfg_mod.build_r2v_config(resolved["links"]["r2v"]), self.ctx.stream)

@@ -96,6 +96,11 @@ class ReferencePath:
         frac = (s - s0) / ln
         return x0 + frac * dx, y0 + frac * dy, dx / ln, dy / ln
 
+    def start_pose(self) -> list[float]:
+        """``[x, y, heading]`` at the first vertex, facing along the first segment."""
+        _x, _y, tx, ty = self.pose_at(0.0)
+        return [float(self.vertices[0][0]), float(self.vertices[0][1]), math.atan2(ty, tx)]
+
     def point_at(self, s: float) -> np.ndarray:
         """Position at arc length ``s`` (wraps on closed paths)."""
         x, y, _tx, _ty = self.pose_at(s)

@@ -11,15 +11,21 @@ def write_json(path, doc):
     return str(path)
 
 
+BASE = {"seed": 1, "termination": {"duration_s": 1.0}, "path": {"preset": "square-sandbox"}}
+
+
 def assert_config_error_at(tmp_path, capsys, command, doc, path):
     """``command`` on a 1 s config with the fields of ``doc`` exits 1 before
     any run, naming the JSON ``path``, with no traceback."""
-    cfg = write_json(tmp_path / "cfg.json", {
-        "seed": 1, "termination": {"duration_s": 1.0}, "path": {"preset": "square-sandbox"},
-        **doc,
-    })
-    argv = [command, "--config", cfg]
-    if command == "stage1":
+    assert_document_error_at(tmp_path, capsys, command, {**BASE, **doc}, path)
+
+
+def assert_document_error_at(tmp_path, capsys, command, doc, path, extra_args=()):
+    """``command`` on the config document ``doc`` exits 1 before any run,
+    naming the JSON ``path``, with no traceback."""
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    argv = [command, "--config", cfg, *extra_args]
+    if command != "validate-config":
         argv += ["--out", str(tmp_path / "run"), "-q"]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -143,7 +149,20 @@ class TestValidateCommand:
         ({"params": {"k_v": "fast"}}, "sut.params.k_v"),
         ({"name": "nope"}, "sut.name"),
         ({"latency": {"mode": "bimodal", "components": [1, 2]}}, "sut.latency.components[0]"),
-    ], ids=["unknown-param", "non-number-param", "unknown-name", "component-not-object"])
+        ({"params": {"l_min": -1, "l_max": -1}}, "sut.params.l_min"),
+        ({"params": {"l_min": 0}}, "sut.params.l_min"),
+        ({"params": {"l_max": 0.2}}, "sut.params.l_max"),
+        ({"params": {"l_min": 0.5, "l_max": 0.4}}, "sut.params.l_max"),
+        ({"params": {"k_v": -0.1}}, "sut.params.k_v"),
+        ({"params": {"a_lat_max": 0}}, "sut.params.a_lat_max"),
+        ({"params": {"t_h": -1}}, "sut.params.t_h"),
+        ({"params": {"d_stop": -0.1}}, "sut.params.d_stop"),
+        ({"params": {"wheelbase": 0.09}}, "sut.params.wheelbase"),
+        ({"params": {"ego_radius": 0.08}}, "sut.params.ego_radius"),
+    ], ids=["unknown-param", "non-number-param", "unknown-name", "component-not-object",
+            "negative-lookahead", "zero-l-min", "l-max-below-default-l-min", "l-max-below-l-min",
+            "negative-k-v", "zero-a-lat-max", "negative-t-h", "negative-d-stop",
+            "wheelbase-set-by-plant", "ego-radius-set-by-report"])
     @pytest.mark.parametrize("command", ["validate-config", "stage1"])
     def test_bad_sut_settings_fail_before_the_run(self, tmp_path, capsys, sut, path, command):
         assert_config_error_at(tmp_path, capsys, command, {"sut": sut}, path)
@@ -156,12 +175,59 @@ class TestValidateCommand:
         ({"plant": {"steer_map": [[-1, -1], [1, float("nan")]]}}, "plant.steer_map[1][1]"),
         ({"links": {"r2v": {"adv": {"kind": "lognormal", "mu": 3.0, "sigma": 0.5,
                                     "mean_ms": 20.0}}}}, "links.r2v.adv"),
+        ({"plant": {"wheelbase_m": 10**400}}, "plant.wheelbase_m"),
     ], ids=["r2v-not-object", "v2r-not-object", "map-point-not-pair", "map-point-string",
-            "map-point-nan", "lognormal-both-forms"])
+            "map-point-nan", "lognormal-both-forms", "int-beyond-float-range"])
     @pytest.mark.parametrize("command", ["validate-config", "stage1"])
     def test_bad_links_and_plant_fields_fail_before_the_run(self, tmp_path, capsys, doc, path,
                                                             command):
         assert_config_error_at(tmp_path, capsys, command, doc, path)
+
+    @pytest.mark.parametrize("doc, path", [
+        ({"linkz": {}}, "linkz"),
+        ({"sut": {"latncy": {"mode": "constant", "ms": 900}}}, "sut.latncy"),
+        ({"links": {"r2v": {"sens": {"kind": "constant", "ms": 1.0}}}}, "links.r2v.sens"),
+        ({"links": {"v2r": {"base": {"kind": "constant", "ms": 2.0, "std_ms": 1.0}}}},
+         "links.v2r.base.std_ms"),
+        ({"links": {"v2r": {"perturbation": {"fixed_delay": 40}}}},
+         "links.v2r.perturbation.fixed_delay"),
+        ({"plant": {"steering": {"tau": 0.1}}}, "plant.steering.tau"),
+        ({"plant": {"dead_time_jitter": {"enable": True}}}, "plant.dead_time_jitter.enable"),
+        ({"gts": {"period_ms": 10}}, "gts.period_ms"),
+        ({"termination": {"mode": "laps", "duration_s": 1.0}}, "termination.laps"),
+        ({"termination": {"laps": 1, "max_duration_s": 1.0, "duration_s": 1.0}},
+         "termination.duration_s"),
+        ({"path": {"preset": "square-sandbox", "closed": True}}, "path.closed"),
+        ({"scenario": {"trigger_zone": [1.0, 0.4, 1.6, 1.0], "npcs": [{
+            "id": "npc1", "spawn": [2.9, 1.6, -1.5707963267948966],
+            "route": {"closed": True, "vertices": [[2.9, 1.6], [2.9, 0.1]]},
+            "speed": {"accel_mps2": 0.5, "cruise_mps": 0.3, "cruise": 0.3}, "radius_m": 0.1,
+        }]}}, "scenario.npcs[0].speed.cruise"),
+    ], ids=["top-level", "sut", "r2v-stage", "constant-std", "perturbation", "plant-channel",
+            "jitter", "gts", "laps-mode-duration", "laps-and-duration", "preset-and-closed",
+            "npc-speed"])
+    @pytest.mark.parametrize("command", ["validate-config", "stage1"])
+    def test_undeclared_keys_fail_before_the_run(self, tmp_path, capsys, doc, path, command):
+        assert_config_error_at(tmp_path, capsys, command, doc, path)
+
+    @pytest.mark.parametrize("command", ["validate-config", "stage2"])
+    def test_undeclared_sweep_key_fails_before_the_run(self, tmp_path, capsys, command):
+        doc = {"injected_delays_ms": [0], "repeats": 2, "base": BASE}
+        assert_document_error_at(tmp_path, capsys, command, doc, "repeats")
+
+    def test_unparsable_config_names_no_empty_path(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{bad")
+        assert main(["validate-config", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: invalid JSON in {cfg}: ")
+
+    @pytest.mark.parametrize("script", [None, "{bad"], ids=["missing", "malformed"])
+    def test_bad_script_is_a_scenario_error(self, tmp_path, capsys, script):
+        path = tmp_path / "script.json"
+        if script is not None:
+            path.write_text(script)
+        assert_document_error_at(tmp_path, capsys, "stage3", BASE, "scenario",
+                                 extra_args=("--script", str(path)))
 
     @pytest.mark.parametrize("channel", ["steering", "velocity"])
     @pytest.mark.parametrize("command", ["validate-config", "stage1"])

@@ -1,4 +1,7 @@
+import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +112,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError) as exc:
             resolve_run_config(minimal(sut={"latency": latency}))
         assert exc.value.path == path
+
+    def test_readme_example_resolves(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Run configuration", 1)[1]
+        example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        resolved = resolve_run_config(json.loads(example))
+        assert resolved["run_id"] == "my-run"
 
     def test_unsupported_schema_version(self):
         with pytest.raises(ConfigError):

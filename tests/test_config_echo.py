@@ -41,6 +41,16 @@ def test_preset_echo_resolves_to_itself(name):
         assert canonical_json(resolve_run_config(json.loads(base))) == base
 
 
+def test_npc_spawn_defaults_to_the_route_start():
+    # Every shipped NPC states the spawn that its route's first vertex and
+    # first-segment heading give, so leaving them all out changes no byte.
+    doc = presets.load("stage3-intersection")
+    echo = canonical_json(resolve_run_config(doc))
+    for npc in doc["scenario"]["npcs"]:
+        del npc["spawn"]
+    assert canonical_json(resolve_run_config(doc)) == echo
+
+
 def test_any_latency_kind_runs_in_any_slot(tmp_path):
     # A bimodal link stage and a lognormal controller latency: every latency
     # slot goes through the same resolver and stage-latency model.
