@@ -27,7 +27,10 @@ EXIT_ABORT = 2
 
 
 def _load_config_arg(arg: str) -> dict:
-    return presets.load(arg) if arg in presets.PRESET_NAMES else cfg_mod.load_json(arg)
+    doc = presets.load(arg) if arg in presets.PRESET_NAMES else cfg_mod.load_json(arg)
+    if not isinstance(doc, dict):
+        raise cfg_mod.ConfigError("", "must be an object")
+    return doc
 
 
 def _out_dir(args) -> Path:
@@ -97,11 +100,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_stage2(args) -> int:
     doc = _load_config_arg(args.config)
-    if args.seed is not None:
-        doc = dict(doc)
-        base = dict(doc.get("base", {}))
-        base["seed"] = args.seed
-        doc["base"] = base
+    if args.seed is not None and "base" in doc:
+        if not isinstance(doc["base"], dict):
+            raise cfg_mod.ConfigError("base", "must be an object")
+        doc = {**doc, "base": {**doc["base"], "seed": args.seed}}
     sweep = cfg_mod.resolve_sweep_config(doc)
     out = _out_dir(args)
     artifacts = {}

@@ -399,7 +399,13 @@ def analyze(events: list[TimedEvent]) -> Analysis:
     header = events[0]
     if header.stage is not Stage.RunHeader:
         raise ValueError("audit log does not start with a run header")
-    cfg = json.loads(header.payload["config_json"])
+    text = header.payload.get("config_json")
+    try:  # resolved again, so that a damaged echo fails naming its field
+        if not isinstance(text, str):
+            raise ValueError("config_json: missing or not a string")
+        cfg = cfg_mod.resolve_run_config(json.loads(text))
+    except ValueError as exc:  # also a ConfigError or a JSON syntax error
+        raise ValueError(f"line 1: config echo: {exc}") from exc
     end = next((ev for ev in events if ev.stage is Stage.RunEnd), None)
     truncated = end is None
     aborted = bool(end.payload["aborted"]) if end else False
@@ -427,8 +433,7 @@ def analyze(events: list[TimedEvent]) -> Analysis:
         ate_summary = summarize(ates)
         max_cte = max(ctes)
 
-    records, incomplete = temporal.assemble_all(events)
-    completeness = temporal.check_completeness(records)
+    records, incomplete, gapped = temporal.assemble_all(events)
 
     sent = sum(1 for ev in events if ev.stage is Stage.PerturbIn)
     dropped = sum(1 for ev in events if ev.stage is Stage.PerturbIn and ev.payload.get("dropped"))
@@ -480,8 +485,8 @@ def analyze(events: list[TimedEvent]) -> Analysis:
             "v2r_dropped": dropped,
         },
         "completeness": {
-            "fraction": completeness.fraction,
-            "violations": list(completeness.violations),
+            "fraction": (len(records) - len(gapped)) / len(records) if records else 1.0,
+            "violations": gapped,
         },
         "cte": _summary_dict(cte_summary),
         "ate": _summary_dict(ate_summary),
@@ -571,9 +576,13 @@ def write_response_curve(rows: list[dict], path) -> None:
 
 
 def replay_report(log_path) -> dict:
-    """Rebuild the report from an audit log file alone (no simulation)."""
+    """Rebuild the report from an audit log file alone (no simulation); a
+    failure is a ``ValueError`` naming the log."""
     from .core import AuditLog
     events = AuditLog.read_ndjson(log_path)
     if not events:
         raise ValueError(f"audit log {log_path} is empty")
-    return build_report(events)
+    try:
+        return build_report(events)
+    except ValueError as exc:
+        raise ValueError(f"{log_path}: {exc}") from exc

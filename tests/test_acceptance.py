@@ -25,7 +25,7 @@ from hilbench.plant import fit_fopdt, preset, run_step_experiment
 from hilbench.registration import run_benchmark
 from hilbench.safety import AgentState, contact_ttc
 from hilbench.spatial import ReferencePath, project
-from hilbench.temporal import assemble_all, check_completeness
+from hilbench.temporal import assemble_all
 
 
 def verdict(criterion: str, ok: bool, detail: str = "") -> None:
@@ -46,17 +46,20 @@ def default_run():
 
 def test_01_latency_identities(default_run):
     report, runner, elapsed = default_run
-    records, incomplete = assemble_all(runner.ctx.audit.events)
-    comp = check_completeness(records)
+    records, incomplete, gapped = assemble_all(runner.ctx.audit.events)
+    complete = report["completeness"]["fraction"]
     ok = (
         len(records) == 2000
         and not incomplete
-        and comp.fraction == 1.0
-        and all(r.identities_hold() for r in records)
+        and not gapped
+        and complete == 1.0
+        and all(r["r2v"] == r["ingest"] + r["adv"] + r["sense"]
+                and r["platform"] == r["v2r"] + r["r2v"]
+                and r["total"] == r["sut"] + r["platform"] for r in records.values())
         and elapsed < 10.0
     )
     verdict("1 latency-identity", ok,
-            f"records={len(records)} complete={comp.fraction:.3f} runtime={elapsed:.2f}s")
+            f"records={len(records)} complete={complete:.3f} runtime={elapsed:.2f}s")
 
 
 def test_02_link_character(default_run):

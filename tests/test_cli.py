@@ -22,16 +22,18 @@ def assert_config_error_at(tmp_path, capsys, command, doc, path):
 
 def assert_document_error_at(tmp_path, capsys, command, doc, path, extra_args=()):
     """``command`` on the config document ``doc`` exits 1 before any run,
-    naming the JSON ``path``, with no traceback."""
+    naming the JSON ``path`` (the empty path is the document itself), with no
+    traceback; returns the error output."""
     cfg = write_json(tmp_path / "cfg.json", doc)
     argv = [command, "--config", cfg, *extra_args]
     if command != "validate-config":
         argv += ["--out", str(tmp_path / "run"), "-q"]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {path}: ")
+    assert err.startswith(f"config error: {path}: " if path else "config error: ")
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+    return err
 
 
 @pytest.fixture()
@@ -214,6 +216,29 @@ class TestValidateCommand:
     def test_undeclared_sweep_key_fails_before_the_run(self, tmp_path, capsys, command):
         doc = {"injected_delays_ms": [0], "repeats": 2, "base": BASE}
         assert_document_error_at(tmp_path, capsys, command, doc, "repeats")
+
+    @pytest.mark.parametrize("doc", [5, [1], "x", None], ids=["number", "list", "string", "null"])
+    @pytest.mark.parametrize("command, extra_args", [
+        ("validate-config", ()),
+        ("stage1", ("--seed", "3")),
+        ("stage2", ("--seed", "3")),
+        ("identify", ("--seed", "3", "--channel", "velocity")),
+    ], ids=["validate-config", "stage1", "stage2", "identify"])
+    def test_non_object_document_fails_before_the_run(self, tmp_path, capsys, doc, command,
+                                                      extra_args):
+        err = assert_document_error_at(tmp_path, capsys, command, doc, "", extra_args)
+        assert err == "config error: must be an object\n"
+
+    @pytest.mark.parametrize("base", [5, [1], "x", None], ids=["number", "list", "string", "null"])
+    def test_non_object_sweep_base_with_a_seed_fails_at_base(self, tmp_path, capsys, base):
+        doc = {"injected_delays_ms": [0], "base": base}
+        err = assert_document_error_at(tmp_path, capsys, "stage2", doc, "base", ("--seed", "3"))
+        assert err == "config error: base: must be an object\n"
+
+    def test_missing_sweep_base_with_a_seed_fails_at_base(self, tmp_path, capsys):
+        err = assert_document_error_at(tmp_path, capsys, "stage2", {"injected_delays_ms": [0]},
+                                       "base", ("--seed", "3"))
+        assert err == "config error: base: missing required field\n"
 
     def test_unparsable_config_names_no_empty_path(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -8,6 +8,7 @@ reproducibility of previously recorded experiments.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -127,3 +128,51 @@ def test_replay_rejects_a_non_number_pose_field_naming_it(tmp_path, capsys, valu
     assert main(["replay-report", "--log", str(log), "--out", str(tmp_path / "r"), "-q"]) == EXIT_CONFIG
     assert f"GtsSample cid 1: payload field 'x' must be a number, not {json.loads(value)!r}" \
         in capsys.readouterr().err
+
+
+def test_replay_flags_a_hand_off_no_component_counts(tmp_path):
+    # Line 10 is cid 1's SutCmdIn, at the instant its sensing finished; 1 ns
+    # later leaves a 1 ns gap between the sense and sut intervals.
+    lines = _golden_lines()
+    record = json.loads(lines[9])
+    assert (record["cid"], record["stage"]) == (1, "SutCmdIn")
+    lines[9] = lines[9].replace(f'"t_ns":{record["t_ns"]}}}', f'"t_ns":{record["t_ns"] + 1}}}')
+    log = tmp_path / "audit.ndjson"
+    log.write_text("".join(lines))
+    report = replay_report(log)
+    assert report["completeness"] == {"fraction": 0.98, "violations": [1]}
+    assert report["cycles"]["latency_records"] == 50
+
+
+def _echo(damage):
+    """Apply ``damage`` to the config echoed in a run header's payload."""
+    def apply(payload):
+        echo = json.loads(payload["config_json"])
+        damage(echo)
+        payload["config_json"] = json.dumps(echo)
+    return apply
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_echo(lambda c: c.pop("path")), "path: missing required field"),
+    (_echo(lambda c: c["report"].update(completion_corridor_m="x")),
+     "report.completion_corridor_m: must be a number"),
+    (_echo(lambda c: c["sut"].update(goal_speed_mps=None)), "sut.goal_speed_mps: must be a number"),
+    (_echo(lambda c: c.update(linkz={})), "linkz: unexpected field"),
+    (lambda p: p.pop("config_json"), "config_json: missing or not a string"),
+    (lambda p: p.update(config_json="{bad"), "Expecting property name"),
+], ids=["path-missing", "corridor-string", "goal-speed-null", "extra-key", "echo-missing",
+        "echo-not-json"])
+def test_replay_rejects_a_damaged_config_echo_naming_the_field(tmp_path, capsys, damage, message):
+    lines = _golden_lines()
+    header = json.loads(lines[0])
+    damage(header["payload"])
+    lines[0] = json.dumps(header) + "\n"
+    log = tmp_path / "audit.ndjson"
+    log.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(log))}: line 1: config echo: {message}"):
+        replay_report(log)
+    assert main(["replay-report", "--log", str(log), "--out", str(tmp_path / "r"), "-q"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {log}: line 1: config echo: {message}")
+    assert "Traceback" not in err

@@ -19,7 +19,7 @@ from hilbench import cli
 from hilbench.config import resolve_run_config
 from hilbench.core import Stage
 from hilbench.orchestrator import Runner
-from hilbench.temporal import COMPONENT_FIELDS, assemble_all
+from hilbench.temporal import COMPONENTS, assemble_all
 
 # Even without a database, Hypothesis's pytest plugin caches constants found in
 # the source on disk when it collects these tests; keep that out of the tree.
@@ -63,7 +63,7 @@ def run_configs(draw):
 
 def _latency_rows(latency_ms: dict) -> str:
     rows = ["component,mean_ms,std_ms,cv,p95_ms,n"]
-    for name in COMPONENT_FIELDS:
+    for name in COMPONENTS:
         s = latency_ms[name]
         rows.append(f"{name},{s['mean_ms']:.4f},{s['std_ms']:.4f},{s['cv']:.2f},"
                     f"{s['p95_ms']:.4f},{s['n']}")
@@ -90,15 +90,15 @@ def test_replay_and_latency_csv_agree_with_the_live_report(config):
 @settings(derandomize=True, database=None, deadline=None, max_examples=20)
 @given(config=run_configs())
 def test_total_latency_spans_ingest_start_to_delivery(config):
-    # dt_total sums the stage intervals; it equals the end-to-end span only
+    # total sums the stage intervals; it equals the end-to-end span only
     # because the sense -> controller and controller -> injector hand-offs
     # take no time.  A gap that no component counts would break this.
     runner = Runner(resolve_run_config(config))
     runner.run()
     events = runner.ctx.audit.events
     t = {(ev.cid, ev.stage): ev.t_ns for ev in events}
-    records, _incomplete = assemble_all(events)
+    records, _incomplete, _gapped = assemble_all(events)
     assert records
-    for rec in records:
-        span = t[rec.cid, Stage.V2rDeliver] - t[rec.cid, Stage.R2vIngestStart]
-        assert rec.dt_total == span, rec.cid
+    for cid, rec in records.items():
+        span = t[cid, Stage.V2rDeliver] - t[cid, Stage.R2vIngestStart]
+        assert rec["total"] == span, cid
