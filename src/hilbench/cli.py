@@ -10,6 +10,7 @@ preset (``stage1-default``, ``stage2-cliff-sweep``, ``stage3-intersection``).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -196,13 +197,33 @@ def _cmd_replay_report(args) -> int:
 
 def _cmd_validate_config(args) -> int:
     doc = _load_config_arg(args.config)
-    if "injected_delays_ms" in doc:
+    if "injected_delays_ms" in doc or "base" in doc:
         cfg_mod.resolve_sweep_config(doc)
     else:
         cfg_mod.resolve_run_config(doc)
     if not args.quiet:
         print("config ok")
     return EXIT_OK
+
+
+def _int_at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
+    return value
+
+
+def _finite_non_negative(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not {text!r}")
+    return value
 
 
 def _print_run_summary(report: dict, args) -> None:
@@ -246,13 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(pi)
     pi.add_argument("--channel", choices=("steering", "velocity"), required=True)
     pi.add_argument("--amplitude", type=float, default=0.3)
-    pi.add_argument("--noise-frac", type=float, default=0.02, dest="noise_frac",
+    pi.add_argument("--noise-frac", type=_finite_non_negative, default=0.02, dest="noise_frac",
                     help="measurement noise as a fraction of the response step")
     pi.set_defaults(fn=_cmd_identify)
 
     pc = sub.add_parser("calibrate", help="registration benchmark (model ladder)")
     common(pc, needs_config=False)
-    pc.add_argument("--epochs", type=int, default=2000)
+    pc.add_argument("--epochs", type=_int_at_least_one, default=2000)
     pc.set_defaults(fn=_cmd_calibrate)
 
     pr = sub.add_parser("replay-report", help="rebuild a report from an audit log")

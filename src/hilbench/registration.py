@@ -110,19 +110,26 @@ class Normalizer:
 
 
 class ResidualMlp:
-    """Small tanh network mapping normalized inputs to residual corrections."""
+    """Small tanh network mapping normalized inputs to residual corrections.
+
+    ``weights`` and ``biases`` are views into one flat parameter vector
+    ``theta`` (every weight matrix, then every bias vector, row-major)."""
 
     def __init__(self, sizes: list[int], rng: np.random.Generator) -> None:
         self.sizes = list(sizes)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
+        arrays = []
         for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
             limit = math.sqrt(6.0 / (n_in + n_out))
             w = rng.uniform(-limit, limit, size=(n_in, n_out))
             if i == len(sizes) - 2:
                 w *= 0.1  # start the correction head near zero output
-            self.weights.append(w)
-            self.biases.append(np.zeros(n_out))
+            arrays.append(w)
+        arrays += [np.zeros(w.shape[1]) for w in arrays]
+        self.theta = np.concatenate([a.ravel() for a in arrays])
+        views = np.split(self.theta, np.cumsum([a.size for a in arrays])[:-1])
+        views = [v.reshape(a.shape) for v, a in zip(views, arrays)]
+        self.weights: list[np.ndarray] = views[:len(sizes) - 1]
+        self.biases: list[np.ndarray] = views[len(sizes) - 1:]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.forward_with_cache(x)[0]
@@ -152,16 +159,12 @@ class ResidualMlp:
         return grads_w, grads_b
 
     def params_flat(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.weights + self.biases])
+        return self.theta.copy()
 
     def set_params_flat(self, theta: np.ndarray) -> None:
-        pos = 0
-        for arr_list in (self.weights, self.biases):
-            for i, a in enumerate(arr_list):
-                arr_list[i] = theta[pos:pos + a.size].reshape(a.shape).copy()
-                pos += a.size
-        if pos != theta.size:
+        if theta.shape != self.theta.shape:
             raise ValueError("parameter vector size mismatch")
+        self.theta[:] = theta
 
 
 @dataclass(frozen=True)
@@ -212,10 +215,9 @@ def fit_residual_mlp(pairs: MatchedPairs, train_idx, affine: tuple[np.ndarray, n
     d = pairs.d
     mlp = ResidualMlp([d, *MLP_HIDDEN, d], rng=rng)
 
-    # Adam moments of each parameter array, in ``weights + biases`` order.
-    params = mlp.weights + mlp.biases
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    # Adam moments of the flat parameter vector.
+    m = np.zeros_like(mlp.theta)
+    v = np.zeros_like(mlp.theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step_count = 0
 
@@ -240,10 +242,10 @@ def fit_residual_mlp(pairs: MatchedPairs, train_idx, affine: tuple[np.ndarray, n
             step_count += 1
             corr1 = 1.0 - beta1**step_count
             corr2 = 1.0 - beta2**step_count
-            for i, (p, g) in enumerate(zip(params, gw + gb)):
-                m[i] = beta1 * m[i] + (1 - beta1) * g
-                v[i] = beta2 * v[i] + (1 - beta2) * g ** 2
-                p -= MLP_STEP * (m[i] / corr1) / (np.sqrt(v[i] / corr2) + eps)
+            g = np.concatenate([a.ravel() for a in gw + gb])
+            m = beta1 * m + (1 - beta1) * g
+            v = beta2 * v + (1 - beta2) * g ** 2
+            mlp.theta -= MLP_STEP * (m / corr1) / (np.sqrt(v / corr2) + eps)
         loss = val_loss()
         if not math.isfinite(loss):
             raise TrainingDivergedError(f"non-finite validation loss at epoch {_epoch}")
@@ -350,28 +352,34 @@ class DistortionField:
             out += np.exp(-r2 / (2.0 * b.width**2))[:, None] * b.amplitude
         return out
 
-    def warp_jacobian(self, p: np.ndarray) -> np.ndarray:
-        d = p.shape[0]
-        jac = np.zeros((d, d))
-        for b in self.bumps:
-            diff = p - b.center
-            g = math.exp(-float(diff @ diff) / (2.0 * b.width**2))
-            jac += np.outer(b.amplitude, -diff / b.width**2) * g
-        return jac
-
     def forward(self, p: np.ndarray) -> np.ndarray:
         return p @ self.a_true.T + self.t_true + self.warp(p)
 
-    def invert(self, target: np.ndarray, iters: int = 60, tol: float = 1e-13) -> np.ndarray:
-        """Newton inversion of the forward map for one reference point."""
-        a_inv = np.linalg.inv(self.a_true)
-        p = a_inv @ (target - self.t_true)
+    def invert(self, targets: np.ndarray, iters: int = 60, tol: float = 1e-13) -> np.ndarray:
+        """Newton inversion of the forward map for each row of ``targets``
+        ``(N, d)``.  Each row iterates on its own and leaves the active set
+        once its residual norm is below ``tol``, so a row's result does not
+        depend on the other rows.  The stacked ``np.matmul`` products and the
+        per-row ``math.exp`` reproduce the bits of a one-point solve."""
+        p = np.matmul(np.linalg.inv(self.a_true), (targets - self.t_true)[:, :, None])[:, :, 0]
+        active = np.arange(targets.shape[0])
         for _ in range(iters):
-            f = self.a_true @ p + self.t_true + self.warp(p[None, :])[0] - target
-            if float(f @ f) < tol**2:
+            pa = p[active]
+            f = (np.matmul(self.a_true, pa[:, :, None])[:, :, 0] + self.t_true
+                 + self.warp(pa) - targets[active])
+            ff = np.matmul(f[:, None, :], f[:, :, None])[:, 0, 0]
+            keep = ~(ff < tol**2)
+            active, pa, f = active[keep], pa[keep], f[keep]
+            if active.size == 0:
                 break
-            jac = self.a_true + self.warp_jacobian(p)
-            p = p - np.linalg.solve(jac, f)
+            jac = np.zeros((active.size, *self.a_true.shape))
+            for b in self.bumps:
+                diff = pa - b.center
+                r2 = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+                g = np.array([math.exp(-x / (2.0 * b.width**2)) for x in r2.tolist()])
+                jac += b.amplitude[:, None] * (-diff / b.width**2)[:, None, :] * g[:, None, None]
+            step = np.linalg.solve(self.a_true + jac, f[:, :, None])[:, :, 0]
+            p[active] = pa - step
         return p
 
 
@@ -389,9 +397,7 @@ def synth_dataset(field: DistortionField, n_points: int, workspace) -> MatchedPa
     d = lo.size
     rng = rng_stream(field.seed, "reg.data")
     p_ref = lo + (hi - lo) * rng.random((n_points, d))
-    p_trk = np.empty_like(p_ref)
-    for i in range(n_points):
-        p_trk[i] = field.invert(p_ref[i])
+    p_trk = field.invert(p_ref)
     if field.noise_std > 0.0:
         p_trk = p_trk + field.noise_std * rng.standard_normal(p_trk.shape)
     t_ns = (np.arange(n_points, dtype=np.int64) * 20_000_000)

@@ -146,6 +146,12 @@ class TestValidateCommand:
         })
         assert main(["validate-config", "--config", sweep, "-q"]) == EXIT_OK
 
+    @pytest.mark.parametrize("command", ["validate-config", "stage2"])
+    def test_sweep_config_without_delays_names_the_delays(self, tmp_path, capsys, command):
+        doc = {"repetitions": 2, "base": BASE}
+        err = assert_document_error_at(tmp_path, capsys, command, doc, "injected_delays_ms")
+        assert err == "config error: injected_delays_ms: missing required field\n"
+
     @pytest.mark.parametrize("sut, path", [
         ({"params": {"foo": 1}}, "sut.params.foo"),
         ({"params": {"k_v": "fast"}}, "sut.params.k_v"),
@@ -291,6 +297,26 @@ class TestCalibrateCommand:
         assert set(metrics["metrics"]) == {"raw", "rigid_svd", "affine", "hybrid"}
         assert (out / "model.json").exists()
         assert (out / "dataset.csv").exists()
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("argv, message", [
+        (["calibrate", "--epochs", "0"], "argument --epochs: must be an integer >= 1, not '0'"),
+        (["calibrate", "--epochs", "-3"], "argument --epochs: must be an integer >= 1, not '-3'"),
+        (["identify", "--channel", "velocity", "--noise-frac", "-1"],
+         "argument --noise-frac: must be a finite number >= 0, not '-1'"),
+        (["identify", "--channel", "velocity", "--noise-frac", "nan"],
+         "argument --noise-frac: must be a finite number >= 0, not 'nan'"),
+    ], ids=["epochs-0", "epochs-negative", "noise-frac-negative", "noise-frac-nan"])
+    def test_out_of_range_value_exits_1_naming_the_flag(self, tiny_cfg, tmp_path, capsys, argv,
+                                                         message):
+        if argv[0] == "identify":
+            argv = [*argv, "--config", tiny_cfg]
+        assert main([*argv, "--out", str(tmp_path / "run"), "-q"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.rstrip().endswith(f"error: {message}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestEnvOutDir(object):

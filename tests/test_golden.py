@@ -7,6 +7,7 @@ byte for byte.  A failure here means behavior changed in a way that breaks
 reproducibility of previously recorded experiments.
 """
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -47,6 +48,22 @@ def test_stored_report_sanity():
     assert report["completed"]
     assert report["cycles"]["gts_samples"] == 50
     assert report["completeness"]["fraction"] == 1.0
+
+
+#: sha256 of the files ``calibrate --seed 1 --epochs 5`` writes: the synthetic
+#: dataset, the trained hybrid model and the metrics of the model ladder.
+CALIBRATE_SHA256 = {
+    "dataset.csv": "6114cfec8677bf3da78cd9a7516685da7302e43c78435c89926b5e08f094383c",
+    "model.json": "adb2d20acb694a16e881ac97f7010733431df0d5115f58afc930dc40bc01d545",
+    "calibration_metrics.json": "0ecc4b865f1b0b6500c89a27d5ad4d92df812810f576ba9d7055b37fbe1d82f5",
+}
+
+
+def test_calibrate_reproduces_pinned_output_digests(tmp_path):
+    assert main(["calibrate", "--seed", "1", "--epochs", "5", "--out", str(tmp_path), "-q"]) == EXIT_OK
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in CALIBRATE_SHA256}
+    assert digests == CALIBRATE_SHA256
 
 
 def _golden_lines() -> list[str]:

@@ -129,6 +129,26 @@ class TestResidualMlp:
         mlp2, _ = fit_residual_mlp(p, train, affine, h)
         assert np.array_equal(mlp1.params_flat(), mlp2.params_flat())
 
+    def test_params_flat_is_a_copy(self):
+        mlp = ResidualMlp([2, 4, 2], rng=rng_stream(18, "reg.test"))
+        theta = mlp.params_flat()
+        assert not np.shares_memory(theta, mlp.theta)
+        theta[:] = 0.0
+        assert np.abs(mlp.params_flat()).max() > 0.0
+        assert np.abs(mlp.weights[0]).max() > 0.0
+
+    def test_set_params_flat_changes_the_network_output(self):
+        mlp = ResidualMlp([2, 4, 2], rng=rng_stream(19, "reg.test"))
+        x = rng_stream(20, "reg.test").normal(size=(6, 2))
+        before = mlp.forward(x)
+        theta = mlp.params_flat() + 0.5
+        mlp.set_params_flat(theta)
+        assert np.array_equal(mlp.params_flat(), theta)
+        assert np.array_equal(mlp.biases[-1], np.full(2, 0.5))
+        assert not np.allclose(mlp.forward(x), before)
+        with pytest.raises(ValueError):
+            mlp.set_params_flat(theta[:-1])
+
     def test_gradients_match_central_finite_differences(self):
         # Loss L = sum(out * r), so dL/dout = r: backprop through the cached
         # activations must match the numerical derivative of every parameter.
@@ -220,11 +240,54 @@ class TestSynthDataset:
 
     def test_inversion_is_exact(self):
         field = default_benchmark_field()
-        rng = rng_stream(15, "reg.test")
-        for _ in range(20):
-            target = rng.uniform(0, 4.2, size=2)
-            p = field.invert(target)
-            assert np.allclose(field.forward(p[None, :])[0], target, atol=1e-10)
+        targets = rng_stream(15, "reg.test").uniform(0, 4.2, size=(20, 2))
+        p = field.invert(targets)
+        assert p.shape == (20, 2)
+        assert np.allclose(field.forward(p), targets, atol=1e-10)
+
+    def test_inversion_of_a_row_does_not_depend_on_the_batch(self):
+        # Rows near a bump need more Newton steps than rows far from every
+        # bump; each row must stop on its own residual and keep its bits.
+        field = default_benchmark_field(7)
+        targets = rng_stream(16, "reg.test").uniform(0, 4.2, size=(40, 2))
+        batch = field.invert(targets)
+        alone = np.vstack([field.invert(targets[i:i + 1]) for i in range(len(targets))])
+        assert np.array_equal(batch, alone)
+
+    def test_newton_steps_match_a_one_point_solve_bit_for_bit(self):
+        # The one-point solve the batch must reproduce.  Stopping after one
+        # or two steps, short of convergence, keeps a change in any step's
+        # arithmetic visible in the result.
+        field = default_benchmark_field(2)
+        targets = rng_stream(18, "reg.test").uniform(0, 4.2, size=(50, 2))
+
+        def one_point(target, iters):
+            p = np.linalg.inv(field.a_true) @ (target - field.t_true)
+            for _ in range(iters):
+                f = field.a_true @ p + field.t_true + field.warp(p[None, :])[0] - target
+                if float(f @ f) < 1e-13**2:
+                    break
+                jac = np.zeros((2, 2))
+                for b in field.bumps:
+                    diff = p - b.center
+                    g = math.exp(-float(diff @ diff) / (2.0 * b.width**2))
+                    jac += np.outer(b.amplitude, -diff / b.width**2) * g
+                p = p - np.linalg.solve(field.a_true + jac, f)
+            return p
+
+        for iters in (1, 2, 60):
+            expected = np.vstack([one_point(t, iters) for t in targets])
+            assert np.array_equal(field.invert(targets, iters=iters), expected)
+
+    def test_inversion_without_bumps_inverts_the_affine_map(self):
+        field = DistortionField(
+            a_true=np.array([[1.05, 0.0], [0.1, 0.95]]), t_true=np.array([0.3, -0.1]),
+            bumps=(), noise_std=0.0, seed=21)
+        targets = rng_stream(17, "reg.test").uniform(0, 4, size=(30, 2))
+        p = field.invert(targets)
+        assert np.allclose(p, np.linalg.solve(field.a_true, (targets - field.t_true).T).T,
+                           atol=1e-12)
+        assert np.allclose(field.forward(p), targets, atol=1e-10)
 
 
 class TestSerialization:
