@@ -50,24 +50,22 @@ def _write_manifest(out: Path, command: str, artifacts: dict, flags: dict | None
     })
 
 
-def _write_run_artifacts(out: Path, runner: orchestrator.Runner,
-                         analysis: orchestrator.Analysis) -> dict:
-    """Write the audit log and the artifacts derived from ``analysis``;
-    return ``{artifact name: relative path}``."""
+def _write_run_artifacts(out: Path, runner: orchestrator.Runner, report: dict) -> dict:
+    """Write the audit log, ``report`` and the artifacts derived from the
+    runner's analysis fold; return ``{artifact name: relative path}``."""
     names = orchestrator.ARTIFACTS
-    report = analysis.report
+    fold = runner.analyzer
     runner.ctx.audit.write_ndjson(out / names["audit"])
     write_json(out / names["report"], report)
     written = ["audit", "report"]
-    if analysis.trajectory:
-        write_trajectory_csv(runner.path, analysis.trajectory, out / names["trajectory"],
-                             runner.goal_speed)
+    if fold.rows:
+        write_trajectory_csv(runner.path, fold.rows, out / names["trajectory"], runner.goal_speed)
         written.append("trajectory")
     if all(report["latency_ms"].values()):
         temporal.write_latency_report(report["latency_ms"], out / names["latency"])
         written.append("latency")
-    if analysis.safety_trace is not None:
-        write_safety_csv(analysis.safety_trace, out / names["safety"])
+    if fold.safety_trace is not None:
+        write_safety_csv(fold.safety_trace, out / names["safety"])
         write_json(out / names["events"], report["safety"]["events"])
         written += ["safety", "events"]
     return {key: names[key] for key in written}
@@ -91,9 +89,8 @@ def _cmd_run(args) -> int:
         raise cfg_mod.ConfigError("scenario", "stage 3 requires a scenario (config or --script)")
     out = _out_dir(args)
     runner = orchestrator.Runner(resolved)
-    analysis = runner.run()
-    report = analysis.report
-    artifacts = _write_run_artifacts(out, runner, analysis)
+    report = runner.run()
+    artifacts = _write_run_artifacts(out, runner, report)
     _write_manifest(out, args.command, artifacts, {"aborted": report["aborted"]})
     _print_run_summary(report, args)
     return EXIT_ABORT if report["aborted"] else EXIT_OK

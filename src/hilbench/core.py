@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,59 +127,62 @@ class TimedEvent:
 
 
 class AuditLog:
-    """Append-only event log with per-correlation ordering enforcement.
+    """Append-only event log, and the one order check of every record, be it
+    appended by a live run or read back from a file.
 
-    Within one correlation ID, stages must appear in chain order (gaps are
-    allowed, reordering and duplicates are not) and timestamps must be
-    non-decreasing.  Records are kept in arrival order.
+    Every record carries the log's run_id, no timestamp is earlier than the
+    one before it.  Within one
+    correlation ID, stages appear in chain order (gaps are allowed,
+    reordering and duplicates are not).  Each appended record is encoded once
+    into ``lines``, and each admitted record is handed to ``consumer.feed``.
     """
 
-    def __init__(self, run_id: str) -> None:
+    def __init__(self, run_id: str, consumer=None) -> None:
         self.run_id = run_id
-        self.events: list[TimedEvent] = []
-        self._last_per_cid: dict[int, tuple[int, int]] = {}  # cid -> (stage, t_ns)
+        self.consumer = consumer
+        self.lines: list[str] = []
+        self.ended = False
+        self._last_t = -math.inf
+        self._last_stage: dict[int, Stage] = {}
+
+    def admit(self, event: TimedEvent) -> None:
+        """Raise AuditOrderError unless ``event`` may come next; else feed it on."""
+        if event.run_id != self.run_id:
+            raise AuditOrderError(f"event run_id {event.run_id!r} does not match log "
+                                  f"{self.run_id!r}")
+        last = self._last_stage.get(event.cid)
+        if last is not None and event.stage <= last:
+            raise AuditOrderError(f"cid {event.cid}: stage {event.stage.name} after "
+                                  f"{last.name} violates chain order")
+        if event.t_ns < self._last_t:
+            raise AuditOrderError(f"t_ns {event.t_ns} earlier than the previous record's "
+                                  f"{self._last_t}")
+        self._last_stage[event.cid] = event.stage
+        self._last_t = event.t_ns
+        self.ended = self.ended or event.stage is Stage.RunEnd
+        if self.consumer is not None:
+            self.consumer.feed(event)
 
     def append(self, event: TimedEvent) -> None:
-        if event.run_id != self.run_id:
-            raise AuditOrderError(
-                f"event run_id {event.run_id!r} does not match log {self.run_id!r}"
-            )
-        last = self._last_per_cid.get(event.cid)
-        if last is not None:
-            last_stage, last_t = last
-            if int(event.stage) <= last_stage:
-                raise AuditOrderError(
-                    f"cid {event.cid}: stage {event.stage.name} after "
-                    f"{Stage(last_stage).name} violates chain order"
-                )
-            if event.t_ns < last_t:
-                raise AuditOrderError(
-                    f"cid {event.cid}: t_ns {event.t_ns} earlier than previous {last_t}"
-                )
-        self._last_per_cid[event.cid] = (int(event.stage), event.t_ns)
-        self.events.append(event)
-
-    def iter_lines(self):
-        for ev in self.events:
-            yield ev.to_json()
+        self.admit(event)
+        self.lines.append(event.to_json())
 
     def write_ndjson(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in self.iter_lines():
+            for line in self.lines:
                 fh.write(line)
                 fh.write("\n")
 
     @staticmethod
-    def read_ndjson(path) -> list[TimedEvent]:
-        """Read a log written by ``write_ndjson``, checking each record as
-        ``append`` does (one run_id, per-correlation chain order) and that
-        timestamps never decrease from one line to the next.
+    def read_ndjson(path, consumer) -> None:
+        """Feed ``consumer`` each record of a log written by ``write_ndjson``,
+        after the order check of ``append``.
 
         A final line that lacks its newline and does not parse, with no end
         record before it, is a record torn by an interrupted write: it is
         dropped, and the log then lacks its end record, so its report reads
-        as truncated.  Any other bad line raises ``ValueError`` naming its
-        line number.
+        as truncated.  Any other bad line, and any ``ValueError`` the
+        consumer raises, raises ``ValueError`` naming its line number.
         """
         log = None
         with open(path, "r", encoding="utf-8") as fh:
@@ -189,20 +193,15 @@ class AuditLog:
                 try:
                     event = TimedEvent.from_json(text)
                 except (ValueError, KeyError, TypeError) as exc:
-                    ended = log is not None and log.events[-1].stage is Stage.RunEnd
-                    if not line.endswith("\n") and not ended:
+                    if not line.endswith("\n") and not (log is not None and log.ended):
                         break  # torn final line
                     raise ValueError(f"{path}: line {lineno}: not an audit record ({exc})") from exc
                 if log is None:
-                    log = AuditLog(event.run_id)
-                elif event.t_ns < log.events[-1].t_ns:
-                    raise ValueError(f"{path}: line {lineno}: t_ns {event.t_ns} earlier than "
-                                     f"the previous record's {log.events[-1].t_ns}")
+                    log = AuditLog(event.run_id, consumer)
                 try:
-                    log.append(event)
-                except AuditOrderError as exc:
+                    log.admit(event)
+                except ValueError as exc:
                     raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-        return log.events if log is not None else []
 
 
 def substream_seed(root_seed: int, label: str) -> int:
@@ -224,14 +223,15 @@ class RunContext:
     """Owner of one run's clock, ID counter, substreams, and audit log.
 
     Run contexts are independent; concurrent runs must each own their own
-    context (nothing here is shared or thread-safe across runs).
+    context (nothing here is shared or thread-safe across runs).  ``consumer``,
+    if given, is fed each record the audit log admits.
     """
 
-    def __init__(self, run_id: str, seed: int) -> None:
+    def __init__(self, run_id: str, seed: int, consumer=None) -> None:
         self.run_id = run_id
         self.seed = int(seed)
         self.clock = VirtualClock()
-        self.audit = AuditLog(run_id)
+        self.audit = AuditLog(run_id, consumer)
         self._next_cid = 1
         self._streams: dict[str, np.random.Generator] = {}
 

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import config as cfg_mod
 from . import temporal
-from .core import (NS_PER_S, RunContext, Stage, TimedEvent, canonical_json, json_document,
-                   ms_to_ns, s_to_ns, substream_seed)
+from .core import (NS_PER_S, AuditLog, RunContext, Stage, TimedEvent, canonical_json,
+                   json_document, ms_to_ns, s_to_ns, substream_seed)
 from .links import R2VLink, V2RLink
 from .plant import Plant
 from .safety import (AgentState, SafetyTrace, check_agent, d_min_trace, extract_events,
@@ -139,7 +139,8 @@ class Runner:
 
     def __init__(self, resolved: dict) -> None:
         self.cfg = resolved
-        self.ctx = RunContext(resolved["run_id"], resolved["seed"])
+        self.analyzer = Analyzer()
+        self.ctx = RunContext(resolved["run_id"], resolved["seed"], self.analyzer)
         self.path = ReferencePath(resolved["path"]["vertices"], closed=resolved["path"]["closed"])
         plant_cfg = cfg_mod.build_plant_config(resolved["plant"])
         pose = resolved["plant"]["initial_pose"]
@@ -311,7 +312,7 @@ class Runner:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self) -> Analysis:
+    def run(self) -> dict:
         self.ctx.emit(Stage.RunHeader, 0, 0, {"config_json": canonical_json(self.cfg)})
         self._schedule(0, self._on_gts)
         while len(self.queue) and not self.aborted:
@@ -326,7 +327,7 @@ class Runner:
             "abort_reason": self.abort_reason or "",
             "gts_samples": self.gts_count,
         })
-        return analyze(self.ctx.audit.events)
+        return self.analyzer.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -339,116 +340,129 @@ def _summary_dict(s: MetricSummary | None) -> dict | None:
     return {"mean": s.mean, "std": s.std, "rmse": s.rmse, "mae": s.mae, "p95": s.p95, "n": s.n}
 
 
-def _numbers(ev: TimedEvent, keys) -> list:
-    """The payload values of ``keys``, each of which must be a JSON number
-    (an int or a float, not a bool)."""
-    out = []
-    for key in keys:
-        value = ev.payload.get(key)
-        if type(value) not in (int, float):
-            raise ValueError(f"{ev.stage.name} cid {ev.cid}: payload field {key!r} must be "
-                             f"a number, not {value!r}")
-        out.append(value)
-    return out
+def _field(ev: TimedEvent, key: str, types=(int, float), kind: str = "a number"):
+    """The payload value of ``key``, whose type must be one of ``types`` (by
+    default a JSON number: an int or a float, not a bool)."""
+    value = ev.payload.get(key)
+    if type(value) not in types:
+        raise ValueError(f"{ev.stage.name} cid {ev.cid}: payload field {key!r} must be "
+                         f"{kind}, not {value!r}")
+    return value
 
 
-def _safety_frames(events, cfg: dict) -> list[tuple[int, dict]]:
-    """The ``d_min_trace`` frames of a scenario run: at each sense event, the
-    ego's mirrored state and the state of every NPC the payload carries, each
-    checked with ``check_agent``."""
-    ego_radius = cfg["report"]["ego_radius_m"]
-    npc_keys = [(nid, tuple(f"npc_{nid}_{k}" for k in ("x", "y", "vx", "vy", "r")))
-                for nid in (npc["id"] for npc in cfg["scenario"]["npcs"])]
-    frames = []
-    for ev in events:
-        if ev.stage is not Stage.R2vSenseDone or "x" not in ev.payload:
-            continue
-        x, y, v, heading = _numbers(ev, ("x", "y", "v", "heading"))
-        agents = {"ego": (x, y, v * math.cos(heading), v * math.sin(heading), ego_radius)}
-        for nid, keys in npc_keys:
-            if keys[0] in ev.payload:
-                agents[nid] = tuple(_numbers(ev, keys))
-        for state in agents.values():
-            check_agent(*state)
-        frames.append((ev.t_ns, agents))
-    return frames
-
-
-@dataclass(frozen=True)
-class Analysis:
-    """Everything derived from one run's audit events.
-
-    ``report`` is the stage report; ``trajectory`` holds the ground-truth
-    samples as ``(t_ns, x, y, heading)``; ``safety_trace`` is the trace behind
+class Analyzer:
+    """The one analysis of a run, fed its audit records one at a time (live by
+    ``AuditLog.append``, from a file by ``AuditLog.read_ndjson``); ``finish``
+    returns the report.  The first record must be the run header, which
+    carries the resolved config; a missing end record marks the log as
+    truncated.  ``rows`` holds the ground-truth samples as ``(t_ns, x, y,
+    heading)``; after ``finish``, ``safety_trace`` is the trace behind
     ``report["safety"]`` (None when the report has no safety section).
     """
 
-    report: dict
-    trajectory: list[tuple[int, float, float, float]]
-    safety_trace: SafetyTrace | None
+    def __init__(self) -> None:
+        self.cfg: dict | None = None
+        self.run_id: str | None = None
+        self.rows: list[tuple[int, float, float, float]] = []
+        # A list per cid, not a dict: on the 55,002-record stage-3 log a dict
+        # per cid raised the peak memory of latency assembly from 3.7 to 6.0 MB.
+        self.times: dict[int, list[int | None]] = {}
+        self.frames: list[tuple[int, dict]] = []  # the safety frames of a scenario run
+        self.sent = self.dropped = self.delivered = 0
+        self.end: dict | None = None
+        self.safety_trace: SafetyTrace | None = None
+        self._npc_keys = None  # per NPC of a scenario: (id, its payload keys)
 
+    def feed(self, ev: TimedEvent) -> None:
+        stage = ev.stage
+        if ev.cid > 0:
+            t = self.times.get(ev.cid)
+            if t is None:
+                t = self.times[ev.cid] = [None] * len(Stage)
+            t[stage] = ev.t_ns
+        if self.cfg is None:
+            self._header(ev)
+        elif stage is Stage.GtsSample:
+            self.rows.append((ev.t_ns, _field(ev, "x"), _field(ev, "y"), _field(ev, "heading")))
+        elif stage is Stage.R2vSenseDone and self._npc_keys is not None and "x" in ev.payload:
+            self._frame(ev)
+        elif stage is Stage.PerturbIn:
+            self.sent += 1
+            if ev.payload.get("dropped"):
+                self.dropped += 1
+        elif stage is Stage.V2rDeliver:
+            self.delivered += 1
+        elif stage is Stage.RunEnd and self.end is None:
+            self.end = ev.payload
 
-def analyze(events: list[TimedEvent]) -> Analysis:
-    """Recompute every reported number from an audit event list, in one pass.
+    def _header(self, ev: TimedEvent) -> None:
+        if ev.stage is not Stage.RunHeader:
+            raise ValueError("audit log does not start with a run header")
+        text = ev.payload.get("config_json")
+        try:  # resolved again, so that a damaged echo fails naming its field
+            if not isinstance(text, str):
+                raise ValueError("config_json: missing or not a string")
+            cfg = cfg_mod.resolve_run_config(json.loads(text))
+        except ValueError as exc:  # also a ConfigError or a JSON syntax error
+            raise ValueError(f"config echo: {exc}") from exc
+        self.cfg, self.run_id = cfg, ev.run_id
+        if cfg["scenario"] is not None:
+            self._npc_keys = [(nid, tuple(f"npc_{nid}_{k}" for k in ("x", "y", "vx", "vy", "r")))
+                              for nid in (npc["id"] for npc in cfg["scenario"]["npcs"])]
 
-    The first record must be the run header (it carries the resolved config);
-    a missing end record marks the log as truncated.
-    """
-    if not events:
-        raise ValueError("empty audit log")
-    header = events[0]
-    if header.stage is not Stage.RunHeader:
-        raise ValueError("audit log does not start with a run header")
-    text = header.payload.get("config_json")
-    try:  # resolved again, so that a damaged echo fails naming its field
-        if not isinstance(text, str):
-            raise ValueError("config_json: missing or not a string")
-        cfg = cfg_mod.resolve_run_config(json.loads(text))
-    except ValueError as exc:  # also a ConfigError or a JSON syntax error
-        raise ValueError(f"line 1: config echo: {exc}") from exc
-    end = next((ev for ev in events if ev.stage is Stage.RunEnd), None)
-    truncated = end is None
-    aborted = bool(end.payload["aborted"]) if end else False
+    def _frame(self, ev: TimedEvent) -> None:
+        """Keep the ``d_min_trace`` frame of a sense event: the ego's mirrored
+        state and that of every NPC the payload carries, each checked."""
+        x, y, v, heading = (_field(ev, key) for key in ("x", "y", "v", "heading"))
+        agents = {"ego": (x, y, v * math.cos(heading), v * math.sin(heading),
+                          self.cfg["report"]["ego_radius_m"])}
+        for nid, keys in self._npc_keys:
+            if keys[0] in ev.payload:
+                agents[nid] = tuple(_field(ev, key) for key in keys)
+        for state in agents.values():
+            check_agent(*state)
+        self.frames.append((ev.t_ns, agents))
 
-    run_path = ReferencePath(cfg["path"]["vertices"], closed=cfg["path"]["closed"])
+    def finish(self) -> dict:
+        """The report of the records fed so far."""
+        cfg, end = self.cfg, self.end
+        if cfg is None:
+            raise ValueError("empty audit log")
+        truncated = end is None
+        aborted = bool(end["aborted"]) if end else False
 
-    traj = [(ev.t_ns, *_numbers(ev, ("x", "y", "heading"))) for ev in events
-            if ev.stage is Stage.GtsSample]
-    cte_summary = ate_summary = None
-    distance = 0.0
-    max_cte = 0.0
-    progress = 0.0
-    if traj:
-        ctes, ates = [], []
-        last_s = None
-        for s, c, a in track_errors(run_path, traj, cfg["sut"]["goal_speed_mps"]):
-            ctes.append(c)
-            ates.append(a)
-            if last_s is not None:
-                progress += run_path.lap_delta(s - last_s)
-            last_s = s
-        for i in range(1, len(traj)):
-            distance += math.hypot(traj[i][1] - traj[i - 1][1], traj[i][2] - traj[i - 1][2])
-        cte_summary = summarize(ctes)
-        ate_summary = summarize(ates)
-        max_cte = max(ctes)
+        run_path = ReferencePath(cfg["path"]["vertices"], closed=cfg["path"]["closed"])
 
-    records, incomplete, gapped = temporal.assemble_all(events)
+        traj = self.rows
+        cte_summary = ate_summary = None
+        distance = 0.0
+        max_cte = 0.0
+        progress = 0.0
+        if traj:
+            ctes, ates = [], []
+            last_s = None
+            for s, c, a in track_errors(run_path, traj, cfg["sut"]["goal_speed_mps"]):
+                ctes.append(c)
+                ates.append(a)
+                if last_s is not None:
+                    progress += run_path.lap_delta(s - last_s)
+                last_s = s
+            for i in range(1, len(traj)):
+                distance += math.hypot(traj[i][1] - traj[i - 1][1], traj[i][2] - traj[i - 1][2])
+            cte_summary = summarize(ctes)
+            ate_summary = summarize(ates)
+            max_cte = max(ctes)
 
-    sent = sum(1 for ev in events if ev.stage is Stage.PerturbIn)
-    dropped = sum(1 for ev in events if ev.stage is Stage.PerturbIn and ev.payload.get("dropped"))
-    delivered = sum(1 for ev in events if ev.stage is Stage.V2rDeliver)
+        records, incomplete, gapped = temporal.assemble_all(self.times)
 
-    completed = not aborted and not truncated and cte_summary is not None \
-        and max_cte <= cfg["report"]["completion_corridor_m"]
-    if cfg["termination"]["mode"] == "laps":
-        completed = completed and progress >= cfg["termination"]["laps"] * run_path.total_length
+        completed = not aborted and not truncated and cte_summary is not None \
+            and max_cte <= cfg["report"]["completion_corridor_m"]
+        if cfg["termination"]["mode"] == "laps":
+            completed = completed and progress >= cfg["termination"]["laps"] * run_path.total_length
 
-    safety = trace = None
-    if cfg["scenario"] is not None:
-        frames = _safety_frames(events, cfg)
-        if frames:
-            trace = d_min_trace(frames, "ego")
+        safety = None
+        if self.frames:
+            trace = self.safety_trace = d_min_trace(self.frames, "ego")
             sev = extract_events(
                 trace,
                 ttc_threshold_s=cfg["report"]["ttc_threshold_s"],
@@ -463,46 +477,44 @@ def analyze(events: list[TimedEvent]) -> Analysis:
                 "d_min_m": finite_or_none(trace.d_min),
                 "t_at_d_min_ns": trace.t_at_d_min,
                 "events": [e.to_dict() for e in sev],
-                "triggered": any(len(agents) > 1 for _t, agents in frames),
+                "triggered": any(len(agents) > 1 for _t, agents in self.frames),
             }
 
-    stage_id = "stage3" if cfg["scenario"] is not None else "stage1"
-    report = {
-        "schema_version": 1,
-        "stage": stage_id,
-        "run_id": header.run_id,
-        "seed": cfg["seed"],
-        "aborted": aborted,
-        "abort_reason": (end.payload.get("abort_reason", "") if end else "") or None,
-        "truncated": truncated,
-        "completed": completed,
-        "cycles": {
-            "gts_samples": len(traj),
-            "latency_records": len(records),
-            "incomplete": {str(cid): stage.name for cid, stage in sorted(incomplete.items())},
-            "v2r_sent": sent,
-            "v2r_delivered": delivered,
-            "v2r_dropped": dropped,
-        },
-        "completeness": {
-            "fraction": (len(records) - len(gapped)) / len(records) if records else 1.0,
-            "violations": gapped,
-        },
-        "cte": _summary_dict(cte_summary),
-        "ate": _summary_dict(ate_summary),
-        "distance_m": distance,
-        "progress_m": progress,
-        "max_cte_m": max_cte,
-        "latency_ms": temporal.summarize_latency(records),
-        "safety": safety,
-        "files": dict(ARTIFACTS),
-    }
-    return Analysis(report, traj, trace)
+        return {
+            "schema_version": 1,
+            "stage": "stage3" if cfg["scenario"] is not None else "stage1",
+            "run_id": self.run_id,
+            "seed": cfg["seed"],
+            "aborted": aborted,
+            "abort_reason": (end.get("abort_reason", "") if end else "") or None,
+            "truncated": truncated,
+            "completed": completed,
+            "cycles": {
+                "gts_samples": len(traj),
+                "latency_records": len(records),
+                "incomplete": {str(cid): stage.name for cid, stage in sorted(incomplete.items())},
+                "v2r_sent": self.sent,
+                "v2r_delivered": self.delivered,
+                "v2r_dropped": self.dropped,
+            },
+            "completeness": {
+                "fraction": (len(records) - len(gapped)) / len(records) if records else 1.0,
+                "violations": gapped,
+            },
+            "cte": _summary_dict(cte_summary),
+            "ate": _summary_dict(ate_summary),
+            "distance_m": distance,
+            "progress_m": progress,
+            "max_cte_m": max_cte,
+            "latency_ms": temporal.summarize_latency(records),
+            "safety": safety,
+            "files": dict(ARTIFACTS),
+        }
 
 
-def build_report(events: list[TimedEvent]) -> dict:
-    """The report of ``analyze``."""
-    return analyze(events).report
+def build_report(fold: Analyzer) -> dict:
+    """The report of a fold that has been fed a whole log."""
+    return fold.finish()
 
 
 #: Text of ``report.json``, in the format of every JSON artifact.
@@ -517,7 +529,7 @@ def run_stage1(resolved: dict) -> tuple[dict, "Runner"]:
     """One closed-loop run, with the scenario if the config carries one;
     returns (report, runner)."""
     runner = Runner(resolved)
-    return runner.run().report, runner
+    return runner.run(), runner
 
 
 def sweep_point_seed(base_seed: int, delay_ms: float, rep: int) -> int:
@@ -578,11 +590,9 @@ def write_response_curve(rows: list[dict], path) -> None:
 def replay_report(log_path) -> dict:
     """Rebuild the report from an audit log file alone (no simulation); a
     failure is a ``ValueError`` naming the log."""
-    from .core import AuditLog
-    events = AuditLog.read_ndjson(log_path)
-    if not events:
-        raise ValueError(f"audit log {log_path} is empty")
+    fold = Analyzer()
+    AuditLog.read_ndjson(log_path, fold)
     try:
-        return build_report(events)
+        return build_report(fold)
     except ValueError as exc:
         raise ValueError(f"{log_path}: {exc}") from exc

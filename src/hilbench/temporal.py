@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import NS_PER_MS, Stage, TimedEvent
+from .core import NS_PER_MS, Stage
 from .spatial import summarize
 
 
@@ -37,24 +37,16 @@ COMPONENTS = ("r2v", "ingest", "adv", "sense", "v2r", "sut", "platform", "total"
 REQUIRED_STAGES = tuple(sorted({stage for pair in INTERVALS.values() for stage in pair}))
 
 
-def assemble_all(events: list[TimedEvent]) -> tuple[dict, dict[int, Stage], list[int]]:
-    """Assemble the latency record of every correlation ID in an event list.
+def assemble_all(times: dict[int, list[int | None]]) -> tuple[dict, dict[int, Stage], list[int]]:
+    """Assemble the latency record of every correlation ID from its stage
+    times, ``{cid: [t_ns or None, indexed by Stage]}``.
 
     Returns the records ``{cid: {component: ns}}`` in cid order, ``{cid:
     first missing stage}`` for incomplete cycles, and the cids whose
     ``total`` differs from the span between the first and the last required
-    stage: a hand-off that no component counts.  Run-level records (cid 0)
-    are ignored.  Raises OrderingCorruptionError if an interval is negative.
+    stage: a hand-off that no component counts.  Raises
+    OrderingCorruptionError if an interval is negative.
     """
-    # cid -> t_ns indexed by stage: on the 55,002-event stage-3 log a dict per
-    # cid raised the peak memory of this function from 3.7 to 6.0 MB.
-    times: dict[int, list[int | None]] = {}
-    for ev in events:
-        if ev.cid > 0:
-            t = times.get(ev.cid)
-            if t is None:
-                t = times[ev.cid] = [None] * len(Stage)
-            t[ev.stage] = ev.t_ns
     first, last = REQUIRED_STAGES[0], REQUIRED_STAGES[-1]
     records: dict[int, dict[str, int]] = {}
     incomplete: dict[int, Stage] = {}

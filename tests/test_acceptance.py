@@ -14,7 +14,7 @@ import pytest
 
 from hilbench import presets
 from hilbench.config import resolve_run_config, resolve_sweep_config
-from hilbench.core import Stage, rng_stream
+from hilbench.core import Stage, TimedEvent, rng_stream
 from hilbench.orchestrator import (
     replay_report,
     report_to_json,
@@ -46,7 +46,7 @@ def default_run():
 
 def test_01_latency_identities(default_run):
     report, runner, elapsed = default_run
-    records, incomplete, gapped = assemble_all(runner.ctx.audit.events)
+    records, incomplete, gapped = assemble_all(runner.analyzer.times)
     complete = report["completeness"]["fraction"]
     ok = (
         len(records) == 2000
@@ -262,7 +262,7 @@ def test_08_stage3_safety_accounting():
     safety = report["safety"]
     duration_ok = resolved["termination"]["duration_s"] >= 90.0
 
-    events = runner.ctx.audit.events
+    events = [TimedEvent.from_json(line) for line in runner.ctx.audit.lines]
     frames = _frames_from_events(events, resolved["report"]["ego_radius_m"])
     brute_min = math.inf
     ttc_series = []

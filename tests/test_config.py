@@ -179,7 +179,7 @@ class TestJitteredRunDeterminism:
         resolved = resolve_run_config(doc)
         _, r1 = run_stage1(resolved)
         _, r2 = run_stage1(resolved)
-        assert list(r1.ctx.audit.iter_lines()) == list(r2.ctx.audit.iter_lines())
+        assert r1.ctx.audit.lines == r2.ctx.audit.lines
 
 
 class TestSweepConfig:

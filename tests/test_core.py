@@ -54,12 +54,18 @@ class TestCorrelationIds:
         assert ids == sorted(ids)
 
 
+class Collected(list):
+    """An audit-log consumer that keeps every record it is fed."""
+
+    feed = list.append
+
+
 class TestAuditLog:
     def test_append_in_chain_order(self):
         log = AuditLog("r")
         log.append(TimedEvent("r", 1, Stage.GtsSample, 10))
         log.append(TimedEvent("r", 1, Stage.R2vIngestStart, 12))
-        assert len(log.events) == 2
+        assert len(log.lines) == 2
 
     def test_stage_reorder_rejected(self):
         log = AuditLog("r")
@@ -92,13 +98,14 @@ class TestAuditLog:
         assert back == ev
 
     def test_ndjson_file_round_trip(self, tmp_path):
-        log = AuditLog("r")
+        log = AuditLog("r", Collected())
         log.append(TimedEvent("r", 1, Stage.GtsSample, 0, {"x": 0.1}))
         log.append(TimedEvent("r", 1, Stage.R2vSenseDone, 40, {"x": 0.30000000000000004}))
         p = tmp_path / "a.ndjson"
         log.write_ndjson(p)
-        events = AuditLog.read_ndjson(p)
-        assert events == log.events
+        events = Collected()
+        AuditLog.read_ndjson(p, events)
+        assert events == log.consumer
 
 
 class TestRngStreams:

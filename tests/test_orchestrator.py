@@ -5,8 +5,9 @@ import pytest
 
 from hilbench import cli, presets
 from hilbench.config import ConfigError, resolve_run_config, resolve_sweep_config
-from hilbench.core import Stage
+from hilbench.core import AuditLog, Stage, TimedEvent
 from hilbench.orchestrator import (
+    Analyzer,
     EventQueue,
     Npc,
     Runner,
@@ -68,7 +69,7 @@ class TestStage1:
         cfg = small_cfg()
         _, r1 = run_stage1(cfg)
         _, r2 = run_stage1(cfg)
-        assert list(r1.ctx.audit.iter_lines()) == list(r2.ctx.audit.iter_lines())
+        assert r1.ctx.audit.lines == r2.ctx.audit.lines
 
     def test_identical_reports(self):
         cfg = small_cfg()
@@ -98,7 +99,7 @@ class TestStage1:
 
     def test_audit_globally_time_ordered(self):
         _, runner = run_stage1(small_cfg())
-        times = [ev.t_ns for ev in runner.ctx.audit.events]
+        times = [json.loads(line)["t_ns"] for line in runner.ctx.audit.lines]
         assert times == sorted(times)
 
     def test_laps_termination(self):
@@ -128,7 +129,7 @@ class TestReplay:
         cfg = small_cfg()
         _, runner = run_stage1(cfg)
         log = tmp_path / "audit.ndjson"
-        lines = list(runner.ctx.audit.iter_lines())
+        lines = runner.ctx.audit.lines
         (log).write_text("\n".join(lines[: int(len(lines) * 0.6)]) + "\n")
         partial = replay_report(log)
         assert partial["truncated"]
@@ -302,15 +303,19 @@ class TestReportContent:
     def test_header_echoes_resolved_config(self):
         cfg = small_cfg()
         _, runner = run_stage1(cfg)
-        header = runner.ctx.audit.events[0]
+        header = TimedEvent.from_json(runner.ctx.audit.lines[0])
         assert header.stage is Stage.RunHeader
         echoed = json.loads(header.payload["config_json"])
         assert echoed == cfg
 
-    def test_report_recomputable_from_events_alone(self):
+    def test_report_recomputable_from_events_alone(self, tmp_path):
         cfg = small_cfg()
         report, runner = run_stage1(cfg)
-        rebuilt = build_report(runner.ctx.audit.events)
+        log = tmp_path / "audit.ndjson"
+        runner.ctx.audit.write_ndjson(log)
+        fold = Analyzer()
+        AuditLog.read_ndjson(log, fold)
+        rebuilt = build_report(fold)
         assert report_to_json(rebuilt) == report_to_json(report)
 
     def test_latency_components_present(self):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from hilbench import cli
 from hilbench.config import resolve_run_config
-from hilbench.core import Stage
+from hilbench.core import Stage, TimedEvent
 from hilbench.orchestrator import Runner
 from hilbench.temporal import COMPONENTS, assemble_all
 
@@ -95,9 +95,9 @@ def test_total_latency_spans_ingest_start_to_delivery(config):
     # take no time.  A gap that no component counts would break this.
     runner = Runner(resolve_run_config(config))
     runner.run()
-    events = runner.ctx.audit.events
+    events = [TimedEvent.from_json(line) for line in runner.ctx.audit.lines]
     t = {(ev.cid, ev.stage): ev.t_ns for ev in events}
-    records, _incomplete, _gapped = assemble_all(events)
+    records, _incomplete, _gapped = assemble_all(runner.analyzer.times)
     assert records
     for cid, rec in records.items():
         span = t[cid, Stage.V2rDeliver] - t[cid, Stage.R2vIngestStart]

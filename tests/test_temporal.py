@@ -32,6 +32,15 @@ def chain_events(cid=1, t0=0.0, ingest=0.26, adv=28.68, sense=7.64, sut=15.48, v
     events.append(TimedEvent("r", cid, Stage.ActuatorApply, t_del))
     return events
 
+def stage_times(events):
+    """``{cid: [t_ns or None, indexed by Stage]}``, the stage times that the
+    report's analysis keeps of each cycle."""
+    times = {}
+    for ev in events:
+        times.setdefault(ev.cid, [None] * len(Stage))[ev.stage] = ev.t_ns
+    return times
+
+
 def cycles(n):
     """Events of ``n`` identical full cycles, cids 1..n."""
     return [e for i in range(n) for e in chain_events(cid=i + 1)]
@@ -39,7 +48,7 @@ def cycles(n):
 
 def record(events):
     """The one record ``assemble_all`` builds from one complete chain."""
-    records, incomplete, gapped = assemble_all(events)
+    records, incomplete, gapped = assemble_all(stage_times(events))
     assert not incomplete and not gapped
     (rec,) = records.values()
     return rec
@@ -62,14 +71,14 @@ class TestAssemble:
 
     def test_missing_stage_named(self):
         events = [e for e in chain_events() if e.stage is not Stage.R2vAdvDone]
-        records, incomplete, _gapped = assemble_all(events)
+        records, incomplete, _gapped = assemble_all(stage_times(events))
         assert records == {}
         assert incomplete == {1: Stage.R2vAdvDone}
 
     def test_first_missing_stage_reported(self):
         events = [e for e in chain_events()
                   if e.stage not in (Stage.R2vIngestDone, Stage.SutCmdOut)]
-        records, incomplete, _gapped = assemble_all(events)
+        records, incomplete, _gapped = assemble_all(stage_times(events))
         assert records == {}
         assert incomplete == {1: Stage.R2vIngestDone}
 
@@ -78,7 +87,7 @@ class TestAssemble:
         bad = [TimedEvent("r", 1, e.stage, e.t_ns - ms_to_ns(50)) if e.stage is Stage.V2rDeliver else e
                for e in events]
         with pytest.raises(OrderingCorruptionError, match="negative v2r interval .* in cid 1"):
-            assemble_all(bad)
+            assemble_all(stage_times(bad))
 
     def test_identities_hold_by_construction(self):
         rng = rng_stream(1, "t.test")
@@ -104,7 +113,7 @@ class TestAggregate:
         assert st["cv"] == pytest.approx(0.641, abs=5e-4)
 
     def test_constant_series(self):
-        records, _, _ = assemble_all(cycles(5))
+        records, _, _ = assemble_all(stage_times(cycles(5)))
         st = summarize_latency(records)["r2v"]
         assert st["std_ms"] == 0.0
         assert st["cv"] == 0.0
@@ -116,7 +125,7 @@ class TestAggregate:
             events += chain_events(
                 cid=i + 1, ingest=rng.uniform(0, 2), adv=rng.uniform(0, 80),
                 sense=rng.uniform(0, 10), sut=rng.uniform(0, 30), v2r=rng.uniform(0, 12))
-        records, _, _ = assemble_all(events)
+        records, _, _ = assemble_all(stage_times(events))
         stats = summarize_latency(records)
         assert list(stats) == list(COMPONENTS)
         for comp in COMPONENTS:
@@ -136,7 +145,7 @@ class TestAggregate:
         events = []
         for i in range(50):
             events += chain_events(cid=i + 1, adv=float(rng.uniform(0, 50)))
-        records, _, _ = assemble_all(events)
+        records, _, _ = assemble_all(stage_times(events))
         st1 = summarize_latency(records)["adv"]
         items = list(records.items())
         rng.shuffle(items)
@@ -145,13 +154,13 @@ class TestAggregate:
 
     def test_needs_two_records(self):
         for n in (0, 1):
-            records, _, _ = assemble_all(cycles(n))
+            records, _, _ = assemble_all(stage_times(cycles(n)))
             assert summarize_latency(records) == dict.fromkeys(COMPONENTS)
 
 
 class TestCompleteness:
     def test_assembled_records_all_complete(self):
-        _, _, gapped = assemble_all(cycles(20))
+        _, _, gapped = assemble_all(stage_times(cycles(20)))
         assert gapped == []
 
     def test_uncounted_hand_off_flagged(self):
@@ -160,7 +169,7 @@ class TestCompleteness:
         # the ingest-start-to-delivery span.
         gap = [TimedEvent(e.run_id, e.cid, e.stage, e.t_ns + 1) if e.stage >= Stage.SutCmdIn else e
                for e in chain_events(cid=2, t0=20.0)]
-        records, incomplete, gapped = assemble_all(chain_events(cid=1) + gap)
+        records, incomplete, gapped = assemble_all(stage_times(chain_events(cid=1) + gap))
         assert not incomplete
         assert records[1]["total"] == records[2]["total"]
         assert gapped == [2]
@@ -168,14 +177,15 @@ class TestCompleteness:
     def test_assemble_all_skips_incomplete(self):
         events = chain_events(cid=1) + [e for e in chain_events(cid=2, t0=20.0)
                                         if e.stage is not Stage.V2rDeliver]
-        records, incomplete, gapped = assemble_all(events)
+        records, incomplete, gapped = assemble_all(stage_times(events))
         assert list(records) == [1]
         assert incomplete == {2: Stage.V2rDeliver}
         assert gapped == []
 
 
 def test_report_csv(tmp_path):
-    records, _, _ = assemble_all([e for i in range(5) for e in chain_events(cid=i + 1, adv=20.0 + i)])
+    events = [e for i in range(5) for e in chain_events(cid=i + 1, adv=20.0 + i)]
+    records, _, _ = assemble_all(stage_times(events))
     out = tmp_path / "latency.csv"
     write_latency_report(summarize_latency(records), out)
     lines = out.read_text().strip().splitlines()
