@@ -213,14 +213,17 @@ def _int_at_least_one(text: str) -> int:
     return value
 
 
-def _finite_non_negative(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not {text!r}")
-    return value
+def _finite(rule: str, holds):
+    """An argparse type that takes a finite number for which ``holds`` is true."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and holds(value)):
+            raise argparse.ArgumentTypeError(f"must be a finite number {rule}, not {text!r}")
+        return value
+    return parse
 
 
 def _print_run_summary(report: dict, args) -> None:
@@ -263,8 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     pi = sub.add_parser("identify", help="open-loop step test + model fit")
     common(pi)
     pi.add_argument("--channel", choices=("steering", "velocity"), required=True)
-    pi.add_argument("--amplitude", type=float, default=0.3)
-    pi.add_argument("--noise-frac", type=_finite_non_negative, default=0.02, dest="noise_frac",
+    pi.add_argument("--amplitude", type=_finite("other than 0", lambda v: v != 0.0), default=0.3)
+    pi.add_argument("--noise-frac", type=_finite(">= 0", lambda v: v >= 0.0), default=0.02,
+                    dest="noise_frac",
                     help="measurement noise as a fraction of the response step")
     pi.set_defaults(fn=_cmd_identify)
 

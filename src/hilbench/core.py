@@ -131,7 +131,7 @@ class AuditLog:
     appended by a live run or read back from a file.
 
     Every record carries the log's run_id, no timestamp is earlier than the
-    one before it.  Within one
+    one before it, and nothing follows the ``RunEnd`` record.  Within one
     correlation ID, stages appear in chain order (gaps are allowed,
     reordering and duplicates are not).  Each appended record is encoded once
     into ``lines``, and each admitted record is handed to ``consumer.feed``.
@@ -150,6 +150,9 @@ class AuditLog:
         if event.run_id != self.run_id:
             raise AuditOrderError(f"event run_id {event.run_id!r} does not match log "
                                   f"{self.run_id!r}")
+        if self.ended:
+            raise AuditOrderError(f"cid {event.cid}: stage {event.stage.name} after RunEnd, "
+                                  f"which ends the log")
         last = self._last_stage.get(event.cid)
         if last is not None and event.stage <= last:
             raise AuditOrderError(f"cid {event.cid}: stage {event.stage.name} after "
@@ -159,7 +162,7 @@ class AuditLog:
                                   f"{self._last_t}")
         self._last_stage[event.cid] = event.stage
         self._last_t = event.t_ns
-        self.ended = self.ended or event.stage is Stage.RunEnd
+        self.ended = event.stage is Stage.RunEnd
         if self.consumer is not None:
             self.consumer.feed(event)
 
@@ -176,7 +179,7 @@ class AuditLog:
     @staticmethod
     def read_ndjson(path, consumer) -> None:
         """Feed ``consumer`` each record of a log written by ``write_ndjson``,
-        after the order check of ``append``.
+        through the order check that ``append`` runs (``admit``).
 
         A final line that lacks its newline and does not parse, with no end
         record before it, is a record torn by an interrupted write: it is

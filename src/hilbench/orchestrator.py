@@ -388,11 +388,17 @@ class Analyzer:
             self._frame(ev)
         elif stage is Stage.PerturbIn:
             self.sent += 1
-            if ev.payload.get("dropped"):
-                self.dropped += 1
+            if "dropped" in ev.payload:
+                self.dropped += _field(ev, "dropped", (bool,), "a bool")
         elif stage is Stage.V2rDeliver:
             self.delivered += 1
-        elif stage is Stage.RunEnd and self.end is None:
+        elif stage is Stage.RunEnd:
+            _field(ev, "aborted", (bool,), "a bool")
+            _field(ev, "abort_reason", (str,), "a string")
+            samples = _field(ev, "gts_samples", (int,), "an integer")
+            if samples != len(self.rows):
+                raise ValueError(f"RunEnd cid {ev.cid}: payload field 'gts_samples' is {samples}, "
+                                 f"but the log holds {len(self.rows)} GtsSample records")
             self.end = ev.payload
 
     def _header(self, ev: TimedEvent) -> None:
@@ -429,7 +435,7 @@ class Analyzer:
         if cfg is None:
             raise ValueError("empty audit log")
         truncated = end is None
-        aborted = bool(end["aborted"]) if end else False
+        aborted = end["aborted"] if end else False
 
         run_path = ReferencePath(cfg["path"]["vertices"], closed=cfg["path"]["closed"])
 
@@ -486,7 +492,7 @@ class Analyzer:
             "run_id": self.run_id,
             "seed": cfg["seed"],
             "aborted": aborted,
-            "abort_reason": (end.get("abort_reason", "") if end else "") or None,
+            "abort_reason": (end["abort_reason"] if end else "") or None,
             "truncated": truncated,
             "completed": completed,
             "cycles": {

@@ -307,7 +307,14 @@ class TestNumericFlags:
          "argument --noise-frac: must be a finite number >= 0, not '-1'"),
         (["identify", "--channel", "velocity", "--noise-frac", "nan"],
          "argument --noise-frac: must be a finite number >= 0, not 'nan'"),
-    ], ids=["epochs-0", "epochs-negative", "noise-frac-negative", "noise-frac-nan"])
+        (["identify", "--channel", "steering", "--amplitude", "0"],
+         "argument --amplitude: must be a finite number other than 0, not '0'"),
+        (["identify", "--channel", "steering", "--amplitude", "nan"],
+         "argument --amplitude: must be a finite number other than 0, not 'nan'"),
+        (["identify", "--channel", "steering", "--amplitude", "inf"],
+         "argument --amplitude: must be a finite number other than 0, not 'inf'"),
+    ], ids=["epochs-0", "epochs-negative", "noise-frac-negative", "noise-frac-nan",
+            "amplitude-0", "amplitude-nan", "amplitude-inf"])
     def test_out_of_range_value_exits_1_naming_the_flag(self, tiny_cfg, tmp_path, capsys, argv,
                                                          message):
         if argv[0] == "identify":

@@ -79,6 +79,18 @@ class TestAuditLog:
         with pytest.raises(AuditOrderError):
             log.append(TimedEvent("r", 1, Stage.R2vIngestStart, 9))
 
+    def test_time_regression_across_cids_rejected(self):
+        log = AuditLog("r")
+        log.append(TimedEvent("r", 1, Stage.GtsSample, 10))
+        with pytest.raises(AuditOrderError, match="t_ns 9 earlier than the previous record's 10"):
+            log.append(TimedEvent("r", 2, Stage.GtsSample, 9))
+
+    def test_nothing_follows_the_end_record(self):
+        log = AuditLog("r")
+        log.append(TimedEvent("r", 0, Stage.RunEnd, 10))
+        with pytest.raises(AuditOrderError, match="cid 1: stage GtsSample after RunEnd"):
+            log.append(TimedEvent("r", 1, Stage.GtsSample, 10))
+
     def test_gaps_allowed(self):
         log = AuditLog("r")
         log.append(TimedEvent("r", 3, Stage.GtsSample, 0))

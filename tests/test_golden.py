@@ -136,6 +136,44 @@ def test_replay_rejects_any_other_bad_line_naming_it(tmp_path, bad_line, damage)
     assert main(["replay-report", "--log", str(log), "--out", str(tmp_path / "r"), "-q"]) == EXIT_CONFIG
 
 
+def test_replay_rejects_a_record_after_the_end_record(tmp_path):
+    lines = _golden_lines()
+    assert json.loads(lines[-1])["stage"] == "RunEnd"
+    after = lines[1].replace('"cid":1,', '"cid":51,').replace('"t_ns":0}', '"t_ns":1019847117}')
+    log = tmp_path / "audit.ndjson"
+    log.write_text("".join(lines) + after)
+    with pytest.raises(ValueError, match="line 553: cid 51: stage GtsSample after RunEnd"):
+        replay_report(log)
+    assert main(["replay-report", "--log", str(log), "--out", str(tmp_path / "r"), "-q"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("bad_line, old, new, message", [
+    pytest.param(552, '"gts_samples":50', '"gts_samples":49', "RunEnd cid 0: payload field "
+                 "'gts_samples' is 49, but the log holds 50 GtsSample records", id="count-short"),
+    pytest.param(552, '"gts_samples":50', '"gts_samples":50.0', "RunEnd cid 0: payload field "
+                 "'gts_samples' must be an integer, not 50.0", id="count-float"),
+    pytest.param(552, '"aborted":false', '"aborted":"no"', "RunEnd cid 0: payload field "
+                 "'aborted' must be a bool, not 'no'", id="aborted-string"),
+    pytest.param(552, '"aborted":false,', "", "RunEnd cid 0: payload field 'aborted' must be a "
+                 "bool, not None", id="aborted-missing"),
+    pytest.param(552, '"abort_reason":""', '"abort_reason":5', "RunEnd cid 0: payload field "
+                 "'abort_reason' must be a string, not 5", id="reason-int"),
+    pytest.param(12, '"payload":{}', '"payload":{"dropped":1}', "PerturbIn cid 1: payload "
+                 "field 'dropped' must be a bool, not 1", id="dropped-int"),
+])
+def test_replay_rejects_a_mistyped_end_or_drop_field_naming_it(tmp_path, capsys, bad_line, old,
+                                                                new, message):
+    lines = _golden_lines()
+    assert old in lines[bad_line - 1]
+    lines[bad_line - 1] = lines[bad_line - 1].replace(old, new)
+    log = tmp_path / "audit.ndjson"
+    log.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"line {bad_line}: {re.escape(message)}$"):
+        replay_report(log)
+    assert main(["replay-report", "--log", str(log), "--out", str(tmp_path / "r"), "-q"]) == EXIT_CONFIG
+    assert f"line {bad_line}: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ['"a"', "true"], ids=["x-string", "x-bool"])
 def test_replay_rejects_a_non_number_pose_field_naming_it(tmp_path, capsys, value):
     lines = _golden_lines()
@@ -143,8 +181,8 @@ def test_replay_rejects_a_non_number_pose_field_naming_it(tmp_path, capsys, valu
     log = tmp_path / "audit.ndjson"
     log.write_text("".join(lines))
     assert main(["replay-report", "--log", str(log), "--out", str(tmp_path / "r"), "-q"]) == EXIT_CONFIG
-    assert f"GtsSample cid 1: payload field 'x' must be a number, not {json.loads(value)!r}" \
-        in capsys.readouterr().err
+    assert f"line 2: GtsSample cid 1: payload field 'x' must be a number, not " \
+        f"{json.loads(value)!r}" in capsys.readouterr().err
 
 
 def test_replay_flags_a_hand_off_no_component_counts(tmp_path):
