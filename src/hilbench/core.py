@@ -12,7 +12,10 @@ import enum
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from json.encoder import encode_basestring_ascii
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,11 +79,21 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 #: JSON types of an audit payload value.
-_SCALARS = (bool, int, float, str)
+_SCALARS = frozenset((bool, int, float, str))
+
+#: The payload of a record that carries none: empty and read-only, so the one
+#: default that every such record shares cannot be changed through any of them.
+NO_PAYLOAD = MappingProxyType({})
+
+#: Stage name by stage value, and stage by name.
+_STAGE_NAMES = tuple(stage.name for stage in Stage)
+_STAGES = {stage.name: stage for stage in Stage}
+
+#: Decoder of one audit line; ``json.loads`` without its per-call set-up.
+_raw_decode = json.JSONDecoder().raw_decode
 
 
-@dataclass(frozen=True)
-class TimedEvent:
+class TimedEvent(NamedTuple):
     """One audit-log record: a stage boundary stamped in the run clock domain.
 
     ``payload`` maps string keys to scalars (bool/int/float/str) only; this
@@ -91,39 +104,47 @@ class TimedEvent:
     cid: int
     stage: Stage
     t_ns: int
-    payload: dict = field(default_factory=dict)
+    payload: Mapping = NO_PAYLOAD
 
     def to_json(self) -> str:
-        obj = {
-            "run_id": self.run_id,
-            "cid": self.cid,
-            "stage": self.stage.name,
-            "t_ns": self.t_ns,
-            "payload": self.payload,
-        }
-        return canonical_json(obj)
+        """The record's audit line: ``canonical_json`` of its fields as a dict,
+        whose sorted keys are cid, payload, run_id, stage, t_ns.  The fields
+        must have their declared types (int ``cid`` and ``t_ns``, str
+        ``run_id``); the payload may be any value ``canonical_json`` takes."""
+        run_id, cid, stage, t_ns, payload = self
+        if not payload and (payload is NO_PAYLOAD or type(payload) is dict):
+            body = "{}"  # most records: no encoder call
+        else:
+            body = canonical_json(payload)
+        return (f'{{"cid":{cid},"payload":{body},"run_id":{encode_basestring_ascii(run_id)},'
+                f'"stage":"{_STAGE_NAMES[stage]}","t_ns":{t_ns}}}')
 
     @staticmethod
     def from_json(line: str) -> "TimedEvent":
         """Parse one audit line; ``cid`` and ``t_ns`` must be JSON integers and
         every payload value a scalar, or ``ValueError`` names the field."""
-        obj = json.loads(line)
-        for key in ("cid", "t_ns"):
-            if type(obj[key]) is not int:
-                raise ValueError(f"{key} must be an integer, not {obj[key]!r}")
-        payload = obj.get("payload", {})
-        if not isinstance(payload, dict):
-            raise ValueError("payload must be an object")
-        for key, value in payload.items():
-            if type(value) not in _SCALARS:
+        try:
+            obj, end = _raw_decode(line)
+        except ValueError:
+            end = -1
+        if end != len(line):
+            # json.loads raises its own error on the line, text after the object
+            # included, or reads the whitespace around it that raw_decode refuses.
+            obj = json.loads(line)
+        cid = obj["cid"]
+        if type(cid) is not int:
+            raise ValueError(f"cid must be an integer, not {cid!r}")
+        t_ns = obj["t_ns"]
+        if type(t_ns) is not int:
+            raise ValueError(f"t_ns must be an integer, not {t_ns!r}")
+        payload = obj.get("payload", NO_PAYLOAD)
+        if payload is not NO_PAYLOAD:
+            if type(payload) is not dict:
+                raise ValueError("payload must be an object")
+            if not _SCALARS.issuperset(map(type, payload.values())):
+                key, value = next((k, v) for k, v in payload.items() if type(v) not in _SCALARS)
                 raise ValueError(f"payload field {key!r} must be a scalar, not {value!r}")
-        return TimedEvent(
-            run_id=obj["run_id"],
-            cid=obj["cid"],
-            stage=Stage[obj["stage"]],
-            t_ns=obj["t_ns"],
-            payload=payload,
-        )
+        return TimedEvent(obj["run_id"], cid, _STAGES[obj["stage"]], t_ns, payload)
 
 
 class AuditLog:
@@ -131,7 +152,9 @@ class AuditLog:
     appended by a live run or read back from a file.
 
     Every record carries the log's run_id, no timestamp is earlier than the
-    one before it, and nothing follows the ``RunEnd`` record.  Within one
+    one before it, and nothing follows the ``RunEnd`` record.  Correlation ID
+    0 carries the run records (``RunHeader``, ``RunEnd``) and nothing else;
+    every cycle stage carries a correlation ID above 0.  Within one
     correlation ID, stages appear in chain order (gaps are allowed,
     reordering and duplicates are not).  Each appended record is encoded once
     into ``lines``, and each admitted record is handed to ``consumer.feed``.
@@ -147,22 +170,27 @@ class AuditLog:
 
     def admit(self, event: TimedEvent) -> None:
         """Raise AuditOrderError unless ``event`` may come next; else feed it on."""
-        if event.run_id != self.run_id:
-            raise AuditOrderError(f"event run_id {event.run_id!r} does not match log "
-                                  f"{self.run_id!r}")
+        run_id, cid, stage, t_ns, _payload = event
+        if run_id != self.run_id:
+            raise AuditOrderError(f"event run_id {run_id!r} does not match log {self.run_id!r}")
         if self.ended:
-            raise AuditOrderError(f"cid {event.cid}: stage {event.stage.name} after RunEnd, "
-                                  f"which ends the log")
-        last = self._last_stage.get(event.cid)
-        if last is not None and event.stage <= last:
-            raise AuditOrderError(f"cid {event.cid}: stage {event.stage.name} after "
-                                  f"{last.name} violates chain order")
-        if event.t_ns < self._last_t:
-            raise AuditOrderError(f"t_ns {event.t_ns} earlier than the previous record's "
-                                  f"{self._last_t}")
-        self._last_stage[event.cid] = event.stage
-        self._last_t = event.t_ns
-        self.ended = event.stage is Stage.RunEnd
+            raise AuditOrderError(f"cid {cid}: stage {stage.name} after RunEnd, which ends the log")
+        if stage is Stage.RunHeader or stage is Stage.RunEnd:
+            if cid != 0:
+                raise AuditOrderError(f"cid {cid}: stage {stage.name} is a run record, which "
+                                      f"only cid 0 carries")
+        elif cid <= 0:
+            raise AuditOrderError(f"cid {cid}: stage {stage.name} is a cycle stage, which needs "
+                                  f"a cid above 0")
+        last = self._last_stage.get(cid)
+        if last is not None and stage <= last:
+            raise AuditOrderError(f"cid {cid}: stage {stage.name} after {last.name} violates "
+                                  f"chain order")
+        if t_ns < self._last_t:
+            raise AuditOrderError(f"t_ns {t_ns} earlier than the previous record's {self._last_t}")
+        self._last_stage[cid] = stage
+        self._last_t = t_ns
+        self.ended = stage is Stage.RunEnd
         if self.consumer is not None:
             self.consumer.feed(event)
 
@@ -251,7 +279,7 @@ class RunContext:
         return gen
 
     def emit(self, stage: Stage, cid: int, t_ns: int, payload: dict | None = None) -> TimedEvent:
-        ev = TimedEvent(self.run_id, cid, stage, int(t_ns), payload or {})
+        ev = TimedEvent(self.run_id, cid, stage, int(t_ns), payload or NO_PAYLOAD)
         self.audit.append(ev)
         return ev
 

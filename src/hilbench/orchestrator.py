@@ -19,10 +19,10 @@ zone and scores the interaction safety metrics.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -54,24 +54,25 @@ ARTIFACTS = {
 
 
 class EventQueue:
-    """Min-heap on (t_ns, insertion sequence)."""
+    """Min-heap of ``(t_ns, insertion sequence, handler, args)`` entries; an
+    entry runs as ``handler(t_ns, *args)``."""
 
     def __init__(self) -> None:
-        self._heap: list = []
+        self.heap: list = []
         self._seq = 0
 
-    def push(self, t_ns: int, fn, now_ns: int) -> None:
+    def push(self, t_ns: int, handler, now_ns: int, args: tuple = ()) -> None:
         if t_ns < now_ns:
             raise SchedulerCorruptionError(
                 f"event scheduled in the past ({t_ns} < {now_ns})")
-        heapq.heappush(self._heap, (int(t_ns), self._seq, fn))
+        heappush(self.heap, (int(t_ns), self._seq, handler, args))
         self._seq += 1
 
     def pop(self):
-        return heapq.heappop(self._heap)
+        return heappop(self.heap)
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self.heap)
 
 
 @dataclass
@@ -186,8 +187,11 @@ class Runner:
 
     # -- event handlers -----------------------------------------------------
 
-    def _schedule(self, t_ns: int, fn) -> None:
-        self.queue.push(t_ns, fn, self.ctx.clock.now())
+    def _schedule(self, t_ns: int, handler, *args) -> None:
+        self.queue.push(t_ns, handler, self.ctx.clock.now(), args)
+
+    def _emit(self, t_ns: int, stage: Stage, cid: int, payload: dict | None = None) -> None:
+        self.ctx.emit(stage, cid, t_ns, payload)
 
     def _on_gts(self, t_ns: int) -> None:
         self.plant.advance_to(t_ns)
@@ -199,11 +203,11 @@ class Runner:
         })
         self._track_progress(st.pose.x, st.pose.y)
         sched = self.r2v.transmit(t_ns)
-        self._schedule(sched.t_ingest_start, lambda t, c=cid: self.ctx.emit(Stage.R2vIngestStart, c, t))
-        self._schedule(sched.t_ingest_done, lambda t, c=cid: self.ctx.emit(Stage.R2vIngestDone, c, t))
-        self._schedule(sched.t_adv_done, lambda t, c=cid: self.ctx.emit(Stage.R2vAdvDone, c, t))
+        self._schedule(sched.t_ingest_start, self._emit, Stage.R2vIngestStart, cid)
+        self._schedule(sched.t_ingest_done, self._emit, Stage.R2vIngestDone, cid)
+        self._schedule(sched.t_adv_done, self._emit, Stage.R2vAdvDone, cid)
         pose_snapshot = (st.pose.x, st.pose.y, st.pose.heading, st.v_actual, t_ns)
-        self._schedule(sched.t_sense_done, lambda t, c=cid, p=pose_snapshot: self._on_sense_done(t, c, p))
+        self._schedule(sched.t_sense_done, self._on_sense_done, cid, pose_snapshot)
         if not self.stop_sampling:
             t_next = t_ns + self.period_ns
             if t_next < self.t_limit_ns and not self._laps_reached():
@@ -248,7 +252,7 @@ class Runner:
                 payload[f"npc_{a.agent_id}_vy"] = a.vy
                 payload[f"npc_{a.agent_id}_r"] = a.radius
         self.ctx.emit(Stage.R2vSenseDone, cid, t_ns, payload)
-        self._schedule(t_ns, lambda t, c=cid: self._on_sut_in(t, c))
+        self._schedule(t_ns, self._on_sut_in, cid)
 
     def _detections(self, t_ns: int) -> tuple[AgentState, ...]:
         rng_m = self.cfg["report"]["sensing_range_m"]
@@ -281,7 +285,7 @@ class Runner:
         if cmd.t_issued_ns - t_ns > 10 * self.period_ns:
             self._abort("sut missed the 10-period watchdog deadline")
             return
-        self._schedule(cmd.t_issued_ns, lambda t, c=cid, k=cmd: self._on_sut_out(t, c, k))
+        self._schedule(cmd.t_issued_ns, self._on_sut_out, cid, cmd)
 
     def _on_sut_out(self, t_ns: int, cid: int, cmd) -> None:
         self.ctx.emit(Stage.SutCmdOut, cid, t_ns, {
@@ -289,15 +293,13 @@ class Runner:
         })
         sched = self.v2r.transmit(t_ns)
         if sched.dropped:
-            self._schedule(sched.t_perturb_in,
-                           lambda t, c=cid: self.ctx.emit(Stage.PerturbIn, c, t, {"dropped": True}))
+            self._schedule(sched.t_perturb_in, self._emit, Stage.PerturbIn, cid, {"dropped": True})
             return
-        self._schedule(sched.t_perturb_in, lambda t, c=cid: self.ctx.emit(Stage.PerturbIn, c, t))
-        self._schedule(sched.t_perturb_out, lambda t, c=cid: self.ctx.emit(Stage.PerturbOut, c, t))
-        deliver_payload = {"fifo_clamped": True} if sched.fifo_clamped else {}
-        self._schedule(sched.t_deliver,
-                       lambda t, c=cid, p=deliver_payload: self.ctx.emit(Stage.V2rDeliver, c, t, p))
-        self._schedule(sched.t_deliver, lambda t, c=cid, k=cmd: self._on_actuator(t, c, k))
+        self._schedule(sched.t_perturb_in, self._emit, Stage.PerturbIn, cid)
+        self._schedule(sched.t_perturb_out, self._emit, Stage.PerturbOut, cid)
+        self._schedule(sched.t_deliver, self._emit, Stage.V2rDeliver, cid,
+                       {"fifo_clamped": True} if sched.fifo_clamped else None)
+        self._schedule(sched.t_deliver, self._on_actuator, cid, cmd)
 
     def _on_actuator(self, t_ns: int, cid: int, cmd) -> None:
         self.plant.advance_to(t_ns)
@@ -315,13 +317,14 @@ class Runner:
     def run(self) -> dict:
         self.ctx.emit(Stage.RunHeader, 0, 0, {"config_json": canonical_json(self.cfg)})
         self._schedule(0, self._on_gts)
-        while len(self.queue) and not self.aborted:
-            t_ns, _seq, fn = self.queue.pop()
-            now = self.ctx.clock.now()
+        heap, clock = self.queue.heap, self.ctx.clock
+        while heap and not self.aborted:
+            t_ns, _seq, handler, args = heappop(heap)
+            now = clock.now()
             if t_ns < now:
                 raise SchedulerCorruptionError(f"popped event at {t_ns} before clock {now}")
-            self.ctx.clock.advance(t_ns - now)
-            fn(t_ns)
+            clock.advance(t_ns - now)
+            handler(t_ns, *args)
         self.ctx.emit(Stage.RunEnd, 0, self.ctx.clock.now(), {
             "aborted": self.aborted,
             "abort_reason": self.abort_reason or "",
@@ -350,6 +353,25 @@ def _field(ev: TimedEvent, key: str, types=(int, float), kind: str = "a number")
     return value
 
 
+#: Types of a JSON number, as ``_field`` checks it by default.
+_NUMBERS = frozenset((int, float))
+#: Payload keys of a ground-truth row, and of the ego state a sense event carries.
+_POSE_KEYS = ("x", "y", "heading")
+_EGO_KEYS = ("x", "y", "v", "heading")
+#: Length of a cid's list of stage times, which ``Stage`` indexes.
+_N_STAGES = len(Stage)
+
+
+def _numbers(ev: TimedEvent, keys: tuple[str, ...]) -> tuple:
+    """The payload values of ``keys``, each of which must be a JSON number; the
+    first that is not fails as ``_field`` words it."""
+    values = tuple(map(ev.payload.get, keys))
+    if not _NUMBERS.issuperset(map(type, values)):
+        for key in keys:
+            _field(ev, key)
+    return values
+
+
 class Analyzer:
     """The one analysis of a run, fed its audit records one at a time (live by
     ``AuditLog.append``, from a file by ``AuditLog.read_ndjson``); ``finish``
@@ -374,21 +396,21 @@ class Analyzer:
         self._npc_keys = None  # per NPC of a scenario: (id, its payload keys)
 
     def feed(self, ev: TimedEvent) -> None:
-        stage = ev.stage
-        if ev.cid > 0:
-            t = self.times.get(ev.cid)
+        _run_id, cid, stage, t_ns, payload = ev
+        if cid > 0:
+            t = self.times.get(cid)
             if t is None:
-                t = self.times[ev.cid] = [None] * len(Stage)
-            t[stage] = ev.t_ns
+                t = self.times[cid] = [None] * _N_STAGES
+            t[stage] = t_ns
         if self.cfg is None:
             self._header(ev)
         elif stage is Stage.GtsSample:
-            self.rows.append((ev.t_ns, _field(ev, "x"), _field(ev, "y"), _field(ev, "heading")))
-        elif stage is Stage.R2vSenseDone and self._npc_keys is not None and "x" in ev.payload:
+            self.rows.append((t_ns, *_numbers(ev, _POSE_KEYS)))
+        elif stage is Stage.R2vSenseDone and self._npc_keys is not None and "x" in payload:
             self._frame(ev)
         elif stage is Stage.PerturbIn:
             self.sent += 1
-            if "dropped" in ev.payload:
+            if "dropped" in payload:
                 self.dropped += _field(ev, "dropped", (bool,), "a bool")
         elif stage is Stage.V2rDeliver:
             self.delivered += 1
@@ -397,9 +419,9 @@ class Analyzer:
             _field(ev, "abort_reason", (str,), "a string")
             samples = _field(ev, "gts_samples", (int,), "an integer")
             if samples != len(self.rows):
-                raise ValueError(f"RunEnd cid {ev.cid}: payload field 'gts_samples' is {samples}, "
+                raise ValueError(f"RunEnd cid {cid}: payload field 'gts_samples' is {samples}, "
                                  f"but the log holds {len(self.rows)} GtsSample records")
-            self.end = ev.payload
+            self.end = payload
 
     def _header(self, ev: TimedEvent) -> None:
         if ev.stage is not Stage.RunHeader:
@@ -411,6 +433,9 @@ class Analyzer:
             cfg = cfg_mod.resolve_run_config(json.loads(text))
         except ValueError as exc:  # also a ConfigError or a JSON syntax error
             raise ValueError(f"config echo: {exc}") from exc
+        if cfg["run_id"] != ev.run_id:
+            raise ValueError(f"config echo: run_id: {cfg['run_id']!r} differs from the records' "
+                             f"run_id {ev.run_id!r}")
         self.cfg, self.run_id = cfg, ev.run_id
         if cfg["scenario"] is not None:
             self._npc_keys = [(nid, tuple(f"npc_{nid}_{k}" for k in ("x", "y", "vx", "vy", "r")))
@@ -419,12 +444,12 @@ class Analyzer:
     def _frame(self, ev: TimedEvent) -> None:
         """Keep the ``d_min_trace`` frame of a sense event: the ego's mirrored
         state and that of every NPC the payload carries, each checked."""
-        x, y, v, heading = (_field(ev, key) for key in ("x", "y", "v", "heading"))
+        x, y, v, heading = _numbers(ev, _EGO_KEYS)
         agents = {"ego": (x, y, v * math.cos(heading), v * math.sin(heading),
                           self.cfg["report"]["ego_radius_m"])}
         for nid, keys in self._npc_keys:
             if keys[0] in ev.payload:
-                agents[nid] = tuple(_field(ev, key) for key in keys)
+                agents[nid] = _numbers(ev, keys)
         for state in agents.values():
             check_agent(*state)
         self.frames.append((ev.t_ns, agents))

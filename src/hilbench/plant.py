@@ -14,6 +14,7 @@ t90 = L + tau_p * ln(10).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -75,23 +76,37 @@ class CommandMap:
             raise ValueError("command map commands must be strictly increasing")
         if any(b < a for a, b in zip(setps, setps[1:])):
             raise ValueError("command map must be monotone non-decreasing")
-        self._cmds = np.array(cmds)
-        self._setps = np.array(setps)
+        self._cmds = cmds
+        self._setps = setps
 
     def __call__(self, command: float) -> tuple[float, bool]:
-        """Return (setpoint, clamped)."""
-        if command < self._cmds[0]:
-            return float(self._setps[0]), True
-        if command > self._cmds[-1]:
-            return float(self._setps[-1]), True
-        return float(np.interp(command, self._cmds, self._setps)), False
+        """Return (setpoint, clamped); within the domain the setpoint is
+        ``np.interp(command, cmds, setps)``, bit for bit, on scalars."""
+        x = float(command)
+        xp, fp = self._cmds, self._setps
+        if x < xp[0]:
+            return fp[0], True
+        if x > xp[-1]:
+            return fp[-1], True
+        if x != x:
+            return x, False
+        j = bisect_right(xp, x) - 1
+        if j == len(xp) - 1 or xp[j] == x:
+            return fp[j], False
+        slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+        y = slope * (x - xp[j]) + fp[j]
+        if y != y:  # as numpy does: try from the right end, then a flat segment
+            y = slope * (x - xp[j + 1]) + fp[j + 1]
+            if y != y and fp[j] == fp[j + 1]:
+                y = fp[j]
+        return y, False
 
     @staticmethod
     def identity(lo: float = -10.0, hi: float = 10.0) -> "CommandMap":
         return CommandMap([(lo, lo), (hi, hi)])
 
     def to_points(self) -> list[list[float]]:
-        return [[float(c), float(s)] for c, s in zip(self._cmds, self._setps)]
+        return [[c, s] for c, s in zip(self._cmds, self._setps)]
 
 
 @dataclass(frozen=True)

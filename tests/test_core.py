@@ -1,4 +1,11 @@
+import json
+import math
+from pathlib import Path
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbench.core import (
     AuditLog,
@@ -8,9 +15,12 @@ from hilbench.core import (
     Stage,
     TimedEvent,
     VirtualClock,
+    canonical_json,
     rng_stream,
     substream_seed,
 )
+
+GOLDEN_LOGS = sorted((Path(__file__).parent / "data").glob("golden_*/**/audit.ndjson"))
 
 
 class TestClock:
@@ -144,3 +154,74 @@ class TestRngStreams:
     def test_seed_derivation_is_stable(self):
         assert substream_seed(42, "plant") == substream_seed(42, "plant")
         assert substream_seed(42, "plant") != substream_seed(43, "plant")
+
+
+#: Text with the characters JSON escapes or ASCII-encodes: quotes, backslashes,
+#: control characters, DEL, line separators and non-ASCII letters and emoji.
+texts = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028é中😀'), st.characters()),
+                max_size=6)
+scalars = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.just(2**70),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, math.nan, math.inf, -math.inf]),
+    st.floats().map(np.float64),
+    texts,
+)
+#: Values and keys outside an audit payload, which must encode, or fail, as
+#: ``canonical_json`` does with them.
+others = st.one_of(st.none(), st.lists(st.integers(), max_size=2), st.builds(object))
+
+
+def _record(run_id, cid, stage, t_ns, payload) -> dict:
+    return {"run_id": run_id, "cid": cid, "stage": stage.name, "t_ns": t_ns, "payload": payload}
+
+
+class TestLineCodec:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(run_id=texts, cid=st.integers(), stage=st.sampled_from(Stage), t_ns=st.integers(),
+           payload=st.one_of(st.dictionaries(texts, scalars, max_size=5),
+                             st.dictionaries(st.one_of(texts, st.integers()),
+                                             st.one_of(scalars, others), max_size=3),
+                             others))
+    def test_line_is_canonical_json_of_the_record(self, run_id, cid, stage, t_ns, payload):
+        ev = TimedEvent(run_id, cid, stage, t_ns, payload)
+        try:
+            expected = canonical_json(_record(run_id, cid, stage, t_ns, payload))
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as info:
+                ev.to_json()
+            assert str(info.value) == str(exc)
+            return
+        line = ev.to_json()
+        assert line == expected
+        if isinstance(payload, dict) and all(type(k) is str and type(v) in (bool, int, float, str)
+                                             for k, v in payload.items()):
+            assert TimedEvent.from_json(line).to_json() == line
+
+    def test_default_payload_is_empty_and_read_only(self):
+        ev = TimedEvent("r", 1, Stage.GtsSample, 0)
+        assert ev.to_json() == canonical_json(_record("r", 1, Stage.GtsSample, 0, {}))
+        with pytest.raises(TypeError):
+            ev.payload["x"] = 1.0
+        assert TimedEvent("r", 2, Stage.GtsSample, 0).payload == {}
+
+    @pytest.mark.parametrize("path", GOLDEN_LOGS, ids=lambda p: p.parent.name)
+    def test_every_golden_line_decodes_and_reencodes_to_its_own_bytes(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert "".join(TimedEvent.from_json(line).to_json() + "\n"
+                       for line in text.splitlines()) == text
+
+    def test_the_golden_logs_of_all_three_stages_are_found(self):
+        assert [p.parent.name for p in GOLDEN_LOGS] == [
+            "golden_stage1", "delay_0ms_rep0", "delay_40ms_rep0", "golden_stage3"]
+
+    @pytest.mark.parametrize("tail", [" x", '{"cid":2}', " []"])
+    def test_text_after_the_record_fails_as_json_loads_does(self, tail):
+        line = TimedEvent("r", 1, Stage.GtsSample, 0, {"x": 0.5}).to_json() + tail
+        with pytest.raises(ValueError) as expected:
+            json.loads(line)
+        with pytest.raises(ValueError) as info:
+            TimedEvent.from_json(line)
+        assert str(info.value) == str(expected.value)

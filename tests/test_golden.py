@@ -123,6 +123,9 @@ def test_replay_drops_a_torn_final_line_and_reports_truncation(tmp_path, keep_li
     pytest.param(2, lambda line: line.replace('"t_ns":0}', '"t_ns":0.5}'), id="t_ns-float"),
     pytest.param(2, lambda line: line.replace('"t_ns":0}', '"t_ns":false}'), id="t_ns-bool"),
     pytest.param(2, lambda line: line.replace('"cid":1,', '"cid":"1",'), id="cid-string"),
+    pytest.param(300, lambda line: line.replace("}\n", "} {}\n"), id="text-after-object"),
+    pytest.param(300, lambda line: "[" + line.rstrip("\n") + "]\n", id="array-line"),
+    pytest.param(2, lambda line: line.replace('"GtsSample"', '"GtsSampel"'), id="unknown-stage"),
 ])
 def test_replay_rejects_any_other_bad_line_naming_it(tmp_path, bad_line, damage):
     lines = _golden_lines()
@@ -134,6 +137,41 @@ def test_replay_rejects_any_other_bad_line_naming_it(tmp_path, bad_line, damage)
     with pytest.raises(ValueError, match=f"line {bad_line}: not an audit record"):
         replay_report(log)
     assert main(["replay-report", "--log", str(log), "--out", str(tmp_path / "r"), "-q"]) == EXIT_CONFIG
+
+
+def _header_on_cid(lines):
+    """Insert after line 51 a second run header, on cid 99999, echoing seed 123."""
+    header = json.loads(lines[0])
+    echo = json.loads(header["payload"]["config_json"])
+    echo["seed"] = 123
+    header["payload"]["config_json"] = json.dumps(echo)
+    header["cid"] = 99999
+    header["t_ns"] = json.loads(lines[50])["t_ns"]
+    lines.insert(51, json.dumps(header) + "\n")
+
+
+def _on_cid(line_no, cid):
+    def move(lines):
+        old = f'"cid":{json.loads(lines[line_no - 1])["cid"]},'
+        lines[line_no - 1] = lines[line_no - 1].replace(old, f'"cid":{cid},')
+    return move
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_header_on_cid, "line 52: cid 99999: stage RunHeader is a run record, which only cid 0 "
+                     "carries"),
+    (_on_cid(552, 5), "line 552: cid 5: stage RunEnd is a run record, which only cid 0 carries"),
+    (_on_cid(2, 0), "line 2: cid 0: stage GtsSample is a cycle stage, which needs a cid above 0"),
+], ids=["header-on-cid-99999", "end-on-cid-5", "sample-on-cid-0"])
+def test_replay_rejects_a_record_on_the_wrong_side_of_cid_0(tmp_path, capsys, damage, message):
+    lines = _golden_lines()
+    damage(lines)
+    log = tmp_path / "audit.ndjson"
+    log.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
+        replay_report(log)
+    assert main(["replay-report", "--log", str(log), "--out", str(tmp_path / "r"), "-q"]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_replay_rejects_a_record_after_the_end_record(tmp_path):
@@ -214,10 +252,12 @@ def _echo(damage):
      "report.completion_corridor_m: must be a number"),
     (_echo(lambda c: c["sut"].update(goal_speed_mps=None)), "sut.goal_speed_mps: must be a number"),
     (_echo(lambda c: c.update(linkz={})), "linkz: unexpected field"),
+    (_echo(lambda c: c.update(run_id="other-run")),
+     "run_id: 'other-run' differs from the records' run_id 'golden-stage1'"),
     (lambda p: p.pop("config_json"), "config_json: missing or not a string"),
     (lambda p: p.update(config_json="{bad"), "Expecting property name"),
-], ids=["path-missing", "corridor-string", "goal-speed-null", "extra-key", "echo-missing",
-        "echo-not-json"])
+], ids=["path-missing", "corridor-string", "goal-speed-null", "extra-key", "other-run-id",
+        "echo-missing", "echo-not-json"])
 def test_replay_rejects_a_damaged_config_echo_naming_the_field(tmp_path, capsys, damage, message):
     lines = _golden_lines()
     header = json.loads(lines[0])

@@ -44,7 +44,7 @@ class TestScheduler:
         q.push(10, lambda t: seen.append("b"), 0)
         q.push(5, lambda t: seen.append("c"), 0)
         while len(q):
-            t, _, fn = q.pop()
+            t, _, fn, _args = q.pop()
             fn(t)
         assert seen == ["c", "a", "b"]
 

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbench.core import rng_stream, s_to_ns
 from hilbench.plant import (
@@ -36,6 +39,37 @@ class TestCommandMap:
     def test_rejects_non_monotone(self):
         with pytest.raises(ValueError):
             CommandMap([(0.0, 1.0), (1.0, 0.5)])
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@st.composite
+def command_tables(draw):
+    """(commands, setpoints): strictly increasing commands, and setpoints that
+    repeat often enough to give flat segments; both may be infinite."""
+    cmds = sorted(draw(st.lists(st.floats(allow_nan=False), min_size=2, max_size=7, unique=True)))
+    setpoint = st.one_of(st.floats(allow_nan=False),
+                         st.sampled_from([-math.inf, -1.0, 0.0, 2.5, math.inf]))
+    setps = sorted(draw(st.lists(setpoint, min_size=len(cmds), max_size=len(cmds))))
+    return cmds, setps
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(table=command_tables(), data=st.data())
+def test_command_map_is_np_interp_bit_for_bit(table, data):
+    cmds, setps = table
+    m = CommandMap(list(zip(cmds, setps)))
+    j = data.draw(st.integers(0, len(cmds) - 2))
+    inside = [] if math.isinf(cmds[j]) or math.isinf(cmds[j + 1]) else \
+        data.draw(st.lists(st.floats(cmds[j], cmds[j + 1]), min_size=1, max_size=4))
+    commands = cmds + inside + data.draw(st.lists(st.floats(), max_size=4)) + [
+        math.nextafter(cmds[0], -math.inf), math.nextafter(cmds[-1], math.inf), math.nan]
+    for command in commands:
+        setpoint, clamped = m(command)
+        assert _bits(setpoint) == _bits(float(np.interp(command, cmds, setps))), command
+        assert clamped == (command < cmds[0] or command > cmds[-1]), command
 
 
 class TestFopdtChannel:

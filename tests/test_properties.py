@@ -8,7 +8,6 @@ are the same on every run.
 """
 
 import json
-import os
 import tempfile
 from pathlib import Path
 
@@ -20,11 +19,6 @@ from hilbench.config import resolve_run_config
 from hilbench.core import Stage, TimedEvent
 from hilbench.orchestrator import Runner
 from hilbench.temporal import COMPONENTS, assemble_all
-
-# Even without a database, Hypothesis's pytest plugin caches constants found in
-# the source on disk when it collects these tests; keep that out of the tree.
-os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
-                      str(Path(tempfile.gettempdir()) / "hilbench-hypothesis"))
 
 PATHS = (
     {"preset": "square-sandbox"},
