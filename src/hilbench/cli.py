@@ -51,11 +51,11 @@ def _write_manifest(out: Path, command: str, artifacts: dict, flags: dict | None
 
 
 def _write_run_artifacts(out: Path, runner: orchestrator.Runner, report: dict) -> dict:
-    """Write the audit log, ``report`` and the artifacts derived from the
-    runner's analysis fold; return ``{artifact name: relative path}``."""
+    """Write ``report`` and the artifacts derived from the runner's analysis
+    fold; return ``{artifact name: relative path}``, the audit log that the
+    run wrote included."""
     names = orchestrator.ARTIFACTS
     fold = runner.analyzer
-    runner.ctx.audit.write_ndjson(out / names["audit"])
     write_json(out / names["report"], report)
     written = ["audit", "report"]
     if fold.rows:
@@ -88,8 +88,7 @@ def _cmd_run(args) -> int:
     if args.command == "stage3" and resolved["scenario"] is None:
         raise cfg_mod.ConfigError("scenario", "stage 3 requires a scenario (config or --script)")
     out = _out_dir(args)
-    runner = orchestrator.Runner(resolved)
-    report = runner.run()
+    report, runner = orchestrator.run_stage1(resolved, out / orchestrator.ARTIFACTS["audit"])
     artifacts = _write_run_artifacts(out, runner, report)
     _write_manifest(out, args.command, artifacts, {"aborted": report["aborted"]})
     _print_run_summary(report, args)
@@ -106,15 +105,21 @@ def _cmd_stage2(args) -> int:
     out = _out_dir(args)
     artifacts = {}
 
-    def on_point(delay, rep, report, runner):
-        sub = out / f"delay_{delay:g}ms_rep{rep}"
-        sub.mkdir(parents=True, exist_ok=True)
-        runner.ctx.audit.write_ndjson(sub / "audit.ndjson")
-        write_json(sub / "report.json", report)
-        artifacts[f"audit_d{delay:g}_r{rep}"] = f"delay_{delay:g}ms_rep{rep}/audit.ndjson"
-        artifacts[f"report_d{delay:g}_r{rep}"] = f"delay_{delay:g}ms_rep{rep}/report.json"
+    def point_dir(delay, rep):
+        return f"delay_{delay:g}ms_rep{rep}"
 
-    rows, _reports = orchestrator.run_stage2(sweep, on_point=on_point)
+    def log_path(delay, rep):
+        sub = out / point_dir(delay, rep)
+        sub.mkdir(parents=True, exist_ok=True)
+        return sub / "audit.ndjson"
+
+    def on_point(delay, rep, report, runner):
+        name = point_dir(delay, rep)
+        write_json(out / name / "report.json", report)
+        artifacts[f"audit_d{delay:g}_r{rep}"] = f"{name}/audit.ndjson"
+        artifacts[f"report_d{delay:g}_r{rep}"] = f"{name}/report.json"
+
+    rows, _reports = orchestrator.run_stage2(sweep, on_point=on_point, log_path=log_path)
     orchestrator.write_response_curve(rows, out / "response_curve.csv")
     artifacts["response_curve"] = "response_curve.csv"
     _write_manifest(out, "stage2", artifacts,

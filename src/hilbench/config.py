@@ -430,10 +430,19 @@ def resolve_run_config(obj: dict) -> dict:
     return _fields(obj, "", _RUN)
 
 
-def _sorted_delays(value, path: str) -> list:
-    delays = _list(_num(lo=0.0), 1, "must be a non-empty list")(value, path)
-    if delays != sorted(delays):
-        raise ConfigError(path, "must be sorted ascending")
+def _sweep_delays(value, path: str) -> list:
+    """Strictly increasing delays whose ``{delay:g}`` labels differ: a label
+    names its sweep point's directory, run_id and seed.  A delay of -0.0
+    becomes 0.0 (``+ 0.0``), so that a zero delay has the one label "0"."""
+    delays = [delay + 0.0 for delay in
+              _list(_num(lo=0.0), 1, "must be a non-empty list")(value, path)]
+    for i in range(1, len(delays)):
+        before, delay = delays[i - 1], delays[i]
+        if delay <= before:
+            raise ConfigError(f"{path}[{i}]", f"must be above the delay before it ({before!r})")
+        if f"{delay:g}" == f"{before:g}":
+            raise ConfigError(f"{path}[{i}]", f"has the label {delay:g} of the delay before it; "
+                                              f"a label keeps 6 significant digits")
     return delays
 
 
@@ -446,7 +455,7 @@ def _sweep_base(value, path: str) -> dict:
 
 _SWEEP = {
     "schema_version": (_schema_version, SCHEMA_VERSION),
-    "injected_delays_ms": (_sorted_delays, _REQUIRED),
+    "injected_delays_ms": (_sweep_delays, _REQUIRED),
     "repetitions": (_num(lo=1, integer=True), 1),
     "base": (_sweep_base, _REQUIRED),
 }

@@ -156,14 +156,18 @@ class AuditLog:
     0 carries the run records (``RunHeader``, ``RunEnd``) and nothing else;
     every cycle stage carries a correlation ID above 0.  Within one
     correlation ID, stages appear in chain order (gaps are allowed,
-    reordering and duplicates are not).  Each appended record is encoded once
-    into ``lines``, and each admitted record is handed to ``consumer.feed``.
+    reordering and duplicates are not).  Each admitted record is handed to
+    ``consumer.feed``.  ``append`` encodes each record once and writes its line
+    to ``sink``, an open text stream, as soon as the record is admitted; the
+    log keeps no record itself, so an interrupted run leaves every record
+    admitted before the interruption in the sink.  With no sink the line is
+    encoded and dropped.
     """
 
-    def __init__(self, run_id: str, consumer=None) -> None:
+    def __init__(self, run_id: str, consumer=None, sink=None) -> None:
         self.run_id = run_id
         self.consumer = consumer
-        self.lines: list[str] = []
+        self.sink = sink
         self.ended = False
         self._last_t = -math.inf
         self._last_stage: dict[int, Stage] = {}
@@ -195,19 +199,31 @@ class AuditLog:
             self.consumer.feed(event)
 
     def append(self, event: TimedEvent) -> None:
+        """Admit ``event`` and write its line to the sink.  It is encoded
+        first, so a record that cannot be encoded is neither admitted nor
+        written."""
+        line = event.to_json()
         self.admit(event)
-        self.lines.append(event.to_json())
+        sink = self.sink
+        if sink is not None:
+            sink.write(line)
+            sink.write("\n")
 
-    def write_ndjson(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in self.lines:
-                fh.write(line)
-                fh.write("\n")
+    def write_ndjson(self, path):
+        """Open ``path`` as the sink of every later record and return the open
+        file, which the caller closes once the run is over, also when it
+        raises: ``with log.write_ndjson(path): run()``.  Records appended
+        before the call are in no file, so it must come before the first."""
+        if self._last_stage:
+            raise ValueError(f"{path}: the audit log must be opened before its first record")
+        self.sink = open(path, "w", encoding="utf-8", newline="\n")
+        return self.sink
 
     @staticmethod
     def read_ndjson(path, consumer) -> None:
-        """Feed ``consumer`` each record of a log written by ``write_ndjson``,
-        through the order check that ``append`` runs (``admit``).
+        """Feed ``consumer`` each record of a log that ``append`` wrote, line
+        by line, to a file opened by ``write_ndjson``, through the same order
+        check (``admit``).
 
         A final line that lacks its newline and does not parse, with no end
         record before it, is a record torn by an interrupted write: it is

@@ -556,11 +556,15 @@ report_to_json = json_document
 # Workflow stages
 
 
-def run_stage1(resolved: dict) -> tuple[dict, "Runner"]:
+def run_stage1(resolved: dict, log_path=None) -> tuple[dict, "Runner"]:
     """One closed-loop run, with the scenario if the config carries one;
-    returns (report, runner)."""
+    returns (report, runner).  With ``log_path``, the audit log is written
+    there record by record, and the file is closed even if the run raises."""
     runner = Runner(resolved)
-    return runner.run(), runner
+    if log_path is None:
+        return runner.run(), runner
+    with runner.ctx.audit.write_ndjson(log_path):
+        return runner.run(), runner
 
 
 def sweep_point_seed(base_seed: int, delay_ms: float, rep: int) -> int:
@@ -568,13 +572,14 @@ def sweep_point_seed(base_seed: int, delay_ms: float, rep: int) -> int:
     return substream_seed(base_seed, f"sweep/delay={delay_ms:g}/rep={rep}")
 
 
-def run_stage2(sweep_resolved: dict, on_point=None):
+def run_stage2(sweep_resolved: dict, on_point=None, log_path=None):
     """Latency sweep: one stage-1-style run per (delay, repetition).
 
     Returns (rows, {delay: [reports]}) with rows sorted by delay; per-point
     aborts are recorded (completed = False) and the sweep continues.  The
-    optional ``on_point(delay, rep, report, runner)`` callback fires after
-    each point (for artifact writing).
+    optional ``log_path(delay, rep)`` names the file that receives the
+    point's audit log as it runs, and ``on_point(delay, rep, report,
+    runner)`` fires after each point (for artifact writing).
     """
     base = sweep_resolved["base"]
     reps = sweep_resolved["repetitions"]
@@ -587,7 +592,7 @@ def run_stage2(sweep_resolved: dict, on_point=None):
             point["seed"] = sweep_point_seed(base["seed"], delay, rep)
             point["run_id"] = f"{base['run_id']}-d{delay:g}ms-r{rep}"
             point["links"]["v2r"]["perturbation"]["fixed_delay_ms"] = float(delay)
-            report, runner = run_stage1(point)
+            report, runner = run_stage1(point, None if log_path is None else log_path(delay, rep))
             if on_point is not None:
                 on_point(delay, rep, report, runner)
             per_delay.append(report)

@@ -101,15 +101,6 @@ class ReferencePath:
         _x, _y, tx, ty = self.pose_at(0.0)
         return [float(self.vertices[0][0]), float(self.vertices[0][1]), math.atan2(ty, tx)]
 
-    def point_at(self, s: float) -> np.ndarray:
-        """Position at arc length ``s`` (wraps on closed paths)."""
-        x, y, _tx, _ty = self.pose_at(s)
-        return np.array([x, y])
-
-    def tangent_at(self, s: float) -> np.ndarray:
-        _x, _y, tx, ty = self.pose_at(s)
-        return np.array([tx, ty])
-
     def _wrap_s(self, s: float) -> float:
         if self.closed:
             s = math.fmod(s, self.total_length)

@@ -96,9 +96,9 @@ class PurePursuitSut:
         s_look = proj.arclength + lookahead
         if not route.closed:
             s_look = min(s_look, route.total_length)
-        target = route.point_at(s_look)
+        target_x, target_y, _tx, _ty = route.pose_at(s_look)
 
-        alpha = math.atan2(target[1] - ey, target[0] - ex) - heading
+        alpha = math.atan2(target_y - ey, target_x - ex) - heading
         steer = math.atan2(2.0 * p.wheelbase * math.sin(alpha), lookahead)
 
         speed = self._speed_with_curvature_cap(obs.goal_speed, route, proj.arclength, lookahead)
@@ -118,10 +118,9 @@ class PurePursuitSut:
 
     def _speed_with_curvature_cap(self, goal_speed, route, s_here, lookahead) -> float:
         """Cap speed from the heading change of the path over the lookahead."""
-        tan_a = route.tangent_at(s_here)
-        tan_b = route.tangent_at(s_here + lookahead)
-        dtheta = abs(math.remainder(math.atan2(tan_b[1], tan_b[0]) - math.atan2(tan_a[1], tan_a[0]),
-                                    2.0 * math.pi))
+        _x, _y, ax, ay = route.pose_at(s_here)
+        _x, _y, bx, by = route.pose_at(s_here + lookahead)
+        dtheta = abs(math.remainder(math.atan2(by, bx) - math.atan2(ay, ax), 2.0 * math.pi))
         kappa = dtheta / max(lookahead, 1e-9)
         if kappa <= 1e-9:
             return goal_speed

@@ -187,12 +187,10 @@ def test_05_registration_ladder():
 
 def test_06_determinism_and_auditability(tmp_path):
     resolved = resolve_run_config(presets.load("stage1-default"))
-    report1, runner1 = run_stage1(resolved)
-    report2, runner2 = run_stage1(resolved)
     log1 = tmp_path / "a.ndjson"
     log2 = tmp_path / "b.ndjson"
-    runner1.ctx.audit.write_ndjson(log1)
-    runner2.ctx.audit.write_ndjson(log2)
+    report1, _ = run_stage1(resolved, log1)
+    run_stage1(resolved, log2)
     logs_identical = log1.read_bytes() == log2.read_bytes()
     replayed = replay_report(log1)
     replay_exact = report_to_json(replayed) == report_to_json(report1)
@@ -256,13 +254,14 @@ def _body_gap(a: AgentState, b: AgentState) -> float:
     return max(math.hypot(b.x - a.x, b.y - a.y) - (a.radius + b.radius), 0.0)
 
 
-def test_08_stage3_safety_accounting():
+def test_08_stage3_safety_accounting(tmp_path):
     resolved = resolve_run_config(presets.load("stage3-intersection"))
-    report, runner = run_stage1(resolved)
+    log = tmp_path / "audit.ndjson"
+    report, _ = run_stage1(resolved, log)
     safety = report["safety"]
     duration_ok = resolved["termination"]["duration_s"] >= 90.0
 
-    events = [TimedEvent.from_json(line) for line in runner.ctx.audit.lines]
+    events = [TimedEvent.from_json(line) for line in log.read_text().splitlines()]
     frames = _frames_from_events(events, resolved["report"]["ego_radius_m"])
     brute_min = math.inf
     ttc_series = []

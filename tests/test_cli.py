@@ -1,9 +1,13 @@
 import json
+import tracemalloc
 
 import pytest
 
 from hilbench import presets
 from hilbench.cli import EXIT_ABORT, EXIT_CONFIG, EXIT_OK, main
+from hilbench.core import AuditLog
+from hilbench.orchestrator import Analyzer
+from hilbench.plant import Plant
 
 
 def write_json(path, doc):
@@ -152,6 +156,14 @@ class TestValidateCommand:
         err = assert_document_error_at(tmp_path, capsys, command, doc, "injected_delays_ms")
         assert err == "config error: injected_delays_ms: missing required field\n"
 
+    @pytest.mark.parametrize("delays", [[40, 40.000001], [40, 40], [-0.0, 0]],
+                             ids=["same-label", "equal", "signed-zero"])
+    @pytest.mark.parametrize("command", ["validate-config", "stage2"])
+    def test_sweep_points_with_one_label_fail_before_the_run(self, tmp_path, capsys, command,
+                                                             delays):
+        doc = {"injected_delays_ms": delays, "base": BASE}
+        assert_document_error_at(tmp_path, capsys, command, doc, "injected_delays_ms[1]")
+
     @pytest.mark.parametrize("sut, path", [
         ({"params": {"foo": 1}}, "sut.params.foo"),
         ({"params": {"k_v": "fast"}}, "sut.params.k_v"),
@@ -276,6 +288,80 @@ class TestValidateCommand:
         echoed = json.loads(header["payload"]["config_json"])["sut"]["params"]
         assert echoed == {"k_v": 1, "l_min": 0.25}
         assert isinstance(echoed["k_v"], int)
+
+
+class TestStreamedAuditLog:
+    def test_memory_grows_slower_than_the_log(self, tmp_path, monkeypatch):
+        # A run keeps its analysis fold, which grows with the run, but not its
+        # log.  From a 10 s to a 40 s run of stage1-default, the traced peak
+        # up to the report's build grows by about half the growth of
+        # audit.ndjson, and the peak of the whole command, the report's
+        # per-cycle latency records included, by about as much as the log;
+        # both grew by twice the log or more when every encoded line was held
+        # until the run ended.  A 1 s run first makes the allocations of
+        # first use, so that neither measured run counts them.
+        run_peaks = []
+        finish = Analyzer.finish
+
+        def measured_finish(fold):
+            run_peaks.append(tracemalloc.get_traced_memory()[1])
+            return finish(fold)
+
+        monkeypatch.setattr(Analyzer, "finish", measured_finish)
+        peaks, sizes = [], []
+        for duration_s in (1.0, 10.0, 40.0):
+            doc = presets.load("stage1-default")
+            doc["termination"] = {"duration_s": duration_s}
+            cfg = write_json(tmp_path / f"cfg{duration_s:g}.json", doc)
+            out = tmp_path / f"run{duration_s:g}"
+            tracemalloc.start()
+            try:
+                assert main(["stage1", "--config", cfg, "--out", str(out), "-q"]) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            sizes.append((out / "audit.ndjson").stat().st_size)
+        log_growth = sizes[2] - sizes[1]
+        assert log_growth > 1_500_000
+        assert run_peaks[2] - run_peaks[1] < log_growth
+        assert peaks[2] - peaks[1] < 1.5 * log_growth
+
+    def test_a_run_that_raises_leaves_every_record_admitted_before_it(
+            self, tiny_cfg, tmp_path, monkeypatch, capsys):
+        clean = tmp_path / "clean"
+        assert main(["stage1", "--config", tiny_cfg, "--out", str(clean), "-q"]) == EXIT_OK
+        admitted = []
+        admit, advance_to = AuditLog.admit, Plant.advance_to
+
+        def counted_admit(log, event):
+            admit(log, event)
+            admitted.append(event)
+
+        def failing_advance_to(plant, t_ns):
+            if t_ns >= 1_000_000_000:
+                raise ValueError("plant fault")
+            advance_to(plant, t_ns)
+
+        monkeypatch.setattr(AuditLog, "admit", counted_admit)
+        monkeypatch.setattr(Plant, "advance_to", failing_advance_to)
+        torn = tmp_path / "torn"
+        assert main(["stage1", "--config", tiny_cfg, "--out", str(torn), "-q"]) == EXIT_CONFIG
+        monkeypatch.undo()
+        assert capsys.readouterr().err == "error: plant fault\n"
+
+        text = (torn / "audit.ndjson").read_text()
+        lines = text.splitlines(keepends=True)
+        clean_lines = (clean / "audit.ndjson").read_text().splitlines(keepends=True)
+        assert text.endswith("\n")
+        assert 0 < len(lines) == len(admitted) < len(clean_lines)
+        assert lines == clean_lines[:len(lines)]
+        assert '"stage":"RunEnd"' not in text
+
+        replay = tmp_path / "replay"
+        assert main(["replay-report", "--log", str(torn / "audit.ndjson"),
+                     "--out", str(replay), "-q"]) == EXIT_OK
+        report = json.loads((replay / "report.json").read_text())
+        assert report["truncated"] and not report["completed"]
 
 
 class TestIdentifyCommand:

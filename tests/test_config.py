@@ -170,16 +170,17 @@ class TestPlantSection:
 
 
 class TestJitteredRunDeterminism:
-    def test_dead_time_jitter_runs_deterministically(self):
+    def test_dead_time_jitter_runs_deterministically(self, tmp_path):
         from hilbench.orchestrator import run_stage1
         doc = minimal(termination={"duration_s": 2.0},
                       plant={"preset": "calibrated", "dead_time_jitter": {"enabled": True}},
                       sut={"name": "pure-pursuit", "goal_speed_mps": 0.3,
                            "latency": {"mode": "constant", "ms": 15.48}})
         resolved = resolve_run_config(doc)
-        _, r1 = run_stage1(resolved)
-        _, r2 = run_stage1(resolved)
-        assert r1.ctx.audit.lines == r2.ctx.audit.lines
+        logs = [tmp_path / "a.ndjson", tmp_path / "b.ndjson"]
+        for log in logs:
+            run_stage1(resolved, log)
+        assert logs[0].read_bytes() == logs[1].read_bytes()
 
 
 class TestSweepConfig:
@@ -191,6 +192,30 @@ class TestSweepConfig:
     def test_negative_delay_rejected(self):
         with pytest.raises(ConfigError):
             resolve_sweep_config({"injected_delays_ms": [-5], "base": minimal()})
+
+    @pytest.mark.parametrize("delays, bad, message", [
+        ([40, 40], 1, "must be above the delay before it (40.0)"),
+        ([-0.0, 0], 1, "must be above the delay before it (0.0)"),
+        ([0, 20, 10], 2, "must be above the delay before it (20.0)"),
+        ([40, 40.000001], 1, "has the label 40 of the delay before it; "
+                             "a label keeps 6 significant digits"),
+        ([5, 123456.1, 123456.4], 2, "has the label 123456 of the delay before it; "
+                                     "a label keeps 6 significant digits"),
+    ], ids=["equal", "signed-zero", "unsorted", "same-label", "same-label-later"])
+    def test_delays_must_rise_and_differ_in_label(self, delays, bad, message):
+        with pytest.raises(ConfigError) as exc:
+            resolve_sweep_config({"injected_delays_ms": delays, "base": minimal()})
+        assert exc.value.path == f"injected_delays_ms[{bad}]"
+        assert exc.value.message == message
+
+    def test_a_negative_zero_delay_is_zero(self):
+        sweep = resolve_sweep_config({"injected_delays_ms": [-0.0, 5], "base": minimal()})
+        assert [f"{delay:g}" for delay in sweep["injected_delays_ms"]] == ["0", "5"]
+
+    def test_close_delays_with_distinct_labels_pass(self):
+        delays = [0, 40, 40.0001, 123456, 123457]
+        sweep = resolve_sweep_config({"injected_delays_ms": delays, "base": minimal()})
+        assert sweep["injected_delays_ms"] == delays
 
     def test_resolved_shape(self):
         sweep = resolve_sweep_config({"injected_delays_ms": [0, 10], "base": minimal()})

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from pathlib import Path
@@ -72,10 +73,32 @@ class Collected(list):
 
 class TestAuditLog:
     def test_append_in_chain_order(self):
-        log = AuditLog("r")
+        log = AuditLog("r", sink=io.StringIO())
         log.append(TimedEvent("r", 1, Stage.GtsSample, 10))
         log.append(TimedEvent("r", 1, Stage.R2vIngestStart, 12))
-        assert len(log.lines) == 2
+        assert len(log.sink.getvalue().splitlines()) == 2
+
+    def test_a_log_with_no_sink_encodes_and_keeps_nothing(self):
+        log = AuditLog("r")
+        with pytest.raises(TypeError):
+            log.append(TimedEvent("r", 1, Stage.GtsSample, 10, {"x": object()}))
+        log.append(TimedEvent("r", 1, Stage.GtsSample, 10, {"x": 0.5}))  # the bad one was not admitted
+        assert vars(log).keys() == {"run_id", "consumer", "sink", "ended", "_last_t", "_last_stage"}
+
+    def test_log_file_must_be_opened_before_the_first_record(self, tmp_path):
+        log = AuditLog("r")
+        log.append(TimedEvent("r", 1, Stage.GtsSample, 10))
+        with pytest.raises(ValueError, match="opened before its first record"):
+            log.write_ndjson(tmp_path / "a.ndjson")
+        assert not (tmp_path / "a.ndjson").exists()
+
+    def test_each_record_reaches_the_file_as_it_is_appended(self, tmp_path):
+        log = AuditLog("r")
+        p = tmp_path / "a.ndjson"
+        with log.write_ndjson(p) as fh:
+            log.append(TimedEvent("r", 1, Stage.GtsSample, 10))
+            fh.flush()
+            assert p.read_text() == TimedEvent("r", 1, Stage.GtsSample, 10).to_json() + "\n"
 
     def test_stage_reorder_rejected(self):
         log = AuditLog("r")
@@ -121,10 +144,10 @@ class TestAuditLog:
 
     def test_ndjson_file_round_trip(self, tmp_path):
         log = AuditLog("r", Collected())
-        log.append(TimedEvent("r", 1, Stage.GtsSample, 0, {"x": 0.1}))
-        log.append(TimedEvent("r", 1, Stage.R2vSenseDone, 40, {"x": 0.30000000000000004}))
         p = tmp_path / "a.ndjson"
-        log.write_ndjson(p)
+        with log.write_ndjson(p):
+            log.append(TimedEvent("r", 1, Stage.GtsSample, 0, {"x": 0.1}))
+            log.append(TimedEvent("r", 1, Stage.R2vSenseDone, 40, {"x": 0.30000000000000004}))
         events = Collected()
         AuditLog.read_ndjson(p, events)
         assert events == log.consumer

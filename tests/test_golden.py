@@ -37,9 +37,8 @@ def test_replay_of_stored_log_matches_stored_report():
 
 
 def test_rerun_reproduces_stored_log_bytes(tmp_path):
-    _, runner = run_stage1(resolve_run_config(GOLDEN_CONFIG))
     out = tmp_path / "audit.ndjson"
-    runner.ctx.audit.write_ndjson(out)
+    run_stage1(resolve_run_config(GOLDEN_CONFIG), out)
     assert out.read_bytes() == (DATA / "audit.ndjson").read_bytes()
 
 

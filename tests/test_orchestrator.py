@@ -22,6 +22,12 @@ from hilbench.orchestrator import (
 )
 
 
+def logged_run(cfg, log):
+    """(report, audit lines) of one run that writes its audit log to ``log``."""
+    report, _ = run_stage1(cfg, log)
+    return report, log.read_text().splitlines()
+
+
 def small_cfg(**overrides):
     doc = {
         "schema_version": 1,
@@ -65,11 +71,11 @@ class TestStage1:
         assert report["completeness"]["fraction"] == 1.0
         assert report["cycles"]["latency_records"] == 200
 
-    def test_determinism_byte_identical_logs(self):
+    def test_determinism_byte_identical_logs(self, tmp_path):
         cfg = small_cfg()
-        _, r1 = run_stage1(cfg)
-        _, r2 = run_stage1(cfg)
-        assert r1.ctx.audit.lines == r2.ctx.audit.lines
+        _, lines1 = logged_run(cfg, tmp_path / "a.ndjson")
+        _, lines2 = logged_run(cfg, tmp_path / "b.ndjson")
+        assert lines1 == lines2
 
     def test_identical_reports(self):
         cfg = small_cfg()
@@ -97,9 +103,9 @@ class TestStage1:
         assert c["v2r_sent"] == c["v2r_delivered"] + c["v2r_dropped"]
         assert report["completeness"]["fraction"] == 1.0  # complete cycles still consistent
 
-    def test_audit_globally_time_ordered(self):
-        _, runner = run_stage1(small_cfg())
-        times = [json.loads(line)["t_ns"] for line in runner.ctx.audit.lines]
+    def test_audit_globally_time_ordered(self, tmp_path):
+        _, lines = logged_run(small_cfg(), tmp_path / "audit.ndjson")
+        times = [json.loads(line)["t_ns"] for line in lines]
         assert times == sorted(times)
 
     def test_laps_termination(self):
@@ -119,17 +125,15 @@ class TestStage1:
 class TestReplay:
     def test_replay_reproduces_report_bit_exactly(self, tmp_path):
         cfg = small_cfg()
-        report, runner = run_stage1(cfg)
         log = tmp_path / "audit.ndjson"
-        runner.ctx.audit.write_ndjson(log)
+        report, _ = run_stage1(cfg, log)
         replayed = replay_report(log)
         assert report_to_json(replayed) == report_to_json(report)
 
     def test_truncated_log_flagged_with_gaps(self, tmp_path):
         cfg = small_cfg()
-        _, runner = run_stage1(cfg)
+        _, lines = logged_run(cfg, tmp_path / "full.ndjson")
         log = tmp_path / "audit.ndjson"
-        lines = runner.ctx.audit.lines
         (log).write_text("\n".join(lines[: int(len(lines) * 0.6)]) + "\n")
         partial = replay_report(log)
         assert partial["truncated"]
@@ -144,9 +148,8 @@ class TestReplay:
 
     def test_replay_sees_drop_conservation(self, tmp_path):
         cfg = small_cfg(links={"v2r": {"perturbation": {"loss_probability": 0.2}}})
-        report, runner = run_stage1(cfg)
         log = tmp_path / "audit.ndjson"
-        runner.ctx.audit.write_ndjson(log)
+        report, _ = run_stage1(cfg, log)
         replayed = replay_report(log)
         assert replayed["cycles"]["v2r_dropped"] == report["cycles"]["v2r_dropped"] > 0
 
@@ -300,19 +303,18 @@ class TestStage3:
 
 
 class TestReportContent:
-    def test_header_echoes_resolved_config(self):
+    def test_header_echoes_resolved_config(self, tmp_path):
         cfg = small_cfg()
-        _, runner = run_stage1(cfg)
-        header = TimedEvent.from_json(runner.ctx.audit.lines[0])
+        _, lines = logged_run(cfg, tmp_path / "audit.ndjson")
+        header = TimedEvent.from_json(lines[0])
         assert header.stage is Stage.RunHeader
         echoed = json.loads(header.payload["config_json"])
         assert echoed == cfg
 
     def test_report_recomputable_from_events_alone(self, tmp_path):
         cfg = small_cfg()
-        report, runner = run_stage1(cfg)
         log = tmp_path / "audit.ndjson"
-        runner.ctx.audit.write_ndjson(log)
+        report, _ = run_stage1(cfg, log)
         fold = Analyzer()
         AuditLog.read_ndjson(log, fold)
         rebuilt = build_report(fold)

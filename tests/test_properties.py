@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hilbench import cli
 from hilbench.config import resolve_run_config
 from hilbench.core import Stage, TimedEvent
-from hilbench.orchestrator import Runner
+from hilbench.orchestrator import run_stage1
 from hilbench.temporal import COMPONENTS, assemble_all
 
 PATHS = (
@@ -87,9 +87,10 @@ def test_total_latency_spans_ingest_start_to_delivery(config):
     # total sums the stage intervals; it equals the end-to-end span only
     # because the sense -> controller and controller -> injector hand-offs
     # take no time.  A gap that no component counts would break this.
-    runner = Runner(resolve_run_config(config))
-    runner.run()
-    events = [TimedEvent.from_json(line) for line in runner.ctx.audit.lines]
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "audit.ndjson"
+        _, runner = run_stage1(resolve_run_config(config), log)
+        events = [TimedEvent.from_json(line) for line in log.read_text().splitlines()]
     t = {(ev.cid, ev.stage): ev.t_ns for ev in events}
     records, _incomplete, _gapped = assemble_all(runner.analyzer.times)
     assert records
