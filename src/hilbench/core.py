@@ -158,16 +158,16 @@ class AuditLog:
     correlation ID, stages appear in chain order (gaps are allowed,
     reordering and duplicates are not).  Each admitted record is handed to
     ``consumer.feed``.  ``append`` encodes each record once and writes its line
-    to ``sink``, an open text stream, as soon as the record is admitted; the
-    log keeps no record itself, so an interrupted run leaves every record
-    admitted before the interruption in the sink.  With no sink the line is
-    encoded and dropped.
+    to ``sink``, the file ``write_ndjson`` opens, as soon as the record is
+    admitted; the log keeps no record itself, so an interrupted run leaves
+    every record admitted before the interruption in the file.  With no sink
+    the line is encoded and dropped.
     """
 
-    def __init__(self, run_id: str, consumer=None, sink=None) -> None:
+    def __init__(self, run_id: str, consumer=None) -> None:
         self.run_id = run_id
         self.consumer = consumer
-        self.sink = sink
+        self.sink = None
         self.ended = False
         self._last_t = -math.inf
         self._last_stage: dict[int, Stage] = {}
@@ -204,10 +204,8 @@ class AuditLog:
         written."""
         line = event.to_json()
         self.admit(event)
-        sink = self.sink
-        if sink is not None:
-            sink.write(line)
-            sink.write("\n")
+        if self.sink is not None:
+            self.sink.write(line + "\n")
 
     def write_ndjson(self, path):
         """Open ``path`` as the sink of every later record and return the open

@@ -1,4 +1,3 @@
-import io
 import json
 import math
 from pathlib import Path
@@ -72,11 +71,12 @@ class Collected(list):
 
 
 class TestAuditLog:
-    def test_append_in_chain_order(self):
-        log = AuditLog("r", sink=io.StringIO())
-        log.append(TimedEvent("r", 1, Stage.GtsSample, 10))
-        log.append(TimedEvent("r", 1, Stage.R2vIngestStart, 12))
-        assert len(log.sink.getvalue().splitlines()) == 2
+    def test_append_in_chain_order(self, tmp_path):
+        log = AuditLog("r")
+        with log.write_ndjson(tmp_path / "a.ndjson"):
+            log.append(TimedEvent("r", 1, Stage.GtsSample, 10))
+            log.append(TimedEvent("r", 1, Stage.R2vIngestStart, 12))
+        assert len((tmp_path / "a.ndjson").read_text().splitlines()) == 2
 
     def test_a_log_with_no_sink_encodes_and_keeps_nothing(self):
         log = AuditLog("r")
