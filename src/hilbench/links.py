@@ -13,6 +13,7 @@ the run turns the schedule into events.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,42 +47,52 @@ class StageLatencyModel:
 
     kind: str
     params: dict
+    #: ``sample_ms(rng)``: one draw in ms from ``rng``.  The sampler of the
+    #: kind is picked, and its parameters read, once at construction.
+    sample_ms: Callable[[np.random.Generator], float] = field(init=False, repr=False,
+                                                              compare=False)
 
     def __post_init__(self):
+        p = self.params
         if self.kind == "constant":
-            if self.params["ms"] < 0.0:
+            if p["ms"] < 0.0:
                 raise ValueError("constant latency must be >= 0")
+            ms = float(p["ms"])
+
+            def sample(rng):
+                return ms
         elif self.kind == "gaussian_truncated":
-            lo = self.params.get("min_ms", 0.0)
-            hi = self.params.get("max_ms")
+            mean, std, lo, hi = p["mean_ms"], p["std_ms"], p.get("min_ms", 0.0), p.get("max_ms")
             if lo < 0.0:
                 raise ValueError("truncation lower bound must be >= 0")
             if hi is not None and hi < lo:
                 raise ValueError("truncation bounds out of order")
+
+            def sample(rng):
+                return _truncated_normal(rng, mean, std, lo, hi)
         elif self.kind == "lognormal":
-            if self.params["sigma"] < 0.0:
+            mu, sigma = p["mu"], p["sigma"]
+            if sigma < 0.0:
                 raise ValueError("lognormal sigma must be >= 0")
+
+            def sample(rng):
+                return math.exp(mu + sigma * float(rng.standard_normal()))
         elif self.kind == "bimodal":
-            comps = self.params["components"]
+            comps = p["components"]
             if len(comps) != 2:
                 raise ValueError("bimodal model needs exactly 2 components")
             if abs(sum(c["weight"] for c in comps) - 1.0) > 1e-9:
                 raise ValueError("bimodal weights must sum to 1")
+            w0 = comps[0]["weight"]
+            (mean0, std0), (mean1, std1) = ((c["mean_ms"], c["std_ms"]) for c in comps)
+
+            def sample(rng):
+                if float(rng.random()) < w0:
+                    return _truncated_normal(rng, mean0, std0, 0.0, None)
+                return _truncated_normal(rng, mean1, std1, 0.0, None)
         else:
             raise ValueError(f"unknown latency distribution {self.kind!r}")
-
-    def sample_ms(self, rng: np.random.Generator) -> float:
-        if self.kind == "constant":
-            return float(self.params["ms"])
-        if self.kind == "gaussian_truncated":
-            return _truncated_normal(rng, self.params["mean_ms"], self.params["std_ms"],
-                                     self.params.get("min_ms", 0.0), self.params.get("max_ms"))
-        if self.kind == "bimodal":
-            comps = self.params["components"]
-            comp = comps[0] if float(rng.random()) < comps[0]["weight"] else comps[1]
-            return _truncated_normal(rng, comp["mean_ms"], comp["std_ms"], 0.0, None)
-        # lognormal
-        return float(math.exp(self.params["mu"] + self.params["sigma"] * float(rng.standard_normal())))
+        object.__setattr__(self, "sample_ms", sample)
 
     @staticmethod
     def constant(ms: float) -> "StageLatencyModel":

@@ -23,13 +23,16 @@ import json
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import count
 
 import numpy as np
 
 from . import config as cfg_mod
 from . import temporal
-from .core import (NS_PER_S, AuditLog, RunContext, Stage, TimedEvent, canonical_json,
-                   json_document, ms_to_ns, s_to_ns, substream_seed)
+from .core import (ACTUATOR_APPLY, GTS_SAMPLE, NO_PAYLOAD, NS_PER_S, PERTURB_IN, PERTURB_OUT,
+                   R2V_ADV_DONE, R2V_INGEST_DONE, R2V_INGEST_START, R2V_SENSE_DONE, RUN_END,
+                   RUN_HEADER, SUT_CMD_IN, SUT_CMD_OUT, V2R_DELIVER, AuditLog, RunContext, Stage,
+                   TimedEvent, canonical_json, json_document, ms_to_ns, s_to_ns, substream_seed)
 from .links import R2VLink, V2RLink
 from .plant import Plant
 from .safety import (AgentState, SafetyTrace, check_agent, d_min_trace, extract_events,
@@ -51,28 +54,6 @@ ARTIFACTS = {
     "safety": "safety.csv",
     "events": "events.json",
 }
-
-
-class EventQueue:
-    """Min-heap of ``(t_ns, insertion sequence, handler, args)`` entries; an
-    entry runs as ``handler(t_ns, *args)``."""
-
-    def __init__(self) -> None:
-        self.heap: list = []
-        self._seq = 0
-
-    def push(self, t_ns: int, handler, now_ns: int, args: tuple = ()) -> None:
-        if t_ns < now_ns:
-            raise SchedulerCorruptionError(
-                f"event scheduled in the past ({t_ns} < {now_ns})")
-        heappush(self.heap, (int(t_ns), self._seq, handler, args))
-        self._seq += 1
-
-    def pop(self):
-        return heappop(self.heap)
-
-    def __len__(self) -> int:
-        return len(self.heap)
 
 
 @dataclass
@@ -136,12 +117,21 @@ class Npc:
 
 
 class Runner:
-    """Executes one run from a resolved config document."""
+    """Executes one run from a resolved config document.
+
+    The scheduler is ``heap``, a min-heap of ``(t_ns, insertion sequence,
+    handler, args)`` entries: ``run`` pops them in (time, insertion) order,
+    sets the run clock to each entry's time and calls ``handler(t_ns,
+    *args)``.  Every record the run emits goes straight to ``audit.append``.
+    """
 
     def __init__(self, resolved: dict) -> None:
         self.cfg = resolved
         self.analyzer = Analyzer()
         self.ctx = RunContext(resolved["run_id"], resolved["seed"], self.analyzer)
+        self.run_id, self.clock, self.audit = self.ctx.run_id, self.ctx.clock, self.ctx.audit
+        self.heap: list = []
+        self._seq = count()
         self.path = ReferencePath(resolved["path"]["vertices"], closed=resolved["path"]["closed"])
         plant_cfg = cfg_mod.build_plant_config(resolved["plant"])
         pose = resolved["plant"]["initial_pose"]
@@ -159,7 +149,6 @@ class Runner:
                                   self.ctx.stream("sut.lat"))
         self.sut.reset(self.path)
         self.goal_speed = sut_cfg["goal_speed_mps"]
-        self.queue = EventQueue()
         self.npcs = [Npc(spec) for spec in (resolved["scenario"] or {"npcs": []})["npcs"]]
         self.trigger_zone = (resolved["scenario"] or {}).get("trigger_zone")
         self.scenario_triggered = False
@@ -188,24 +177,27 @@ class Runner:
     # -- event handlers -----------------------------------------------------
 
     def _schedule(self, t_ns: int, handler, *args) -> None:
-        self.queue.push(t_ns, handler, self.ctx.clock.now(), args)
+        now = self.clock.now_ns
+        if t_ns < now:
+            raise SchedulerCorruptionError(f"event scheduled in the past ({t_ns} < {now})")
+        heappush(self.heap, (int(t_ns), next(self._seq), handler, args))
 
-    def _emit(self, t_ns: int, stage: Stage, cid: int, payload: dict | None = None) -> None:
-        self.ctx.emit(stage, cid, t_ns, payload)
+    def _emit(self, t_ns: int, stage: Stage, cid: int, payload=NO_PAYLOAD) -> None:
+        self.audit.append(TimedEvent(self.run_id, cid, stage, t_ns, payload))
 
     def _on_gts(self, t_ns: int) -> None:
         self.plant.advance_to(t_ns)
         st = self.plant.state()
         cid = self.ctx.issue_correlation_id()
         self.gts_count += 1
-        self.ctx.emit(Stage.GtsSample, cid, t_ns, {
+        self.audit.append(TimedEvent(self.run_id, cid, GTS_SAMPLE, t_ns, {
             "x": st.pose.x, "y": st.pose.y, "heading": st.pose.heading, "v": st.v_actual,
-        })
+        }))
         self._track_progress(st.pose.x, st.pose.y)
         sched = self.r2v.transmit(t_ns)
-        self._schedule(sched.t_ingest_start, self._emit, Stage.R2vIngestStart, cid)
-        self._schedule(sched.t_ingest_done, self._emit, Stage.R2vIngestDone, cid)
-        self._schedule(sched.t_adv_done, self._emit, Stage.R2vAdvDone, cid)
+        self._schedule(sched.t_ingest_start, self._emit, R2V_INGEST_START, cid)
+        self._schedule(sched.t_ingest_done, self._emit, R2V_INGEST_DONE, cid)
+        self._schedule(sched.t_adv_done, self._emit, R2V_ADV_DONE, cid)
         pose_snapshot = (st.pose.x, st.pose.y, st.pose.heading, st.v_actual, t_ns)
         self._schedule(sched.t_sense_done, self._on_sense_done, cid, pose_snapshot)
         if not self.stop_sampling:
@@ -251,7 +243,7 @@ class Runner:
                 payload[f"npc_{a.agent_id}_vx"] = a.vx
                 payload[f"npc_{a.agent_id}_vy"] = a.vy
                 payload[f"npc_{a.agent_id}_r"] = a.radius
-        self.ctx.emit(Stage.R2vSenseDone, cid, t_ns, payload)
+        self.audit.append(TimedEvent(self.run_id, cid, R2V_SENSE_DONE, t_ns, payload))
         self._schedule(t_ns, self._on_sut_in, cid)
 
     def _detections(self, t_ns: int) -> tuple[AgentState, ...]:
@@ -266,7 +258,7 @@ class Runner:
                      if a is not None and math.hypot(a.x - x, a.y - y) <= rng_m)
 
     def _on_sut_in(self, t_ns: int, cid: int) -> None:
-        self.ctx.emit(Stage.SutCmdIn, cid, t_ns)
+        self.audit.append(TimedEvent(self.run_id, cid, SUT_CMD_IN, t_ns))
         obs = Observation(
             t_ns=t_ns,
             ego=TrajectorySample(t_ns, self._mirror["x"], self._mirror["y"], self._mirror["heading"]),
@@ -288,17 +280,17 @@ class Runner:
         self._schedule(cmd.t_issued_ns, self._on_sut_out, cid, cmd)
 
     def _on_sut_out(self, t_ns: int, cid: int, cmd) -> None:
-        self.ctx.emit(Stage.SutCmdOut, cid, t_ns, {
+        self.audit.append(TimedEvent(self.run_id, cid, SUT_CMD_OUT, t_ns, {
             "speed": cmd.speed_setpoint, "steer": cmd.steer_setpoint,
-        })
+        }))
         sched = self.v2r.transmit(t_ns)
         if sched.dropped:
-            self._schedule(sched.t_perturb_in, self._emit, Stage.PerturbIn, cid, {"dropped": True})
+            self._schedule(sched.t_perturb_in, self._emit, PERTURB_IN, cid, {"dropped": True})
             return
-        self._schedule(sched.t_perturb_in, self._emit, Stage.PerturbIn, cid)
-        self._schedule(sched.t_perturb_out, self._emit, Stage.PerturbOut, cid)
-        self._schedule(sched.t_deliver, self._emit, Stage.V2rDeliver, cid,
-                       {"fifo_clamped": True} if sched.fifo_clamped else None)
+        self._schedule(sched.t_perturb_in, self._emit, PERTURB_IN, cid)
+        self._schedule(sched.t_perturb_out, self._emit, PERTURB_OUT, cid)
+        self._schedule(sched.t_deliver, self._emit, V2R_DELIVER, cid,
+                       {"fifo_clamped": True} if sched.fifo_clamped else NO_PAYLOAD)
         self._schedule(sched.t_deliver, self._on_actuator, cid, cmd)
 
     def _on_actuator(self, t_ns: int, cid: int, cmd) -> None:
@@ -306,7 +298,7 @@ class Runner:
         flags = self.plant.apply_command(t_ns, cmd.speed_setpoint, cmd.steer_setpoint)
         payload = {"speed": cmd.speed_setpoint, "steer": cmd.steer_setpoint}
         payload.update(flags)
-        self.ctx.emit(Stage.ActuatorApply, cid, t_ns, payload)
+        self.audit.append(TimedEvent(self.run_id, cid, ACTUATOR_APPLY, t_ns, payload))
 
     def _abort(self, reason: str) -> None:
         self.aborted = True
@@ -315,17 +307,16 @@ class Runner:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> dict:
-        self.ctx.emit(Stage.RunHeader, 0, 0, {"config_json": canonical_json(self.cfg)})
+        self._emit(0, RUN_HEADER, 0, {"config_json": canonical_json(self.cfg)})
         self._schedule(0, self._on_gts)
-        heap, clock = self.queue.heap, self.ctx.clock
+        heap, clock = self.heap, self.clock
         while heap and not self.aborted:
             t_ns, _seq, handler, args = heappop(heap)
-            now = clock.now()
-            if t_ns < now:
-                raise SchedulerCorruptionError(f"popped event at {t_ns} before clock {now}")
-            clock.advance(t_ns - now)
+            if t_ns < clock.now_ns:
+                raise SchedulerCorruptionError(f"popped event at {t_ns} before clock {clock.now_ns}")
+            clock.now_ns = t_ns
             handler(t_ns, *args)
-        self.ctx.emit(Stage.RunEnd, 0, self.ctx.clock.now(), {
+        self._emit(clock.now_ns, RUN_END, 0, {
             "aborted": self.aborted,
             "abort_reason": self.abort_reason or "",
             "gts_samples": self.gts_count,
@@ -404,17 +395,17 @@ class Analyzer:
             t[stage] = t_ns
         if self.cfg is None:
             self._header(ev)
-        elif stage is Stage.GtsSample:
+        elif stage is GTS_SAMPLE:
             self.rows.append((t_ns, *_numbers(ev, _POSE_KEYS)))
-        elif stage is Stage.R2vSenseDone and self._npc_keys is not None and "x" in payload:
+        elif stage is R2V_SENSE_DONE and self._npc_keys is not None and "x" in payload:
             self._frame(ev)
-        elif stage is Stage.PerturbIn:
+        elif stage is PERTURB_IN:
             self.sent += 1
             if "dropped" in payload:
                 self.dropped += _field(ev, "dropped", (bool,), "a bool")
-        elif stage is Stage.V2rDeliver:
+        elif stage is V2R_DELIVER:
             self.delivered += 1
-        elif stage is Stage.RunEnd:
+        elif stage is RUN_END:
             _field(ev, "aborted", (bool,), "a bool")
             _field(ev, "abort_reason", (str,), "a string")
             samples = _field(ev, "gts_samples", (int,), "an integer")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,11 +40,11 @@ class TrajectorySample:
             raise ValueError("trajectory sample must have finite coordinates")
 
 
-@dataclass(frozen=True)
-class Projection:
-    """Closest path point to a query: the point, its arc length, its segment."""
+class Projection(NamedTuple):
+    """Closest path point to a query: the point ``(x, y)``, its arc length,
+    its segment."""
 
-    point: np.ndarray
+    point: tuple[float, float]
     arclength: float
     segment_index: int
 
@@ -142,7 +143,7 @@ def project(path: ReferencePath, p) -> Projection:
         # when no distance compares (a NaN query), as np.argmin would.
         if d2 < best or i == 0:
             best, idx, bx, by, s = d2, i, cx, cy, s0 + t * ln
-    return Projection(point=np.array([bx, by]), arclength=s, segment_index=idx)
+    return Projection((bx, by), s, idx)
 
 
 def ate(path: ReferencePath, p, s_d: float) -> float:

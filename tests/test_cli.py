@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -85,7 +86,7 @@ class TestStageCommands:
     def test_stage2_writes_response_curve(self, tiny_cfg, tmp_path):
         sweep = write_json(tmp_path / "sweep.json", {
             "injected_delays_ms": [0, 10],
-            "base": json.loads(open(tiny_cfg).read()),
+            "base": json.loads(Path(tiny_cfg).read_text()),
         })
         out = tmp_path / "s2"
         assert main(["stage2", "--config", sweep, "--out", str(out), "-q"]) == EXIT_OK
@@ -146,7 +147,7 @@ class TestValidateCommand:
     def test_sweep_config_validated(self, tiny_cfg, tmp_path):
         sweep = write_json(tmp_path / "sweep.json", {
             "injected_delays_ms": [0, 10],
-            "base": json.loads(open(tiny_cfg).read()),
+            "base": json.loads(Path(tiny_cfg).read_text()),
         })
         assert main(["validate-config", "--config", sweep, "-q"]) == EXIT_OK
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,29 @@ from hilbench.links import (
     default_v2r_config,
     perturb,
 )
+
+
+def _reference_truncated_normal(rng, mean, std, lo, hi):
+    for _ in range(100):
+        v = mean + std * float(rng.standard_normal())
+        if v >= lo and (hi is None or v <= hi):
+            return v
+    return min(max(mean, lo), hi) if hi is not None else max(mean, lo)
+
+
+def _reference_sample_ms(kind, params, rng):
+    """One draw of each kind, as the sampler computed it when it branched on
+    the kind at every call."""
+    if kind == "constant":
+        return float(params["ms"])
+    if kind == "gaussian_truncated":
+        return _reference_truncated_normal(rng, params["mean_ms"], params["std_ms"],
+                                           params.get("min_ms", 0.0), params.get("max_ms"))
+    if kind == "bimodal":
+        comps = params["components"]
+        comp = comps[0] if float(rng.random()) < comps[0]["weight"] else comps[1]
+        return _reference_truncated_normal(rng, comp["mean_ms"], comp["std_ms"], 0.0, None)
+    return float(math.exp(params["mu"] + params["sigma"] * float(rng.standard_normal())))
 
 
 def factory_for(seed):
@@ -52,6 +77,26 @@ class TestDistributions:
     ], ids=lambda m: m.kind)
     def test_config_form_rebuilds_the_model(self, model):
         assert build_distribution(model.to_dict()) == model
+
+    @pytest.mark.parametrize("seed", [0, 5, 20240808])
+    @pytest.mark.parametrize("model", [
+        StageLatencyModel.constant(8.58),
+        StageLatencyModel("constant", {"ms": 3}),
+        StageLatencyModel.gaussian_truncated(0.26, 0.11),
+        StageLatencyModel.gaussian_truncated(4.0, 12.0, max_ms=30.0),
+        StageLatencyModel("gaussian_truncated", {"mean_ms": 1.0, "std_ms": 2.0}),
+        # Every draw misses [5, 5.1], so each one falls back to the clamp.
+        StageLatencyModel.gaussian_truncated(0.0, 0.01, min_ms=5.0, max_ms=5.1),
+        StageLatencyModel.lognormal_from_mean_std(28.68, 23.22),
+        StageLatencyModel.bimodal(),
+        StageLatencyModel.bimodal(mean1_ms=1.0, std1_ms=5.0, weight1=0.3),
+    ], ids=lambda m: m.kind)
+    def test_draws_equal_the_reference_formulas(self, model, seed):
+        ref_rng, rng = rng_stream(seed, "draws"), rng_stream(seed, "draws")
+        ref = [_reference_sample_ms(model.kind, model.params, ref_rng).hex() for _ in range(3000)]
+        got = [model.sample_ms(rng) for _ in range(3000)]
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == ref
 
     def test_bad_truncation_bounds_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import json
 import math
+from heapq import heappop, heappush
 
 import pytest
 
@@ -8,7 +9,6 @@ from hilbench.config import ConfigError, resolve_run_config, resolve_sweep_confi
 from hilbench.core import AuditLog, Stage, TimedEvent
 from hilbench.orchestrator import (
     Analyzer,
-    EventQueue,
     Npc,
     Runner,
     SchedulerCorruptionError,
@@ -44,23 +44,50 @@ def small_cfg(**overrides):
 
 class TestScheduler:
     def test_equal_timestamps_fire_in_insertion_order(self):
-        q = EventQueue()
+        runner = Runner(small_cfg())
         seen = []
-        q.push(10, lambda t: seen.append("a"), 0)
-        q.push(10, lambda t: seen.append("b"), 0)
-        q.push(5, lambda t: seen.append("c"), 0)
-        while len(q):
-            t, _, fn, _args = q.pop()
+        runner._schedule(10, lambda t: seen.append("a"))
+        runner._schedule(10, lambda t: seen.append("b"))
+        runner._schedule(5, lambda t: seen.append("c"))
+        while runner.heap:
+            t, _, fn, _args = heappop(runner.heap)
             fn(t)
         assert seen == ["c", "a", "b"]
 
     def test_scheduling_in_the_past_is_fatal(self):
-        q = EventQueue()
+        runner = Runner(small_cfg())
+        runner.clock.now_ns = 10
         with pytest.raises(SchedulerCorruptionError):
-            q.push(5, lambda t: None, now_ns=10)
+            runner._schedule(5, lambda t: None)
 
     def test_no_events_terminates_cleanly(self):
-        assert len(EventQueue()) == 0
+        assert len(Runner(small_cfg()).heap) == 0
+
+    def test_run_rejects_a_handler_that_schedules_into_the_past(self):
+        runner = Runner(small_cfg())
+        fired = []
+
+        def first(t_ns):
+            fired.append(t_ns)
+            runner._schedule(t_ns - 1, lambda t: fired.append(t))
+
+        runner._on_gts = lambda t_ns: runner._schedule(10, first)
+        with pytest.raises(SchedulerCorruptionError, match=r"scheduled in the past \(9 < 10\)"):
+            runner.run()
+        assert fired == [10]
+
+    def test_run_rejects_a_heap_entry_earlier_than_the_clock(self):
+        runner = Runner(small_cfg())
+        fired = []
+
+        def first(t_ns):
+            fired.append(t_ns)
+            heappush(runner.heap, (t_ns - 1, -1, lambda t: fired.append(t), ()))
+
+        runner._on_gts = lambda t_ns: runner._schedule(10, first)
+        with pytest.raises(SchedulerCorruptionError, match="popped event at 9 before clock 10"):
+            runner.run()
+        assert fired == [10]
 
 
 class TestStage1:
