@@ -13,7 +13,9 @@ import hashlib
 import json
 import math
 from collections.abc import Mapping
-from json.encoder import encode_basestring_ascii
+from functools import lru_cache
+from itertools import combinations
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -90,6 +92,14 @@ class VirtualClock:
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+#: Encoder of one audit payload, built once: ``canonical_json``'s settings
+#: (sorted keys, ``:`` and ``,``, NaN and infinities allowed, no indent) in
+#: the C encoder that ``canonical_json`` builds anew on every call.  It keeps
+#: no circular-reference markers, which a payload of scalars cannot need.
+#: ``_encode_payload(payload, 0)`` returns the text in chunks.
+_encode_payload = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                                 None, ":", ",", True, False, True)
+
 #: JSON types of an audit payload value.
 _SCALARS = frozenset((bool, int, float, str))
 
@@ -105,6 +115,66 @@ _STAGES = {stage.name: stage for stage in Stage}
 _raw_decode = json.JSONDecoder().raw_decode
 
 
+@lru_cache(maxsize=64)
+def _line_tails(run_id: str) -> tuple[str, ...]:
+    """Per stage, the text of an audit line of ``run_id`` between the payload
+    and the ``t_ns`` value: ``,"run_id":...,"stage":"...","t_ns":``."""
+    run_id_text = encode_basestring_ascii(run_id)
+    return tuple(f',"run_id":{run_id_text},"stage":"{name}","t_ns":' for name in _STAGE_NAMES)
+
+
+def float_text(v: float) -> str:
+    """``canonical_json``'s text of one float: its ``repr``, or ``NaN``,
+    ``Infinity`` or ``-Infinity``.  A value of any other type is written as
+    ``canonical_json`` writes it."""
+    if type(v) is not float:
+        return canonical_json(v)
+    if v - v == 0.0:  # finite
+        return repr(v)
+    return "NaN" if v != v else ("Infinity" if v > 0.0 else "-Infinity")
+
+
+# Fixed-shape payload texts.  Each takes the ``float_text`` of its values, so
+# a run formats a value once and reuses its text in a later record of the
+# same cycle; each equals ``canonical_json`` of the payload dict it stands for.
+
+def pose_text(heading: str, v: str, x: str, y: str) -> str:
+    """Payload text of a ``GtsSample``: ``{heading, v, x, y}``."""
+    return f'{{"heading":{heading},"v":{v},"x":{x},"y":{y}}}'
+
+
+def sense_text(heading: str, v: str, x: str, y: str, stale: bool) -> str:
+    """Payload text of an ``R2vSenseDone`` that carries no NPC:
+    ``{heading, stale, v, x, y}``."""
+    return f'{{"heading":{heading},"stale":{"true" if stale else "false"},"v":{v},"x":{x},"y":{y}}}'
+
+
+def command_text(speed: str, steer: str) -> str:
+    """Payload text of a ``SutCmdOut``: ``{speed, steer}``."""
+    return f'{{"speed":{speed},"steer":{steer}}}'
+
+
+#: The flags an ``ActuatorApply`` payload may add to ``{speed, steer}``, in
+#: key order; each is present only when true.
+ACTUATOR_FLAGS = ("speed_limited", "speed_map_clamped", "steer_limited", "steer_map_clamped")
+#: For each set of flags, the text that follows the ``speed`` value and the
+#: text that follows the ``steer`` value.
+_ACTUATOR_FLAG_TEXTS = {
+    frozenset(flags): tuple("".join(f',"{k}":true' for k in flags if k.startswith(prefix))
+                            for prefix in ("speed_", "steer_"))
+    for n in range(len(ACTUATOR_FLAGS) + 1) for flags in combinations(ACTUATOR_FLAGS, n)
+}
+
+
+def actuator_text(speed: str, steer: str, flags) -> str:
+    """Payload text of an ``ActuatorApply``: ``{speed, steer}`` and each of
+    ``flags``, a set of ``ACTUATOR_FLAGS`` names, as true."""
+    if not flags:
+        return f'{{"speed":{speed},"steer":{steer}}}'
+    after_speed, after_steer = _ACTUATOR_FLAG_TEXTS[frozenset(flags)]
+    return f'{{"speed":{speed}{after_speed},"steer":{steer}{after_steer}}}'
+
+
 class TimedEvent(NamedTuple):
     """One audit-log record: a stage boundary stamped in the run clock domain.
 
@@ -118,18 +188,21 @@ class TimedEvent(NamedTuple):
     t_ns: int
     payload: Mapping = NO_PAYLOAD
 
-    def to_json(self) -> str:
+    def to_json(self, body: str | None = None) -> str:
         """The record's audit line: ``canonical_json`` of its fields as a dict,
         whose sorted keys are cid, payload, run_id, stage, t_ns.  The fields
         must have their declared types (int ``cid`` and ``t_ns``, str
-        ``run_id``); the payload may be any value ``canonical_json`` takes."""
+        ``run_id``); the payload may be any value ``canonical_json`` takes.
+        ``body``, if given, is the payload's text, which the caller has made
+        equal to ``canonical_json(payload)`` (see ``pose_text`` and the other
+        fixed-shape texts)."""
         run_id, cid, stage, t_ns, payload = self
-        if not payload and (payload is NO_PAYLOAD or type(payload) is dict):
-            body = "{}"  # most records: no encoder call
-        else:
-            body = canonical_json(payload)
-        return (f'{{"cid":{cid},"payload":{body},"run_id":{encode_basestring_ascii(run_id)},'
-                f'"stage":"{_STAGE_NAMES[stage]}","t_ns":{t_ns}}}')
+        if body is None:
+            if not payload and (payload is NO_PAYLOAD or type(payload) is dict):
+                body = "{}"  # most records: no encoder call
+            else:
+                body = "".join(_encode_payload(payload, 0))
+        return f'{{"cid":{cid},"payload":{body}{_line_tails(run_id)[stage]}{t_ns}}}'
 
     @staticmethod
     def from_json(line: str) -> "TimedEvent":
@@ -210,11 +283,12 @@ class AuditLog:
         if self.consumer is not None:
             self.consumer.feed(event)
 
-    def append(self, event: TimedEvent) -> None:
-        """Admit ``event`` and write its line to the sink.  It is encoded
+    def append(self, event: TimedEvent, body: str | None = None) -> None:
+        """Admit ``event`` and write its line to the sink, with ``body`` as its
+        payload text if given (see ``TimedEvent.to_json``).  It is encoded
         first, so a record that cannot be encoded is neither admitted nor
         written."""
-        line = event.to_json()
+        line = event.to_json(body)
         self.admit(event)
         if self.sink is not None:
             self.sink.write(line + "\n")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,8 +156,7 @@ class V2RConfig:
     perturbation: PerturbationConfig = field(default_factory=PerturbationConfig)
 
 
-@dataclass(frozen=True)
-class R2VSchedule:
+class R2VSchedule(NamedTuple):
     """Stage boundary times for one pose sample's trip into the virtual domain."""
 
     t_ingest_start: int
@@ -187,8 +187,7 @@ class R2VLink:
         )
 
 
-@dataclass(frozen=True)
-class PerturbOutcome:
+class PerturbOutcome(NamedTuple):
     dropped: bool
     t_out_ns: int = 0
     clamped: bool = False
@@ -216,8 +215,7 @@ def perturb(cfg: PerturbationConfig, t_now_ns: int, loss_rng, jitter_rng,
     return PerturbOutcome(dropped=False, t_out_ns=t_out, clamped=clamped)
 
 
-@dataclass(frozen=True)
-class V2RSchedule:
+class V2RSchedule(NamedTuple):
     """Stage boundary times for one command's trip to the actuator."""
 
     dropped: bool

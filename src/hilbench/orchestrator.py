@@ -32,13 +32,19 @@ from . import temporal
 from .core import (ACTUATOR_APPLY, GTS_SAMPLE, NO_PAYLOAD, NS_PER_S, PERTURB_IN, PERTURB_OUT,
                    R2V_ADV_DONE, R2V_INGEST_DONE, R2V_INGEST_START, R2V_SENSE_DONE, RUN_END,
                    RUN_HEADER, SUT_CMD_IN, SUT_CMD_OUT, V2R_DELIVER, AuditLog, RunContext, Stage,
-                   TimedEvent, canonical_json, json_document, ms_to_ns, s_to_ns, substream_seed)
+                   TimedEvent, actuator_text, canonical_json, command_text, float_text,
+                   json_document, ms_to_ns, pose_text, s_to_ns, sense_text, substream_seed)
 from .links import R2VLink, V2RLink
 from .plant import Plant
 from .safety import (AgentState, SafetyTrace, check_agent, d_min_trace, extract_events,
                      finite_or_none)
 from .spatial import MetricSummary, ReferencePath, TrajectorySample, project, summarize, track_errors
 from .sut import Observation, PurePursuitParams, PurePursuitSut
+
+
+#: ``_new(TimedEvent, fields)`` builds a record from its field tuple without the
+#: Python-level ``__new__`` of the named tuple.
+_new = tuple.__new__
 
 
 class SchedulerCorruptionError(RuntimeError):
@@ -123,6 +129,9 @@ class Runner:
     handler, args)`` entries: ``run`` pops them in (time, insertion) order,
     sets the run clock to each entry's time and calls ``handler(t_ns,
     *args)``.  Every record the run emits goes straight to ``audit.append``.
+    A value that two records of one cycle carry is formatted once
+    (``float_text``), and both records are written with the fixed-shape
+    payload texts of ``core``.
     """
 
     def __init__(self, resolved: dict) -> None:
@@ -160,8 +169,10 @@ class Runner:
         self.abort_reason: str | None = None
         self.gts_count = 0
         self.stop_sampling = False
-        # Mirror: the virtual domain's freshest synchronized ego state.
-        self._mirror = {"x": pose[0], "y": pose[1], "heading": pose[2], "v": 0.0, "sample_t": -1}
+        # Mirror: the virtual domain's freshest synchronized ego state, as the
+        # pose sample it came from: (x, y, heading, v, sample t_ns, the
+        # float_text of heading, v, x and y).
+        self._mirror = (pose[0], pose[1], pose[2], 0.0, -1, None)
         # Lap progress (unwrapped arc length) for lap-based termination.
         self._progress = 0.0
         self._last_s: float | None = None
@@ -183,23 +194,24 @@ class Runner:
         heappush(self.heap, (int(t_ns), next(self._seq), handler, args))
 
     def _emit(self, t_ns: int, stage: Stage, cid: int, payload=NO_PAYLOAD) -> None:
-        self.audit.append(TimedEvent(self.run_id, cid, stage, t_ns, payload))
+        self.audit.append(_new(TimedEvent, (self.run_id, cid, stage, t_ns, payload)))
 
     def _on_gts(self, t_ns: int) -> None:
         self.plant.advance_to(t_ns)
-        st = self.plant.state()
+        (_t, x, y, heading), v, _steer = self.plant.state()
         cid = self.ctx.issue_correlation_id()
         self.gts_count += 1
-        self.audit.append(TimedEvent(self.run_id, cid, GTS_SAMPLE, t_ns, {
-            "x": st.pose.x, "y": st.pose.y, "heading": st.pose.heading, "v": st.v_actual,
-        }))
-        self._track_progress(st.pose.x, st.pose.y)
+        texts = (float_text(heading), float_text(v), float_text(x), float_text(y))
+        self.audit.append(_new(TimedEvent, (self.run_id, cid, GTS_SAMPLE, t_ns, {
+            "x": x, "y": y, "heading": heading, "v": v,
+        })), pose_text(*texts))
+        self._track_progress(x, y)
         sched = self.r2v.transmit(t_ns)
         self._schedule(sched.t_ingest_start, self._emit, R2V_INGEST_START, cid)
         self._schedule(sched.t_ingest_done, self._emit, R2V_INGEST_DONE, cid)
         self._schedule(sched.t_adv_done, self._emit, R2V_ADV_DONE, cid)
-        pose_snapshot = (st.pose.x, st.pose.y, st.pose.heading, st.v_actual, t_ns)
-        self._schedule(sched.t_sense_done, self._on_sense_done, cid, pose_snapshot)
+        self._schedule(sched.t_sense_done, self._on_sense_done, cid,
+                       (x, y, heading, v, t_ns, texts))
         if not self.stop_sampling:
             t_next = t_ns + self.period_ns
             if t_next < self.t_limit_ns and not self._laps_reached():
@@ -218,22 +230,19 @@ class Runner:
             return False
         return self._progress >= self.laps_target * self.path.total_length
 
-    def _on_sense_done(self, t_ns: int, cid: int, pose_snapshot) -> None:
-        x, y, heading, v, t_sample = pose_snapshot
-        stale = t_sample < self._mirror["sample_t"]
+    def _on_sense_done(self, t_ns: int, cid: int, sample) -> None:
+        stale = sample[4] < self._mirror[4]
         if not stale:
-            self._mirror = {"x": x, "y": y, "heading": heading, "v": v, "sample_t": t_sample}
+            self._mirror = sample
+        x, y, heading, v, _t_sample, texts = self._mirror
         if self.trigger_zone and not self.scenario_triggered:
             x0, y0, x1, y1 = self.trigger_zone
-            if x0 <= self._mirror["x"] <= x1 and y0 <= self._mirror["y"] <= y1:
+            if x0 <= x <= x1 and y0 <= y <= y1:
                 self.scenario_triggered = True
                 for npc in self.npcs:
                     npc.activate(t_ns)
-        payload = {
-            "x": self._mirror["x"], "y": self._mirror["y"],
-            "heading": self._mirror["heading"], "v": self._mirror["v"],
-            "stale": stale,
-        }
+        payload = {"x": x, "y": y, "heading": heading, "v": v, "stale": stale}
+        body = sense_text(*texts, stale)
         states = [npc.state_at(t_ns) for npc in self.npcs]
         self._npc_states = (t_ns, states)
         for a in states:
@@ -243,7 +252,8 @@ class Runner:
                 payload[f"npc_{a.agent_id}_vx"] = a.vx
                 payload[f"npc_{a.agent_id}_vy"] = a.vy
                 payload[f"npc_{a.agent_id}_r"] = a.radius
-        self.audit.append(TimedEvent(self.run_id, cid, R2V_SENSE_DONE, t_ns, payload))
+                body = None  # not the fixed shape: the payload is encoded whole
+        self.audit.append(_new(TimedEvent, (self.run_id, cid, R2V_SENSE_DONE, t_ns, payload)), body)
         self._schedule(t_ns, self._on_sut_in, cid)
 
     def _detections(self, t_ns: int) -> tuple[AgentState, ...]:
@@ -253,15 +263,16 @@ class Runner:
         t_cached, states = self._npc_states
         if t_cached != t_ns:
             states = [npc.state_at(t_ns) for npc in self.npcs]
-        x, y = self._mirror["x"], self._mirror["y"]
+        x, y = self._mirror[0], self._mirror[1]
         return tuple(a for a in states
                      if a is not None and math.hypot(a.x - x, a.y - y) <= rng_m)
 
     def _on_sut_in(self, t_ns: int, cid: int) -> None:
-        self.audit.append(TimedEvent(self.run_id, cid, SUT_CMD_IN, t_ns))
+        self.audit.append(_new(TimedEvent, (self.run_id, cid, SUT_CMD_IN, t_ns, NO_PAYLOAD)))
+        x, y, heading = self._mirror[:3]
         obs = Observation(
             t_ns=t_ns,
-            ego=TrajectorySample(t_ns, self._mirror["x"], self._mirror["y"], self._mirror["heading"]),
+            ego=TrajectorySample(t_ns, x, y, heading),
             detections=self._detections(t_ns),
             route=self.path,
             goal_speed=self.goal_speed,
@@ -280,9 +291,11 @@ class Runner:
         self._schedule(cmd.t_issued_ns, self._on_sut_out, cid, cmd)
 
     def _on_sut_out(self, t_ns: int, cid: int, cmd) -> None:
-        self.audit.append(TimedEvent(self.run_id, cid, SUT_CMD_OUT, t_ns, {
-            "speed": cmd.speed_setpoint, "steer": cmd.steer_setpoint,
-        }))
+        speed, steer, _t_issued = cmd
+        texts = (float_text(speed), float_text(steer))
+        self.audit.append(_new(TimedEvent, (self.run_id, cid, SUT_CMD_OUT, t_ns, {
+            "speed": speed, "steer": steer,
+        })), command_text(*texts))
         sched = self.v2r.transmit(t_ns)
         if sched.dropped:
             self._schedule(sched.t_perturb_in, self._emit, PERTURB_IN, cid, {"dropped": True})
@@ -291,14 +304,15 @@ class Runner:
         self._schedule(sched.t_perturb_out, self._emit, PERTURB_OUT, cid)
         self._schedule(sched.t_deliver, self._emit, V2R_DELIVER, cid,
                        {"fifo_clamped": True} if sched.fifo_clamped else NO_PAYLOAD)
-        self._schedule(sched.t_deliver, self._on_actuator, cid, cmd)
+        self._schedule(sched.t_deliver, self._on_actuator, cid, speed, steer, texts)
 
-    def _on_actuator(self, t_ns: int, cid: int, cmd) -> None:
+    def _on_actuator(self, t_ns: int, cid: int, speed: float, steer: float, texts) -> None:
         self.plant.advance_to(t_ns)
-        flags = self.plant.apply_command(t_ns, cmd.speed_setpoint, cmd.steer_setpoint)
-        payload = {"speed": cmd.speed_setpoint, "steer": cmd.steer_setpoint}
+        flags = self.plant.apply_command(t_ns, speed, steer)
+        payload = {"speed": speed, "steer": steer}
         payload.update(flags)
-        self.audit.append(TimedEvent(self.run_id, cid, ACTUATOR_APPLY, t_ns, payload))
+        self.audit.append(_new(TimedEvent, (self.run_id, cid, ACTUATOR_APPLY, t_ns, payload)),
+                          actuator_text(*texts, flags))
 
     def _abort(self, reason: str) -> None:
         self.aborted = True

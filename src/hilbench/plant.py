@@ -17,6 +17,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,8 +188,7 @@ class FopdtChannel:
         return tuple(self._pending)
 
 
-@dataclass(frozen=True)
-class PlantState:
+class PlantState(NamedTuple):
     pose: TrajectorySample
     v_actual: float
     steer_actual: float

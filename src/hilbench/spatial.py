@@ -26,18 +26,22 @@ def normalize_heading(h: float) -> float:
     return r
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    """One measured vehicle state: time, planar position, heading."""
-
+class _TrajectorySampleFields(NamedTuple):
     t_ns: int
     x: float
     y: float
     heading: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.heading)):
+
+class TrajectorySample(_TrajectorySampleFields):
+    """One measured vehicle state: time, planar position, heading."""
+
+    __slots__ = ()
+
+    def __new__(cls, t_ns: int, x: float, y: float, heading: float):
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(heading)):
             raise ValueError("trajectory sample must have finite coordinates")
+        return tuple.__new__(cls, (t_ns, x, y, heading))
 
 
 class Projection(NamedTuple):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +25,7 @@ from .safety import AgentState
 from .spatial import ReferencePath, TrajectorySample, project
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """Everything a controller is allowed to see for one cycle."""
 
     t_ns: int
@@ -35,15 +35,21 @@ class Observation:
     goal_speed: float
 
 
-@dataclass(frozen=True)
-class ControlCommand:
+class _ControlCommandFields(NamedTuple):
     speed_setpoint: float
     steer_setpoint: float
     t_issued_ns: int
 
-    def __post_init__(self):
-        if not (math.isfinite(self.speed_setpoint) and math.isfinite(self.steer_setpoint)):
+
+class ControlCommand(_ControlCommandFields):
+    """One standardized control command, issued at ``t_issued_ns``."""
+
+    __slots__ = ()
+
+    def __new__(cls, speed_setpoint: float, steer_setpoint: float, t_issued_ns: int):
+        if not (math.isfinite(speed_setpoint) and math.isfinite(steer_setpoint)):
             raise ValueError("command setpoints must be finite")
+        return tuple.__new__(cls, (speed_setpoint, steer_setpoint, t_issued_ns))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbench.core import (
+    ACTUATOR_FLAGS,
     AuditLog,
     AuditOrderError,
     ClockError,
@@ -15,8 +17,13 @@ from hilbench.core import (
     Stage,
     TimedEvent,
     VirtualClock,
+    actuator_text,
     canonical_json,
+    command_text,
+    float_text,
+    pose_text,
     rng_stream,
+    sense_text,
     substream_seed,
 )
 
@@ -248,3 +255,54 @@ class TestLineCodec:
         with pytest.raises(ValueError) as info:
             TimedEvent.from_json(line)
         assert str(info.value) == str(expected.value)
+
+
+#: Floats, with the ones whose text is easy to get wrong: signed zero, the
+#: smallest subnormal, the bounds where ``repr`` switches to exponent form,
+#: NaN and the infinities.
+floats = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-5, 1e-4, 1e15, math.nan, math.inf, -math.inf]),
+)
+#: Every set of ``ActuatorApply`` flags.
+FLAG_SETS = [flags for n in range(len(ACTUATOR_FLAGS) + 1)
+             for flags in combinations(ACTUATOR_FLAGS, n)]
+
+
+class TestFixedShapeTexts:
+    """The fixed-shape payload texts a run writes in place of encoding its
+    most frequent payloads: each must equal ``canonical_json`` of the dict."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @given(v=st.one_of(floats, st.floats().map(np.float64), st.integers(), st.booleans()))
+    def test_float_text_is_canonical_json_of_the_value(self, v):
+        assert float_text(v) == canonical_json(v)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(heading=floats, v=floats, x=floats, y=floats, stale=st.booleans())
+    def test_pose_and_sense_texts(self, heading, v, x, y, stale):
+        texts = [float_text(value) for value in (heading, v, x, y)]
+        assert pose_text(*texts) == canonical_json({"x": x, "y": y, "heading": heading, "v": v})
+        assert sense_text(*texts, stale) == canonical_json(
+            {"x": x, "y": y, "heading": heading, "v": v, "stale": stale})
+
+    @pytest.mark.parametrize("flags", FLAG_SETS, ids=lambda f: "+".join(f) or "none")
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(speed=floats, steer=floats)
+    def test_command_and_actuator_texts(self, flags, speed, steer):
+        texts = (float_text(speed), float_text(steer))
+        payload = {"speed": speed, "steer": steer}
+        assert command_text(*texts) == canonical_json(payload)
+        for order in (flags, flags[::-1]):
+            given_flags = dict.fromkeys(order, True)
+            assert actuator_text(*texts, given_flags) == canonical_json({**payload, **given_flags})
+
+    def test_a_given_body_is_the_payload_text_of_the_line(self, tmp_path):
+        ev = TimedEvent("r", 1, Stage.SutCmdOut, 5, {"speed": 0.5, "steer": -0.25})
+        body = command_text(float_text(0.5), float_text(-0.25))
+        assert ev.to_json(body) == ev.to_json() == canonical_json(
+            _record("r", 1, Stage.SutCmdOut, 5, ev.payload))
+        log = AuditLog("r")
+        with log.write_ndjson(tmp_path / "a.ndjson"):
+            log.append(ev, body)
+        assert (tmp_path / "a.ndjson").read_text() == ev.to_json() + "\n"

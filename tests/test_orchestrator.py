@@ -122,6 +122,14 @@ class TestStage1:
         assert not report["completed"]
         assert "watchdog" in report["abort_reason"]
 
+    def test_non_finite_setpoint_aborts_the_run(self):
+        runner = Runner(small_cfg())
+        runner.goal_speed = math.nan  # the controller's speed setpoint turns NaN
+        report = runner.run()
+        assert report["aborted"] and not report["completed"]
+        assert runner.abort_reason == "sut raised: command setpoints must be finite"
+        assert report["abort_reason"] == runner.abort_reason
+
     def test_dropped_commands_accounted(self):
         cfg = small_cfg(links={"v2r": {"perturbation": {"loss_probability": 0.5}}})
         report, _ = run_stage1(cfg)
@@ -352,3 +360,51 @@ class TestReportContent:
         for comp in ("r2v", "ingest", "adv", "sense", "v2r", "sut", "platform", "total"):
             assert report["latency_ms"][comp] is not None
         assert report["latency_ms"]["sut"]["mean_ms"] == pytest.approx(15.48)
+
+
+class TestEveryLineReencodes:
+    """A run writes its most frequent payloads from fixed-shape texts, not
+    through the encoder: every line must still be the encoding of its record,
+    both as read back and as the analysis fold was fed it."""
+
+    @pytest.fixture
+    def fed(self, monkeypatch):
+        records = []
+        feed = Analyzer.feed
+
+        def keeping_feed(fold, ev):
+            records.append(ev)
+            feed(fold, ev)
+
+        monkeypatch.setattr(Analyzer, "feed", keeping_feed)
+        return records
+
+    @staticmethod
+    def assert_lines_reencode(lines, fed):
+        assert [ev.to_json() for ev in fed] == lines
+        for line in lines:
+            assert TimedEvent.from_json(line).to_json() == line
+
+    def test_perturbed_stage2_point(self, tmp_path, fed):
+        doc = presets.load("stage2-cliff-sweep")
+        doc["injected_delays_ms"] = [40]
+        doc["base"]["termination"] = {"duration_s": 8.0}
+        doc["base"]["links"]["v2r"]["perturbation"] = {
+            "jitter": {"kind": "gaussian_truncated", "mean_ms": 4.0, "std_ms": 12.0},
+            "loss_probability": 0.05,
+        }
+        log = tmp_path / "audit.ndjson"
+        run_stage2(resolve_sweep_config(doc), log_path=lambda delay, rep: log)
+        text = log.read_text()
+        for seen in ('"dropped":true', '"fifo_clamped":true', '"steer_limited":true'):
+            assert seen in text
+        self.assert_lines_reencode(text.splitlines(), fed)
+
+    def test_stage3(self, tmp_path, fed):
+        doc = presets.load("stage3-intersection")
+        doc["termination"] = {"duration_s": 8.0}
+        _, lines = logged_run(resolve_run_config(doc), tmp_path / "audit.ndjson")
+        text = "\n".join(lines)
+        for seen in ('"stale":true', '"stale":false', '"npc_'):
+            assert seen in text
+        self.assert_lines_reencode(lines, fed)

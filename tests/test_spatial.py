@@ -87,6 +87,19 @@ class TestPathConstruction:
         assert UNIT_SQUARE.total_length == 4.0
 
 
+class TestTrajectorySample:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["x", "y", "heading"])
+    def test_non_finite_coordinate_rejected(self, field, bad):
+        coords = {"x": 1.0, "y": 2.0, "heading": 0.5, field: bad}
+        with pytest.raises(ValueError, match="^trajectory sample must have finite coordinates$"):
+            TrajectorySample(0, **coords)
+
+    def test_fields(self):
+        q = TrajectorySample(7, 1.0, 2.0, 0.5)
+        assert (q.t_ns, q.x, q.y, q.heading) == (7, 1.0, 2.0, 0.5)
+
+
 class TestProjection:
     def test_point_on_path(self):
         pr = project(UNIT_SQUARE, (0.5, 0.0))
