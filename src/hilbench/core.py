@@ -95,7 +95,8 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 #: Encoder of one audit payload, built once: ``canonical_json``'s settings
 #: (sorted keys, ``:`` and ``,``, NaN and infinities allowed, no indent) in
 #: the C encoder that ``canonical_json`` builds anew on every call.  It keeps
-#: no circular-reference markers, which a payload of scalars cannot need.
+#: no circular-reference markers, which a payload of scalars cannot need (a
+#: circular payload raises ``RecursionError``, not ``ValueError``).
 #: ``_encode_payload(payload, 0)`` returns the text in chunks.
 _encode_payload = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
                                  None, ":", ",", True, False, True)

@@ -95,10 +95,6 @@ class TestTrajectorySample:
         with pytest.raises(ValueError, match="^trajectory sample must have finite coordinates$"):
             TrajectorySample(0, **coords)
 
-    def test_fields(self):
-        q = TrajectorySample(7, 1.0, 2.0, 0.5)
-        assert (q.t_ns, q.x, q.y, q.heading) == (7, 1.0, 2.0, 0.5)
-
 
 class TestProjection:
     def test_point_on_path(self):
