@@ -58,8 +58,9 @@ def _write_run_artifacts(out: Path, runner: orchestrator.Runner, report: dict) -
     fold = runner.analyzer
     write_json(out / names["report"], report)
     written = ["audit", "report"]
-    if fold.rows:
-        write_trajectory_csv(runner.path, fold.rows, out / names["trajectory"], runner.goal_speed)
+    if fold.rows[0]:
+        write_trajectory_csv(runner.path, zip(*fold.rows), out / names["trajectory"],
+                             runner.goal_speed)
         written.append("trajectory")
     if all(report["latency_ms"].values()):
         temporal.write_latency_report(report["latency_ms"], out / names["latency"])

@@ -230,7 +230,8 @@ class TimedEvent(NamedTuple):
             if not _SCALARS.issuperset(map(type, payload.values())):
                 key, value = next((k, v) for k, v in payload.items() if type(v) not in _SCALARS)
                 raise ValueError(f"payload field {key!r} must be a scalar, not {value!r}")
-        return TimedEvent(obj["run_id"], cid, _STAGES[obj["stage"]], t_ns, payload)
+        return tuple.__new__(TimedEvent, (obj["run_id"], cid, _STAGES[obj["stage"]], t_ns,
+                                          payload))
 
 
 class AuditLog:
@@ -313,8 +314,9 @@ class AuditLog:
         A final line that lacks its newline and does not parse, with no end
         record before it, is a record torn by an interrupted write: it is
         dropped, and the log then lacks its end record, so its report reads
-        as truncated.  Any other bad line, and any ``ValueError`` the
-        consumer raises, raises ``ValueError`` naming its line number.
+        as truncated.  Any other bad line, and any ``ValueError`` or
+        ``OverflowError`` the consumer raises, raises ``ValueError`` naming
+        its line number.
         """
         log = None
         with open(path, "r", encoding="utf-8") as fh:
@@ -332,7 +334,7 @@ class AuditLog:
                     log = AuditLog(event.run_id, consumer)
                 try:
                     log.admit(event)
-                except ValueError as exc:
+                except (ValueError, OverflowError) as exc:  # also a number beyond a fold's column
                     raise ValueError(f"{path}: line {lineno}: {exc}") from exc
 
 

@@ -179,12 +179,9 @@ class R2VLink:
         d_adv = ms_to_ns(self.cfg.adv.sample_ms(self._adv_rng))
         d_sense = ms_to_ns(self.cfg.sense.sample_ms(self._sense_rng))
         t0 = int(t_now_ns)
-        return R2VSchedule(
-            t_ingest_start=t0,
-            t_ingest_done=t0 + d_ingest,
-            t_adv_done=t0 + d_ingest + d_adv,
-            t_sense_done=t0 + d_ingest + d_adv + d_sense,
-        )
+        # (t_ingest_start, t_ingest_done, t_adv_done, t_sense_done)
+        return tuple.__new__(R2VSchedule, (t0, t0 + d_ingest, t0 + d_ingest + d_adv,
+                                           t0 + d_ingest + d_adv + d_sense))
 
 
 class PerturbOutcome(NamedTuple):
@@ -206,13 +203,13 @@ def perturb(cfg: PerturbationConfig, t_now_ns: int, loss_rng, jitter_rng,
     jitter_ms = cfg.jitter.sample_ms(jitter_rng) if cfg.jitter is not None else 0.0
     u = float(loss_rng.random())
     if u < cfg.loss_probability:
-        return PerturbOutcome(dropped=True)
+        return tuple.__new__(PerturbOutcome, (True, 0, False))  # (dropped, t_out_ns, clamped)
     t_out = int(t_now_ns) + ms_to_ns(cfg.fixed_delay_ms) + ms_to_ns(jitter_ms)
     clamped = False
     if not cfg.reorder_allowed and last_out_ns is not None and t_out < last_out_ns:
         t_out = last_out_ns
         clamped = True
-    return PerturbOutcome(dropped=False, t_out_ns=t_out, clamped=clamped)
+    return tuple.__new__(PerturbOutcome, (False, t_out, clamped))
 
 
 class V2RSchedule(NamedTuple):
@@ -246,7 +243,8 @@ class V2RLink:
         out = perturb(self.cfg.perturbation, t_now_ns, self._loss_rng,
                       self._jitter_rng, self._last_perturb_out)
         if out.dropped:
-            return V2RSchedule(dropped=True, t_perturb_in=int(t_now_ns))
+            # (dropped, t_perturb_in, t_perturb_out, t_deliver, fifo_clamped)
+            return tuple.__new__(V2RSchedule, (True, int(t_now_ns), 0, 0, False))
         self._last_perturb_out = out.t_out_ns
         t_deliver = out.t_out_ns + ms_to_ns(self.cfg.base.sample_ms(self._base_rng))
         clamped = out.clamped
@@ -255,13 +253,7 @@ class V2RLink:
             t_deliver = self._last_deliver
             clamped = True
         self._last_deliver = t_deliver
-        return V2RSchedule(
-            dropped=False,
-            t_perturb_in=int(t_now_ns),
-            t_perturb_out=out.t_out_ns,
-            t_deliver=t_deliver,
-            fifo_clamped=clamped,
-        )
+        return tuple.__new__(V2RSchedule, (False, int(t_now_ns), out.t_out_ns, t_deliver, clamped))
 
 
 def default_r2v_config() -> R2VConfig:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
@@ -37,7 +38,7 @@ from .core import (ACTUATOR_APPLY, GTS_SAMPLE, NO_PAYLOAD, NS_PER_S, PERTURB_IN,
 from .links import R2VLink, V2RLink
 from .plant import Plant
 from .safety import (AgentState, SafetyTrace, check_agent, d_min_trace, extract_events,
-                     finite_or_none)
+                     finite_or_none, frame_metrics)
 from .spatial import MetricSummary, ReferencePath, TrajectorySample, project, summarize, track_errors
 from .sut import Observation, PurePursuitParams, PurePursuitSut
 
@@ -198,7 +199,7 @@ class Runner:
 
     def _on_gts(self, t_ns: int) -> None:
         self.plant.advance_to(t_ns)
-        (_t, x, y, heading), v, _steer = self.plant.state()
+        (x, y, heading), v = self.plant.pose, self.plant.v_actual
         cid = self.ctx.issue_correlation_id()
         self.gts_count += 1
         texts = (float_text(heading), float_text(v), float_text(x), float_text(y))
@@ -365,6 +366,8 @@ _POSE_KEYS = ("x", "y", "heading")
 _EGO_KEYS = ("x", "y", "v", "heading")
 #: Length of a cid's list of stage times, which ``Stage`` indexes.
 _N_STAGES = len(Stage)
+#: Agent id of the ego in a safety frame.
+_EGO = "ego"
 
 
 def _numbers(ev: TimedEvent, keys: tuple[str, ...]) -> tuple:
@@ -382,19 +385,34 @@ class Analyzer:
     ``AuditLog.append``, from a file by ``AuditLog.read_ndjson``); ``finish``
     returns the report.  The first record must be the run header, which
     carries the resolved config; a missing end record marks the log as
-    truncated.  ``rows`` holds the ground-truth samples as ``(t_ns, x, y,
-    heading)``; after ``finish``, ``safety_trace`` is the trace behind
-    ``report["safety"]`` (None when the report has no safety section).
+    truncated.
+
+    Each record is reduced as it is fed, to a fixed number of bytes per cycle
+    in ``array`` columns.  ``rows`` holds the ground-truth samples as the
+    columns ``(t_ns, x, y, heading)``.  A sense frame of a scenario run is
+    reduced to its ``frame_metrics``.  A cycle keeps a list of its stage
+    times only while it is in flight: at its V2rDeliver, the last of the
+    ``temporal.REQUIRED_STAGES``, it is assembled (``temporal.assemble``)
+    into a fixed-size latency row, or noted as incomplete, and at its
+    ActuatorApply, which ends its chain, the list goes.  A cycle whose
+    command was dropped stays in flight.  After ``finish``, ``safety_trace``
+    is the trace behind ``report["safety"]`` (None when the report has no
+    safety section).
     """
 
     def __init__(self) -> None:
         self.cfg: dict | None = None
         self.run_id: str | None = None
-        self.rows: list[tuple[int, float, float, float]] = []
-        # A list per cid, not a dict: on the 55,002-record stage-3 log a dict
-        # per cid raised the peak memory of latency assembly from 3.7 to 6.0 MB.
-        self.times: dict[int, list[int | None]] = {}
-        self.frames: list[tuple[int, dict]] = []  # the safety frames of a scenario run
+        self.rows = (array("q"), array("d"), array("d"), array("d"))
+        # Stage times of each cycle in flight, kept from its first record to
+        # its ActuatorApply, or to the end when that never comes.
+        self._in_flight: dict[int, list[int | None]] = {}
+        # One row per assembled cycle, in the order they completed: its cid,
+        # then its record as temporal.assemble returns it.
+        self._records = array("q")
+        self._incomplete: dict[int, Stage] = {}  # first missing stage of an assembled cycle
+        self._frames = (array("q"), array("d"), array("d"))  # (t_ns, ttc, dmin) per sense frame
+        self._triggered = False
         self.sent = self.dropped = self.delivered = 0
         self.end: dict | None = None
         self.safety_trace: SafetyTrace | None = None
@@ -403,29 +421,43 @@ class Analyzer:
     def feed(self, ev: TimedEvent) -> None:
         _run_id, cid, stage, t_ns, payload = ev
         if cid > 0:
-            t = self.times.get(cid)
+            t = self._in_flight.get(cid)
             if t is None:
-                t = self.times[cid] = [None] * _N_STAGES
+                t = self._in_flight[cid] = [None] * _N_STAGES
             t[stage] = t_ns
         if self.cfg is None:
             self._header(ev)
         elif stage is GTS_SAMPLE:
-            self.rows.append((t_ns, *_numbers(ev, _POSE_KEYS)))
+            x, y, heading = _numbers(ev, _POSE_KEYS)
+            t_col, x_col, y_col, heading_col = self.rows
+            t_col.append(t_ns)
+            x_col.append(x)
+            y_col.append(y)
+            heading_col.append(heading)
         elif stage is R2V_SENSE_DONE and self._npc_keys is not None and "x" in payload:
             self._frame(ev)
         elif stage is PERTURB_IN:
             self.sent += 1
             if "dropped" in payload:
                 self.dropped += _field(ev, "dropped", (bool,), "a bool")
-        elif stage is V2R_DELIVER:
+        elif stage is V2R_DELIVER:  # the last of the temporal.REQUIRED_STAGES
             self.delivered += 1
+            rec = temporal.assemble(cid, t)
+            if type(rec) is tuple:
+                self._records.append(cid)
+                self._records.extend(rec)
+            else:
+                self._incomplete[cid] = rec
+        elif stage is ACTUATOR_APPLY:
+            if t[V2R_DELIVER] is not None:  # assembled, and no later stage may follow
+                del self._in_flight[cid]
         elif stage is RUN_END:
             _field(ev, "aborted", (bool,), "a bool")
             _field(ev, "abort_reason", (str,), "a string")
             samples = _field(ev, "gts_samples", (int,), "an integer")
-            if samples != len(self.rows):
+            if samples != len(self.rows[0]):
                 raise ValueError(f"RunEnd cid {cid}: payload field 'gts_samples' is {samples}, "
-                                 f"but the log holds {len(self.rows)} GtsSample records")
+                                 f"but the log holds {len(self.rows[0])} GtsSample records")
             self.end = payload
 
     def _header(self, ev: TimedEvent) -> None:
@@ -447,17 +479,39 @@ class Analyzer:
                               for nid in (npc["id"] for npc in cfg["scenario"]["npcs"])]
 
     def _frame(self, ev: TimedEvent) -> None:
-        """Keep the ``d_min_trace`` frame of a sense event: the ego's mirrored
-        state and that of every NPC the payload carries, each checked."""
+        """Reduce a sense event to its ``frame_metrics``: the ego's mirrored
+        state against that of every NPC the payload carries, each checked."""
         x, y, v, heading = _numbers(ev, _EGO_KEYS)
-        agents = {"ego": (x, y, v * math.cos(heading), v * math.sin(heading),
-                          self.cfg["report"]["ego_radius_m"])}
+        agents = {_EGO: (x, y, v * math.cos(heading), v * math.sin(heading),
+                         self.cfg["report"]["ego_radius_m"])}
         for nid, keys in self._npc_keys:
             if keys[0] in ev.payload:
                 agents[nid] = _numbers(ev, keys)
         for state in agents.values():
             check_agent(*state)
-        self.frames.append((ev.t_ns, agents))
+        t_col, ttc_col, dmin_col = self._frames
+        t_ns, ttc, dmin = frame_metrics(ev.t_ns, agents, _EGO)
+        t_col.append(t_ns)
+        ttc_col.append(ttc)
+        dmin_col.append(dmin)
+        if len(agents) > 1:
+            self._triggered = True
+
+    def _latency(self) -> tuple[dict[str, np.ndarray], list[int], dict[int, Stage]]:
+        """The assembled records as ``{component: ns}`` columns in cid order,
+        the cids of those with a hand-off that no component counts, and
+        ``{cid: first missing stage}`` of every incomplete cycle."""
+        rows = np.array(self._records, dtype=np.int64).reshape(-1, len(temporal.COMPONENTS) + 2)
+        # Cycles complete out of cid order under R2V jitter or a reordering
+        # injector.
+        rows = rows[np.argsort(rows[:, 0])]
+        columns = dict(zip(temporal.COMPONENTS, rows[:, 1:-1].T))
+        in_flight = {cid: t for cid, t in self._in_flight.items() if t[V2R_DELIVER] is None}
+        # Each of these lacks its V2rDeliver, a required stage, so assemble_all
+        # finds it incomplete and returns no record.
+        _records, incomplete, _gapped = temporal.assemble_all(in_flight)
+        incomplete.update(self._incomplete)
+        return columns, rows[rows[:, -1] != 0, 0].tolist(), incomplete
 
     def finish(self) -> dict:
         """The report of the records fed so far."""
@@ -469,27 +523,29 @@ class Analyzer:
 
         run_path = ReferencePath(cfg["path"]["vertices"], closed=cfg["path"]["closed"])
 
-        traj = self.rows
+        n_rows = len(self.rows[0])
         cte_summary = ate_summary = None
         distance = 0.0
         max_cte = 0.0
         progress = 0.0
-        if traj:
-            ctes, ates = [], []
+        if n_rows:
+            ctes, ates = array("d"), array("d")
             last_s = None
-            for s, c, a in track_errors(run_path, traj, cfg["sut"]["goal_speed_mps"]):
+            for s, c, a in track_errors(run_path, zip(*self.rows), cfg["sut"]["goal_speed_mps"]):
                 ctes.append(c)
                 ates.append(a)
                 if last_s is not None:
                     progress += run_path.lap_delta(s - last_s)
                 last_s = s
-            for i in range(1, len(traj)):
-                distance += math.hypot(traj[i][1] - traj[i - 1][1], traj[i][2] - traj[i - 1][2])
+            _t, xs, ys, _heading = self.rows
+            for i in range(1, n_rows):
+                distance += math.hypot(xs[i] - xs[i - 1], ys[i] - ys[i - 1])
             cte_summary = summarize(ctes)
             ate_summary = summarize(ates)
             max_cte = max(ctes)
 
-        records, incomplete, gapped = temporal.assemble_all(self.times)
+        latency, gapped, incomplete = self._latency()
+        n_records = len(latency["total"])
 
         completed = not aborted and not truncated and cte_summary is not None \
             and max_cte <= cfg["report"]["completion_corridor_m"]
@@ -497,8 +553,8 @@ class Analyzer:
             completed = completed and progress >= cfg["termination"]["laps"] * run_path.total_length
 
         safety = None
-        if self.frames:
-            trace = self.safety_trace = d_min_trace(self.frames, "ego")
+        if self._frames[0]:
+            trace = self.safety_trace = d_min_trace(*self._frames)
             sev = extract_events(
                 trace,
                 ttc_threshold_s=cfg["report"]["ttc_threshold_s"],
@@ -513,7 +569,7 @@ class Analyzer:
                 "d_min_m": finite_or_none(trace.d_min),
                 "t_at_d_min_ns": trace.t_at_d_min,
                 "events": [e.to_dict() for e in sev],
-                "triggered": any(len(agents) > 1 for _t, agents in self.frames),
+                "triggered": self._triggered,
             }
 
         return {
@@ -526,15 +582,15 @@ class Analyzer:
             "truncated": truncated,
             "completed": completed,
             "cycles": {
-                "gts_samples": len(traj),
-                "latency_records": len(records),
+                "gts_samples": n_rows,
+                "latency_records": n_records,
                 "incomplete": {str(cid): stage.name for cid, stage in sorted(incomplete.items())},
                 "v2r_sent": self.sent,
                 "v2r_delivered": self.delivered,
                 "v2r_dropped": self.dropped,
             },
             "completeness": {
-                "fraction": (len(records) - len(gapped)) / len(records) if records else 1.0,
+                "fraction": (n_records - len(gapped)) / n_records if n_records else 1.0,
                 "violations": gapped,
             },
             "cte": _summary_dict(cte_summary),
@@ -542,7 +598,7 @@ class Analyzer:
             "distance_m": distance,
             "progress_m": progress,
             "max_cte_m": max_cte,
-            "latency_ms": temporal.summarize_latency(records),
+            "latency_ms": temporal.summarize_latency(latency),
             "safety": safety,
             "files": dict(ARTIFACTS),
         }

@@ -217,6 +217,11 @@ class Plant:
             jitter=cfg.steering_jitter, rng=rng)
 
     @property
+    def pose(self) -> tuple[float, float, float]:
+        """``(x, y, heading)`` at the plant's time."""
+        return self._x, self._y, self._heading
+
+    @property
     def v_actual(self) -> float:
         return self._speed_ch.value(self._t_ns)
 

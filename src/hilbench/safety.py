@@ -88,35 +88,38 @@ class SafetyTrace:
         return int(self.t_ns.size)
 
 
-def d_min_trace(frames, ego_id: str) -> SafetyTrace:
-    """Build the safety trace of an ego agent across frames.
-
-    Each frame is ``(t_ns, agents)``, with ``agents`` mapping an agent id to
-    its ``(x, y, vx, vy, radius)``.  Every frame must contain the ego.  Frames
-    without any other agent record +inf for both metrics.
+def frame_metrics(t_ns: int, agents, ego_id: str) -> tuple[int, float, float]:
+    """One frame of a safety trace: ``(t_ns, ttc, dmin)``, the least
+    time-to-contact and body gap between the ego and any other agent of
+    ``agents``, which maps an agent id to its ``(x, y, vx, vy, radius)`` and
+    must contain the ego.  Without any other agent both metrics are +inf.
     """
-    ts, ttcs, dmins = [], [], []
-    for i, (t_ns, agents) in enumerate(frames):
-        ego = agents.get(ego_id)
-        if ego is None:
-            raise ValueError(f"frame {i} does not contain ego agent {ego_id!r}")
-        ex, ey, evx, evy, er = ego
-        frame_ttc = frame_dmin = math.inf
-        for agent_id, (x, y, vx, vy, r) in agents.items():
-            if agent_id == ego_id:
-                continue
-            dpx, dpy, rsum = x - ex, y - ey, er + r
-            frame_ttc = min(frame_ttc, contact_ttc(dpx, dpy, vx - evx, vy - evy, rsum))
-            frame_dmin = min(frame_dmin, contact_gap(dpx, dpy, rsum))
-        ts.append(t_ns)
-        ttcs.append(frame_ttc)
-        dmins.append(frame_dmin)
+    ego = agents.get(ego_id)
+    if ego is None:
+        raise ValueError(f"frame at {t_ns} ns does not contain ego agent {ego_id!r}")
+    ex, ey, evx, evy, er = ego
+    ttc = dmin = math.inf
+    for agent_id, (x, y, vx, vy, r) in agents.items():
+        if agent_id == ego_id:
+            continue
+        dpx, dpy, rsum = x - ex, y - ey, er + r
+        ttc = min(ttc, contact_ttc(dpx, dpy, vx - evx, vy - evy, rsum))
+        dmin = min(dmin, contact_gap(dpx, dpy, rsum))
+    return t_ns, ttc, dmin
+
+
+def d_min_trace(t_ns, ttc_s, dmin_m) -> SafetyTrace:
+    """The safety trace of the frames whose ``frame_metrics`` are given as
+    three columns of equal length, in frame order.  Each global minimum is
+    the first frame that holds it; a metric that is +inf in every frame has
+    no time.
+    """
     trace = SafetyTrace(
-        t_ns=np.array(ts, dtype=np.int64),
-        ttc_s=np.array(ttcs, dtype=float),
-        dmin_m=np.array(dmins, dtype=float),
+        t_ns=np.array(t_ns, dtype=np.int64),
+        ttc_s=np.array(ttc_s, dtype=float),
+        dmin_m=np.array(dmin_m, dtype=float),
     )
-    for t, ttc, dmin in zip(ts, ttcs, dmins):
+    for t, ttc, dmin in zip(t_ns, ttc_s, dmin_m):
         if ttc < trace.ttc_min:
             trace.ttc_min, trace.t_at_ttc_min = float(ttc), int(t)
         if dmin < trace.d_min:

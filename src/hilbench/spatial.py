@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import tee
 from typing import NamedTuple
 
 import numpy as np
@@ -147,7 +148,7 @@ def project(path: ReferencePath, p) -> Projection:
         # when no distance compares (a NaN query), as np.argmin would.
         if d2 < best or i == 0:
             best, idx, bx, by, s = d2, i, cx, cy, s0 + t * ln
-    return Projection((bx, by), s, idx)
+    return tuple.__new__(Projection, ((bx, by), s, idx))
 
 
 def ate(path: ReferencePath, p, s_d: float) -> float:
@@ -195,14 +196,17 @@ def summarize(values) -> MetricSummary:
 
 def track_errors(path: ReferencePath, samples, goal_speed: float):
     """Yield ``(arc length of the path projection, cross-track error,
-    along-track error)`` for each ``(t_ns, x, y, heading)`` sample.
+    along-track error)`` for each ``(t_ns, x, y, heading)`` sample of an
+    iterable.
 
     The along-track schedule assumes constant progress at ``goal_speed``
     from the first sample, wrapped on a closed path and clamped at the end
     of an open one.
     """
-    t0 = samples[0][0] if samples else 0
+    t0 = None
     for t_ns, x, y, _heading in samples:
+        if t0 is None:
+            t0 = t_ns
         sched = path._wrap_s(goal_speed * (t_ns - t0) / 1e9)
         proj = project(path, (x, y))
         yield (proj.arclength, math.hypot(x - proj.point[0], y - proj.point[1]),
@@ -210,9 +214,11 @@ def track_errors(path: ReferencePath, samples, goal_speed: float):
 
 
 def write_trajectory_csv(path_obj: ReferencePath, samples, out_path, goal_speed: float) -> None:
-    """Export ``t_ns,x,y,heading,cte,ate`` rows for ``(t_ns, x, y, heading)`` samples."""
+    """Export ``t_ns,x,y,heading,cte,ate`` rows for an iterable of ``(t_ns, x,
+    y, heading)`` samples."""
+    samples, scored = tee(samples)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t_ns,x,y,heading,cte,ate\n")
-        errors = track_errors(path_obj, samples, goal_speed)
+        errors = track_errors(path_obj, scored, goal_speed)
         for (t_ns, x, y, heading), (_s, c, a) in zip(samples, errors):
             fh.write(f"{t_ns},{x!r},{y!r},{heading!r},{c!r},{a!r}\n")

@@ -8,6 +8,8 @@ integer nanoseconds, so the sums are exact.
 
 from __future__ import annotations
 
+from operator import itemgetter, sub
+
 import numpy as np
 
 from .core import NS_PER_MS, Stage
@@ -36,48 +38,72 @@ COMPONENTS = ("r2v", "ingest", "adv", "sense", "v2r", "sut", "platform", "total"
 #: Stages required to assemble one latency record, in chain order.
 REQUIRED_STAGES = tuple(sorted({stage for pair in INTERVALS.values() for stage in pair}))
 
+# The tables as ``assemble`` reads them, once per cycle.  Its values are the
+# measured components in ``INTERVALS`` order, then the derived ones in ``SUMS``
+# order, each derived one the sum of the values at its parts' positions.
+_VALUE_NAMES = (*INTERVALS, *SUMS)
+_required_times = itemgetter(*REQUIRED_STAGES)
+_interval_starts = itemgetter(*(start for start, _end in INTERVALS.values()))
+_interval_ends = itemgetter(*(end for _start, end in INTERVALS.values()))
+_sum_parts = tuple(itemgetter(*map(_VALUE_NAMES.index, parts)) for parts in SUMS.values())
+_components = itemgetter(*map(_VALUE_NAMES.index, COMPONENTS))
+_TOTAL = _VALUE_NAMES.index("total")
 
-def assemble_all(times: dict[int, list[int | None]]) -> tuple[dict, dict[int, Stage], list[int]]:
-    """Assemble the latency record of every correlation ID from its stage
-    times, ``{cid: [t_ns or None, indexed by Stage]}``.
 
-    Returns the records ``{cid: {component: ns}}`` in cid order, ``{cid:
-    first missing stage}`` for incomplete cycles, and the cids whose
-    ``total`` differs from the span between the first and the last required
-    stage: a hand-off that no component counts.  Raises
+def assemble(cid: int, t) -> tuple[int, ...] | Stage:
+    """The latency record of one cycle from its stage times ``t`` (``t_ns`` or
+    None, indexed by Stage).
+
+    Returns the first required stage that ``t`` lacks, if any.  Otherwise
+    returns the record: its components in ``COMPONENTS`` order, then the time
+    of the span between the first and the last required stage that ``total``
+    does not count, nonzero for a hand-off that no component covers.  Raises
     OrderingCorruptionError if an interval is negative.
     """
-    first, last = REQUIRED_STAGES[0], REQUIRED_STAGES[-1]
+    if None in _required_times(t):
+        return next(stage for stage in REQUIRED_STAGES if t[stage] is None)
+    values = list(map(sub, _interval_ends(t), _interval_starts(t)))
+    if min(values) < 0:
+        name, val = next((name, val) for name, val in zip(INTERVALS, values) if val < 0)
+        raise OrderingCorruptionError(f"negative {name} interval ({val} ns) in cid {cid}")
+    for parts in _sum_parts:
+        values.append(sum(parts(values)))
+    span = t[REQUIRED_STAGES[-1]] - t[REQUIRED_STAGES[0]]
+    return (*_components(values), span - values[_TOTAL])
+
+
+def assemble_all(times: dict[int, list[int | None]]) -> tuple[dict, dict[int, Stage], list[int]]:
+    """``assemble`` every correlation ID of ``times``, ``{cid: [t_ns or None,
+    indexed by Stage]}``.
+
+    Returns the records ``{cid: {component: ns}}`` in cid order, ``{cid:
+    first missing stage}`` for incomplete cycles, and the cids with a
+    hand-off that no component counts.
+    """
     records: dict[int, dict[str, int]] = {}
     incomplete: dict[int, Stage] = {}
     gapped: list[int] = []
     for cid in sorted(times):
-        t = times[cid]
-        missing = next((stage for stage in REQUIRED_STAGES if t[stage] is None), None)
-        if missing is not None:
-            incomplete[cid] = missing
+        rec = assemble(cid, times[cid])
+        if type(rec) is not tuple:
+            incomplete[cid] = rec
             continue
-        rec = {name: t[end] - t[start] for name, (start, end) in INTERVALS.items()}
-        for name, val in rec.items():
-            if val < 0:
-                raise OrderingCorruptionError(f"negative {name} interval ({val} ns) in cid {cid}")
-        for name, parts in SUMS.items():
-            rec[name] = sum(rec[part] for part in parts)
-        records[cid] = rec
-        if rec["total"] != t[last] - t[first]:
+        records[cid] = dict(zip(COMPONENTS, rec))
+        if rec[-1]:
             gapped.append(cid)
     return records, incomplete, gapped
 
 
-def summarize_latency(records: dict[int, dict[str, int]]) -> dict[str, dict | None]:
-    """The report's ``latency_ms`` section: sample mean / std (n-1) / CV /
-    nearest-rank p95 of every component in milliseconds, or None for each
-    when there are fewer than 2 records."""
-    if len(records) < 2:
+def summarize_latency(columns) -> dict[str, dict | None]:
+    """The report's ``latency_ms`` section from ``{component: its values in
+    ns, one per record}``: sample mean / std (n-1) / CV / nearest-rank p95 of
+    every component in milliseconds, or None for each when there are fewer
+    than 2 records."""
+    if len(columns["total"]) < 2:
         return dict.fromkeys(COMPONENTS)
     out = {}
     for name in COMPONENTS:
-        s = summarize(np.array([rec[name] for rec in records.values()], dtype=float) / NS_PER_MS)
+        s = summarize(np.asarray(columns[name], dtype=float) / NS_PER_MS)
         out[name] = {"mean_ms": s.mean, "std_ms": s.std,
                      "cv": s.std / s.mean if s.mean > 0.0 else 0.0, "p95_ms": s.p95, "n": s.n}
     return out

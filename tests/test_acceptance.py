@@ -35,18 +35,32 @@ def verdict(criterion: str, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def default_run():
-    """The shipped default configuration: a 2000-cycle stage-1 run."""
+def default_run(tmp_path_factory):
+    """The shipped default configuration: a 2000-cycle stage-1 run, and the
+    path of the audit log it wrote."""
     resolved = resolve_run_config(presets.load("stage1-default"))
+    log = tmp_path_factory.mktemp("default_run") / "audit.ndjson"
     t0 = time.monotonic()
-    report, runner = run_stage1(resolved)
+    report, _runner = run_stage1(resolved, log)
     elapsed = time.monotonic() - t0
-    return report, runner, elapsed
+    return report, log, elapsed
+
+
+def logged_stage_times(log):
+    """``{cid: [t_ns or None, indexed by Stage]}`` of every cycle record of an
+    audit log file."""
+    times = {}
+    with open(log, encoding="utf-8") as fh:
+        for line in fh:
+            ev = TimedEvent.from_json(line.strip())
+            if ev.cid > 0:
+                times.setdefault(ev.cid, [None] * len(Stage))[ev.stage] = ev.t_ns
+    return times
 
 
 def test_01_latency_identities(default_run):
-    report, runner, elapsed = default_run
-    records, incomplete, gapped = assemble_all(runner.analyzer.times)
+    report, log, elapsed = default_run
+    records, incomplete, gapped = assemble_all(logged_stage_times(log))
     complete = report["completeness"]["fraction"]
     ok = (
         len(records) == 2000

@@ -293,14 +293,15 @@ class TestValidateCommand:
 
 class TestStreamedAuditLog:
     def test_memory_grows_slower_than_the_log(self, tmp_path, monkeypatch):
-        # A run keeps its analysis fold, which grows with the run, but not its
-        # log.  From a 10 s to a 40 s run of stage1-default, the traced peak
-        # up to the report's build grows by about half the growth of
-        # audit.ndjson, and the peak of the whole command, the report's
-        # per-cycle latency records included, by about as much as the log;
-        # both grew by twice the log or more when every encoded line was held
-        # until the run ended.  A 1 s run first makes the allocations of
-        # first use, so that neither measured run counts them.
+        # A run keeps neither its log nor its records: its analysis fold
+        # holds a fixed number of bytes per cycle.  From a 10 s to a 40 s run
+        # of stage1-default, the traced peak up to the report's build grows
+        # by about a sixth of the growth of audit.ndjson, and the peak of the
+        # whole command by about a quarter; they grew by about half the log
+        # and by as much as the log while the fold kept each cycle's records,
+        # and by twice the log or more when every encoded line was held until
+        # the run ended.  A 1 s run first makes the allocations of first use,
+        # so that neither measured run counts them.
         run_peaks = []
         finish = Analyzer.finish
 
@@ -325,7 +326,7 @@ class TestStreamedAuditLog:
         log_growth = sizes[2] - sizes[1]
         assert log_growth > 1_500_000
         assert run_peaks[2] - run_peaks[1] < log_growth
-        assert peaks[2] - peaks[1] < 1.5 * log_growth
+        assert peaks[2] - peaks[1] < log_growth
 
     def test_a_run_that_raises_leaves_every_record_admitted_before_it(
             self, tiny_cfg, tmp_path, monkeypatch, capsys):

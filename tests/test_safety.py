@@ -12,6 +12,7 @@ from hilbench.safety import (
     contact_ttc,
     d_min_trace,
     extract_events,
+    frame_metrics,
     write_safety_csv,
 )
 
@@ -32,8 +33,15 @@ def body_gap(a, b):
 
 
 def frame_of(*agents):
-    """The ``d_min_trace`` frame of agent states that share a timestamp."""
+    """The ``frame_metrics`` frame of agent states that share a timestamp."""
     return agents[0].t_ns, {a.agent_id: (a.x, a.y, a.vx, a.vy, a.radius) for a in agents}
+
+
+def trace_of(frames, ego_id="ego"):
+    """The ``d_min_trace`` of ``(t_ns, agents)`` frames, each reduced by
+    ``frame_metrics``."""
+    metrics = [frame_metrics(t_ns, agents, ego_id) for t_ns, agents in frames]
+    return d_min_trace(*([m[k] for m in metrics] for k in range(3)))
 
 
 def stepping_oracle(ego, other, horizon=30.0, dt=1e-4):
@@ -109,19 +117,19 @@ class TestDminTrace:
         # Constructed anchor: a single static agent at body gap 5.05 m.
         frames = [frame_of(agent("ego", t, 0.0, 0.0, r=0.5), agent("n", t, 6.05, 0.0, r=0.5))
                   for t in range(10)]
-        trace = d_min_trace(frames, "ego")
+        trace = trace_of(frames)
         assert trace.d_min == pytest.approx(5.05)
 
     def test_ego_alone_is_inf(self):
         frames = [frame_of(agent("ego", t, 0.0, 0.0)) for t in range(5)]
-        trace = d_min_trace(frames, "ego")
+        trace = trace_of(frames)
         assert trace.d_min == math.inf
         assert trace.t_at_d_min is None
 
     def test_missing_ego_names_frame(self):
         frames = [frame_of(agent("ego", 0, 0, 0)), frame_of(agent("other", 1, 0, 0))]
-        with pytest.raises(ValueError, match="frame 1"):
-            d_min_trace(frames, "ego")
+        with pytest.raises(ValueError, match="frame at 1 ns does not contain ego agent 'ego'"):
+            trace_of(frames)
 
     def test_global_min_matches_exhaustive_scan(self):
         rng = rng_stream(33, "safety.test")
@@ -132,7 +140,7 @@ class TestDminTrace:
                 frame.append(agent(f"n{k}", t, *rng.uniform(-5, 5, 2),
                                    *rng.uniform(-1, 1, 2), r=0.2 + 0.1 * k))
             frames.append(frame)
-        trace = d_min_trace([frame_of(*f) for f in frames], "ego")
+        trace = trace_of([frame_of(*f) for f in frames])
         best = math.inf
         for frame in frames:
             ego = frame[0]
@@ -154,7 +162,7 @@ def dipping_trace(values, metric="dmin", dt_s=1.0):
             # approach at 1 m/s from gap v: ttc == v
             frames.append(frame_of(agent("ego", t, 0.0, 0.0, vx=1.0, r=0.5),
                                    agent("n", t, v + 1.0, 0.0, r=0.5)))
-    return d_min_trace(frames, "ego")
+    return trace_of(frames)
 
 
 class TestEvents:

@@ -46,6 +46,12 @@ def cycles(n):
     return [e for i in range(n) for e in chain_events(cid=i + 1)]
 
 
+def columns(records):
+    """``{component: its values}`` of ``{cid: record}``, in record order, as
+    ``summarize_latency`` reads them."""
+    return {name: [rec[name] for rec in records.values()] for name in COMPONENTS}
+
+
 def record(events):
     """The one record ``assemble_all`` builds from one complete chain."""
     records, incomplete, gapped = assemble_all(stage_times(events))
@@ -107,14 +113,14 @@ class TestAggregate:
         vals = 36.58 + (vals - 36.58) * scale
         records = {i + 1: {**dict.fromkeys(COMPONENTS, 0), "r2v": ms_to_ns(v)}
                    for i, v in enumerate(vals)}
-        st = summarize_latency(records)["r2v"]
+        st = summarize_latency(columns(records))["r2v"]
         assert st["mean_ms"] == pytest.approx(36.58, abs=1e-6)
         assert st["std_ms"] == pytest.approx(23.46, abs=1e-6)
         assert st["cv"] == pytest.approx(0.641, abs=5e-4)
 
     def test_constant_series(self):
         records, _, _ = assemble_all(stage_times(cycles(5)))
-        st = summarize_latency(records)["r2v"]
+        st = summarize_latency(columns(records))["r2v"]
         assert st["std_ms"] == 0.0
         assert st["cv"] == 0.0
 
@@ -126,7 +132,7 @@ class TestAggregate:
                 cid=i + 1, ingest=rng.uniform(0, 2), adv=rng.uniform(0, 80),
                 sense=rng.uniform(0, 10), sut=rng.uniform(0, 30), v2r=rng.uniform(0, 12))
         records, _, _ = assemble_all(stage_times(events))
-        stats = summarize_latency(records)
+        stats = summarize_latency(columns(records))
         assert list(stats) == list(COMPONENTS)
         for comp in COMPONENTS:
             st = stats[comp]
@@ -146,16 +152,16 @@ class TestAggregate:
         for i in range(50):
             events += chain_events(cid=i + 1, adv=float(rng.uniform(0, 50)))
         records, _, _ = assemble_all(stage_times(events))
-        st1 = summarize_latency(records)["adv"]
+        st1 = summarize_latency(columns(records))["adv"]
         items = list(records.items())
         rng.shuffle(items)
-        st2 = summarize_latency(dict(items))["adv"]
+        st2 = summarize_latency(columns(dict(items)))["adv"]
         assert st1 == st2
 
     def test_needs_two_records(self):
         for n in (0, 1):
             records, _, _ = assemble_all(stage_times(cycles(n)))
-            assert summarize_latency(records) == dict.fromkeys(COMPONENTS)
+            assert summarize_latency(columns(records)) == dict.fromkeys(COMPONENTS)
 
 
 class TestCompleteness:
@@ -187,7 +193,7 @@ def test_report_csv(tmp_path):
     events = [e for i in range(5) for e in chain_events(cid=i + 1, adv=20.0 + i)]
     records, _, _ = assemble_all(stage_times(events))
     out = tmp_path / "latency.csv"
-    write_latency_report(summarize_latency(records), out)
+    write_latency_report(summarize_latency(columns(records)), out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "component,mean_ms,std_ms,cv,p95_ms,n"
     assert [line.split(",")[0] for line in lines[1:]] == list(COMPONENTS)
