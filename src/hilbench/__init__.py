@@ -2,7 +2,7 @@
 driving stacks.
 
 Subsystems:
-  core          virtual clock, correlation IDs, seeded substreams, audit log
+  core          event stages, seeded substreams, audit records and log
   spatial       reference-path projection, cross/along-track error, summaries
   temporal      per-cycle latency decomposition and statistics
   plant         FOPDT actuator channels, kinematic bicycle, identification
@@ -10,7 +10,8 @@ Subsystems:
   registration  rigid/affine/hybrid calibration ladder and its benchmark
   safety        body time-to-collision, minimum-gap traces, event extraction
   sut           black-box controller contract and the pure-pursuit reference
-  orchestrator  discrete-event loop, workflow stages, reports, log replay
+  orchestrator  discrete-event loop with the run's clock and correlation IDs,
+                workflow stages, reports, log replay
   cli           command-line entry point
 """
 

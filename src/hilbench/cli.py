@@ -161,10 +161,9 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    hyper = registration.MlpHyper(seed=args.seed if args.seed is not None else 20240401,
-                                  epochs=args.epochs)
-    field = registration.default_benchmark_field(
-        args.seed if args.seed is not None else 20240401)
+    seed = registration.BENCHMARK_SEED if args.seed is None else args.seed
+    hyper = registration.MlpHyper(seed=seed, epochs=args.epochs)
+    field = registration.default_benchmark_field(seed)
     pairs, train_idx, test_idx, results = registration.run_benchmark(field, hyper)
     out = _out_dir(args)
     pairs.save_csv(out / "dataset.csv")

@@ -19,8 +19,7 @@ import json
 import math
 
 from . import plant as plant_mod
-from .links import (PerturbationConfig, R2VConfig, StageLatencyModel, V2RConfig,
-                    default_r2v_config, default_v2r_config)
+from .links import PerturbationConfig, R2VConfig, StageLatencyModel, V2RConfig
 from .plant import CommandMap, DeadTimeJitter, FOPDTParams, PlantConfig
 from .spatial import PathError, ReferencePath
 from .sut import PurePursuitParams
@@ -361,19 +360,25 @@ def _termination(obj, path: str) -> dict:
     return _fields({"mode": mode, **obj}, path, _TERMINATION[mode])
 
 
-_R2V_DEFAULTS = default_r2v_config()
-_V2R_DEFAULTS = default_v2r_config()
 _PERTURBATION = {
     "fixed_delay_ms": (_num(lo=0.0), 0.0),
     "jitter": (_or_null(resolve_distribution), None),
     "loss_probability": (_num(lo=0.0, hi=1.0), 0.0),
     "reorder_allowed": (_as_bool, False),
 }
+#: The shipped link distributions, each at its characterized mean and spread:
+#: the simulator-advancement stage is long-tailed, the others tight.
 _LINKS = {
-    "r2v": (_section({stage: (resolve_distribution, getattr(_R2V_DEFAULTS, stage).to_dict())
-                      for stage in ("ingest", "adv", "sense")}), {}),
+    "r2v": (_section({
+        "ingest": (resolve_distribution,
+                   {"kind": "gaussian_truncated", "mean_ms": 0.26, "std_ms": 0.11}),
+        "adv": (resolve_distribution, {"kind": "lognormal", "mean_ms": 28.68, "std_ms": 23.22}),
+        "sense": (resolve_distribution,
+                  {"kind": "gaussian_truncated", "mean_ms": 7.64, "std_ms": 2.66}),
+    }), {}),
     "v2r": (_section({
-        "base": (resolve_distribution, _V2R_DEFAULTS.base.to_dict()),
+        "base": (resolve_distribution,
+                 {"kind": "gaussian_truncated", "mean_ms": 8.58, "std_ms": 1.2}),
         "perturbation": (_section(_PERTURBATION), {}),
     }), {}),
 }

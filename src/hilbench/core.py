@@ -1,9 +1,9 @@
 """Deterministic run plumbing shared by every other module.
 
-A run owns a virtual monotonic clock (integer nanoseconds), a correlation-ID
-counter, a family of independent seeded random substreams, and an append-only
-audit log of timestamped, correlation-tagged events.  Two runs started from
-the same (config, seed) produce byte-identical audit logs.
+Event stages, the audit record and its canonical line, the append-only audit
+log with its one order check, seeded random substreams addressed by label, and
+time-unit conversions.  Two runs started from the same (config, seed) produce
+byte-identical audit logs.
 """
 
 from __future__ import annotations
@@ -57,33 +57,8 @@ class Stage(enum.IntEnum):
  SUT_CMD_IN, SUT_CMD_OUT, PERTURB_IN, PERTURB_OUT, V2R_DELIVER, ACTUATOR_APPLY, RUN_END) = Stage
 
 
-class ClockError(ValueError):
-    """Raised on contract violations of the virtual clock."""
-
-
 class AuditOrderError(ValueError):
     """Raised when an event violates per-correlation ordering."""
-
-
-class VirtualClock:
-    """Virtual monotonic clock, 1 ns resolution, driven by the event loop.
-
-    ``now_ns`` is the current time.  The event loop sets it directly to each
-    event's time once it has checked that the time does not go back; any
-    other driver steps it with ``advance``, which checks the step."""
-
-    def __init__(self) -> None:
-        self.now_ns = 0
-
-    def now(self) -> int:
-        return self.now_ns
-
-    def advance(self, dt_ns: int) -> int:
-        """Advance by ``dt_ns`` (>= 0) and return the new time."""
-        if dt_ns < 0:
-            raise ClockError(f"clock cannot advance by negative dt ({dt_ns} ns)")
-        self.now_ns += int(dt_ns)
-        return self.now_ns
 
 
 #: Canonical compact JSON, the encoding of every audit line and of the run
@@ -351,35 +326,6 @@ def substream_seed(root_seed: int, label: str) -> int:
 def rng_stream(root_seed: int, label: str) -> np.random.Generator:
     """Independent deterministic substream for (root seed, label)."""
     return np.random.Generator(np.random.PCG64(substream_seed(root_seed, label)))
-
-
-class RunContext:
-    """Owner of one run's clock, ID counter, substreams, and audit log.
-
-    Run contexts are independent; concurrent runs must each own their own
-    context (nothing here is shared or thread-safe across runs).  ``consumer``,
-    if given, is fed each record the audit log admits.
-    """
-
-    def __init__(self, run_id: str, seed: int, consumer=None) -> None:
-        self.run_id = run_id
-        self.seed = int(seed)
-        self.clock = VirtualClock()
-        self.audit = AuditLog(run_id, consumer)
-        self._next_cid = 1
-        self._streams: dict[str, np.random.Generator] = {}
-
-    def issue_correlation_id(self) -> int:
-        cid = self._next_cid
-        self._next_cid += 1
-        return cid
-
-    def stream(self, label: str) -> np.random.Generator:
-        gen = self._streams.get(label)
-        if gen is None:
-            gen = rng_stream(self.seed, label)
-            self._streams[label] = gen
-        return gen
 
 
 def ms_to_ns(ms: float) -> int:

@@ -96,26 +96,6 @@ class StageLatencyModel:
         object.__setattr__(self, "sample_ms", sample)
 
     @staticmethod
-    def constant(ms: float) -> "StageLatencyModel":
-        return StageLatencyModel("constant", {"ms": float(ms)})
-
-    @staticmethod
-    def gaussian_truncated(mean_ms: float, std_ms: float, min_ms: float = 0.0,
-                           max_ms: float | None = None) -> "StageLatencyModel":
-        p = {"mean_ms": float(mean_ms), "std_ms": float(std_ms), "min_ms": float(min_ms)}
-        if max_ms is not None:
-            p["max_ms"] = float(max_ms)
-        return StageLatencyModel("gaussian_truncated", p)
-
-    @staticmethod
-    def bimodal(mean1_ms: float = 10.0, std1_ms: float = 2.0, weight1: float = 0.6,
-                mean2_ms: float = 28.0, std2_ms: float = 3.0) -> "StageLatencyModel":
-        return StageLatencyModel("bimodal", {"components": [
-            {"mean_ms": float(mean1_ms), "std_ms": float(std1_ms), "weight": float(weight1)},
-            {"mean_ms": float(mean2_ms), "std_ms": float(std2_ms), "weight": float(1.0 - weight1)},
-        ]})
-
-    @staticmethod
     def lognormal_from_mean_std(mean_ms: float, std_ms: float) -> "StageLatencyModel":
         """Solve (mu, sigma) so the lognormal has the requested mean and std."""
         if mean_ms <= 0.0:
@@ -124,9 +104,6 @@ class StageLatencyModel:
         sigma2 = math.log1p(cv2)
         mu = math.log(mean_ms) - sigma2 / 2.0
         return StageLatencyModel("lognormal", {"mu": mu, "sigma": math.sqrt(sigma2)})
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **self.params}
 
 
 @dataclass(frozen=True)
@@ -255,23 +232,3 @@ class V2RLink:
         self._last_deliver = t_deliver
         return tuple.__new__(V2RSchedule, (False, int(t_now_ns), out.t_out_ns, t_deliver, clamped))
 
-
-def default_r2v_config() -> R2VConfig:
-    """Shipped R2V stage distributions.
-
-    Ingest and sense are tight truncated Gaussians; the simulator-advancement
-    stage is lognormal (long-tailed), parameterized to the characterized
-    per-stage means and spreads.
-    """
-    return R2VConfig(
-        ingest=StageLatencyModel.gaussian_truncated(0.26, 0.11, min_ms=0.0),
-        adv=StageLatencyModel.lognormal_from_mean_std(28.68, 23.22),
-        sense=StageLatencyModel.gaussian_truncated(7.64, 2.66, min_ms=0.0),
-    )
-
-
-def default_v2r_config() -> V2RConfig:
-    return V2RConfig(
-        base=StageLatencyModel.gaussian_truncated(8.58, 1.2, min_ms=0.0),
-        perturbation=PerturbationConfig(),
-    )

@@ -23,6 +23,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush
 from itertools import count
 
@@ -32,9 +33,9 @@ from . import config as cfg_mod
 from . import temporal
 from .core import (ACTUATOR_APPLY, GTS_SAMPLE, NO_PAYLOAD, NS_PER_S, PERTURB_IN, PERTURB_OUT,
                    R2V_ADV_DONE, R2V_INGEST_DONE, R2V_INGEST_START, R2V_SENSE_DONE, RUN_END,
-                   RUN_HEADER, SUT_CMD_IN, SUT_CMD_OUT, V2R_DELIVER, AuditLog, RunContext, Stage,
-                   TimedEvent, actuator_text, canonical_json, command_text, float_text,
-                   json_document, ms_to_ns, pose_text, s_to_ns, sense_text, substream_seed)
+                   RUN_HEADER, SUT_CMD_IN, SUT_CMD_OUT, V2R_DELIVER, AuditLog, Stage, TimedEvent,
+                   actuator_text, canonical_json, command_text, float_text, ms_to_ns, pose_text,
+                   rng_stream, s_to_ns, sense_text, substream_seed)
 from .links import R2VLink, V2RLink
 from .plant import Plant
 from .safety import (AgentState, SafetyTrace, check_agent, d_min_trace, extract_events,
@@ -124,12 +125,16 @@ class Npc:
 
 
 class Runner:
-    """Executes one run from a resolved config document.
+    """Executes one run from a resolved config document, and owns the run's
+    state: its virtual clock ``now_ns`` (integer ns), its correlation IDs
+    (``gts_count``: cycle ``n`` gets ``n``; the run records carry 0), its audit
+    log, and its random streams (one ``rng_stream`` label per consumer, each
+    asked once).
 
     The scheduler is ``heap``, a min-heap of ``(t_ns, insertion sequence,
     handler, args)`` entries: ``run`` pops them in (time, insertion) order,
-    sets the run clock to each entry's time and calls ``handler(t_ns,
-    *args)``.  Every record the run emits goes straight to ``audit.append``.
+    sets ``now_ns`` to each entry's time and calls ``handler(t_ns, *args)``.
+    Every record the run emits goes straight to ``audit.append``.
     A value that two records of one cycle carry is formatted once
     (``float_text``), and both records are written with the fixed-shape
     payload texts of ``core``.
@@ -137,26 +142,28 @@ class Runner:
 
     def __init__(self, resolved: dict) -> None:
         self.cfg = resolved
+        self.run_id = resolved["run_id"]
         self.analyzer = Analyzer()
-        self.ctx = RunContext(resolved["run_id"], resolved["seed"], self.analyzer)
-        self.run_id, self.clock, self.audit = self.ctx.run_id, self.ctx.clock, self.ctx.audit
+        self.audit = AuditLog(self.run_id, self.analyzer)
+        self.now_ns = 0
         self.heap: list = []
         self._seq = count()
+        stream = partial(rng_stream, resolved["seed"])
         self.path = ReferencePath(resolved["path"]["vertices"], closed=resolved["path"]["closed"])
         plant_cfg = cfg_mod.build_plant_config(resolved["plant"])
         pose = resolved["plant"]["initial_pose"]
         if pose is None:
             pose = self.path.start_pose()
-        self.plant = Plant(plant_cfg, pose[0], pose[1], pose[2], rng=self.ctx.stream("plant.deadtime"))
+        self.plant = Plant(plant_cfg, pose[0], pose[1], pose[2], rng=stream("plant.deadtime"))
         self.period_ns = ms_to_ns(resolved["gts"]["sample_period_ms"])
-        self.r2v = R2VLink(cfg_mod.build_r2v_config(resolved["links"]["r2v"]), self.ctx.stream)
-        self.v2r = V2RLink(cfg_mod.build_v2r_config(resolved["links"]["v2r"]), self.ctx.stream)
+        self.r2v = R2VLink(cfg_mod.build_r2v_config(resolved["links"]["r2v"]), stream)
+        self.v2r = V2RLink(cfg_mod.build_v2r_config(resolved["links"]["v2r"]), stream)
         sut_cfg = resolved["sut"]
         params = {"wheelbase": resolved["plant"]["wheelbase_m"],
                   "ego_radius": resolved["report"]["ego_radius_m"], **sut_cfg["params"]}
         self.sut = PurePursuitSut(PurePursuitParams(**params),
                                   cfg_mod.build_distribution(sut_cfg["latency"], kind_key="mode"),
-                                  self.ctx.stream("sut.lat"))
+                                  stream("sut.lat"))
         self.sut.reset(self.path)
         self.goal_speed = sut_cfg["goal_speed_mps"]
         self.npcs = [Npc(spec) for spec in (resolved["scenario"] or {"npcs": []})["npcs"]]
@@ -189,7 +196,7 @@ class Runner:
     # -- event handlers -----------------------------------------------------
 
     def _schedule(self, t_ns: int, handler, *args) -> None:
-        now = self.clock.now_ns
+        now = self.now_ns
         if t_ns < now:
             raise SchedulerCorruptionError(f"event scheduled in the past ({t_ns} < {now})")
         heappush(self.heap, (int(t_ns), next(self._seq), handler, args))
@@ -200,8 +207,8 @@ class Runner:
     def _on_gts(self, t_ns: int) -> None:
         self.plant.advance_to(t_ns)
         (x, y, heading), v = self.plant.pose, self.plant.v_actual
-        cid = self.ctx.issue_correlation_id()
         self.gts_count += 1
+        cid = self.gts_count  # cycle n has correlation ID n
         texts = (float_text(heading), float_text(v), float_text(x), float_text(y))
         self.audit.append(_new(TimedEvent, (self.run_id, cid, GTS_SAMPLE, t_ns, {
             "x": x, "y": y, "heading": heading, "v": v,
@@ -324,14 +331,14 @@ class Runner:
     def run(self) -> dict:
         self._emit(0, RUN_HEADER, 0, {"config_json": canonical_json(self.cfg)})
         self._schedule(0, self._on_gts)
-        heap, clock = self.heap, self.clock
+        heap = self.heap
         while heap and not self.aborted:
             t_ns, _seq, handler, args = heappop(heap)
-            if t_ns < clock.now_ns:
-                raise SchedulerCorruptionError(f"popped event at {t_ns} before clock {clock.now_ns}")
-            clock.now_ns = t_ns
+            if t_ns < self.now_ns:
+                raise SchedulerCorruptionError(f"popped event at {t_ns} before clock {self.now_ns}")
+            self.now_ns = t_ns
             handler(t_ns, *args)
-        self._emit(clock.now_ns, RUN_END, 0, {
+        self._emit(self.now_ns, RUN_END, 0, {
             "aborted": self.aborted,
             "abort_reason": self.abort_reason or "",
             "gts_samples": self.gts_count,
@@ -609,10 +616,6 @@ def build_report(fold: Analyzer) -> dict:
     return fold.finish()
 
 
-#: Text of ``report.json``, in the format of every JSON artifact.
-report_to_json = json_document
-
-
 # ---------------------------------------------------------------------------
 # Workflow stages
 
@@ -624,7 +627,7 @@ def run_stage1(resolved: dict, log_path=None) -> tuple[dict, "Runner"]:
     runner = Runner(resolved)
     if log_path is None:
         return runner.run(), runner
-    with runner.ctx.audit.write_ndjson(log_path):
+    with runner.audit.write_ndjson(log_path):
         return runner.run(), runner
 
 

@@ -17,12 +17,11 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .core import NS_PER_S, rng_stream, s_to_ns
-from .spatial import TrajectorySample, normalize_heading
+from .spatial import normalize_heading
 
 LN10 = math.log(10.0)
 
@@ -184,15 +183,6 @@ class FopdtChannel:
         dt_s = (t_ns - self._anchor_t) / NS_PER_S
         return self._target + (self._anchor_val - self._target) * math.exp(-dt_s / self.params.tau_p)
 
-    def pending(self) -> tuple[tuple[int, float], ...]:
-        return tuple(self._pending)
-
-
-class PlantState(NamedTuple):
-    pose: TrajectorySample
-    v_actual: float
-    steer_actual: float
-
 
 class Plant:
     """Kinematic bicycle driven by the two FOPDT channels.
@@ -228,13 +218,6 @@ class Plant:
     @property
     def steer_actual(self) -> float:
         return self._steer_ch.value(self._t_ns)
-
-    def state(self) -> PlantState:
-        return PlantState(
-            pose=TrajectorySample(self._t_ns, self._x, self._y, self._heading),
-            v_actual=self.v_actual,
-            steer_actual=self.steer_actual,
-        )
 
     def apply_command(self, t_ns: int, speed_cmd: float, steer_cmd: float) -> dict:
         """Map, clamp, and queue both channel setpoints; returns clamp flags."""

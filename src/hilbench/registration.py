@@ -412,7 +412,12 @@ def split_indices(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray,
     return np.sort(order[:n_train]), np.sort(order[n_train:])
 
 
-def default_benchmark_field(seed: int = 20240401) -> DistortionField:
+#: Default seed of the shipped benchmark: its distortion field's noise and the
+#: residual network's training.
+BENCHMARK_SEED = 20240401
+
+
+def default_benchmark_field(seed: int = BENCHMARK_SEED) -> DistortionField:
     """Shipped synthetic benchmark: mild rotation/scale/shear plus 3 bumps."""
     theta = math.radians(8.0)
     rot = np.array([[math.cos(theta), -math.sin(theta)],

@@ -14,10 +14,9 @@ import pytest
 
 from hilbench import presets
 from hilbench.config import resolve_run_config, resolve_sweep_config
-from hilbench.core import Stage, TimedEvent, rng_stream
+from hilbench.core import Stage, TimedEvent, json_document, rng_stream
 from hilbench.orchestrator import (
     replay_report,
-    report_to_json,
     run_stage1,
     run_stage2,
 )
@@ -207,7 +206,7 @@ def test_06_determinism_and_auditability(tmp_path):
     run_stage1(resolved, log2)
     logs_identical = log1.read_bytes() == log2.read_bytes()
     replayed = replay_report(log1)
-    replay_exact = report_to_json(replayed) == report_to_json(report1)
+    replay_exact = json_document(replayed) == json_document(report1)
     ok = logs_identical and replay_exact
     verdict("6 determinism-auditability", ok,
             f"logs byte-identical={logs_identical} replay bit-exact={replay_exact}")

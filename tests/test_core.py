@@ -12,11 +12,8 @@ from hilbench.core import (
     ACTUATOR_FLAGS,
     AuditLog,
     AuditOrderError,
-    ClockError,
-    RunContext,
     Stage,
     TimedEvent,
-    VirtualClock,
     actuator_text,
     canonical_json,
     command_text,
@@ -28,47 +25,6 @@ from hilbench.core import (
 )
 
 GOLDEN_LOGS = sorted((Path(__file__).parent / "data").glob("golden_*/**/audit.ndjson"))
-
-
-class TestClock:
-    def test_fresh_clock_starts_at_zero(self):
-        assert VirtualClock().now() == 0
-
-    def test_advance_accumulates(self):
-        c = VirtualClock()
-        assert c.advance(5_000_000) == 5_000_000
-        assert c.advance(3_000_000) == 8_000_000
-        assert c.now() == 8_000_000
-
-    def test_zero_advance_is_noop(self):
-        c = VirtualClock()
-        c.advance(7)
-        assert c.advance(0) == 7
-
-    def test_negative_advance_rejected(self):
-        with pytest.raises(ClockError):
-            VirtualClock().advance(-1)
-
-    def test_monotone_over_many_advances(self):
-        c = VirtualClock()
-        last = 0
-        for dt in [3, 0, 11, 2, 0, 1000]:
-            now = c.advance(dt)
-            assert now >= last
-            last = now
-
-
-class TestCorrelationIds:
-    def test_first_id_is_one(self):
-        ctx = RunContext("r", 0)
-        assert ctx.issue_correlation_id() == 1
-        assert ctx.issue_correlation_id() == 2
-
-    def test_many_ids_unique_and_increasing(self):
-        ctx = RunContext("r", 0)
-        ids = [ctx.issue_correlation_id() for _ in range(10_000)]
-        assert len(set(ids)) == 10_000
-        assert ids == sorted(ids)
 
 
 class Collected(list):
@@ -168,13 +124,20 @@ class TestRngStreams:
 
     def test_labels_are_independent(self):
         # Consuming from one stream must not shift another's sequence.
-        ctx1 = RunContext("r", 99)
-        ctx1.stream("plant").standard_normal(1000)
-        after_heavy_use = ctx1.stream("links").standard_normal(8)
-
-        ctx2 = RunContext("r", 99)
-        untouched = ctx2.stream("links").standard_normal(8)
+        rng_stream(99, "plant").standard_normal(1000)
+        after_heavy_use = rng_stream(99, "links").standard_normal(8)
+        untouched = rng_stream(99, "links").standard_normal(8)
         assert (after_heavy_use == untouched).all()
+
+    def test_numpy_stream_draws_are_pinned(self):
+        # NumPy may change a generator's stream between releases (NEP 19).  A
+        # change fails here, by name, before it moves every golden pin at once.
+        rng = rng_stream(1, "sut.lat")
+        assert [float(rng.random()).hex() for _ in range(3)] == [
+            "0x1.a07b3f6fc30f7p-1", "0x1.296f5d8d40420p-2", "0x1.2f941be8e669fp-1"]
+        rng = rng_stream(1, "sut.lat")
+        assert [float(rng.standard_normal()).hex() for _ in range(3)] == [
+            "-0x1.fc1bafa1d3d87p+0", "0x1.17eab09831e38p-2", "-0x1.161a1bfcd117fp+0"]
 
     def test_different_labels_differ(self):
         a = rng_stream(7, "a").standard_normal(8)

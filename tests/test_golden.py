@@ -16,7 +16,8 @@ import pytest
 
 from hilbench.cli import EXIT_CONFIG, EXIT_OK, main
 from hilbench.config import resolve_run_config
-from hilbench.orchestrator import replay_report, report_to_json, run_stage1
+from hilbench.core import json_document
+from hilbench.orchestrator import replay_report, run_stage1
 
 DATA = Path(__file__).parent / "data" / "golden_stage1"
 
@@ -33,7 +34,7 @@ GOLDEN_CONFIG = {
 
 def test_replay_of_stored_log_matches_stored_report():
     replayed = replay_report(DATA / "audit.ndjson")
-    assert report_to_json(replayed) == (DATA / "report.json").read_text()
+    assert json_document(replayed) == (DATA / "report.json").read_text()
 
 
 def test_rerun_reproduces_stored_log_bytes(tmp_path):
@@ -105,7 +106,7 @@ def test_replay_drops_a_torn_final_line_and_reports_truncation(tmp_path, keep_li
     assert report["truncated"] and not report["completed"]
     complete = tmp_path / "complete.ndjson"
     complete.write_text("".join(lines[:keep_lines]))
-    assert report_to_json(report) == report_to_json(replay_report(complete))
+    assert json_document(report) == json_document(replay_report(complete))
     assert main(["replay-report", "--log", str(log), "--out", str(tmp_path / "r"), "-q"]) == EXIT_OK
     assert json.loads((tmp_path / "r" / "report.json").read_text())["truncated"] is True
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hilbench.config import build_distribution
+from hilbench import presets
+from hilbench.config import build_r2v_config, build_v2r_config, resolve_run_config
 from hilbench.core import ms_to_ns, rng_stream
 from hilbench.links import (
     PerturbationConfig,
@@ -12,10 +13,28 @@ from hilbench.links import (
     StageLatencyModel,
     V2RConfig,
     V2RLink,
-    default_r2v_config,
-    default_v2r_config,
     perturb,
 )
+
+
+def constant(ms):
+    return StageLatencyModel("constant", {"ms": ms})
+
+
+def gaussian(mean_ms, std_ms, **bounds):
+    return StageLatencyModel("gaussian_truncated", {"mean_ms": mean_ms, "std_ms": std_ms, **bounds})
+
+
+def bimodal(mean1_ms=10.0, std1_ms=2.0, weight1=0.6):
+    return StageLatencyModel("bimodal", {"components": [
+        {"mean_ms": mean1_ms, "std_ms": std1_ms, "weight": weight1},
+        {"mean_ms": 28.0, "std_ms": 3.0, "weight": 1.0 - weight1},
+    ]})
+
+
+def shipped_links() -> dict:
+    """The link distributions of a run config that sets none."""
+    return resolve_run_config(presets.load("stage1-default"))["links"]
 
 
 def _reference_truncated_normal(rng, mean, std, lo, hi):
@@ -47,11 +66,11 @@ def factory_for(seed):
 
 class TestDistributions:
     def test_constant(self):
-        m = StageLatencyModel.constant(8.58)
+        m = constant(8.58)
         assert m.sample_ms(rng_stream(1, "x")) == 8.58
 
     def test_truncated_gaussian_nonnegative(self):
-        m = StageLatencyModel.gaussian_truncated(0.26, 0.11, min_ms=0.0)
+        m = gaussian(0.26, 0.11, min_ms=0.0)
         rng = rng_stream(2, "x")
         samples = [m.sample_ms(rng) for _ in range(5000)]
         assert min(samples) >= 0.0
@@ -69,27 +88,18 @@ class TestDistributions:
         with pytest.raises(ValueError):
             StageLatencyModel("weird", {})
 
-    @pytest.mark.parametrize("model", [
-        StageLatencyModel.constant(8.58),
-        StageLatencyModel.gaussian_truncated(4.0, 12.0, max_ms=30.0),
-        StageLatencyModel.lognormal_from_mean_std(28.68, 23.22),
-        StageLatencyModel.bimodal(),
-    ], ids=lambda m: m.kind)
-    def test_config_form_rebuilds_the_model(self, model):
-        assert build_distribution(model.to_dict()) == model
-
     @pytest.mark.parametrize("seed", [0, 5, 20240808])
     @pytest.mark.parametrize("model", [
-        StageLatencyModel.constant(8.58),
+        constant(8.58),
         StageLatencyModel("constant", {"ms": 3}),
-        StageLatencyModel.gaussian_truncated(0.26, 0.11),
-        StageLatencyModel.gaussian_truncated(4.0, 12.0, max_ms=30.0),
+        gaussian(0.26, 0.11),
+        gaussian(4.0, 12.0, max_ms=30.0),
         StageLatencyModel("gaussian_truncated", {"mean_ms": 1.0, "std_ms": 2.0}),
         # Every draw misses [5, 5.1], so each one falls back to the clamp.
-        StageLatencyModel.gaussian_truncated(0.0, 0.01, min_ms=5.0, max_ms=5.1),
+        gaussian(0.0, 0.01, min_ms=5.0, max_ms=5.1),
         StageLatencyModel.lognormal_from_mean_std(28.68, 23.22),
-        StageLatencyModel.bimodal(),
-        StageLatencyModel.bimodal(mean1_ms=1.0, std1_ms=5.0, weight1=0.3),
+        bimodal(),
+        bimodal(mean1_ms=1.0, std1_ms=5.0, weight1=0.3),
     ], ids=lambda m: m.kind)
     def test_draws_equal_the_reference_formulas(self, model, seed):
         ref_rng, rng = rng_stream(seed, "draws"), rng_stream(seed, "draws")
@@ -100,15 +110,15 @@ class TestDistributions:
 
     def test_bad_truncation_bounds_rejected(self):
         with pytest.raises(ValueError):
-            StageLatencyModel.gaussian_truncated(1.0, 0.1, min_ms=2.0, max_ms=1.0)
+            gaussian(1.0, 0.1, min_ms=2.0, max_ms=1.0)
 
 
 class TestR2V:
     def test_constant_stage_boundaries(self):
         cfg = R2VConfig(
-            ingest=StageLatencyModel.constant(0.26),
-            adv=StageLatencyModel.constant(28.68),
-            sense=StageLatencyModel.constant(7.64),
+            ingest=constant(0.26),
+            adv=constant(28.68),
+            sense=constant(7.64),
         )
         link = R2VLink(cfg, factory_for(1))
         sched = link.transmit(0)
@@ -119,12 +129,12 @@ class TestR2V:
         assert sched.t_sense_done == pytest.approx(ms_to_ns(36.58), abs=2)
 
     def test_all_zero_delivers_immediately(self):
-        cfg = R2VConfig(*[StageLatencyModel.constant(0.0)] * 3)
+        cfg = R2VConfig(*[constant(0.0)] * 3)
         link = R2VLink(cfg, factory_for(1))
         assert link.transmit(12345).t_sense_done == 12345
 
     def test_default_adv_long_tail_character(self):
-        link = R2VLink(default_r2v_config(), factory_for(42))
+        link = R2VLink(build_r2v_config(shipped_links()["r2v"]), factory_for(42))
         scheds = [link.transmit(0) for _ in range(2000)]
         adv = np.array([s.t_adv_done - s.t_ingest_done for s in scheds]) / 1e6
         assert np.mean(adv) == pytest.approx(28.68, rel=0.10)
@@ -132,7 +142,7 @@ class TestR2V:
         assert 0.6 <= cv <= 1.0
 
     def test_never_negative_durations(self):
-        link = R2VLink(default_r2v_config(), factory_for(9))
+        link = R2VLink(build_r2v_config(shipped_links()["r2v"]), factory_for(9))
         for _ in range(5000):
             s = link.transmit(0)
             assert 0 <= s.t_ingest_done <= s.t_adv_done <= s.t_sense_done
@@ -157,7 +167,7 @@ class TestPerturb:
 
     def test_loss_draw_consumed_even_at_zero_probability(self):
         # Same seed, different loss settings -> same jitter values.
-        jit = StageLatencyModel.gaussian_truncated(5.0, 2.0)
+        jit = gaussian(5.0, 2.0)
         outs = {}
         for p in (0.0, 0.5):
             cfg = PerturbationConfig(jitter=jit, loss_probability=p)
@@ -178,27 +188,27 @@ class TestPerturb:
 
 class TestV2R:
     def test_constant_base_latency(self):
-        cfg = V2RConfig(base=StageLatencyModel.constant(8.58))
+        cfg = V2RConfig(base=constant(8.58))
         link = V2RLink(cfg, factory_for(1))
         s = link.transmit(0)
         assert s.t_deliver - s.t_perturb_in == ms_to_ns(8.58)
 
     def test_delay_is_additive_in_aperture(self):
-        cfg = V2RConfig(base=StageLatencyModel.constant(8.58),
+        cfg = V2RConfig(base=constant(8.58),
                         perturbation=PerturbationConfig(fixed_delay_ms=40.0))
         link = V2RLink(cfg, factory_for(1))
         s = link.transmit(0)
         assert s.t_deliver - s.t_perturb_in == ms_to_ns(48.58)
 
     def test_default_cv_band(self):
-        link = V2RLink(default_v2r_config(), factory_for(42))
+        link = V2RLink(build_v2r_config(shipped_links()["v2r"]), factory_for(42))
         scheds = [link.transmit(i * ms_to_ns(20.0)) for i in range(2000)]
         dt = np.array([s.t_deliver - s.t_perturb_in for s in scheds]) / 1e6
         cv = np.std(dt, ddof=1) / np.mean(dt)
         assert 0.1 <= cv <= 0.2
 
     def test_fifo_deliveries(self):
-        cfg = V2RConfig(base=StageLatencyModel.gaussian_truncated(8.0, 6.0),
+        cfg = V2RConfig(base=gaussian(8.0, 6.0),
                         perturbation=PerturbationConfig())
         link = V2RLink(cfg, factory_for(5))
         last = -1
@@ -209,7 +219,7 @@ class TestV2R:
                 last = s.t_deliver
 
     def test_conservation_counts(self):
-        cfg = V2RConfig(base=StageLatencyModel.constant(5.0),
+        cfg = V2RConfig(base=constant(5.0),
                         perturbation=PerturbationConfig(loss_probability=0.3))
         link = V2RLink(cfg, factory_for(11))
         n = 2000
@@ -220,14 +230,14 @@ class TestV2R:
         assert 0.25 * n < dropped < 0.35 * n
 
     def test_dropped_schedule_has_no_delivery(self):
-        cfg = V2RConfig(base=StageLatencyModel.constant(5.0),
+        cfg = V2RConfig(base=constant(5.0),
                         perturbation=PerturbationConfig(loss_probability=1.0))
         link = V2RLink(cfg, factory_for(2))
         s = link.transmit(777)
         assert s.dropped and s.t_perturb_in == 777
 
     def test_reorder_allowed_disables_fifo_clamp(self):
-        cfg = V2RConfig(base=StageLatencyModel.gaussian_truncated(8.0, 6.0),
+        cfg = V2RConfig(base=gaussian(8.0, 6.0),
                         perturbation=PerturbationConfig(reorder_allowed=True))
         link = V2RLink(cfg, factory_for(5))
         scheds = [link.transmit(i * ms_to_ns(2.0)) for i in range(2000)]

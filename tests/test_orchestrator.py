@@ -4,9 +4,9 @@ from heapq import heappop, heappush
 
 import pytest
 
-from hilbench import cli, presets
+from hilbench import cli, orchestrator, presets
 from hilbench.config import ConfigError, resolve_run_config, resolve_sweep_config
-from hilbench.core import AuditLog, Stage, TimedEvent
+from hilbench.core import AuditLog, Stage, TimedEvent, json_document, rng_stream
 from hilbench.orchestrator import (
     Analyzer,
     Npc,
@@ -14,7 +14,6 @@ from hilbench.orchestrator import (
     SchedulerCorruptionError,
     build_report,
     replay_report,
-    report_to_json,
     run_stage1,
     run_stage2,
     sweep_point_seed,
@@ -56,7 +55,7 @@ class TestScheduler:
 
     def test_scheduling_in_the_past_is_fatal(self):
         runner = Runner(small_cfg())
-        runner.clock.now_ns = 10
+        runner.now_ns = 10
         with pytest.raises(SchedulerCorruptionError):
             runner._schedule(5, lambda t: None)
 
@@ -104,11 +103,27 @@ class TestStage1:
         _, lines2 = logged_run(cfg, tmp_path / "b.ndjson")
         assert lines1 == lines2
 
+    def test_each_random_stream_label_is_requested_once(self, monkeypatch):
+        # A label requested twice would get a second generator that replays
+        # the first one's draws, correlating two noise sources.
+        labels = []
+
+        def recording_stream(seed, label):
+            labels.append(label)
+            return rng_stream(seed, label)
+
+        monkeypatch.setattr(orchestrator, "rng_stream", recording_stream)
+        Runner(small_cfg())
+        assert sorted(labels) == sorted([
+            "plant.deadtime", "sut.lat", "r2v.ingest", "r2v.adv", "r2v.sense", "v2r.base",
+            "perturb.loss", "perturb.jitter",
+        ])
+
     def test_identical_reports(self):
         cfg = small_cfg()
         rep1, _ = run_stage1(cfg)
         rep2, _ = run_stage1(cfg)
-        assert report_to_json(rep1) == report_to_json(rep2)
+        assert json_document(rep1) == json_document(rep2)
 
     def test_zero_duration_rejected(self):
         with pytest.raises(ConfigError):
@@ -163,7 +178,7 @@ class TestReplay:
         log = tmp_path / "audit.ndjson"
         report, _ = run_stage1(cfg, log)
         replayed = replay_report(log)
-        assert report_to_json(replayed) == report_to_json(report)
+        assert json_document(replayed) == json_document(report)
 
     def test_truncated_log_flagged_with_gaps(self, tmp_path):
         cfg = small_cfg()
@@ -205,7 +220,7 @@ class TestStage2:
         solo["run_id"] = "s-d0ms-r0"
         ref, _ = run_stage1(resolve_run_config(solo))
         assert rows[0]["cte_rmse_m"] == ref["cte"]["rmse"]
-        assert report_to_json(reports[0][0]) == report_to_json(ref)
+        assert json_document(reports[0][0]) == json_document(ref)
 
     def test_membership_independence(self):
         base = {
@@ -353,7 +368,7 @@ class TestReportContent:
         fold = Analyzer()
         AuditLog.read_ndjson(log, fold)
         rebuilt = build_report(fold)
-        assert report_to_json(rebuilt) == report_to_json(report)
+        assert json_document(rebuilt) == json_document(report)
 
     def test_latency_components_present(self):
         report, _ = run_stage1(small_cfg())

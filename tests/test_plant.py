@@ -122,7 +122,7 @@ class TestFopdtChannel:
         ch = FopdtChannel(p)
         ch.apply(0, 1.0)
         ch.apply(s_to_ns(0.001), 2.0)  # due 0.051, replaces nothing
-        assert len(ch.pending()) == 2
+        assert len(ch._pending) == 2
 
     def test_jittered_dead_times_keep_activation_order(self):
         # With per-command dead-time jitter a newer command can come due
@@ -132,24 +132,24 @@ class TestFopdtChannel:
         ch = FopdtChannel(p, jitter=DeadTimeJitter(sigma=1.0), rng=rng_stream(3, "jit"))
         for k in range(200):
             ch.apply(s_to_ns(0.02 * k), float(k))
-            dues = [due for due, _ in ch.pending()]
+            dues = [due for due, _ in ch._pending]
             assert dues == sorted(dues)
 
 
 def step(plant, speed_cmd, steer_cmd, dt_s):
-    """Apply one command now and integrate ``dt_s`` on, as the runner drives the plant."""
-    t_ns = plant.state().pose.t_ns
+    """Apply one command at the plant's time and integrate ``dt_s`` on, as the
+    runner drives the plant; return the pose ``(x, y, heading)`` reached."""
+    t_ns = plant._t_ns
     plant.apply_command(t_ns, speed_cmd, steer_cmd)
     plant.advance_to(t_ns + s_to_ns(dt_s))
-    return plant.state()
+    return plant.pose
 
 
 class TestPlantMotion:
     def test_zero_command_from_rest_keeps_pose(self):
         cfg = preset("calibrated")
         plant = Plant(cfg, 1.0, 2.0, 0.5)
-        st = step(plant, 0.0, 0.0, cfg.control_period_s)
-        assert (st.pose.x, st.pose.y, st.pose.heading) == (1.0, 2.0, 0.5)
+        assert step(plant, 0.0, 0.0, cfg.control_period_s) == (1.0, 2.0, 0.5)
 
     def test_velocity_step_reaches_gain_times_setpoint(self):
         cfg = preset("paper-uncalibrated")
@@ -178,9 +178,9 @@ class TestPlantMotion:
         plant = Plant(cfg, 0.0, 0.0, 0.0)
         for _ in range(500):
             step(plant, 0.5, 0.0, cfg.control_period_s)
-        st = plant.state()
-        assert st.pose.y == pytest.approx(0.0, abs=1e-12)
-        assert 0.0 < st.pose.x < 0.5 * 500 * cfg.control_period_s  # lag means less than ideal
+        x, y, _heading = plant.pose
+        assert y == pytest.approx(0.0, abs=1e-12)
+        assert 0.0 < x < 0.5 * 500 * cfg.control_period_s  # lag means less than ideal
 
     def test_steer_limited_flag(self):
         cfg = preset("calibrated")

@@ -17,6 +17,14 @@ from hilbench.sut import (
 )
 
 STRAIGHT = ReferencePath([(0, 0), (20, 0)])
+CONSTANT_LATENCY = StageLatencyModel("constant", {"ms": 15.48})
+
+
+def bimodal(mean1_ms=10.0, std1_ms=2.0):
+    return StageLatencyModel("bimodal", {"components": [
+        {"mean_ms": mean1_ms, "std_ms": std1_ms, "weight": 0.6},
+        {"mean_ms": 28.0, "std_ms": 3.0, "weight": 0.4},
+    ]})
 
 
 def _reference_sut_latency_ms(mode, params, rng):
@@ -35,7 +43,7 @@ def _reference_sut_latency_ms(mode, params, rng):
 
 
 def make_sut(latency=None, seed=0, **params):
-    lat = latency or StageLatencyModel.constant(15.48)
+    lat = latency or CONSTANT_LATENCY
     sut = PurePursuitSut(PurePursuitParams(**params), lat, rng_stream(seed, "sut.lat"))
     return sut
 
@@ -74,7 +82,7 @@ class TestPurePursuit:
         assert cmd.speed_setpoint > 0.0
 
     def test_constant_latency_is_applied(self):
-        sut = make_sut(latency=StageLatencyModel.constant(15.48))
+        sut = make_sut(latency=CONSTANT_LATENCY)
         sut.reset(STRAIGHT)
         cmd = sut.step(obs(1_000_000, 1.0, 0.0, 0.0))
         assert cmd.t_issued_ns - 1_000_000 == 15_480_000
@@ -143,13 +151,13 @@ def ashman_d(samples) -> float:
 
 class TestLatencyModels:
     def test_constant_has_zero_variance(self):
-        m = StageLatencyModel.constant(15.48)
+        m = CONSTANT_LATENCY
         rng = rng_stream(1, "x")
         vals = [m.sample_ms(rng) for _ in range(100)]
         assert min(vals) == max(vals) == 15.48
 
     def test_bimodal_preset_is_bimodal(self):
-        m = StageLatencyModel.bimodal()
+        m = bimodal()
         rng = rng_stream(2, "x")
         samples = [m.sample_ms(rng) for _ in range(2000)]
         assert ashman_d(samples) > 4.0
@@ -166,10 +174,10 @@ class TestLatencyModels:
         # same stream, or re-running a recorded config would no longer
         # reproduce its audit log.
         models = [
-            ("bimodal", StageLatencyModel.bimodal()),
+            ("bimodal", bimodal()),
             # A component this close to 0 truncates often.
-            ("bimodal", StageLatencyModel.bimodal(mean1_ms=1.0, std1_ms=5.0)),
-            ("constant", StageLatencyModel.constant(15.48)),
+            ("bimodal", bimodal(mean1_ms=1.0, std1_ms=5.0)),
+            ("constant", CONSTANT_LATENCY),
         ]
         for mode, model in models:
             ref_rng, rng = rng_stream(seed, "sut.lat"), rng_stream(seed, "sut.lat")
