@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbench.config import resolve_run_config
 from hilbench.core import (
     ACTUATOR_FLAGS,
     AuditLog,
@@ -23,8 +24,91 @@ from hilbench.core import (
     sense_text,
     substream_seed,
 )
+from hilbench.orchestrator import Runner, SchedulerCorruptionError, run_stage1
 
 GOLDEN_LOGS = sorted((Path(__file__).parent / "data").glob("golden_*/**/audit.ndjson"))
+
+
+def run_config(duration_s=4.0):
+    return resolve_run_config({
+        "schema_version": 1,
+        "run_id": "r",
+        "seed": 3,
+        "termination": {"duration_s": duration_s},
+        "path": {"preset": "square-sandbox"},
+        "sut": {"name": "pure-pursuit", "goal_speed_mps": 0.3},
+    })
+
+
+def clock_readings(runner, times_ns):
+    """The runner's clock as each of a chain of handlers sees it; the first
+    handler fires at ``times_ns[0]`` and each schedules the next."""
+    seen = []
+
+    def fire(t_ns, i):
+        seen.append(runner.now_ns)
+        if i + 1 < len(times_ns):
+            runner._schedule(times_ns[i + 1], fire, i + 1)
+
+    runner._on_gts = lambda t_ns: runner._schedule(times_ns[0], fire, 0)
+    runner.run()
+    return seen
+
+
+class TestClock:
+    """The virtual clock is the Runner's ``now_ns``, set by its event loop."""
+
+    def test_fresh_clock_starts_at_zero(self):
+        assert Runner(run_config()).now_ns == 0
+
+    def test_advance_accumulates(self):
+        runner = Runner(run_config())
+        assert clock_readings(runner, [5_000_000, 8_000_000]) == [5_000_000, 8_000_000]
+        assert runner.now_ns == 8_000_000
+
+    def test_zero_advance_is_noop(self):
+        runner = Runner(run_config())
+        assert clock_readings(runner, [7, 7]) == [7, 7]
+        assert runner.now_ns == 7
+
+    def test_negative_advance_rejected(self):
+        runner = Runner(run_config())
+        runner.now_ns = 7
+        with pytest.raises(SchedulerCorruptionError):
+            runner._schedule(6, lambda t_ns: None)
+        # The rejected entry is not queued and the clock does not move.
+        assert runner.heap == [] and runner.now_ns == 7
+
+    def test_monotone_over_many_advances(self):
+        times = list(np.cumsum([3, 0, 11, 2, 0, 1000]))
+        runner = Runner(run_config())
+        seen = clock_readings(runner, times)
+        assert seen == times
+        assert all(a <= b for a, b in zip(seen, seen[1:]))
+
+
+class TestCorrelationIds:
+    """Cycle ``n`` of a run gets correlation ID ``n``; the run records carry 0."""
+
+    @staticmethod
+    def records(tmp_path, duration_s):
+        report, _ = run_stage1(run_config(duration_s), tmp_path / "audit.ndjson")
+        lines = (tmp_path / "audit.ndjson").read_text().splitlines()
+        return report, [json.loads(line) for line in lines]
+
+    def test_first_id_is_one(self, tmp_path):
+        _, recs = self.records(tmp_path, 0.5)
+        assert recs[0]["stage"] == "RunHeader" and recs[0]["cid"] == 0
+        assert recs[-1]["stage"] == "RunEnd" and recs[-1]["cid"] == 0
+        cids = [r["cid"] for r in recs if r["stage"] == "GtsSample"]
+        assert cids[:2] == [1, 2]
+
+    def test_many_ids_unique_and_increasing(self, tmp_path):
+        report, recs = self.records(tmp_path, 4.0)
+        ids = [r["cid"] for r in recs if r["stage"] == "GtsSample"]
+        assert len(ids) == report["cycles"]["gts_samples"] == 200
+        assert len(set(ids)) == len(ids)
+        assert ids == sorted(ids) == list(range(1, len(ids) + 1))
 
 
 class Collected(list):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from hilbench import presets
-from hilbench.config import build_r2v_config, build_v2r_config, resolve_run_config
+from hilbench.config import (
+    build_distribution,
+    build_r2v_config,
+    build_v2r_config,
+    resolve_distribution,
+    resolve_run_config,
+)
 from hilbench.core import ms_to_ns, rng_stream
 from hilbench.links import (
     PerturbationConfig,
@@ -87,6 +93,21 @@ class TestDistributions:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             StageLatencyModel("weird", {})
+
+    @pytest.mark.parametrize("case", [
+        ({"kind": "constant", "ms": 8.58}, constant(8.58)),
+        ({"kind": "gaussian_truncated", "mean_ms": 4.0, "std_ms": 12.0, "max_ms": 30.0},
+         gaussian(4.0, 12.0, min_ms=0.0, max_ms=30.0)),
+        ({"kind": "lognormal", "mean_ms": 28.68, "std_ms": 23.22},
+         StageLatencyModel.lognormal_from_mean_std(28.68, 23.22)),
+        ({"kind": "bimodal", "components": [
+            {"mean_ms": 10.0, "std_ms": 2.0, "weight": 0.6},
+            {"mean_ms": 28.0, "std_ms": 3.0, "weight": 0.4}]}, bimodal()),
+    ], ids=lambda case: case[1].kind)
+    def test_config_form_rebuilds_the_model(self, case):
+        # A distribution as a config writes it resolves to the model itself.
+        form, model = case
+        assert build_distribution(resolve_distribution(form, "d")) == model
 
     @pytest.mark.parametrize("seed", [0, 5, 20240808])
     @pytest.mark.parametrize("model", [
