@@ -1,0 +1,96 @@
+"""sha256 pins of the paths that build the plant, the links and the latency
+samplers from a resolved config, where no byte fixture pins them otherwise:
+
+- ``identify --config stage1-default --seed 1`` on both actuator channels;
+- a ``stage1`` run of ``tests/data/echo_pin/config.json`` (a bimodal
+  controller latency, lognormal stages in both forms, a truncated Gaussian
+  with ``max_ms``, command jitter and loss);
+- a short ``paper-uncalibrated`` run with ``dead_time_jitter`` enabled.
+
+A failure here means a run of the same config and seed no longer writes the
+same bytes.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from hilbench.cli import EXIT_OK, main
+
+ECHO_PIN_CONFIG = Path(__file__).parent / "data" / "echo_pin" / "config.json"
+
+JITTER_CONFIG = {
+    "schema_version": 1,
+    "run_id": "jitter-pin",
+    "seed": 11,
+    "termination": {"duration_s": 3.0},
+    "path": {"preset": "square-sandbox"},
+    "plant": {"preset": "paper-uncalibrated", "dead_time_jitter": {"enabled": True}},
+}
+
+IDENTIFY_SHA256 = {
+    "steering": {
+        "step_log.csv": "99a7bfabac03baaaef37769b62ca62dbc5788821bc6e10f1c1944aebf7b91a0a",
+        "fopdt_fit.json": "f783cc11b840519611b629239a1d84e3bc53e10d3c931aa3ba4356332a429de9",
+    },
+    "velocity": {
+        "step_log.csv": "4d321dc91616c08422896afb1e4157b4250b7be1be82e3debf51b3f4adcf254b",
+        "fopdt_fit.json": "09ac13fbe23747818470f13b9b46fd5a82f48961ba75ee10d08e059a26389e2f",
+    },
+}
+
+RUN_SHA256 = {
+    "echo_pin": {
+        "audit.ndjson": "8b012e211f644b8bc786586bc255b20e2b03ffaece8b9e24113aafc7206c32cf",
+        "report.json": "276d626e2e3f729d97e66eb10489abc3f2c04610fa721cd15ebf4615be8bd68f",
+        "trajectory.csv": "b47966559492e4c576582247de7545cb00de1d102a064854d23e724816656bba",
+        "latency.csv": "8996d3c7ec5c3b088fb27e150c5286b94bfcb49f559cd165e392e2dacde10351",
+    },
+    "dead_time_jitter": {
+        "audit.ndjson": "7b5ac3fe7127dd6e95e4e51503c52d29df9466d6dc4e98009f3cd1a325ec78e6",
+        "report.json": "12941f06d1d9cf3f443663e8532f84a3a4052bccdc9fbb1464ab5b0cfbc0ba89",
+        "trajectory.csv": "10da1a0808a103ffbda7382afe8c3e1e7497ff923f57e71209763afcdf58c6d8",
+        "latency.csv": "e85c1e9ab982cd5731eb89453da03f5c49062a50d138d4615c8b30a01b7e00f8",
+    },
+}
+
+
+def _digests(out: Path, names) -> dict:
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
+def _stage1(tmp_path: Path, name: str, doc) -> Path:
+    """Run ``stage1`` on ``doc`` (a config path, or a document to write one
+    from); return the output directory."""
+    if isinstance(doc, dict):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(doc))
+        doc = config
+    out = tmp_path / name
+    assert main(["stage1", "--config", str(doc), "--out", str(out), "-q"]) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("channel", sorted(IDENTIFY_SHA256))
+def test_identify_reproduces_pinned_digests(tmp_path, channel):
+    assert main(["identify", "--config", "stage1-default", "--seed", "1", "--channel", channel,
+                 "--out", str(tmp_path), "-q"]) == EXIT_OK
+    expected = IDENTIFY_SHA256[channel]
+    assert _digests(tmp_path, expected) == expected
+
+
+@pytest.mark.parametrize("name, doc", [("echo_pin", ECHO_PIN_CONFIG),
+                                       ("dead_time_jitter", JITTER_CONFIG)])
+def test_stage1_reproduces_pinned_digests(tmp_path, name, doc):
+    expected = RUN_SHA256[name]
+    assert _digests(_stage1(tmp_path, name, doc), expected) == expected
+
+
+def test_dead_time_jitter_pin_depends_on_the_jitter(tmp_path):
+    # The same run without the jitter writes another log, so the pin above
+    # covers the jittered dead times.
+    plain = {**JITTER_CONFIG, "plant": {"preset": "paper-uncalibrated"}}
+    digest = _digests(_stage1(tmp_path, "plain", plain), ["audit.ndjson"])["audit.ndjson"]
+    assert digest != RUN_SHA256["dead_time_jitter"]["audit.ndjson"]
