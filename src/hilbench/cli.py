@@ -18,7 +18,7 @@ from pathlib import Path
 from . import config as cfg_mod
 from . import orchestrator, presets, registration, temporal
 from .core import write_json
-from .plant import fit_fopdt, run_step_experiment
+from .plant import channel_params, fit_fopdt, run_step_experiment
 from .safety import write_safety_csv
 from .spatial import write_trajectory_csv
 
@@ -135,11 +135,10 @@ def _cmd_stage2(args) -> int:
 def _cmd_identify(args) -> int:
     doc = _apply_seed_override(_load_config_arg(args.config), args.seed)
     resolved = cfg_mod.resolve_run_config(doc)
-    plant_cfg = cfg_mod.build_plant_config(resolved["plant"])
-    params = {"steering": plant_cfg.steering, "velocity": plant_cfg.velocity}[args.channel]
+    params = channel_params(resolved["plant"], args.channel)
     duration = params.L + 8.0 * params.tau_p + 0.5
     noise = args.noise_frac * abs(params.K * args.amplitude)
-    log = run_step_experiment(plant_cfg, args.channel, args.amplitude, duration,
+    log = run_step_experiment(resolved["plant"], args.channel, args.amplitude, duration,
                               noise, resolved["seed"])
     fit = fit_fopdt(log)
     out = _out_dir(args)

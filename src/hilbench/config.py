@@ -1,9 +1,12 @@
-"""Run-configuration documents: validation, defaults, and object building.
+"""Run-configuration documents: validation and defaults.
 
 Configs are single JSON documents.  ``resolve_run_config`` validates a raw
 document, fills every default, and returns the fully explicit dict that gets
 echoed into the audit-log header (reports must be recomputable from the log
-alone, so the header carries the complete resolved configuration).
+alone, so the header carries the complete resolved configuration).  A run
+reads its sections from that same dict: the plant, the links and the latency
+samplers take their resolved sections as they are, so every check on a value
+is made here, once.
 
 Each section is declared once as a field table, ``{key: (check, default)}``;
 one walker, ``_fields``, checks the declared fields in order and rejects any
@@ -18,9 +21,7 @@ import copy
 import json
 import math
 
-from . import plant as plant_mod
-from .links import PerturbationConfig, R2VConfig, StageLatencyModel, V2RConfig
-from .plant import CommandMap, DeadTimeJitter, FOPDTParams, PlantConfig
+from .plant import CommandMap
 from .spatial import PathError, ReferencePath
 from .sut import PurePursuitParams
 
@@ -171,18 +172,15 @@ def resolve_distribution(obj, path: str, kind_key: str = "kind") -> dict:
     table = _LOGNORMAL_MOMENTS if moments else _DISTRIBUTIONS[kind]
     out = _fields(obj, path, {kind_key: (_as_str, _REQUIRED), **table})
     if moments:
-        model = StageLatencyModel.lognormal_from_mean_std(out.pop("mean_ms"), out.pop("std_ms"))
-        out.update(mu=model.params["mu"], sigma=model.params["sigma"])
+        # The mu and sigma of the lognormal with this mean and std.
+        mean_ms, std_ms = out.pop("mean_ms"), out.pop("std_ms")
+        sigma2 = math.log1p((std_ms / mean_ms) ** 2)
+        out.update(mu=math.log(mean_ms) - sigma2 / 2.0, sigma=math.sqrt(sigma2))
     if "max_ms" in out and out["max_ms"] < out["min_ms"]:
         raise ConfigError(f"{path}.max_ms", f"must be >= {out['min_ms']}")
     if kind == "bimodal" and abs(sum(c["weight"] for c in out["components"]) - 1.0) > 1e-9:
         raise ConfigError(f"{path}.components", "weights must sum to 1")
     return out
-
-
-def build_distribution(resolved: dict, kind_key: str = "kind") -> StageLatencyModel:
-    params = {k: v for k, v in resolved.items() if k != kind_key}
-    return StageLatencyModel(resolved[kind_key], params)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +219,42 @@ def _path(obj, path: str) -> dict:
 
 _MAP_POINTS = _list(_vector(2, "[command, setpoint]"), 2,
                     "must be a list of at least 2 [command, setpoint] points")
+_IDENTITY_MAP = [[-10.0, -10.0], [10.0, 10.0]]
+
+
+def _plant_preset(steering_gain: float, velocity_gain: float) -> dict:
+    """A preset's plant defaults.  Each ``tau_p_s`` is derived from the
+    characterized 90% response time via tau_p = (t90 - L) / ln(10)."""
+    return {
+        "wheelbase_m": 0.09, "control_period_ms": 20.0, "max_steer_rad": 0.45,
+        "max_speed_mps": 1.5,
+        "steering": {"K": steering_gain, "tau_p_s": 0.3660, "L_s": 0.0072},
+        "velocity": {"K": velocity_gain, "tau_p_s": 0.2199, "L_s": 0.0236},
+        "steer_map": _IDENTITY_MAP, "speed_map": _IDENTITY_MAP,
+    }
+
+
+#: ``calibrated``: unit gains on both channels (the command units are the
+#: physical units).  ``paper-uncalibrated``: the as-characterized gains
+#: (velocity 2.11, steering 0.26) that motivate recalibration.
+_PLANT_PRESETS = {
+    "calibrated": _plant_preset(1.0, 1.0),
+    "paper-uncalibrated": _plant_preset(0.26, 2.11),
+}
+
+
+def _p95_sigma(l_median: float, l_p95: float) -> float:
+    """The sigma of a lognormal dead time with median ``l_median`` and 95th
+    percentile ``l_p95``."""
+    return math.log(l_p95 / l_median) / 1.6448536269514722
+
+
+#: Per-command lognormal dead-time jitter around each channel's L, off by
+#: default; its sigmas match the characterized p95 dead times.
 _JITTER = {
     "enabled": (_as_bool, False),
-    "steering_sigma": (_num(lo=0.0), plant_mod.STEERING_JITTER.sigma),
-    "velocity_sigma": (_num(lo=0.0), plant_mod.VELOCITY_JITTER.sigma),
+    "steering_sigma": (_num(lo=0.0), _p95_sigma(0.0072, 0.0352)),
+    "velocity_sigma": (_num(lo=0.0), _p95_sigma(0.0236, 0.0923)),
 }
 
 
@@ -237,31 +267,30 @@ def _command_map(value, path: str) -> list:
     return points
 
 
-def _channel(params: FOPDTParams) -> tuple:
+def _channel(defaults: dict) -> tuple:
     return _section({
-        "K": (_num(), params.K),
-        "tau_p_s": (_num(lo=1e-9), params.tau_p),
-        "L_s": (_num(lo=0.0), params.L),
+        "K": (_num(), defaults["K"]),
+        "tau_p_s": (_num(lo=1e-9), defaults["tau_p_s"]),
+        "L_s": (_num(lo=0.0), defaults["L_s"]),
     }), {}
 
 
 def _plant(obj, path: str) -> dict:
     """The plant section; its ``preset`` supplies every other default."""
     name = obj.get("preset", "calibrated") if isinstance(obj, dict) else "calibrated"
-    try:
-        base = plant_mod.preset(name)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.preset", str(exc)) from exc
+    base = _PLANT_PRESETS.get(name) if isinstance(name, str) else None
+    if base is None:
+        raise ConfigError(f"{path}.preset", f"unknown plant preset {name!r}")
     out = _fields(obj, path, {
         "preset": (_as_str, name),
-        "wheelbase_m": (_num(lo=1e-6), base.wheelbase),
-        "control_period_ms": (_num(lo=1e-3), base.control_period_s * 1e3),
-        "max_steer_rad": (_num(lo=1e-6), base.max_steer),
-        "max_speed_mps": (_num(lo=1e-6), base.max_speed),
-        "steering": _channel(base.steering),
-        "velocity": _channel(base.velocity),
-        "steer_map": (_command_map, base.steer_map.to_points()),
-        "speed_map": (_command_map, base.speed_map.to_points()),
+        "wheelbase_m": (_num(lo=1e-6), base["wheelbase_m"]),
+        "control_period_ms": (_num(lo=1e-3), base["control_period_ms"]),
+        "max_steer_rad": (_num(lo=1e-6), base["max_steer_rad"]),
+        "max_speed_mps": (_num(lo=1e-6), base["max_speed_mps"]),
+        "steering": _channel(base["steering"]),
+        "velocity": _channel(base["velocity"]),
+        "steer_map": (_command_map, base["steer_map"]),
+        "speed_map": (_command_map, base["speed_map"]),
         "dead_time_jitter": (_section(_JITTER), {}),
         "initial_pose": (_or_null(_vector(3, "[x, y, heading] or null")), None),
     })
@@ -269,25 +298,6 @@ def _plant(obj, path: str) -> dict:
         if out[channel]["K"] == 0.0:
             raise ConfigError(f"{path}.{channel}.K", "must be nonzero")
     return out
-
-
-def build_plant_config(resolved: dict) -> PlantConfig:
-    jit = resolved["dead_time_jitter"]
-    enabled = jit["enabled"]
-    return PlantConfig(
-        wheelbase=resolved["wheelbase_m"],
-        steering=FOPDTParams(K=resolved["steering"]["K"], tau_p=resolved["steering"]["tau_p_s"],
-                             L=resolved["steering"]["L_s"]),
-        velocity=FOPDTParams(K=resolved["velocity"]["K"], tau_p=resolved["velocity"]["tau_p_s"],
-                             L=resolved["velocity"]["L_s"]),
-        steer_map=CommandMap(resolved["steer_map"]),
-        speed_map=CommandMap(resolved["speed_map"]),
-        max_steer=resolved["max_steer_rad"],
-        max_speed=resolved["max_speed_mps"],
-        control_period_s=resolved["control_period_ms"] / 1e3,
-        steering_jitter=DeadTimeJitter(jit["steering_sigma"]) if enabled else None,
-        velocity_jitter=DeadTimeJitter(jit["velocity_sigma"]) if enabled else None,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -468,27 +478,6 @@ _SWEEP = {
 
 def resolve_sweep_config(obj: dict) -> dict:
     return _fields(obj, "", _SWEEP)
-
-
-def build_r2v_config(resolved: dict) -> R2VConfig:
-    return R2VConfig(
-        ingest=build_distribution(resolved["ingest"]),
-        adv=build_distribution(resolved["adv"]),
-        sense=build_distribution(resolved["sense"]),
-    )
-
-
-def build_v2r_config(resolved: dict) -> V2RConfig:
-    pert = resolved["perturbation"]
-    return V2RConfig(
-        base=build_distribution(resolved["base"]),
-        perturbation=PerturbationConfig(
-            fixed_delay_ms=pert["fixed_delay_ms"],
-            jitter=build_distribution(pert["jitter"]) if pert["jitter"] is not None else None,
-            loss_probability=pert["loss_probability"],
-            reorder_allowed=pert["reorder_allowed"],
-        ),
-    )
 
 
 def load_json(path, field: str = ""):

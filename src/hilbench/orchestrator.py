@@ -36,7 +36,7 @@ from .core import (ACTUATOR_APPLY, GTS_SAMPLE, NO_PAYLOAD, NS_PER_S, PERTURB_IN,
                    RUN_HEADER, SUT_CMD_IN, SUT_CMD_OUT, V2R_DELIVER, AuditLog, Stage, TimedEvent,
                    actuator_text, canonical_json, command_text, float_text, ms_to_ns, pose_text,
                    rng_stream, s_to_ns, sense_text, substream_seed)
-from .links import R2VLink, V2RLink
+from .links import R2VLink, V2RLink, sampler
 from .plant import Plant
 from .safety import (AgentState, SafetyTrace, check_agent, d_min_trace, extract_events,
                      finite_or_none, frame_metrics)
@@ -150,19 +150,19 @@ class Runner:
         self._seq = count()
         stream = partial(rng_stream, resolved["seed"])
         self.path = ReferencePath(resolved["path"]["vertices"], closed=resolved["path"]["closed"])
-        plant_cfg = cfg_mod.build_plant_config(resolved["plant"])
         pose = resolved["plant"]["initial_pose"]
         if pose is None:
             pose = self.path.start_pose()
-        self.plant = Plant(plant_cfg, pose[0], pose[1], pose[2], rng=stream("plant.deadtime"))
+        self.plant = Plant(resolved["plant"], pose[0], pose[1], pose[2],
+                           rng=stream("plant.deadtime"))
         self.period_ns = ms_to_ns(resolved["gts"]["sample_period_ms"])
-        self.r2v = R2VLink(cfg_mod.build_r2v_config(resolved["links"]["r2v"]), stream)
-        self.v2r = V2RLink(cfg_mod.build_v2r_config(resolved["links"]["v2r"]), stream)
+        self.r2v = R2VLink(resolved["links"]["r2v"], stream)
+        self.v2r = V2RLink(resolved["links"]["v2r"], stream)
         sut_cfg = resolved["sut"]
         params = {"wheelbase": resolved["plant"]["wheelbase_m"],
                   "ego_radius": resolved["report"]["ego_radius_m"], **sut_cfg["params"]}
         self.sut = PurePursuitSut(PurePursuitParams(**params),
-                                  cfg_mod.build_distribution(sut_cfg["latency"], kind_key="mode"),
+                                  sampler(sut_cfg["latency"], kind_key="mode"),
                                   stream("sut.lat"))
         self.sut.reset(self.path)
         self.goal_speed = sut_cfg["goal_speed_mps"]

@@ -47,19 +47,6 @@ class FOPDTParams:
         return self.L + self.tau_p * LN10
 
 
-@dataclass(frozen=True)
-class DeadTimeJitter:
-    """Optional per-command lognormal dead-time jitter (median = configured L)."""
-
-    sigma: float
-
-    @staticmethod
-    def from_p95(l_median: float, l_p95: float) -> "DeadTimeJitter":
-        if not (l_p95 > l_median > 0.0):
-            raise ValueError("p95 dead time must exceed the median")
-        return DeadTimeJitter(sigma=math.log(l_p95 / l_median) / 1.6448536269514722)
-
-
 class CommandMap:
     """Monotone piecewise-linear command-to-setpoint calibration table.
 
@@ -101,32 +88,12 @@ class CommandMap:
                 y = fp[j]
         return y, False
 
-    @staticmethod
-    def identity(lo: float = -10.0, hi: float = 10.0) -> "CommandMap":
-        return CommandMap([(lo, lo), (hi, hi)])
 
-    def to_points(self) -> list[list[float]]:
-        return [[c, s] for c, s in zip(self._cmds, self._setps)]
-
-
-@dataclass(frozen=True)
-class PlantConfig:
-    wheelbase: float
-    steering: FOPDTParams
-    velocity: FOPDTParams
-    steer_map: CommandMap
-    speed_map: CommandMap
-    max_steer: float
-    max_speed: float
-    control_period_s: float
-    steering_jitter: DeadTimeJitter | None = None
-    velocity_jitter: DeadTimeJitter | None = None
-
-    def __post_init__(self):
-        if self.wheelbase <= 0.0:
-            raise ValueError("wheelbase must be positive")
-        if self.control_period_s <= 0.0:
-            raise ValueError("control period must be positive")
+def channel_params(plant: dict, channel: str) -> FOPDTParams:
+    """The FOPDT parameters of ``channel`` (``steering`` or ``velocity``) in a
+    resolved ``plant`` config section."""
+    section = plant[channel]
+    return FOPDTParams(K=section["K"], tau_p=section["tau_p_s"], L=section["L_s"])
 
 
 class FopdtChannel:
@@ -135,19 +102,20 @@ class FopdtChannel:
     Pending setpoints sit in a due-time queue for the dead time; the active
     target then pulls the output exponentially.  ``value(t)`` is a pure
     function of the activation history, so querying at intermediate times
-    never changes later outputs.
+    never changes later outputs.  With ``jitter_sigma`` set, each command's
+    dead time is L times a lognormal draw from ``rng`` (median L).
     """
 
     def __init__(
         self,
         params: FOPDTParams,
         output_limit: float | None = None,
-        jitter: DeadTimeJitter | None = None,
+        jitter_sigma: float | None = None,
         rng: np.random.Generator | None = None,
     ) -> None:
         self.params = params
         self._limit = output_limit
-        self._jitter = jitter
+        self._jitter_sigma = jitter_sigma
         self._rng = rng
         # The channel rests at 0 from t = 0 until its first activation.
         self._anchor_t = 0
@@ -159,8 +127,8 @@ class FopdtChannel:
         if not math.isfinite(setpoint):
             raise ValueError("setpoint must be finite")
         dead = self.params.L
-        if self._jitter is not None:
-            dead = dead * math.exp(self._jitter.sigma * float(self._rng.standard_normal()))
+        if self._jitter_sigma is not None:
+            dead = dead * math.exp(self._jitter_sigma * float(self._rng.standard_normal()))
         due = int(t_ns) + s_to_ns(dead)
         target = self.params.K * setpoint
         if self._limit is not None:
@@ -189,22 +157,29 @@ class Plant:
 
     Pose integration happens on a fixed grid of the control period (absolute
     multiples, in integer nanoseconds), independent of when events arrive.
+    ``cfg`` is the resolved ``plant`` config section.
     """
 
-    def __init__(self, cfg: PlantConfig, x: float, y: float, heading: float,
+    def __init__(self, cfg: dict, x: float, y: float, heading: float,
                  rng: np.random.Generator | None = None) -> None:
-        self.cfg = cfg
+        self._wheelbase = cfg["wheelbase_m"]
+        self._max_speed = cfg["max_speed_mps"]
+        self._max_steer = cfg["max_steer_rad"]
+        self._speed_map = CommandMap(cfg["speed_map"])
+        self._steer_map = CommandMap(cfg["steer_map"])
         self._x = float(x)
         self._y = float(y)
         self._heading = normalize_heading(float(heading))
         self._t_ns = 0
-        self._dt_grid_ns = s_to_ns(cfg.control_period_s)
+        self._dt_grid_ns = s_to_ns(cfg["control_period_ms"] / 1e3)
+        jitter = cfg["dead_time_jitter"]
+        velocity = channel_params(cfg, "velocity")
         self._speed_ch = FopdtChannel(
-            cfg.velocity, output_limit=cfg.max_speed * max(abs(cfg.velocity.K), 1.0),
-            jitter=cfg.velocity_jitter, rng=rng)
+            velocity, output_limit=self._max_speed * max(abs(velocity.K), 1.0),
+            jitter_sigma=jitter["velocity_sigma"] if jitter["enabled"] else None, rng=rng)
         self._steer_ch = FopdtChannel(
-            cfg.steering, output_limit=cfg.max_steer,
-            jitter=cfg.steering_jitter, rng=rng)
+            channel_params(cfg, "steering"), output_limit=self._max_steer,
+            jitter_sigma=jitter["steering_sigma"] if jitter["enabled"] else None, rng=rng)
 
     @property
     def pose(self) -> tuple[float, float, float]:
@@ -215,23 +190,19 @@ class Plant:
     def v_actual(self) -> float:
         return self._speed_ch.value(self._t_ns)
 
-    @property
-    def steer_actual(self) -> float:
-        return self._steer_ch.value(self._t_ns)
-
     def apply_command(self, t_ns: int, speed_cmd: float, steer_cmd: float) -> dict:
         """Map, clamp, and queue both channel setpoints; returns clamp flags."""
         if not (math.isfinite(speed_cmd) and math.isfinite(steer_cmd)):
             raise ValueError("commands must be finite")
         flags = {}
-        sp_clamped = min(max(speed_cmd, -self.cfg.max_speed), self.cfg.max_speed)
-        st_clamped = min(max(steer_cmd, -self.cfg.max_steer), self.cfg.max_steer)
+        sp_clamped = min(max(speed_cmd, -self._max_speed), self._max_speed)
+        st_clamped = min(max(steer_cmd, -self._max_steer), self._max_steer)
         if sp_clamped != speed_cmd:
             flags["speed_limited"] = True
         if st_clamped != steer_cmd:
             flags["steer_limited"] = True
-        sp_set, sp_map_clamped = self.cfg.speed_map(sp_clamped)
-        st_set, st_map_clamped = self.cfg.steer_map(st_clamped)
+        sp_set, sp_map_clamped = self._speed_map(sp_clamped)
+        st_set, st_map_clamped = self._steer_map(st_clamped)
         if sp_map_clamped:
             flags["speed_map_clamped"] = True
         if st_map_clamped:
@@ -256,7 +227,7 @@ class Plant:
         self._x += v * math.cos(self._heading) * dt_s
         self._y += v * math.sin(self._heading) * dt_s
         self._heading = normalize_heading(
-            self._heading + (v / self.cfg.wheelbase) * math.tan(steer) * dt_s)
+            self._heading + (v / self._wheelbase) * math.tan(steer) * dt_s)
         self._t_ns = t_next_ns
 
 
@@ -287,23 +258,24 @@ DEAD_TIME_SEARCH_MAX_S = 0.3
 
 
 def run_step_experiment(
-    cfg: PlantConfig,
+    cfg: dict,
     channel: str,
     amplitude: float,
     duration_s: float,
     noise_std: float,
     seed: int,
 ) -> StepLog:
-    """Simulate one open-loop step test on a channel.
+    """Simulate one open-loop step test on a channel of the resolved ``plant``
+    config section ``cfg``.
 
     The command is 0 until ``STEP_BASELINE_S`` then ``amplitude``; the
     response is the channel output sampled every control period plus Gaussian
     measurement noise drawn from the run's "plant" stream.
     """
-    params = {"steering": cfg.steering, "velocity": cfg.velocity}[channel]
+    params = channel_params(cfg, channel)
     if duration_s <= params.L + 5.0 * params.tau_p:
         raise ValueError("duration too short: need more than L + 5*tau_p")
-    period = cfg.control_period_s
+    period = cfg["control_period_ms"] / 1e3
     n_base = int(round(STEP_BASELINE_S / period))
     if n_base < 10:
         raise ValueError("baseline must cover at least 10 samples")
@@ -440,50 +412,3 @@ def fit_fopdt(log: StepLog) -> FopdtFit:
     r2 = 1.0 - sse / ss_tot if ss_tot > 0.0 else 0.0
     params = FOPDTParams(K=K, tau_p=tau, L=dead)
     return FopdtFit(params=params, r2=r2, t90=params.t90)
-
-
-# ---------------------------------------------------------------------------
-# Shipped presets
-
-#: tau_p derived from the characterized 90% response times via
-#: tau_p = (t90 - L) / ln(10).
-STEERING_TAU = 0.3660
-STEERING_DEAD = 0.0072
-VELOCITY_TAU = 0.2199
-VELOCITY_DEAD = 0.0236
-
-
-def preset(name: str) -> PlantConfig:
-    """Named plant presets.
-
-    ``calibrated``: unit gains on both channels (the command units are the
-    physical units).  ``paper-uncalibrated``: the as-characterized gains
-    (velocity 2.11, steering 0.26) that motivate recalibration, with the
-    dead-time jitter parameters available but disabled.
-    """
-    base = dict(
-        wheelbase=0.09,
-        steer_map=CommandMap.identity(),
-        speed_map=CommandMap.identity(),
-        max_steer=0.45,
-        max_speed=1.5,
-        control_period_s=0.02,
-    )
-    if name == "calibrated":
-        return PlantConfig(
-            steering=FOPDTParams(K=1.0, tau_p=STEERING_TAU, L=STEERING_DEAD),
-            velocity=FOPDTParams(K=1.0, tau_p=VELOCITY_TAU, L=VELOCITY_DEAD),
-            **base,
-        )
-    if name == "paper-uncalibrated":
-        return PlantConfig(
-            steering=FOPDTParams(K=0.26, tau_p=STEERING_TAU, L=STEERING_DEAD),
-            velocity=FOPDTParams(K=2.11, tau_p=VELOCITY_TAU, L=VELOCITY_DEAD),
-            **base,
-        )
-    raise ValueError(f"unknown plant preset {name!r}")
-
-
-#: Jitter presets matching the characterized p95 dead times (off by default).
-STEERING_JITTER = DeadTimeJitter.from_p95(STEERING_DEAD, 0.0352)
-VELOCITY_JITTER = DeadTimeJitter.from_p95(VELOCITY_DEAD, 0.0923)

@@ -7,14 +7,14 @@ link, or orchestration layers: the observation is the whole world.
 
 The reference controller is pure pursuit for steering plus a curvature-based
 speed cap and a constant-velocity yield rule; its processing latency is drawn
-from the latency model the runner hands it (any object with
-``sample_ms(rng)``), so the closed loop exhibits a realistic, measurable
-compute-time signature.
+by the ``sample_ms(rng)`` callable the runner hands it, so the closed loop
+exhibits a realistic, measurable compute-time signature.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -71,10 +71,11 @@ class SutError(RuntimeError):
 class PurePursuitSut:
     """Reference controller: pure pursuit + speed governor + yield rule."""
 
-    def __init__(self, params: PurePursuitParams, latency,
+    def __init__(self, params: PurePursuitParams,
+                 sample_latency_ms: Callable[[np.random.Generator], float],
                  latency_rng: np.random.Generator) -> None:
         self.params = params
-        self.latency = latency
+        self._sample_latency_ms = sample_latency_ms
         self._lat_rng = latency_rng
         self._route: ReferencePath | None = None
         self._last_pose: TrajectorySample | None = None
@@ -111,7 +112,7 @@ class PurePursuitSut:
         if self._should_yield(obs):
             speed = 0.0
 
-        latency_ns = ms_to_ns(self.latency.sample_ms(self._lat_rng))
+        latency_ns = ms_to_ns(self._sample_latency_ms(self._lat_rng))
         return ControlCommand(speed_setpoint=speed, steer_setpoint=steer,
                               t_issued_ns=obs.t_ns + latency_ns)
 

@@ -20,7 +20,7 @@ from hilbench.orchestrator import (
     run_stage1,
     run_stage2,
 )
-from hilbench.plant import fit_fopdt, preset, run_step_experiment
+from hilbench.plant import channel_params, fit_fopdt, run_step_experiment
 from hilbench.registration import run_benchmark
 from hilbench.safety import AgentState, contact_ttc
 from hilbench.spatial import ReferencePath, project
@@ -158,14 +158,15 @@ def test_03_projection_oracle():
 
 
 def test_04_fopdt_recovery():
-    cfg = preset("paper-uncalibrated")
+    cfg = resolve_run_config({**presets.load("stage1-default"),
+                              "plant": {"preset": "paper-uncalibrated"}})["plant"]
     channels = {
         "steering": (0.3, 0.85),
         "velocity": (1.0, 0.53),
     }
     counts = {}
     for channel, (amplitude, t90_anchor) in channels.items():
-        params = {"steering": cfg.steering, "velocity": cfg.velocity}[channel]
+        params = channel_params(cfg, channel)
         noise = 0.02 * abs(params.K * amplitude)  # 2% of the response step
         duration = params.L + 10 * params.tau_p + 1.0
         good_r2 = good_t90 = 0

@@ -7,12 +7,13 @@ import pytest
 
 from hilbench.config import (
     ConfigError,
-    build_distribution,
-    build_plant_config,
     resolve_distribution,
     resolve_run_config,
     resolve_sweep_config,
 )
+from hilbench.core import rng_stream
+from hilbench.links import sampler
+from hilbench.plant import Plant, channel_params
 
 
 def minimal(**overrides):
@@ -52,11 +53,9 @@ class TestDistributions:
         assert exc.value.path == "links.r2v.adv.kind"
 
     def test_builds_samplable_model(self):
-        from hilbench.core import rng_stream
         out = resolve_distribution({"kind": "gaussian_truncated", "mean_ms": 5.0,
                                     "std_ms": 1.0}, "d")
-        model = build_distribution(out)
-        assert model.sample_ms(rng_stream(1, "x")) >= 0.0
+        assert sampler(out)(rng_stream(1, "x")) >= 0.0
 
 
 class TestRunConfig:
@@ -113,6 +112,43 @@ class TestRunConfig:
             resolve_run_config(minimal(sut={"latency": latency}))
         assert exc.value.path == path
 
+    @pytest.mark.parametrize("doc, path", [
+        ({"links": {"r2v": {"ingest": {"kind": "constant", "ms": -1.0}}}}, "links.r2v.ingest.ms"),
+        ({"links": {"r2v": {"sense": {"kind": "gaussian_truncated", "mean_ms": 1.0,
+                                      "std_ms": 1.0, "min_ms": -0.5}}}}, "links.r2v.sense.min_ms"),
+        ({"links": {"r2v": {"sense": {"kind": "gaussian_truncated", "mean_ms": 1.0,
+                                      "std_ms": 1.0, "min_ms": 2.0, "max_ms": 1.0}}}},
+         "links.r2v.sense.max_ms"),
+        ({"links": {"r2v": {"adv": {"kind": "lognormal", "mu": 3.0, "sigma": -0.1}}}},
+         "links.r2v.adv.sigma"),
+        ({"links": {"r2v": {"adv": {"kind": "lognormal", "mean_ms": 0.0, "std_ms": 1.0}}}},
+         "links.r2v.adv.mean_ms"),
+        ({"links": {"v2r": {"base": {"kind": "bimodal", "components": [
+            {"mean_ms": 1.0, "std_ms": 1.0, "weight": 1.0}]}}}}, "links.v2r.base.components"),
+        ({"links": {"v2r": {"base": {"kind": "bimodal", "components": [
+            {"mean_ms": 10.0, "std_ms": 1.0, "weight": 0.7},
+            {"mean_ms": 20.0, "std_ms": 1.0, "weight": 0.7}]}}}}, "links.v2r.base.components"),
+        ({"links": {"v2r": {"base": {"kind": "weird"}}}}, "links.v2r.base.kind"),
+        ({"links": {"v2r": {"perturbation": {"fixed_delay_ms": -1.0}}}},
+         "links.v2r.perturbation.fixed_delay_ms"),
+        ({"links": {"v2r": {"perturbation": {"loss_probability": 1.5}}}},
+         "links.v2r.perturbation.loss_probability"),
+        ({"links": {"v2r": {"perturbation": {"loss_probability": -0.1}}}},
+         "links.v2r.perturbation.loss_probability"),
+        ({"plant": {"wheelbase_m": 0.0}}, "plant.wheelbase_m"),
+        ({"plant": {"control_period_ms": 0.0}}, "plant.control_period_ms"),
+        ({"plant": {"preset": "nope"}}, "plant.preset"),
+    ], ids=["negative-constant", "negative-min", "max-below-min", "negative-sigma",
+            "zero-lognormal-mean", "one-component", "weights-not-summing-to-1", "unknown-kind",
+            "negative-fixed-delay", "loss-above-1", "negative-loss", "zero-wheelbase",
+            "zero-control-period", "unknown-plant-preset"])
+    def test_values_a_run_cannot_use_fail_at_their_path(self, doc, path):
+        # The plant, the links and the latency samplers read these sections
+        # as resolved and check nothing themselves.
+        with pytest.raises(ConfigError) as exc:
+            resolve_run_config(minimal(**doc))
+        assert exc.value.path == path
+
     def test_readme_example_resolves(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         section = readme.split("## Run configuration", 1)[1]
@@ -133,17 +169,18 @@ class TestPlantSection:
         assert plant["steering"]["tau_p_s"] == 0.1
         assert plant["steering"]["K"] == 0.26      # preset value kept
         assert plant["velocity"]["K"] == 2.11
-        cfg = build_plant_config(plant)
-        assert cfg.steering.tau_p == 0.1
+        assert channel_params(plant, "steering").tau_p == 0.1
 
     def test_dead_time_jitter_toggle(self):
         resolved = resolve_run_config(minimal(
             plant={"preset": "paper-uncalibrated", "dead_time_jitter": {"enabled": True}}))
-        cfg = build_plant_config(resolved["plant"])
-        assert cfg.steering_jitter is not None
-        assert cfg.velocity_jitter is not None
-        default = build_plant_config(resolve_run_config(minimal())["plant"])
-        assert default.steering_jitter is None
+        jitter = resolved["plant"]["dead_time_jitter"]
+        plant = Plant(resolved["plant"], 0.0, 0.0, 0.0, rng_stream(1, "plant.deadtime"))
+        assert plant._steer_ch._jitter_sigma == jitter["steering_sigma"]
+        assert plant._speed_ch._jitter_sigma == jitter["velocity_sigma"]
+        default = Plant(resolve_run_config(minimal())["plant"], 0.0, 0.0, 0.0)
+        assert default._steer_ch._jitter_sigma is None
+        assert default._speed_ch._jitter_sigma is None
 
     def test_command_map_validated(self):
         with pytest.raises(ConfigError) as exc:

@@ -53,7 +53,7 @@ def test_npc_spawn_defaults_to_the_route_start():
 
 def test_any_latency_kind_runs_in_any_slot(tmp_path):
     # A bimodal link stage and a lognormal controller latency: every latency
-    # slot goes through the same resolver and stage-latency model.
+    # slot goes through the same resolver and `links.sampler`.
     doc = {
         "run_id": "any-kind", "seed": 3, "termination": {"duration_s": 1.0},
         "path": {"preset": "square-sandbox"},

@@ -4,43 +4,60 @@ import numpy as np
 import pytest
 
 from hilbench import presets
-from hilbench.config import (
-    build_distribution,
-    build_r2v_config,
-    build_v2r_config,
-    resolve_distribution,
-    resolve_run_config,
-)
+from hilbench.config import ConfigError, resolve_distribution, resolve_run_config
 from hilbench.core import ms_to_ns, rng_stream
-from hilbench.links import (
-    PerturbationConfig,
-    R2VConfig,
-    R2VLink,
-    StageLatencyModel,
-    V2RConfig,
-    V2RLink,
-    perturb,
-)
+from hilbench.links import R2VLink, V2RLink, perturb, sampler
 
 
 def constant(ms):
-    return StageLatencyModel("constant", {"ms": ms})
+    return {"kind": "constant", "ms": ms}
 
 
 def gaussian(mean_ms, std_ms, **bounds):
-    return StageLatencyModel("gaussian_truncated", {"mean_ms": mean_ms, "std_ms": std_ms, **bounds})
+    return {"kind": "gaussian_truncated", "mean_ms": mean_ms, "std_ms": std_ms, **bounds}
+
+
+def lognormal(mean_ms, std_ms):
+    return {"kind": "lognormal", "mean_ms": mean_ms, "std_ms": std_ms}
 
 
 def bimodal(mean1_ms=10.0, std1_ms=2.0, weight1=0.6):
-    return StageLatencyModel("bimodal", {"components": [
+    return {"kind": "bimodal", "components": [
         {"mean_ms": mean1_ms, "std_ms": std1_ms, "weight": weight1},
         {"mean_ms": 28.0, "std_ms": 3.0, "weight": 1.0 - weight1},
-    ]})
+    ]}
+
+
+def resolved(dist) -> dict:
+    """A latency distribution as its config form resolves."""
+    return resolve_distribution(dist, "d")
+
+
+def draws(dist):
+    """The ``sample_ms(rng)`` sampler of a distribution in its config form."""
+    return sampler(resolved(dist))
+
+
+def resolved_links(**links) -> dict:
+    """The resolved ``links`` section of ``stage1-default`` with ``links`` set."""
+    return resolve_run_config({**presets.load("stage1-default"), "links": links})["links"]
 
 
 def shipped_links() -> dict:
     """The link distributions of a run config that sets none."""
-    return resolve_run_config(presets.load("stage1-default"))["links"]
+    return resolved_links()
+
+
+def injector(**perturbation):
+    """The resolved perturbation section with ``perturbation`` set, and the
+    sampler of its jitter, as ``perturb`` takes them."""
+    cfg = resolved_links(v2r={"perturbation": perturbation})["v2r"]["perturbation"]
+    return cfg, (sampler(cfg["jitter"]) if cfg["jitter"] is not None else None)
+
+
+def v2r_link(seed, base, **perturbation):
+    return V2RLink(resolved_links(v2r={"base": base, "perturbation": perturbation})["v2r"],
+                   factory_for(seed))
 
 
 def _reference_truncated_normal(rng, mean, std, lo, hi):
@@ -72,75 +89,77 @@ def factory_for(seed):
 
 class TestDistributions:
     def test_constant(self):
-        m = constant(8.58)
-        assert m.sample_ms(rng_stream(1, "x")) == 8.58
+        sample_ms = draws(constant(8.58))
+        assert sample_ms(rng_stream(1, "x")) == 8.58
 
     def test_truncated_gaussian_nonnegative(self):
-        m = gaussian(0.26, 0.11, min_ms=0.0)
+        sample_ms = draws(gaussian(0.26, 0.11, min_ms=0.0))
         rng = rng_stream(2, "x")
-        samples = [m.sample_ms(rng) for _ in range(5000)]
+        samples = [sample_ms(rng) for _ in range(5000)]
         assert min(samples) >= 0.0
         assert np.mean(samples) == pytest.approx(0.26, abs=0.02)
 
     def test_lognormal_solver_hits_moments(self):
-        m = StageLatencyModel.lognormal_from_mean_std(28.68, 23.22)
+        sample_ms = draws(lognormal(28.68, 23.22))
         rng = rng_stream(3, "x")
-        samples = np.array([m.sample_ms(rng) for _ in range(200_000)])
+        samples = np.array([sample_ms(rng) for _ in range(200_000)])
         assert samples.min() > 0.0
         assert np.mean(samples) == pytest.approx(28.68, rel=0.02)
         assert np.std(samples, ddof=1) == pytest.approx(23.22, rel=0.05)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            StageLatencyModel("weird", {})
+            sampler({"kind": "weird"})
 
     @pytest.mark.parametrize("case", [
-        ({"kind": "constant", "ms": 8.58}, constant(8.58)),
-        ({"kind": "gaussian_truncated", "mean_ms": 4.0, "std_ms": 12.0, "max_ms": 30.0},
-         gaussian(4.0, 12.0, min_ms=0.0, max_ms=30.0)),
-        ({"kind": "lognormal", "mean_ms": 28.68, "std_ms": 23.22},
-         StageLatencyModel.lognormal_from_mean_std(28.68, 23.22)),
-        ({"kind": "bimodal", "components": [
+        (constant(8), constant(8.0)),
+        (gaussian(4.0, 12.0, max_ms=30.0), gaussian(4.0, 12.0, min_ms=0.0, max_ms=30.0)),
+        # The mu and sigma of the lognormal with that mean and std.
+        (lognormal(28.68, 23.22),
+         {"kind": "lognormal", "mu": math.log(28.68) - math.log1p((23.22 / 28.68) ** 2) / 2.0,
+          "sigma": math.sqrt(math.log1p((23.22 / 28.68) ** 2))}),
+        (bimodal(), {"kind": "bimodal", "components": [
             {"mean_ms": 10.0, "std_ms": 2.0, "weight": 0.6},
-            {"mean_ms": 28.0, "std_ms": 3.0, "weight": 0.4}]}, bimodal()),
-    ], ids=lambda case: case[1].kind)
+            {"mean_ms": 28.0, "std_ms": 3.0, "weight": 0.4}]}),
+    ], ids=lambda case: case[1]["kind"])
     def test_config_form_rebuilds_the_model(self, case):
-        # A distribution as a config writes it resolves to the model itself.
-        form, model = case
-        assert build_distribution(resolve_distribution(form, "d")) == model
+        # A distribution as a config writes it resolves to its explicit
+        # parameters, those that the sampler reads.
+        form, explicit = case
+        assert resolve_distribution(form, "d") == explicit
 
     @pytest.mark.parametrize("seed", [0, 5, 20240808])
-    @pytest.mark.parametrize("model", [
+    @pytest.mark.parametrize("dist", [
         constant(8.58),
-        StageLatencyModel("constant", {"ms": 3}),
+        constant(3),
         gaussian(0.26, 0.11),
         gaussian(4.0, 12.0, max_ms=30.0),
-        StageLatencyModel("gaussian_truncated", {"mean_ms": 1.0, "std_ms": 2.0}),
+        gaussian(1.0, 2.0),
         # Every draw misses [5, 5.1], so each one falls back to the clamp.
         gaussian(0.0, 0.01, min_ms=5.0, max_ms=5.1),
-        StageLatencyModel.lognormal_from_mean_std(28.68, 23.22),
+        lognormal(28.68, 23.22),
         bimodal(),
         bimodal(mean1_ms=1.0, std1_ms=5.0, weight1=0.3),
-    ], ids=lambda m: m.kind)
-    def test_draws_equal_the_reference_formulas(self, model, seed):
+    ], ids=lambda d: d["kind"])
+    def test_draws_equal_the_reference_formulas(self, dist, seed):
+        params = resolved(dist)
         ref_rng, rng = rng_stream(seed, "draws"), rng_stream(seed, "draws")
-        ref = [_reference_sample_ms(model.kind, model.params, ref_rng).hex() for _ in range(3000)]
-        got = [model.sample_ms(rng) for _ in range(3000)]
+        ref = [_reference_sample_ms(params["kind"], params, ref_rng).hex() for _ in range(3000)]
+        sample_ms = sampler(params)
+        got = [sample_ms(rng) for _ in range(3000)]
         assert all(type(v) is float for v in got)
         assert [v.hex() for v in got] == ref
 
     def test_bad_truncation_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian(1.0, 0.1, min_ms=2.0, max_ms=1.0)
+        with pytest.raises(ConfigError) as exc:
+            resolved(gaussian(1.0, 0.1, min_ms=2.0, max_ms=1.0))
+        assert exc.value.path == "d.max_ms"
 
 
 class TestR2V:
     def test_constant_stage_boundaries(self):
-        cfg = R2VConfig(
-            ingest=constant(0.26),
-            adv=constant(28.68),
-            sense=constant(7.64),
-        )
+        cfg = resolved_links(r2v={"ingest": constant(0.26), "adv": constant(28.68),
+                                  "sense": constant(7.64)})["r2v"]
         link = R2VLink(cfg, factory_for(1))
         sched = link.transmit(0)
         assert sched.t_ingest_start == 0
@@ -150,12 +169,12 @@ class TestR2V:
         assert sched.t_sense_done == pytest.approx(ms_to_ns(36.58), abs=2)
 
     def test_all_zero_delivers_immediately(self):
-        cfg = R2VConfig(*[constant(0.0)] * 3)
-        link = R2VLink(cfg, factory_for(1))
+        cfg = resolved_links(r2v={stage: constant(0.0) for stage in ("ingest", "adv", "sense")})
+        link = R2VLink(cfg["r2v"], factory_for(1))
         assert link.transmit(12345).t_sense_done == 12345
 
     def test_default_adv_long_tail_character(self):
-        link = R2VLink(build_r2v_config(shipped_links()["r2v"]), factory_for(42))
+        link = R2VLink(shipped_links()["r2v"], factory_for(42))
         scheds = [link.transmit(0) for _ in range(2000)]
         adv = np.array([s.t_adv_done - s.t_ingest_done for s in scheds]) / 1e6
         assert np.mean(adv) == pytest.approx(28.68, rel=0.10)
@@ -163,7 +182,7 @@ class TestR2V:
         assert 0.6 <= cv <= 1.0
 
     def test_never_negative_durations(self):
-        link = R2VLink(build_r2v_config(shipped_links()["r2v"]), factory_for(9))
+        link = R2VLink(shipped_links()["r2v"], factory_for(9))
         for _ in range(5000):
             s = link.transmit(0)
             assert 0 <= s.t_ingest_done <= s.t_adv_done <= s.t_sense_done
@@ -171,67 +190,59 @@ class TestR2V:
 
 class TestPerturb:
     def test_passthrough(self):
-        cfg = PerturbationConfig()
-        out = perturb(cfg, 1000, rng_stream(1, "l"), rng_stream(1, "j"))
+        out = perturb(*injector(), 1000, rng_stream(1, "l"), rng_stream(1, "j"))
         assert not out.dropped and out.t_out_ns == 1000
 
     def test_fixed_delay_40ms(self):
-        cfg = PerturbationConfig(fixed_delay_ms=40.0)
-        out = perturb(cfg, 0, rng_stream(1, "l"), rng_stream(1, "j"))
+        out = perturb(*injector(fixed_delay_ms=40.0), 0, rng_stream(1, "l"), rng_stream(1, "j"))
         assert out.t_out_ns == ms_to_ns(40.0)
 
     def test_certain_loss(self):
-        cfg = PerturbationConfig(loss_probability=1.0)
+        cfg, jitter = injector(loss_probability=1.0)
         rng = rng_stream(1, "l")
         for _ in range(100):
-            assert perturb(cfg, 0, rng, rng_stream(1, "j")).dropped
+            assert perturb(cfg, jitter, 0, rng, rng_stream(1, "j")).dropped
 
     def test_loss_draw_consumed_even_at_zero_probability(self):
         # Same seed, different loss settings -> same jitter values.
         jit = gaussian(5.0, 2.0)
         outs = {}
         for p in (0.0, 0.5):
-            cfg = PerturbationConfig(jitter=jit, loss_probability=p)
+            cfg, jitter = injector(jitter=jit, loss_probability=p)
             loss_rng, jit_rng = rng_stream(7, "loss"), rng_stream(7, "jit")
             vals = []
             for _ in range(50):
-                o = perturb(cfg, 0, loss_rng, jit_rng)
+                o = perturb(cfg, jitter, 0, loss_rng, jit_rng)
                 vals.append(None if o.dropped else o.t_out_ns)
             outs[p] = vals
         surviving = [(a, b) for a, b in zip(outs[0.0], outs[0.5]) if b is not None]
         assert surviving and all(a == b for a, b in surviving)
 
     def test_fifo_clamp(self):
-        cfg = PerturbationConfig(fixed_delay_ms=0.0)
-        out = perturb(cfg, 100, rng_stream(1, "l"), rng_stream(1, "j"), last_out_ns=500)
+        out = perturb(*injector(fixed_delay_ms=0.0), 100, rng_stream(1, "l"), rng_stream(1, "j"), last_out_ns=500)
         assert out.t_out_ns == 500 and out.clamped
 
 
 class TestV2R:
     def test_constant_base_latency(self):
-        cfg = V2RConfig(base=constant(8.58))
-        link = V2RLink(cfg, factory_for(1))
+        link = v2r_link(1, constant(8.58))
         s = link.transmit(0)
         assert s.t_deliver - s.t_perturb_in == ms_to_ns(8.58)
 
     def test_delay_is_additive_in_aperture(self):
-        cfg = V2RConfig(base=constant(8.58),
-                        perturbation=PerturbationConfig(fixed_delay_ms=40.0))
-        link = V2RLink(cfg, factory_for(1))
+        link = v2r_link(1, constant(8.58), fixed_delay_ms=40.0)
         s = link.transmit(0)
         assert s.t_deliver - s.t_perturb_in == ms_to_ns(48.58)
 
     def test_default_cv_band(self):
-        link = V2RLink(build_v2r_config(shipped_links()["v2r"]), factory_for(42))
+        link = V2RLink(shipped_links()["v2r"], factory_for(42))
         scheds = [link.transmit(i * ms_to_ns(20.0)) for i in range(2000)]
         dt = np.array([s.t_deliver - s.t_perturb_in for s in scheds]) / 1e6
         cv = np.std(dt, ddof=1) / np.mean(dt)
         assert 0.1 <= cv <= 0.2
 
     def test_fifo_deliveries(self):
-        cfg = V2RConfig(base=gaussian(8.0, 6.0),
-                        perturbation=PerturbationConfig())
-        link = V2RLink(cfg, factory_for(5))
+        link = v2r_link(5, gaussian(8.0, 6.0))
         last = -1
         for i in range(2000):
             s = link.transmit(i * ms_to_ns(2.0))  # dense sends force crossings
@@ -240,9 +251,7 @@ class TestV2R:
                 last = s.t_deliver
 
     def test_conservation_counts(self):
-        cfg = V2RConfig(base=constant(5.0),
-                        perturbation=PerturbationConfig(loss_probability=0.3))
-        link = V2RLink(cfg, factory_for(11))
+        link = v2r_link(11, constant(5.0), loss_probability=0.3)
         n = 2000
         scheds = [link.transmit(i * ms_to_ns(20.0)) for i in range(n)]
         delivered = [s for s in scheds if not s.dropped]
@@ -251,16 +260,12 @@ class TestV2R:
         assert 0.25 * n < dropped < 0.35 * n
 
     def test_dropped_schedule_has_no_delivery(self):
-        cfg = V2RConfig(base=constant(5.0),
-                        perturbation=PerturbationConfig(loss_probability=1.0))
-        link = V2RLink(cfg, factory_for(2))
+        link = v2r_link(2, constant(5.0), loss_probability=1.0)
         s = link.transmit(777)
         assert s.dropped and s.t_perturb_in == 777
 
     def test_reorder_allowed_disables_fifo_clamp(self):
-        cfg = V2RConfig(base=gaussian(8.0, 6.0),
-                        perturbation=PerturbationConfig(reorder_allowed=True))
-        link = V2RLink(cfg, factory_for(5))
+        link = v2r_link(5, gaussian(8.0, 6.0), reorder_allowed=True)
         scheds = [link.transmit(i * ms_to_ns(2.0)) for i in range(2000)]
         deliveries = [s.t_deliver for s in scheds if not s.dropped]
         assert any(b < a for a, b in zip(deliveries, deliveries[1:]))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbench.config import ConfigError, resolve_run_config
 from hilbench.core import rng_stream, s_to_ns
 from hilbench.plant import (
     LN10,
@@ -14,15 +15,26 @@ from hilbench.plant import (
     FopdtChannel,
     Plant,
     StepLog,
+    channel_params,
     fit_fopdt,
-    preset,
     run_step_experiment,
 )
 
 
+def plant_section(preset: str = "calibrated") -> dict:
+    """The resolved ``plant`` section of a run config with that preset."""
+    return resolve_run_config({"seed": 1, "termination": {"duration_s": 1.0},
+                               "path": {"preset": "square-sandbox"},
+                               "plant": {"preset": preset}})["plant"]
+
+
+def period_s(cfg: dict) -> float:
+    return cfg["control_period_ms"] / 1e3
+
+
 class TestCommandMap:
     def test_identity(self):
-        m = CommandMap.identity()
+        m = CommandMap(plant_section()["steer_map"])
         assert m(0.5) == (0.5, False)
 
     def test_uncalibrated_longitudinal_scale(self):
@@ -127,9 +139,8 @@ class TestFopdtChannel:
     def test_jittered_dead_times_keep_activation_order(self):
         # With per-command dead-time jitter a newer command can come due
         # before a pending one; the stale entry must be dropped.
-        from hilbench.plant import DeadTimeJitter
         p = FOPDTParams(K=1.0, tau_p=0.1, L=0.03)
-        ch = FopdtChannel(p, jitter=DeadTimeJitter(sigma=1.0), rng=rng_stream(3, "jit"))
+        ch = FopdtChannel(p, jitter_sigma=1.0, rng=rng_stream(3, "jit"))
         for k in range(200):
             ch.apply(s_to_ns(0.02 * k), float(k))
             dues = [due for due, _ in ch._pending]
@@ -147,63 +158,65 @@ def step(plant, speed_cmd, steer_cmd, dt_s):
 
 class TestPlantMotion:
     def test_zero_command_from_rest_keeps_pose(self):
-        cfg = preset("calibrated")
+        cfg = plant_section("calibrated")
         plant = Plant(cfg, 1.0, 2.0, 0.5)
-        assert step(plant, 0.0, 0.0, cfg.control_period_s) == (1.0, 2.0, 0.5)
+        assert step(plant, 0.0, 0.0, period_s(cfg)) == (1.0, 2.0, 0.5)
 
     def test_velocity_step_reaches_gain_times_setpoint(self):
-        cfg = preset("paper-uncalibrated")
+        cfg = plant_section("paper-uncalibrated")
         plant = Plant(cfg, 0.0, 0.0, 0.0)
-        t_end = cfg.velocity.L + 10 * cfg.velocity.tau_p
-        steps = int(t_end / cfg.control_period_s) + 1
+        velocity = channel_params(cfg, "velocity")
+        t_end = velocity.L + 10 * velocity.tau_p
+        steps = int(t_end / period_s(cfg)) + 1
         for _ in range(steps):
-            step(plant, 1.0, 0.0, cfg.control_period_s)
+            step(plant, 1.0, 0.0, period_s(cfg))
         assert plant.v_actual == pytest.approx(2.11, abs=1e-4)
 
     def test_steering_response_crosses_90pct_at_t90(self):
-        cfg = preset("calibrated")
+        cfg = plant_section("calibrated")
         plant = Plant(cfg, 0.0, 0.0, 0.0)
         target = 0.3
-        t90 = cfg.steering.L + cfg.steering.tau_p * LN10
+        steering = channel_params(cfg, "steering")
+        t90 = steering.L + steering.tau_p * LN10
         t, crossed = 0.0, None
         while t < 2.0:
-            step(plant, 0.0, target, cfg.control_period_s)
-            t += cfg.control_period_s
-            if crossed is None and plant.steer_actual >= 0.9 * target:
+            step(plant, 0.0, target, period_s(cfg))
+            t += period_s(cfg)
+            if crossed is None and plant._steer_ch.value(plant._t_ns) >= 0.9 * target:
                 crossed = t
-        assert crossed == pytest.approx(t90, abs=cfg.control_period_s + 1e-9)
+        assert crossed == pytest.approx(t90, abs=period_s(cfg) + 1e-9)
 
     def test_straight_line_distance(self):
-        cfg = preset("calibrated")
+        cfg = plant_section("calibrated")
         plant = Plant(cfg, 0.0, 0.0, 0.0)
         for _ in range(500):
-            step(plant, 0.5, 0.0, cfg.control_period_s)
+            step(plant, 0.5, 0.0, period_s(cfg))
         x, y, _heading = plant.pose
         assert y == pytest.approx(0.0, abs=1e-12)
-        assert 0.0 < x < 0.5 * 500 * cfg.control_period_s  # lag means less than ideal
+        assert 0.0 < x < 0.5 * 500 * period_s(cfg)  # lag means less than ideal
 
     def test_steer_limited_flag(self):
-        cfg = preset("calibrated")
+        cfg = plant_section("calibrated")
         plant = Plant(cfg, 0.0, 0.0, 0.0)
         flags = plant.apply_command(0, 0.1, 3.0)
         assert flags.get("steer_limited")
 
     def test_dt_bounds_enforced(self):
-        cfg = preset("calibrated")
+        cfg = plant_section("calibrated")
         plant = Plant(cfg, 0.0, 0.0, 0.0)
-        step(plant, 0.0, 0.0, cfg.control_period_s)
+        step(plant, 0.0, 0.0, period_s(cfg))
         # The plant never integrates backwards, and takes finite commands only.
         with pytest.raises(ValueError, match="backwards"):
-            plant.advance_to(s_to_ns(cfg.control_period_s) - 1)
+            plant.advance_to(s_to_ns(period_s(cfg)) - 1)
         with pytest.raises(ValueError, match="finite"):
             plant.apply_command(0, math.nan, 0.0)
 
 
 class TestStepExperiment:
     def test_noiseless_matches_channel_closed_form(self):
-        cfg = preset("paper-uncalibrated")
+        cfg = plant_section("paper-uncalibrated")
         log = run_step_experiment(cfg, "velocity", 1.0, 3.0, 0.0, seed=1)
-        p = cfg.velocity
+        p = channel_params(cfg, "velocity")
         t_step = 0.3
         expected = np.where(
             log.t_s > t_step + p.L,
@@ -213,23 +226,23 @@ class TestStepExperiment:
         assert np.max(np.abs(log.response - expected)) < 1e-9
 
     def test_seeded_reproducibility(self):
-        cfg = preset("calibrated")
+        cfg = plant_section("calibrated")
         a = run_step_experiment(cfg, "steering", 0.3, 4.0, 0.01, seed=7)
         b = run_step_experiment(cfg, "steering", 0.3, 4.0, 0.01, seed=7)
         assert np.array_equal(a.response, b.response)
 
     def test_zero_amplitude_flat(self):
-        cfg = preset("calibrated")
+        cfg = plant_section("calibrated")
         log = run_step_experiment(cfg, "velocity", 0.0, 3.0, 0.0, seed=1)
         assert np.all(log.response == 0.0)
 
     def test_too_short_duration_rejected(self):
-        cfg = preset("calibrated")
+        cfg = plant_section("calibrated")
         with pytest.raises(ValueError):
             run_step_experiment(cfg, "steering", 0.3, 0.5, 0.0, seed=1)
 
     def test_csv_round_trip(self, tmp_path):
-        cfg = preset("calibrated")
+        cfg = plant_section("calibrated")
         log = run_step_experiment(cfg, "velocity", 1.0, 3.0, 0.01, seed=3)
         f = tmp_path / "log.csv"
         log.save_csv(f)
@@ -243,7 +256,7 @@ class TestStepExperiment:
 
 class TestFitFopdt:
     def test_noiseless_recovery(self):
-        cfg = preset("paper-uncalibrated")  # velocity K=2.11, tau 0.2199, L 0.0236
+        cfg = plant_section("paper-uncalibrated")  # velocity K=2.11, tau 0.2199, L 0.0236
         log = run_step_experiment(cfg, "velocity", 1.0, 3.0, 0.0, seed=1)
         fit = fit_fopdt(log)
         assert fit.params.K == pytest.approx(2.11, rel=0.005)
@@ -252,7 +265,7 @@ class TestFitFopdt:
 
     def test_noisy_recovery_t90(self):
         # 2% of the response step; t90 anchor 0.53 s for the velocity channel.
-        cfg = preset("paper-uncalibrated")
+        cfg = plant_section("paper-uncalibrated")
         noise = 0.02 * 2.11
         t90_true = 0.0236 + 0.2199 * LN10
         hits = 0
@@ -269,8 +282,9 @@ class TestFitFopdt:
             fit_fopdt(log)
 
     def test_recovery_error_shrinks_with_noise(self):
-        cfg = preset("calibrated")
-        t90_true = cfg.steering.L + cfg.steering.tau_p * LN10
+        cfg = plant_section("calibrated")
+        steering = channel_params(cfg, "steering")
+        t90_true = steering.L + steering.tau_p * LN10
         mean_err = []
         for frac in (0.02, 0.01, 0.001, 0.0):
             errs = []
@@ -284,11 +298,12 @@ class TestFitFopdt:
 
 
 def test_presets_distinct():
-    cal = preset("calibrated")
-    unc = preset("paper-uncalibrated")
-    assert cal.velocity.K == 1.0 and cal.steering.K == 1.0
-    assert unc.velocity.K == 2.11 and unc.steering.K == 0.26
-    assert unc.steering.tau_p == pytest.approx((0.85 - 0.0072) / LN10, abs=5e-5)
-    assert unc.velocity.tau_p == pytest.approx((0.53 - 0.0236) / LN10, abs=5e-5)
-    with pytest.raises(ValueError):
-        preset("nope")
+    cal = plant_section("calibrated")
+    unc = plant_section("paper-uncalibrated")
+    assert cal["velocity"]["K"] == 1.0 and cal["steering"]["K"] == 1.0
+    assert unc["velocity"]["K"] == 2.11 and unc["steering"]["K"] == 0.26
+    assert unc["steering"]["tau_p_s"] == pytest.approx((0.85 - 0.0072) / LN10, abs=5e-5)
+    assert unc["velocity"]["tau_p_s"] == pytest.approx((0.53 - 0.0236) / LN10, abs=5e-5)
+    with pytest.raises(ConfigError) as exc:
+        plant_section("nope")
+    assert exc.value.path == "plant.preset"

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hilbench.config import ConfigError, resolve_distribution
 from hilbench.core import rng_stream
-from hilbench.links import StageLatencyModel
+from hilbench.links import sampler
 from hilbench.safety import AgentState
 from hilbench.spatial import ReferencePath, TrajectorySample
 from hilbench.sut import (
@@ -17,14 +18,24 @@ from hilbench.sut import (
 )
 
 STRAIGHT = ReferencePath([(0, 0), (20, 0)])
-CONSTANT_LATENCY = StageLatencyModel("constant", {"ms": 15.48})
+CONSTANT_LATENCY = {"mode": "constant", "ms": 15.48}
 
 
 def bimodal(mean1_ms=10.0, std1_ms=2.0):
-    return StageLatencyModel("bimodal", {"components": [
+    return {"mode": "bimodal", "components": [
         {"mean_ms": mean1_ms, "std_ms": std1_ms, "weight": 0.6},
         {"mean_ms": 28.0, "std_ms": 3.0, "weight": 0.4},
-    ]})
+    ]}
+
+
+def resolved(latency) -> dict:
+    """A controller latency as its config form resolves."""
+    return resolve_distribution(latency, "sut.latency", kind_key="mode")
+
+
+def latency_sampler(latency):
+    """The ``sample_ms(rng)`` sampler the runner hands the controller."""
+    return sampler(resolved(latency), kind_key="mode")
 
 
 def _reference_sut_latency_ms(mode, params, rng):
@@ -43,7 +54,7 @@ def _reference_sut_latency_ms(mode, params, rng):
 
 
 def make_sut(latency=None, seed=0, **params):
-    lat = latency or CONSTANT_LATENCY
+    lat = latency_sampler(latency or CONSTANT_LATENCY)
     sut = PurePursuitSut(PurePursuitParams(**params), lat, rng_stream(seed, "sut.lat"))
     return sut
 
@@ -151,15 +162,15 @@ def ashman_d(samples) -> float:
 
 class TestLatencyModels:
     def test_constant_has_zero_variance(self):
-        m = CONSTANT_LATENCY
+        sample_ms = latency_sampler(CONSTANT_LATENCY)
         rng = rng_stream(1, "x")
-        vals = [m.sample_ms(rng) for _ in range(100)]
+        vals = [sample_ms(rng) for _ in range(100)]
         assert min(vals) == max(vals) == 15.48
 
     def test_bimodal_preset_is_bimodal(self):
-        m = bimodal()
+        sample_ms = latency_sampler(bimodal())
         rng = rng_stream(2, "x")
-        samples = [m.sample_ms(rng) for _ in range(2000)]
+        samples = [sample_ms(rng) for _ in range(2000)]
         assert ashman_d(samples) > 4.0
 
     def test_unimodal_stays_below_the_verdict(self):
@@ -170,26 +181,30 @@ class TestLatencyModels:
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 20240808])
     def test_draws_equal_the_reference_controller_latency(self, seed):
-        # The stage model must reproduce the reference draw for draw from the
+        # The sampler must reproduce the reference draw for draw from the
         # same stream, or re-running a recorded config would no longer
         # reproduce its audit log.
-        models = [
-            ("bimodal", bimodal()),
+        latencies = [
+            bimodal(),
             # A component this close to 0 truncates often.
-            ("bimodal", bimodal(mean1_ms=1.0, std1_ms=5.0)),
-            ("constant", CONSTANT_LATENCY),
+            bimodal(mean1_ms=1.0, std1_ms=5.0),
+            CONSTANT_LATENCY,
         ]
-        for mode, model in models:
+        for latency in latencies:
+            params = resolved(latency)
+            sample_ms = sampler(params, kind_key="mode")
             ref_rng, rng = rng_stream(seed, "sut.lat"), rng_stream(seed, "sut.lat")
-            ref = [_reference_sut_latency_ms(mode, model.params, ref_rng) for _ in range(2000)]
-            assert [model.sample_ms(rng) for _ in range(2000)] == ref
+            ref = [_reference_sut_latency_ms(params["mode"], params, ref_rng)
+                   for _ in range(2000)]
+            assert [sample_ms(rng) for _ in range(2000)] == ref
 
     def test_weights_validated(self):
-        with pytest.raises(ValueError):
-            StageLatencyModel("bimodal", {"components": [
+        with pytest.raises(ConfigError) as exc:
+            resolved({"mode": "bimodal", "components": [
                 {"mean_ms": 10, "std_ms": 1, "weight": 0.7},
                 {"mean_ms": 20, "std_ms": 1, "weight": 0.7},
             ]})
+        assert exc.value.path == "sut.latency.components"
 
 
 def _imported_modules(src: str) -> set[str]:
@@ -209,8 +224,8 @@ class TestBlackBoxDiscipline:
     def test_module_has_no_platform_imports(self):
         # The controller may see only the observation data model: its module
         # must not import the plant, link, or orchestration layers.
-        # It takes the latency model the runner builds from the config with
-        # the link layer's stage model, so config is out of bounds too.
+        # It takes the latency sampler the runner builds from the config with
+        # the link layer's ``sampler``, so config is out of bounds too.
         src = Path(__import__("hilbench.sut", fromlist=["x"]).__file__).read_text()
         forbidden = {"plant", "links", "orchestrator", "config", "cli", "temporal"}
         assert not _imported_modules(src) & forbidden
