@@ -219,7 +219,8 @@ class TestPerturb:
         assert surviving and all(a == b for a, b in surviving)
 
     def test_fifo_clamp(self):
-        out = perturb(*injector(fixed_delay_ms=0.0), 100, rng_stream(1, "l"), rng_stream(1, "j"), last_out_ns=500)
+        out = perturb(*injector(fixed_delay_ms=0.0), 100, rng_stream(1, "l"), rng_stream(1, "j"),
+                      last_out_ns=500)
         assert out.t_out_ns == 500 and out.clamped
 
 
