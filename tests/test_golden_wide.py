@@ -3,7 +3,8 @@
 Both fixtures were written by ``hilbench.cli.main`` from the configs below
 (stage 3: 6 s of the intersection scenario, seed 42; stage 2: the cliff-sweep
 base with truncated-Gaussian command jitter and 5 % loss, delays 0 and 40 ms,
-2 s each).  A live re-run must reproduce every pinned file byte for byte, and
+2 s each).  A live re-run must reproduce every pinned file byte for byte, the
+``manifest.json`` that lists them included, and
 ``replay-report`` of each pinned audit log must reproduce its pinned report.
 To regenerate a fixture on purpose, run the same command into the fixture
 directory and say why in the change log.
@@ -99,10 +100,10 @@ STAGE2_CONFIG = {
 }
 
 STAGE3_FILES = ("audit.ndjson", "report.json", "trajectory.csv", "latency.csv",
-                "safety.csv", "events.json")
+                "safety.csv", "events.json", "manifest.json")
 STAGE2_POINTS = ("delay_0ms_rep0", "delay_40ms_rep0")
 STAGE2_FILES = tuple(f"{p}/{n}" for p in STAGE2_POINTS for n in ("audit.ndjson", "report.json")) \
-    + ("response_curve.csv",)
+    + ("response_curve.csv", "manifest.json")
 
 
 def _run(tmp_path_factory, command, config):
