@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 configuration error, 2 run aborted.  Every command
-that produces files also writes a ``manifest.json`` listing them.  The
+that produces files also writes a ``manifest.json`` listing them; ``stage2``
+lists the files ``orchestrator.run_stage2`` reports that it wrote.  The
 default output directory can be set with the ``HILBENCH_OUT`` environment
 variable.  ``--config`` accepts either a file path or the name of a shipped
 preset (``stage1-default``, ``stage2-cliff-sweep``, ``stage3-intersection``).
@@ -104,25 +105,7 @@ def _cmd_stage2(args) -> int:
         doc = {**doc, "base": {**doc["base"], "seed": args.seed}}
     sweep = cfg_mod.resolve_sweep_config(doc)
     out = _out_dir(args)
-    artifacts = {}
-
-    def point_dir(delay, rep):
-        return f"delay_{delay:g}ms_rep{rep}"
-
-    def log_path(delay, rep):
-        sub = out / point_dir(delay, rep)
-        sub.mkdir(parents=True, exist_ok=True)
-        return sub / "audit.ndjson"
-
-    def on_point(delay, rep, report, runner):
-        name = point_dir(delay, rep)
-        write_json(out / name / "report.json", report)
-        artifacts[f"audit_d{delay:g}_r{rep}"] = f"{name}/audit.ndjson"
-        artifacts[f"report_d{delay:g}_r{rep}"] = f"{name}/report.json"
-
-    rows, _reports = orchestrator.run_stage2(sweep, on_point=on_point, log_path=log_path)
-    orchestrator.write_response_curve(rows, out / "response_curve.csv")
-    artifacts["response_curve"] = "response_curve.csv"
+    rows, artifacts = orchestrator.run_stage2(sweep, out)
     _write_manifest(out, "stage2", artifacts,
                     {"all_completed": all(r["completed"] for r in rows)})
     if not args.quiet:
@@ -167,7 +150,7 @@ def _cmd_calibrate(args) -> int:
     out = _out_dir(args)
     pairs.save_csv(out / "dataset.csv")
     results["hybrid"][0].save(out / "model.json")
-    metrics = {name: {"rmse_m": m.rmse, "mae_m": m.mae, "p95_m": m.p95}
+    metrics = {name: {"rmse_m": m["rmse"], "mae_m": m["mae"], "p95_m": m["p95"]}
                for name, (_model, m) in results.items()}
     metrics_doc = {
         "n_pairs": len(pairs),

@@ -105,37 +105,6 @@ class R2VLink:
                                            t0 + d_ingest + d_adv + d_sense))
 
 
-class PerturbOutcome(NamedTuple):
-    dropped: bool
-    t_out_ns: int = 0
-    clamped: bool = False
-
-
-def perturb(cfg: dict, jitter, t_now_ns: int, loss_rng, jitter_rng,
-            last_out_ns: int | None = None) -> PerturbOutcome:
-    """Apply the injector to one command at ``t_now_ns``.
-
-    ``cfg`` is the resolved ``links.v2r.perturbation`` section and ``jitter``
-    the ``sampler`` of its ``jitter`` (None when that is null).
-
-    Both the loss and jitter draws are consumed for every command (even when
-    the command is dropped or loss_probability is 0), so changing the loss
-    setting never reshuffles the timing of the commands that survive.  When
-    reordering is disallowed the output time is clamped to the previous
-    output time.
-    """
-    jitter_ms = jitter(jitter_rng) if jitter is not None else 0.0
-    u = float(loss_rng.random())
-    if u < cfg["loss_probability"]:
-        return tuple.__new__(PerturbOutcome, (True, 0, False))  # (dropped, t_out_ns, clamped)
-    t_out = int(t_now_ns) + ms_to_ns(cfg["fixed_delay_ms"]) + ms_to_ns(jitter_ms)
-    clamped = False
-    if not cfg["reorder_allowed"] and last_out_ns is not None and t_out < last_out_ns:
-        t_out = last_out_ns
-        clamped = True
-    return tuple.__new__(PerturbOutcome, (False, t_out, clamped))
-
-
 class V2RSchedule(NamedTuple):
     """Stage boundary times for one command's trip to the actuator."""
 
@@ -149,18 +118,26 @@ class V2RSchedule(NamedTuple):
 class V2RLink:
     """Command link: perturbation injector then base latency.
 
-    With reordering disallowed (the default) deliveries are FIFO: a delivery
-    time is clamped up to the previous one when the draws would cross.  The
-    clamp is flagged because it stretches the measured link latency beyond
-    the sum of its parts for that command.
+    The injector draws the jitter and then the loss of every command, even
+    when the command is dropped or ``loss_probability`` is 0, so changing the
+    loss setting never reshuffles the timing of the commands that survive.  A
+    surviving command leaves the injector after the fixed delay plus its
+    jitter, and is delivered after a draw of the base latency.
+
+    With reordering disallowed (the default) both stages are FIFO: a
+    command's injector output time and its delivery time are each clamped up
+    to the previous command's when the draws would cross.  The clamp is
+    flagged because it stretches the measured link latency beyond the sum of
+    its parts for that command.
     """
 
     def __init__(self, cfg: dict, stream_factory) -> None:
         """``cfg``: the resolved ``links.v2r`` section."""
         pert = cfg["perturbation"]
-        self._perturbation = pert
         self._jitter = sampler(pert["jitter"]) if pert["jitter"] is not None else None
-        self._reorder_allowed = pert["reorder_allowed"]
+        self._loss_probability = pert["loss_probability"]
+        self._fixed_delay_ns = ms_to_ns(pert["fixed_delay_ms"])
+        self._fifo = not pert["reorder_allowed"]
         self._base = sampler(cfg["base"])
         self._base_rng = stream_factory("v2r.base")
         self._loss_rng = stream_factory("perturb.loss")
@@ -169,18 +146,20 @@ class V2RLink:
         self._last_deliver: int | None = None
 
     def transmit(self, t_now_ns: int) -> V2RSchedule:
-        out = perturb(self._perturbation, self._jitter, t_now_ns, self._loss_rng,
-                      self._jitter_rng, self._last_perturb_out)
-        if out.dropped:
+        t_in = int(t_now_ns)
+        jitter_ms = self._jitter(self._jitter_rng) if self._jitter is not None else 0.0
+        if float(self._loss_rng.random()) < self._loss_probability:
             # (dropped, t_perturb_in, t_perturb_out, t_deliver, fifo_clamped)
-            return tuple.__new__(V2RSchedule, (True, int(t_now_ns), 0, 0, False))
-        self._last_perturb_out = out.t_out_ns
-        t_deliver = out.t_out_ns + ms_to_ns(self._base(self._base_rng))
-        clamped = out.clamped
-        if not self._reorder_allowed and self._last_deliver is not None \
-                and t_deliver < self._last_deliver:
+            return tuple.__new__(V2RSchedule, (True, t_in, 0, 0, False))
+        t_out = t_in + self._fixed_delay_ns + ms_to_ns(jitter_ms)
+        clamped = False
+        if self._fifo and self._last_perturb_out is not None and t_out < self._last_perturb_out:
+            t_out = self._last_perturb_out
+            clamped = True
+        self._last_perturb_out = t_out
+        t_deliver = t_out + ms_to_ns(self._base(self._base_rng))
+        if self._fifo and self._last_deliver is not None and t_deliver < self._last_deliver:
             t_deliver = self._last_deliver
             clamped = True
         self._last_deliver = t_deliver
-        return tuple.__new__(V2RSchedule, (False, int(t_now_ns), out.t_out_ns, t_deliver, clamped))
-
+        return tuple.__new__(V2RSchedule, (False, t_in, t_out, t_deliver, clamped))

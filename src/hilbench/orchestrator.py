@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
 from itertools import count
+from pathlib import Path
 
 import numpy as np
 
@@ -35,12 +36,12 @@ from .core import (ACTUATOR_APPLY, GTS_SAMPLE, NO_PAYLOAD, NS_PER_S, PERTURB_IN,
                    R2V_ADV_DONE, R2V_INGEST_DONE, R2V_INGEST_START, R2V_SENSE_DONE, RUN_END,
                    RUN_HEADER, SUT_CMD_IN, SUT_CMD_OUT, V2R_DELIVER, AuditLog, Stage, TimedEvent,
                    actuator_text, canonical_json, command_text, float_text, ms_to_ns, pose_text,
-                   rng_stream, s_to_ns, sense_text, substream_seed)
+                   rng_stream, s_to_ns, sense_text, substream_seed, write_json)
 from .links import R2VLink, V2RLink, sampler
 from .plant import Plant
 from .safety import (AgentState, SafetyTrace, check_agent, d_min_trace, extract_events,
                      finite_or_none, frame_metrics)
-from .spatial import MetricSummary, ReferencePath, TrajectorySample, project, summarize, track_errors
+from .spatial import ReferencePath, TrajectorySample, project, summarize, track_errors
 from .sut import Observation, PurePursuitParams, PurePursuitSut
 
 
@@ -164,7 +165,6 @@ class Runner:
         self.sut = PurePursuitSut(PurePursuitParams(**params),
                                   sampler(sut_cfg["latency"], kind_key="mode"),
                                   stream("sut.lat"))
-        self.sut.reset(self.path)
         self.goal_speed = sut_cfg["goal_speed_mps"]
         self.npcs = [Npc(spec) for spec in (resolved["scenario"] or {"npcs": []})["npcs"]]
         self.trigger_zone = (resolved["scenario"] or {}).get("trigger_zone")
@@ -348,12 +348,6 @@ class Runner:
 
 # ---------------------------------------------------------------------------
 # Report building (shared by live runs and log replay)
-
-
-def _summary_dict(s: MetricSummary | None) -> dict | None:
-    if s is None:
-        return None
-    return {"mean": s.mean, "std": s.std, "rmse": s.rmse, "mae": s.mae, "p95": s.p95, "n": s.n}
 
 
 def _field(ev: TimedEvent, key: str, types=(int, float), kind: str = "a number"):
@@ -562,7 +556,7 @@ class Analyzer:
         safety = None
         if self._frames[0]:
             trace = self.safety_trace = d_min_trace(*self._frames)
-            sev = extract_events(
+            events = extract_events(
                 trace,
                 ttc_threshold_s=cfg["report"]["ttc_threshold_s"],
                 ttc_prominence_s=cfg["report"]["ttc_prominence_s"],
@@ -575,7 +569,7 @@ class Analyzer:
                 "t_at_ttc_min_ns": trace.t_at_ttc_min,
                 "d_min_m": finite_or_none(trace.d_min),
                 "t_at_d_min_ns": trace.t_at_d_min,
-                "events": [e.to_dict() for e in sev],
+                "events": events,
                 "triggered": self._triggered,
             }
 
@@ -600,8 +594,8 @@ class Analyzer:
                 "fraction": (n_records - len(gapped)) / n_records if n_records else 1.0,
                 "violations": gapped,
             },
-            "cte": _summary_dict(cte_summary),
-            "ate": _summary_dict(ate_summary),
+            "cte": cte_summary,
+            "ate": ate_summary,
             "distance_m": distance,
             "progress_m": progress,
             "max_cte_m": max_cte,
@@ -636,31 +630,34 @@ def sweep_point_seed(base_seed: int, delay_ms: float, rep: int) -> int:
     return substream_seed(base_seed, f"sweep/delay={delay_ms:g}/rep={rep}")
 
 
-def run_stage2(sweep_resolved: dict, on_point=None, log_path=None):
-    """Latency sweep: one stage-1-style run per (delay, repetition).
+def run_stage2(sweep_resolved: dict, out) -> tuple[list[dict], dict[str, str]]:
+    """Latency sweep: one stage-1-style run per (delay, repetition), written to
+    its own ``delay_<label>ms_rep<rep>/`` directory of ``out`` (its audit log
+    as it runs, then its report), then the ``response_curve.csv`` of ``out``.
 
-    Returns (rows, {delay: [reports]}) with rows sorted by delay; per-point
-    aborts are recorded (completed = False) and the sweep continues.  The
-    optional ``log_path(delay, rep)`` names the file that receives the
-    point's audit log as it runs, and ``on_point(delay, rep, report,
-    runner)`` fires after each point (for artifact writing).
+    Returns (rows, artifacts): the rows of the curve in delay order, and
+    ``{artifact name: path relative to out}`` of every file written, for the
+    manifest.  A point that aborts is recorded (completed = False) and the
+    sweep continues.
     """
+    out = Path(out)
     base = sweep_resolved["base"]
-    reps = sweep_resolved["repetitions"]
     rows = []
-    reports: dict[float, list] = {}
+    artifacts = {}
     for delay in sweep_resolved["injected_delays_ms"]:
         per_delay = []
-        for rep in range(reps):
+        for rep in range(sweep_resolved["repetitions"]):
             point = json.loads(json.dumps(base))
             point["seed"] = sweep_point_seed(base["seed"], delay, rep)
             point["run_id"] = f"{base['run_id']}-d{delay:g}ms-r{rep}"
             point["links"]["v2r"]["perturbation"]["fixed_delay_ms"] = float(delay)
-            report, runner = run_stage1(point, None if log_path is None else log_path(delay, rep))
-            if on_point is not None:
-                on_point(delay, rep, report, runner)
+            name = f"delay_{delay:g}ms_rep{rep}"
+            (out / name).mkdir(parents=True, exist_ok=True)
+            report, _runner = run_stage1(point, out / name / ARTIFACTS["audit"])
+            write_json(out / name / ARTIFACTS["report"], report)
+            artifacts[f"audit_d{delay:g}_r{rep}"] = f"{name}/{ARTIFACTS['audit']}"
+            artifacts[f"report_d{delay:g}_r{rep}"] = f"{name}/{ARTIFACTS['report']}"
             per_delay.append(report)
-        reports[delay] = per_delay
         cte_rmse = [r["cte"]["rmse"] for r in per_delay if r["cte"] is not None]
         cte_mean = [r["cte"]["mean"] for r in per_delay if r["cte"] is not None]
         cte_p95 = [r["cte"]["p95"] for r in per_delay if r["cte"] is not None]
@@ -672,7 +669,9 @@ def run_stage2(sweep_resolved: dict, on_point=None, log_path=None):
             "distance_m": float(np.mean([r["distance_m"] for r in per_delay])),
             "completed": all(r["completed"] for r in per_delay),
         })
-    return rows, reports
+    write_response_curve(rows, out / "response_curve.csv")
+    artifacts["response_curve"] = "response_curve.csv"
+    return rows, artifacts
 
 
 def write_response_curve(rows: list[dict], path) -> None:

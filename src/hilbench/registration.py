@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import rng_stream
-from .spatial import MetricSummary, summarize
+from .spatial import summarize
 
 
 @dataclass(frozen=True)
@@ -305,8 +305,8 @@ class RegistrationModel:
             fh.write("\n")
 
 
-def evaluate(model: RegistrationModel, pairs: MatchedPairs, test_idx) -> MetricSummary:
-    """Error statistics of ||f(p_T) - p_L|| over the test pairs only."""
+def evaluate(model: RegistrationModel, pairs: MatchedPairs, test_idx) -> dict:
+    """The ``spatial.summarize`` of ||f(p_T) - p_L|| over the test pairs only."""
     idx = np.asarray(test_idx, dtype=int)
     if idx.size == 0:
         raise ValueError("test set is empty")
@@ -445,7 +445,7 @@ BENCHMARK_TRAIN_FRACTION = 0.8
 def run_benchmark(field: DistortionField | None = None, hyper: MlpHyper | None = None):
     """Fit the full model ladder on the shipped benchmark.
 
-    Returns (pairs, train_idx, test_idx, {name: (model, MetricSummary)}).
+    Returns (pairs, train_idx, test_idx, {name: (model, its ``evaluate`` summary)}).
     """
     if field is None:
         field = default_benchmark_field()

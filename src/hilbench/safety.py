@@ -5,7 +5,7 @@ constant-velocity extrapolation of the inter-body gap and solves the contact
 time in closed form; the minimum-gap trace keeps per-frame gaps (floored at
 zero: overlap counts as collision) plus the running global minima.  Event
 extraction turns a trace into global minima, alert-threshold crossings, and
-prominence-filtered valleys.
+prominence-filtered valleys, each the dict that the report lists.
 """
 
 from __future__ import annotations
@@ -132,22 +132,13 @@ def finite_or_none(v: float | None) -> float | None:
     return v if v is not None and math.isfinite(v) else None
 
 
-@dataclass(frozen=True)
-class SafetyEvent:
-    kind: str        # GlobalMin | Valley | ThresholdCross
-    metric: str      # TTC | Dmin
-    t_ns: int
-    value: float
-    prominence: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "metric": self.metric,
-            "t_ns": self.t_ns,
-            "value": finite_or_none(self.value),
-            "prominence": finite_or_none(self.prominence),
-        }
+def _event(kind: str, metric: str, t_ns: int, value: float,
+           prominence: float | None = None) -> dict:
+    """One event as the report lists it: ``kind`` is GlobalMin, Valley or
+    ThresholdCross and ``metric`` TTC or Dmin; a non-finite value or
+    prominence is null (``finite_or_none``)."""
+    return {"kind": kind, "metric": metric, "t_ns": t_ns, "value": finite_or_none(value),
+            "prominence": finite_or_none(prominence)}
 
 
 def _peaks_before_lower(values: list[float]) -> list[float]:
@@ -205,8 +196,9 @@ def extract_events(
     ttc_prominence_s: float = 0.3,
     dmin_prominence_m: float = 1.0,
     min_separation_s: float = 5.0,
-) -> list[SafetyEvent]:
-    """Global minima, TTC alert crossings, collisions, and valleys of a trace.
+) -> list[dict]:
+    """Global minima, TTC alert crossings, collisions, and valleys of a trace,
+    as the report's event dicts (``_event``).
 
     Valleys are strict local minima with at least the requested prominence
     and pairwise separation; the global-minimum frame itself is excluded from
@@ -216,7 +208,7 @@ def extract_events(
     """
     if len(trace) == 0:
         raise ValueError("trace is empty")
-    events: list[SafetyEvent] = []
+    events = []
     sep_ns = round(min_separation_s * 1e9)
 
     specs = [
@@ -225,18 +217,18 @@ def extract_events(
     ]
     for metric, series, gmin, t_gmin, prom_min in specs:
         if t_gmin is not None and math.isfinite(gmin):
-            events.append(SafetyEvent("GlobalMin", metric, t_gmin, gmin))
+            events.append(_event("GlobalMin", metric, t_gmin, gmin))
 
     # Falling crossings of the TTC alert threshold.
     below = trace.ttc_s < ttc_threshold_s
     for i in range(len(trace)):
         if below[i] and (i == 0 or not below[i - 1]):
-            events.append(SafetyEvent("ThresholdCross", "TTC", int(trace.t_ns[i]), float(trace.ttc_s[i])))
+            events.append(_event("ThresholdCross", "TTC", int(trace.t_ns[i]), float(trace.ttc_s[i])))
     # Collision onset: the body gap reaching zero.
     zero = trace.dmin_m <= 0.0
     for i in range(len(trace)):
         if zero[i] and (i == 0 or not zero[i - 1]):
-            events.append(SafetyEvent("ThresholdCross", "Dmin", int(trace.t_ns[i]), 0.0))
+            events.append(_event("ThresholdCross", "Dmin", int(trace.t_ns[i]), 0.0))
 
     for metric, series, gmin, t_gmin, prom_min in specs:
         exclude = None
@@ -244,7 +236,7 @@ def extract_events(
             hits = np.nonzero((trace.t_ns == t_gmin) & (series == gmin))[0]
             exclude = int(hits[0]) if hits.size else None
         for val, i, prom in _find_valleys(trace.t_ns, series, prom_min, sep_ns, exclude):
-            events.append(SafetyEvent("Valley", metric, int(trace.t_ns[i]), val, prominence=prom))
+            events.append(_event("Valley", metric, int(trace.t_ns[i]), val, prom))
     return events
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import tee
 from typing import NamedTuple
 
@@ -163,35 +162,24 @@ def ate(path: ReferencePath, p, s_d: float) -> float:
     return float(path.lap_delta(project(path, p).arclength - s_d))
 
 
-@dataclass(frozen=True)
-class MetricSummary:
-    """Aggregate error statistics of one series (same unit as the input)."""
-
-    mean: float
-    std: float
-    rmse: float
-    mae: float
-    p95: float
-    n: int
-
-
-def nearest_rank_p95(values: np.ndarray) -> float:
-    """Nearest-rank 95th percentile of the absolute values."""
-    a = np.sort(np.abs(np.asarray(values, dtype=float)))
-    rank = math.ceil(0.95 * a.size)  # 1-based
-    return float(a[max(rank, 1) - 1])
-
-
-def summarize(values) -> MetricSummary:
-    """Mean / sample std / RMSE / MAE / nearest-rank P95 of a series."""
+def summarize(values) -> dict:
+    """The report's summary of a series, in the unit of its values:
+    ``{mean, std, rmse, mae, p95, n}``, with the sample std (n - 1; 0 for a
+    single value) and the nearest-rank 95th percentile of the absolute
+    values."""
     a = np.asarray(values, dtype=float)
     if a.size == 0:
         raise ValueError("cannot summarize an empty series")
-    mean = float(np.mean(a))
-    std = float(np.std(a, ddof=1)) if a.size > 1 else 0.0
-    rmse = float(np.sqrt(np.mean(a**2)))
-    mae = float(np.mean(np.abs(a)))
-    return MetricSummary(mean=mean, std=std, rmse=rmse, mae=mae, p95=nearest_rank_p95(a), n=int(a.size))
+    magnitudes = np.abs(a)
+    rank = math.ceil(0.95 * a.size)  # 1-based
+    return {
+        "mean": float(np.mean(a)),
+        "std": float(np.std(a, ddof=1)) if a.size > 1 else 0.0,
+        "rmse": float(np.sqrt(np.mean(a**2))),
+        "mae": float(np.mean(magnitudes)),
+        "p95": float(np.sort(magnitudes)[max(rank, 1) - 1]),
+        "n": int(a.size),
+    }
 
 
 def track_errors(path: ReferencePath, samples, goal_speed: float):

@@ -3,7 +3,9 @@
 A controller sees only the platform-published observation (synchronized ego
 pose, detected agents, route handle, goal speed) and returns one standardized
 control command.  The module deliberately imports nothing from the plant,
-link, or orchestration layers: the observation is the whole world.
+link, or orchestration layers: the observation is the whole world, the route
+included.  The one state a controller keeps between steps is its velocity
+estimate, and a run builds a new controller, so each run starts from none.
 
 The reference controller is pure pursuit for steering plus a curvature-based
 speed cap and a constant-velocity yield rule; its processing latency is drawn
@@ -64,10 +66,6 @@ class PurePursuitParams:
     ego_radius: float = 0.08
 
 
-class SutError(RuntimeError):
-    pass
-
-
 class PurePursuitSut:
     """Reference controller: pure pursuit + speed governor + yield rule."""
 
@@ -77,22 +75,12 @@ class PurePursuitSut:
         self.params = params
         self._sample_latency_ms = sample_latency_ms
         self._lat_rng = latency_rng
-        self._route: ReferencePath | None = None
         self._last_pose: TrajectorySample | None = None
         self._v_est = 0.0
 
-    def reset(self, route: ReferencePath) -> None:
-        if route is None or route.total_length <= 0.0:
-            raise SutError("reset requires a valid route")
-        self._route = route
-        self._last_pose = None
-        self._v_est = 0.0
-
     def step(self, obs: Observation) -> ControlCommand:
-        if self._route is None:
-            raise SutError("no route set; call reset first")
         p = self.params
-        route = obs.route if obs.route is not None else self._route
+        route = obs.route
 
         ex, ey, heading = obs.ego.x, obs.ego.y, obs.ego.heading
         self._update_velocity_estimate(obs.ego)

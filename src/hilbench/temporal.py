@@ -104,8 +104,9 @@ def summarize_latency(columns) -> dict[str, dict | None]:
     out = {}
     for name in COMPONENTS:
         s = summarize(np.asarray(columns[name], dtype=float) / NS_PER_MS)
-        out[name] = {"mean_ms": s.mean, "std_ms": s.std,
-                     "cv": s.std / s.mean if s.mean > 0.0 else 0.0, "p95_ms": s.p95, "n": s.n}
+        out[name] = {"mean_ms": s["mean"], "std_ms": s["std"],
+                     "cv": s["std"] / s["mean"] if s["mean"] > 0.0 else 0.0,
+                     "p95_ms": s["p95"], "n": s["n"]}
     return out
 
 

@@ -185,7 +185,7 @@ def test_05_registration_ladder():
     t0 = time.monotonic()
     pairs, train_idx, test_idx, results = run_benchmark()
     elapsed = time.monotonic() - t0
-    rmse = {name: res[1].rmse for name, res in results.items()}
+    rmse = {name: res[1]["rmse"] for name, res in results.items()}
     improvement = (rmse["rigid_svd"] - rmse["hybrid"]) / rmse["rigid_svd"]
     ok = (
         len(pairs) == 3433 and train_idx.size == 2746 and test_idx.size == 687
@@ -213,10 +213,10 @@ def test_06_determinism_and_auditability(tmp_path):
             f"logs byte-identical={logs_identical} replay bit-exact={replay_exact}")
 
 
-def test_07_stage2_cliff():
+def test_07_stage2_cliff(tmp_path):
     sweep = resolve_sweep_config(presets.load("stage2-cliff-sweep"))
     t0 = time.monotonic()
-    rows, _ = run_stage2(sweep)
+    rows, _ = run_stage2(sweep, tmp_path)
     elapsed = time.monotonic() - t0
     rmse = {r["delay_ms"]: r["cte_rmse_m"] for r in rows}
     completed = {r["delay_ms"]: r["completed"] for r in rows}

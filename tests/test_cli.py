@@ -96,6 +96,31 @@ class TestStageCommands:
         assert (out / "delay_0ms_rep0" / "report.json").exists()
         assert (out / "delay_10ms_rep0" / "audit.ndjson").exists()
 
+    def test_stage2_manifest_lists_every_file_the_sweep_wrote(self, tiny_cfg, tmp_path):
+        sweep = write_json(tmp_path / "sweep.json", {
+            "injected_delays_ms": [0, 10],
+            "repetitions": 2,
+            "base": json.loads(Path(tiny_cfg).read_text()),
+        })
+        out = tmp_path / "s2"
+        assert main(["stage2", "--config", sweep, "--out", str(out), "-q"]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        listed = {a["name"]: a["path"] for a in manifest["artifacts"]}
+        assert len(listed) == len(manifest["artifacts"])
+        written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert sorted(listed.values()) == sorted(written - {"manifest.json"})
+        assert all((out / path).is_file() for path in listed.values())
+        points = [f"delay_{d}ms_rep{r}" for d in (0, 10) for r in (0, 1)]
+        assert sorted(listed) == sorted(
+            [f"{kind}_d{d}_r{r}" for kind in ("audit", "report") for d in (0, 10) for r in (0, 1)]
+            + ["response_curve"])
+        assert all(f"{p}/{n}" in listed.values() for p in points
+                   for n in ("audit.ndjson", "report.json"))
+        assert manifest["command"] == "stage2"
+        reports = [json.loads((out / p / "report.json").read_text()) for p in points]
+        assert manifest["flags"] == {"all_completed": all(r["completed"] for r in reports)}
+        assert len({r["run_id"] for r in reports}) == len({r["seed"] for r in reports}) == 4
+
     def test_stage3_with_script_flag(self, tiny_cfg, tmp_path):
         scenario = presets.load("stage3-intersection")["scenario"]
         script = write_json(tmp_path / "script.json", scenario)

@@ -6,7 +6,7 @@ import pytest
 from hilbench import presets
 from hilbench.config import ConfigError, resolve_distribution, resolve_run_config
 from hilbench.core import ms_to_ns, rng_stream
-from hilbench.links import R2VLink, V2RLink, perturb, sampler
+from hilbench.links import R2VLink, V2RLink, sampler
 
 
 def constant(ms):
@@ -46,13 +46,6 @@ def resolved_links(**links) -> dict:
 def shipped_links() -> dict:
     """The link distributions of a run config that sets none."""
     return resolved_links()
-
-
-def injector(**perturbation):
-    """The resolved perturbation section with ``perturbation`` set, and the
-    sampler of its jitter, as ``perturb`` takes them."""
-    cfg = resolved_links(v2r={"perturbation": perturbation})["v2r"]["perturbation"]
-    return cfg, (sampler(cfg["jitter"]) if cfg["jitter"] is not None else None)
 
 
 def v2r_link(seed, base, **perturbation):
@@ -189,39 +182,42 @@ class TestR2V:
 
 
 class TestPerturb:
+    """The injector stage of ``V2RLink.transmit``, behind a zero base latency."""
+
     def test_passthrough(self):
-        out = perturb(*injector(), 1000, rng_stream(1, "l"), rng_stream(1, "j"))
-        assert not out.dropped and out.t_out_ns == 1000
+        s = v2r_link(1, constant(0.0)).transmit(1000)
+        assert not s.dropped and s.t_perturb_out == 1000
 
     def test_fixed_delay_40ms(self):
-        out = perturb(*injector(fixed_delay_ms=40.0), 0, rng_stream(1, "l"), rng_stream(1, "j"))
-        assert out.t_out_ns == ms_to_ns(40.0)
+        s = v2r_link(1, constant(0.0), fixed_delay_ms=40.0).transmit(0)
+        assert s.t_perturb_out == ms_to_ns(40.0)
 
     def test_certain_loss(self):
-        cfg, jitter = injector(loss_probability=1.0)
-        rng = rng_stream(1, "l")
+        link = v2r_link(1, constant(0.0), loss_probability=1.0)
         for _ in range(100):
-            assert perturb(cfg, jitter, 0, rng, rng_stream(1, "j")).dropped
+            assert link.transmit(0).dropped
 
     def test_loss_draw_consumed_even_at_zero_probability(self):
         # Same seed, different loss settings -> same jitter values.
         jit = gaussian(5.0, 2.0)
         outs = {}
         for p in (0.0, 0.5):
-            cfg, jitter = injector(jitter=jit, loss_probability=p)
-            loss_rng, jit_rng = rng_stream(7, "loss"), rng_stream(7, "jit")
+            link = v2r_link(7, constant(0.0), jitter=jit, loss_probability=p,
+                            reorder_allowed=True)
             vals = []
             for _ in range(50):
-                o = perturb(cfg, jitter, 0, loss_rng, jit_rng)
-                vals.append(None if o.dropped else o.t_out_ns)
+                s = link.transmit(0)
+                vals.append(None if s.dropped else s.t_perturb_out)
             outs[p] = vals
         surviving = [(a, b) for a, b in zip(outs[0.0], outs[0.5]) if b is not None]
         assert surviving and all(a == b for a, b in surviving)
+        assert None in outs[0.5]
 
     def test_fifo_clamp(self):
-        out = perturb(*injector(fixed_delay_ms=0.0), 100, rng_stream(1, "l"), rng_stream(1, "j"),
-                      last_out_ns=500)
-        assert out.t_out_ns == 500 and out.clamped
+        link = v2r_link(1, constant(0.0))
+        assert not link.transmit(500).fifo_clamped
+        s = link.transmit(100)
+        assert s.t_perturb_out == 500 and s.fifo_clamped
 
 
 class TestV2R:

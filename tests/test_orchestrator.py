@@ -17,7 +17,6 @@ from hilbench.orchestrator import (
     run_stage1,
     run_stage2,
     sweep_point_seed,
-    write_response_curve,
 )
 
 
@@ -205,7 +204,7 @@ class TestReplay:
 
 
 class TestStage2:
-    def test_single_zero_delay_row_equals_stage1_with_derived_seed(self):
+    def test_single_zero_delay_row_equals_stage1_with_derived_seed(self, tmp_path):
         base = {
             "schema_version": 1, "run_id": "s", "seed": 11,
             "termination": {"duration_s": 3.0},
@@ -214,15 +213,15 @@ class TestStage2:
                     "latency": {"mode": "constant", "ms": 15.48}},
         }
         sweep = resolve_sweep_config({"injected_delays_ms": [0], "base": base})
-        rows, reports = run_stage2(sweep)
+        rows, _artifacts = run_stage2(sweep, tmp_path)
         solo = dict(base)
         solo["seed"] = sweep_point_seed(11, 0.0, 0)
         solo["run_id"] = "s-d0ms-r0"
         ref, _ = run_stage1(resolve_run_config(solo))
         assert rows[0]["cte_rmse_m"] == ref["cte"]["rmse"]
-        assert json_document(reports[0][0]) == json_document(ref)
+        assert (tmp_path / "delay_0ms_rep0" / "report.json").read_text() == json_document(ref)
 
-    def test_membership_independence(self):
+    def test_membership_independence(self, tmp_path):
         base = {
             "schema_version": 1, "run_id": "s", "seed": 13,
             "termination": {"duration_s": 2.0},
@@ -230,13 +229,17 @@ class TestStage2:
             "sut": {"name": "pure-pursuit", "goal_speed_mps": 0.3,
                     "latency": {"mode": "constant", "ms": 15.48}},
         }
+        a, b = tmp_path / "a", tmp_path / "b"
         rows_a, _ = run_stage2(resolve_sweep_config(
-            {"injected_delays_ms": [0, 20], "base": base}))
+            {"injected_delays_ms": [0, 20], "base": base}), a)
         rows_b, _ = run_stage2(resolve_sweep_config(
-            {"injected_delays_ms": [0, 10, 20, 40], "base": base}))
+            {"injected_delays_ms": [0, 10, 20, 40], "base": base}), b)
         by_delay_b = {r["delay_ms"]: r for r in rows_b}
         for row in rows_a:
             assert row == by_delay_b[row["delay_ms"]]
+        for point in ("delay_0ms_rep0", "delay_20ms_rep0"):
+            for name in ("audit.ndjson", "report.json"):
+                assert (a / point / name).read_bytes() == (b / point / name).read_bytes()
 
     def test_rows_sorted_and_csv_format(self, tmp_path):
         base = {
@@ -247,10 +250,9 @@ class TestStage2:
                     "latency": {"mode": "constant", "ms": 15.48}},
         }
         rows, _ = run_stage2(resolve_sweep_config(
-            {"injected_delays_ms": [0, 10], "base": base}))
-        out = tmp_path / "curve.csv"
-        write_response_curve(rows, out)
-        lines = out.read_text().strip().splitlines()
+            {"injected_delays_ms": [0, 10], "base": base}), tmp_path)
+        assert [r["delay_ms"] for r in rows] == [0.0, 10.0]
+        lines = (tmp_path / "response_curve.csv").read_text().strip().splitlines()
         assert lines[0] == "delay_ms,cte_rmse_m,cte_mean_m,cte_p95_m,distance_m,completed"
         assert len(lines) == 3
 
@@ -408,9 +410,8 @@ class TestEveryLineReencodes:
             "jitter": {"kind": "gaussian_truncated", "mean_ms": 4.0, "std_ms": 12.0},
             "loss_probability": 0.05,
         }
-        log = tmp_path / "audit.ndjson"
-        run_stage2(resolve_sweep_config(doc), log_path=lambda delay, rep: log)
-        text = log.read_text()
+        run_stage2(resolve_sweep_config(doc), tmp_path)
+        text = (tmp_path / "delay_40ms_rep0" / "audit.ndjson").read_text()
         for seen in ('"dropped":true', '"fifo_clamped":true', '"steer_limited":true'):
             assert seen in text
         self.assert_lines_reencode(text.splitlines(), fed)

@@ -112,10 +112,10 @@ class TestResidualMlp:
         train, test = split_indices(800, 0.8, seed=13)
         a, t = fit_affine(pairs, train)
         affine_only = RegistrationModel(a, t, train_idx=train)
-        rmse_affine = evaluate(affine_only, pairs, test).rmse
+        rmse_affine = evaluate(affine_only, pairs, test)["rmse"]
         mlp, norm = fit_residual_mlp(pairs, train, (a, t), MlpHyper(epochs=800, seed=2))
         hybrid = RegistrationModel(a, t, normalizer=norm, mlp=mlp, train_idx=train)
-        rmse_hybrid = evaluate(hybrid, pairs, test).rmse
+        rmse_hybrid = evaluate(hybrid, pairs, test)["rmse"]
         assert rmse_hybrid <= 0.2 * rmse_affine
 
     def test_training_is_deterministic(self):
@@ -182,7 +182,7 @@ class TestEvaluate:
         src = rng.uniform(0, 4, size=(50, 2))
         model = RegistrationModel(np.eye(2), np.zeros(2))
         s = evaluate(model, pairs_from(src, src), np.arange(50))
-        assert s.rmse == 0.0 and s.p95 == 0.0
+        assert s["rmse"] == 0.0 and s["p95"] == 0.0
 
     def test_noise_floor_on_pure_rotation(self):
         # With reference-frame-isotropic noise mapped through a rotation,
@@ -199,7 +199,7 @@ class TestEvaluate:
             p = pairs_from(src, dst)
             train, test = split_indices(600, 0.8, seed=seed)
             a, t = fit_affine(p, train)
-            rmses.append(evaluate(RegistrationModel(a, t, train_idx=train), p, test).rmse)
+            rmses.append(evaluate(RegistrationModel(a, t, train_idx=train), p, test)["rmse"])
         assert np.mean(rmses) == pytest.approx(sigma * math.sqrt(2), rel=0.15)
 
     def test_split_discipline_enforced(self):

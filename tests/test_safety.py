@@ -169,7 +169,7 @@ class TestEvents:
     def test_monotone_trace_only_global_min(self):
         trace = dipping_trace([9, 8, 7, 6, 5])
         events = extract_events(trace)
-        kinds = [(e.kind, e.metric) for e in events]
+        kinds = [(e["kind"], e["metric"]) for e in events]
         assert ("GlobalMin", "Dmin") in kinds
         assert not any(k == "Valley" for k, _ in kinds)
 
@@ -177,41 +177,41 @@ class TestEvents:
         vals = [10, 9, 10, 10, 10, 7, 10, 10, 10, 9.5, 10, 10, 10, 5, 10, 10]
         trace = dipping_trace(vals)
         events = extract_events(trace, dmin_prominence_m=1.0, min_separation_s=2.0)
-        valleys = [e for e in events if e.kind == "Valley" and e.metric == "Dmin"]
-        assert [v.value for v in valleys] == [7.0, 9.0]  # ascending by depth
-        gmin = [e for e in events if e.kind == "GlobalMin" and e.metric == "Dmin"]
-        assert gmin[0].value == 5.0
+        valleys = [e for e in events if e["kind"] == "Valley" and e["metric"] == "Dmin"]
+        assert [v["value"] for v in valleys] == [7.0, 9.0]  # ascending by depth
+        gmin = [e for e in events if e["kind"] == "GlobalMin" and e["metric"] == "Dmin"]
+        assert gmin[0]["value"] == 5.0
 
     def test_ttc_threshold_cross_fixture(self):
         # TTC dips to 1.06 s; the 1.5 s alert threshold fires once.
         vals = [4.0, 3.0, 2.0, 1.06, 1.2, 2.5, 4.0]
         trace = dipping_trace(vals, metric="ttc")
         events = extract_events(trace, ttc_threshold_s=1.5)
-        crossings = [e for e in events if e.kind == "ThresholdCross" and e.metric == "TTC"]
+        crossings = [e for e in events if e["kind"] == "ThresholdCross" and e["metric"] == "TTC"]
         assert len(crossings) == 1
-        assert crossings[0].value == pytest.approx(1.06, abs=1e-9)
+        assert crossings[0]["value"] == pytest.approx(1.06, abs=1e-9)
 
     def test_each_dip_below_threshold_fires_once(self):
         vals = [4, 1.2, 4, 4, 1.0, 0.9, 4, 4, 1.4, 4]
         trace = dipping_trace(vals, metric="ttc")
         events = extract_events(trace, ttc_threshold_s=1.5)
-        crossings = [e for e in events if e.kind == "ThresholdCross" and e.metric == "TTC"]
+        crossings = [e for e in events if e["kind"] == "ThresholdCross" and e["metric"] == "TTC"]
         assert len(crossings) == 3
 
     def test_collision_emits_dmin_cross(self):
         trace = dipping_trace([2.0, 1.0, 0.0, 0.0, 1.0])
         events = extract_events(trace)
-        dmin_cross = [e for e in events if e.kind == "ThresholdCross" and e.metric == "Dmin"]
+        dmin_cross = [e for e in events if e["kind"] == "ThresholdCross" and e["metric"] == "Dmin"]
         assert len(dmin_cross) == 1
-        assert dmin_cross[0].value == 0.0
+        assert dmin_cross[0]["value"] == 0.0
 
     def test_min_separation_suppresses_near_valleys(self):
         vals = [10, 6, 10, 6.5, 10, 10, 10, 10, 10, 10, 7, 10]
         trace = dipping_trace(vals, dt_s=1.0)
         events = extract_events(trace, dmin_prominence_m=1.0, min_separation_s=5.0)
-        valleys = [e for e in events if e.kind == "Valley"]
+        valleys = [e for e in events if e["kind"] == "Valley"]
         # 6 and 6.5 are 2 s apart: the deeper one wins; 7 at t=10 survives.
-        assert sorted(v.value for v in valleys) == [6.5, 7.0]
+        assert sorted(v["value"] for v in valleys) == [6.5, 7.0]
 
     def test_deterministic_and_idempotent(self):
         vals = [10, 6, 10, 6.5, 10, 3, 10, 9, 10, 7, 10]
@@ -225,8 +225,8 @@ class TestEvents:
         base = extract_events(dipping_trace(vals), min_separation_s=2.0)
         extended = extract_events(dipping_trace(vals + [10, 10, 10, 10, 10, 10]),
                                   min_separation_s=2.0)
-        assert [e for e in base if e.kind == "Valley"] == \
-            [e for e in extended if e.kind == "Valley"]
+        assert [e for e in base if e["kind"] == "Valley"] == \
+            [e for e in extended if e["kind"] == "Valley"]
 
 
 def quadratic_valley_prominence(values, i):
@@ -317,5 +317,5 @@ def test_csv_and_json_exports(tmp_path):
     assert lines[0] == "t_ns,ttc_s,dmin_m"
     assert len(lines) == 6
     events = extract_events(trace)
-    write_json(tmp_path / "e.json", [e.to_dict() for e in events])
-    assert json.loads((tmp_path / "e.json").read_text()) == [e.to_dict() for e in events]
+    write_json(tmp_path / "e.json", events)
+    assert json.loads((tmp_path / "e.json").read_text()) == events

@@ -315,17 +315,17 @@ class TestTrackErrors:
 class TestSummaries:
     def test_all_zero(self):
         s = summarize([0.0, 0.0, 0.0])
-        assert (s.mean, s.std, s.rmse, s.mae, s.p95) == (0, 0, 0, 0, 0)
+        assert s == {"mean": 0, "std": 0, "rmse": 0, "mae": 0, "p95": 0, "n": 3}
 
     def test_constant_offset(self):
         straight = ReferencePath([(0, 0), (10, 0)])
         traj = [TrajectorySample(i, x, 0.1, 0.0) for i, x in enumerate(np.linspace(0, 10, 11))]
         s = cte_summary(straight, traj)
-        assert s.mean == pytest.approx(0.1)
-        assert s.rmse == pytest.approx(0.1)
-        assert s.mae == pytest.approx(0.1)
-        assert s.p95 == pytest.approx(0.1)
-        assert s.std == pytest.approx(0.0)
+        assert s["mean"] == pytest.approx(0.1)
+        assert s["rmse"] == pytest.approx(0.1)
+        assert s["mae"] == pytest.approx(0.1)
+        assert s["p95"] == pytest.approx(0.1)
+        assert s["std"] == pytest.approx(0.0)
 
     def test_rmse_identity(self):
         rng = rng_stream(5, "spatial.test")
@@ -333,11 +333,11 @@ class TestSummaries:
             vals = rng.normal(2.0, 1.5, size=int(rng.integers(2, 200)))
             s = summarize(vals)
             n = len(vals)
-            assert s.rmse**2 == pytest.approx(s.mean**2 + s.std**2 * (n - 1) / n, rel=1e-9)
+            assert s["rmse"]**2 == pytest.approx(s["mean"]**2 + s["std"]**2 * (n - 1) / n, rel=1e-9)
 
     def test_p95_nearest_rank(self):
         vals = list(range(1, 101))  # p95 of 1..100 is 95 by nearest rank
-        assert summarize(vals).p95 == 95
+        assert summarize(vals)["p95"] == 95
 
     def test_matches_independent_recomputation(self):
         rng = rng_stream(23, "spatial.test")
@@ -345,9 +345,9 @@ class TestSummaries:
         traj = [TrajectorySample(i, *rng.uniform(0, 4, size=2), 0.0) for i in range(100)]
         s = cte_summary(path, traj)
         errs = np.array([math.dist((q.x, q.y), project(path, (q.x, q.y)).point) for q in traj])
-        assert s.mean == pytest.approx(float(np.mean(errs)))
-        assert s.rmse == pytest.approx(float(np.sqrt(np.mean(errs**2))))
-        assert s.mae == pytest.approx(float(np.mean(np.abs(errs))))
+        assert s["mean"] == pytest.approx(float(np.mean(errs)))
+        assert s["rmse"] == pytest.approx(float(np.sqrt(np.mean(errs**2))))
+        assert s["mae"] == pytest.approx(float(np.mean(np.abs(errs))))
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):

@@ -10,12 +10,7 @@ from hilbench.core import rng_stream
 from hilbench.links import sampler
 from hilbench.safety import AgentState
 from hilbench.spatial import ReferencePath, TrajectorySample
-from hilbench.sut import (
-    Observation,
-    PurePursuitParams,
-    PurePursuitSut,
-    SutError,
-)
+from hilbench.sut import Observation, PurePursuitParams, PurePursuitSut
 
 STRAIGHT = ReferencePath([(0, 0), (20, 0)])
 CONSTANT_LATENCY = {"mode": "constant", "ms": 15.48}
@@ -55,8 +50,7 @@ def _reference_sut_latency_ms(mode, params, rng):
 
 def make_sut(latency=None, seed=0, **params):
     lat = latency_sampler(latency or CONSTANT_LATENCY)
-    sut = PurePursuitSut(PurePursuitParams(**params), lat, rng_stream(seed, "sut.lat"))
-    return sut
+    return PurePursuitSut(PurePursuitParams(**params), lat, rng_stream(seed, "sut.lat"))
 
 
 def obs(t_ns, x, y, heading, detections=(), route=STRAIGHT, goal=0.5):
@@ -67,76 +61,52 @@ def obs(t_ns, x, y, heading, detections=(), route=STRAIGHT, goal=0.5):
 class TestPurePursuit:
     def test_aligned_on_straight_route_steers_zero(self):
         sut = make_sut()
-        sut.reset(STRAIGHT)
         cmd = sut.step(obs(0, 5.0, 0.0, 0.0))
         assert cmd.steer_setpoint == pytest.approx(0.0, abs=1e-9)
         assert cmd.speed_setpoint == pytest.approx(0.5)
 
     def test_lateral_offset_steers_back(self):
         sut = make_sut()
-        sut.reset(STRAIGHT)
         cmd = sut.step(obs(0, 5.0, 0.5, 0.0))
         assert cmd.steer_setpoint < 0.0  # path is below-right: steer negative
 
     def test_yield_on_blocking_detection(self):
         sut = make_sut(d_stop=0.5)
-        sut.reset(STRAIGHT)
         det = AgentState("npc", 0, 5.48, 0.0, 0.0, 0.0, 0.1)  # gap 0.3 m ahead
         cmd = sut.step(obs(0, 5.0, 0.0, 0.0, detections=[det]))
         assert cmd.speed_setpoint == 0.0
 
     def test_far_detection_ignored(self):
         sut = make_sut(d_stop=0.5, t_h=2.0)
-        sut.reset(STRAIGHT)
         det = AgentState("npc", 0, 15.0, 3.0, 0.0, 0.0, 0.1)
         cmd = sut.step(obs(0, 5.0, 0.0, 0.0, detections=[det]))
         assert cmd.speed_setpoint > 0.0
 
     def test_constant_latency_is_applied(self):
         sut = make_sut(latency=CONSTANT_LATENCY)
-        sut.reset(STRAIGHT)
         cmd = sut.step(obs(1_000_000, 1.0, 0.0, 0.0))
         assert cmd.t_issued_ns - 1_000_000 == 15_480_000
 
-    def test_requires_route(self):
-        sut = make_sut()
-        with pytest.raises(SutError):
-            sut.step(obs(0, 0.0, 0.0, 0.0))
-        with pytest.raises(SutError):
-            sut.reset(None)
-
-    def test_reset_clears_state_and_is_deterministic(self):
-        seq = [obs(int(k * 2e7), 0.1 * k, 0.01 * k, 0.0) for k in range(20)]
-        a = make_sut(seed=5)
-        a.reset(STRAIGHT)
-        out1 = [a.step(o) for o in seq]
-        a.reset(STRAIGHT)
-        out2 = [a.step(o) for o in seq]
-        assert out1 == out2
-
     def test_two_instances_same_seed_identical(self):
-        seq = [obs(int(k * 2e7), 0.1 * k, 0.0, 0.0) for k in range(10)]
-        a, b = make_sut(seed=9), make_sut(seed=9)
-        a.reset(STRAIGHT)
-        b.reset(STRAIGHT)
+        # A new controller starts from no state: the velocity estimate and
+        # the latency stream are its own.
+        seq = [obs(int(k * 2e7), 0.1 * k, 0.01 * k, 0.0) for k in range(20)]
+        a, b = make_sut(latency=bimodal(), seed=9), make_sut(latency=bimodal(), seed=9)
         assert [a.step(o) for o in seq] == [b.step(o) for o in seq]
 
-    def test_reset_with_new_route_takes_effect(self):
-        # Same pose, different stored route: the command must follow the
-        # route set at the last reset.
+    def test_route_of_each_observation_takes_effect(self):
+        # Same pose, different route: the command must follow the route of
+        # the observation it answers.
         upward = ReferencePath([(0, 0), (0, 20)])
         sut = make_sut()
-        sut.reset(STRAIGHT)
-        along_x = sut.step(obs(0, 1.0, 0.0, 0.0, route=None))
-        sut.reset(upward)
-        along_y = sut.step(obs(0, 1.0, 0.0, 0.0, route=None))
+        along_x = sut.step(obs(0, 1.0, 0.0, 0.0, route=STRAIGHT))
+        along_y = sut.step(obs(0, 1.0, 0.0, 0.0, route=upward))
         assert along_x.steer_setpoint == pytest.approx(0.0, abs=1e-9)
         assert along_y.steer_setpoint > 0.1  # steering left toward +y route
 
     def test_curvature_feedforward_slows_before_corner(self):
         corner = ReferencePath([(0, 0), (2, 0), (2, 2)])
         sut = make_sut(a_lat_max=0.3)
-        sut.reset(corner)
         far = sut.step(obs(0, 0.2, 0.0, 0.0, route=corner, goal=1.0))
         near = sut.step(obs(int(2e7), 1.8, 0.0, 0.0, route=corner, goal=1.0))
         assert near.speed_setpoint < far.speed_setpoint
