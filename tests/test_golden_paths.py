@@ -5,7 +5,11 @@ samplers from a resolved config, where no byte fixture pins them otherwise:
 - a ``stage1`` run of ``tests/data/echo_pin/config.json`` (a bimodal
   controller latency, lognormal stages in both forms, a truncated Gaussian
   with ``max_ms``, command jitter and loss);
-- a short ``paper-uncalibrated`` run with ``dead_time_jitter`` enabled.
+- a short ``paper-uncalibrated`` run with ``dead_time_jitter`` enabled;
+- ``termination.mode: laps``: a ``stage1`` run of
+  ``tests/data/laps_pin/config.json`` (the ``stage1-default`` preset that
+  stops after one lap), and the same config capped by its
+  ``max_duration_s`` before its three laps.
 
 A failure here means a run of the same config and seed no longer writes the
 same bytes.
@@ -20,6 +24,7 @@ import pytest
 from hilbench.cli import EXIT_OK, main
 
 ECHO_PIN_CONFIG = Path(__file__).parent / "data" / "echo_pin" / "config.json"
+LAPS_PIN_CONFIG = Path(__file__).parent / "data" / "laps_pin" / "config.json"
 
 JITTER_CONFIG = {
     "schema_version": 1,
@@ -28,6 +33,12 @@ JITTER_CONFIG = {
     "termination": {"duration_s": 3.0},
     "path": {"preset": "square-sandbox"},
     "plant": {"preset": "paper-uncalibrated", "dead_time_jitter": {"enabled": True}},
+}
+
+LAPS_CAP_CONFIG = {
+    **json.loads(LAPS_PIN_CONFIG.read_text()),
+    "run_id": "laps_cap",
+    "termination": {"laps": 3, "max_duration_s": 10.0},
 }
 
 IDENTIFY_SHA256 = {
@@ -53,6 +64,18 @@ RUN_SHA256 = {
         "report.json": "12941f06d1d9cf3f443663e8532f84a3a4052bccdc9fbb1464ab5b0cfbc0ba89",
         "trajectory.csv": "10da1a0808a103ffbda7382afe8c3e1e7497ff923f57e71209763afcdf58c6d8",
         "latency.csv": "e85c1e9ab982cd5731eb89453da03f5c49062a50d138d4615c8b30a01b7e00f8",
+    },
+    "laps1": {
+        "audit.ndjson": "03325831e49165167cbfb13d7b97348530cfd1521867e156ae276e8d15c99448",
+        "report.json": "2968574ea6274d9013320ccd4b44b5c1d8ea8549b38b6c56f907fadc71753ba6",
+        "trajectory.csv": "e829a986ca182c640019a169c72f3e8d9b52c924617e9ddc699c7ec63abffa8b",
+        "latency.csv": "9f8ac5c095ea3ae368e7c4c649754d2d51812ac879d597bd350318abeb83c61e",
+    },
+    "laps_cap": {
+        "audit.ndjson": "7b4aaea00efca745a3816da29cffd8f3574a49366e45b1b0c4b84d1154b09c1e",
+        "report.json": "ad7966d0ec790c9f89c0c77b2aa143406808c9c60fe21dcdaa9b75c038a30d63",
+        "trajectory.csv": "d38d85d0361497f499c0dffc3aa61fee9cd18085ee8588f7cf91c751d8ef871b",
+        "latency.csv": "2816361a5345cf545e51d4676355aa39ad34d0893eade1cca7736c7ee95a50a8",
     },
 }
 
@@ -82,7 +105,9 @@ def test_identify_reproduces_pinned_digests(tmp_path, channel):
 
 
 @pytest.mark.parametrize("name, doc", [("echo_pin", ECHO_PIN_CONFIG),
-                                       ("dead_time_jitter", JITTER_CONFIG)])
+                                       ("dead_time_jitter", JITTER_CONFIG),
+                                       ("laps1", LAPS_PIN_CONFIG),
+                                       ("laps_cap", LAPS_CAP_CONFIG)])
 def test_stage1_reproduces_pinned_digests(tmp_path, name, doc):
     expected = RUN_SHA256[name]
     assert _digests(_stage1(tmp_path, name, doc), expected) == expected
@@ -94,3 +119,11 @@ def test_dead_time_jitter_pin_depends_on_the_jitter(tmp_path):
     plain = {**JITTER_CONFIG, "plant": {"preset": "paper-uncalibrated"}}
     digest = _digests(_stage1(tmp_path, "plain", plain), ["audit.ndjson"])["audit.ndjson"]
     assert digest != RUN_SHA256["dead_time_jitter"]["audit.ndjson"]
+
+
+def test_replay_of_the_laps_log_equals_its_live_report(tmp_path):
+    out = _stage1(tmp_path, "laps1", LAPS_PIN_CONFIG)
+    replayed = tmp_path / "replayed"
+    assert main(["replay-report", "--log", str(out / "audit.ndjson"), "--out", str(replayed),
+                 "-q"]) == EXIT_OK
+    assert (replayed / "report.json").read_bytes() == (out / "report.json").read_bytes()

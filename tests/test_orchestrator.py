@@ -2,6 +2,7 @@ import json
 import math
 from heapq import heappop, heappush
 
+import numpy as np
 import pytest
 
 from hilbench import cli, orchestrator, presets
@@ -24,6 +25,36 @@ def logged_run(cfg, log):
     """(report, audit lines) of one run that writes its audit log to ``log``."""
     report, _ = run_stage1(cfg, log)
     return report, log.read_text().splitlines()
+
+
+def oracle_progress(cfg, lines):
+    """(unwrapped progress after each logged GtsSample, path length): each
+    sample's closest point on the closed config path, found segment by
+    segment with numpy, and the arc-length steps between them wrapped to the
+    nearest lap."""
+    assert cfg["path"]["closed"]
+    a = np.asarray(cfg["path"]["vertices"], dtype=float)
+    d = np.roll(a, -1, axis=0) - a
+    lengths = np.hypot(d[:, 0], d[:, 1])
+    s0 = np.concatenate([[0.0], np.cumsum(lengths)[:-1]])
+    total = float(lengths.sum())
+    progress, last_s = [], None
+    for line in lines:
+        rec = json.loads(line)
+        if rec["stage"] != "GtsSample":
+            continue
+        p = np.array([rec["payload"]["x"], rec["payload"]["y"]])
+        t = np.clip(((p - a) * d).sum(axis=1) / lengths**2, 0.0, 1.0)
+        gaps = np.hypot(*(a + t[:, None] * d - p).T)
+        i = int(np.argmin(gaps))
+        s = s0[i] + t[i] * lengths[i]
+        if last_s is None:
+            progress.append(0.0)
+        else:
+            step = s - last_s
+            progress.append(progress[-1] + step - total * round(step / total))
+        last_s = s
+    return progress, total
 
 
 def small_cfg(**overrides):
@@ -157,11 +188,27 @@ class TestStage1:
         times = [json.loads(line)["t_ns"] for line in lines]
         assert times == sorted(times)
 
-    def test_laps_termination(self):
+    def test_laps_termination(self, tmp_path):
+        # The run stops on the first sample whose unwrapped progress reaches
+        # the target: not one sample before, and not one after.
         cfg = small_cfg(termination={"laps": 1, "max_duration_s": 120.0})
-        report, _ = run_stage1(cfg)
+        report, lines = logged_run(cfg, tmp_path / "laps.ndjson")
+        progress, total_length = oracle_progress(cfg, lines)
+        target = 1 * total_length
+        assert progress[-2] < target <= progress[-1]
         assert report["completed"]
-        assert report["progress_m"] >= 11.2  # one lap of the sandbox square
+        assert report["cycles"]["gts_samples"] == len(progress)
+        assert report["progress_m"] == pytest.approx(progress[-1], abs=1e-9)
+
+    def test_laps_termination_at_the_duration_cap(self, tmp_path):
+        cfg = small_cfg(termination={"laps": 3, "max_duration_s": 10.0})
+        report, lines = logged_run(cfg, tmp_path / "cap.ndjson")
+        progress, total_length = oracle_progress(cfg, lines)
+        assert not report["completed"]
+        assert report["progress_m"] == pytest.approx(progress[-1], abs=1e-9)
+        assert report["progress_m"] < 3 * total_length
+        period_s = cfg["gts"]["sample_period_ms"] / 1e3
+        assert report["cycles"]["gts_samples"] == round(10.0 / period_s) == len(progress)
 
     def test_shipped_default_baseline(self):
         # Frozen after first calibration: the shipped default run stays
