@@ -51,17 +51,16 @@ def _write_manifest(out: Path, command: str, artifacts: dict, flags: dict | None
     })
 
 
-def _write_run_artifacts(out: Path, runner: orchestrator.Runner, report: dict) -> dict:
-    """Write ``report`` and the artifacts derived from the runner's analysis
-    fold; return ``{artifact name: relative path}``, the audit log that the
-    run wrote included."""
+def _write_run_artifacts(out: Path, fold: orchestrator.Analyzer, report: dict) -> dict:
+    """Write ``report`` and the artifacts derived from the analysis fold of
+    its log; return ``{artifact name: relative path}``, the audit log that
+    the run wrote included."""
     names = orchestrator.ARTIFACTS
-    fold = runner.analyzer
     write_json(out / names["report"], report)
     written = ["audit", "report"]
     if fold.rows[0]:
-        write_trajectory_csv(runner.path, zip(*fold.rows), out / names["trajectory"],
-                             runner.goal_speed)
+        write_trajectory_csv(fold.path, zip(*fold.rows), out / names["trajectory"],
+                             fold.cfg["sut"]["goal_speed_mps"])
         written.append("trajectory")
     if all(report["latency_ms"].values()):
         temporal.write_latency_report(report["latency_ms"], out / names["latency"])
@@ -90,8 +89,8 @@ def _cmd_run(args) -> int:
     if args.command == "stage3" and resolved["scenario"] is None:
         raise cfg_mod.ConfigError("scenario", "stage 3 requires a scenario (config or --script)")
     out = _out_dir(args)
-    report, runner = orchestrator.run_stage1(resolved, out / orchestrator.ARTIFACTS["audit"])
-    artifacts = _write_run_artifacts(out, runner, report)
+    report, fold = orchestrator.run_stage1(resolved, out / orchestrator.ARTIFACTS["audit"])
+    artifacts = _write_run_artifacts(out, fold, report)
     _write_manifest(out, args.command, artifacts, {"aborted": report["aborted"]})
     _print_run_summary(report, args)
     return EXIT_ABORT if report["aborted"] else EXIT_OK

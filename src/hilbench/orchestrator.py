@@ -181,17 +181,9 @@ class Runner:
         # pose sample it came from: (x, y, heading, v, sample t_ns, the
         # float_text of heading, v, x and y).
         self._mirror = (pose[0], pose[1], pose[2], 0.0, -1, None)
-        # Lap progress (unwrapped arc length) for lap-based termination.
-        self._progress = 0.0
-        self._last_s: float | None = None
-
         term = resolved["termination"]
-        if term["mode"] == "duration":
-            self.t_limit_ns = s_to_ns(term["duration_s"])
-            self.laps_target = None
-        else:
-            self.t_limit_ns = s_to_ns(term["max_duration_s"])
-            self.laps_target = term["laps"]
+        limit_s = term["duration_s"] if term["mode"] == "duration" else term["max_duration_s"]
+        self.t_limit_ns = s_to_ns(limit_s)
 
     # -- event handlers -----------------------------------------------------
 
@@ -213,7 +205,6 @@ class Runner:
         self.audit.append(_new(TimedEvent, (self.run_id, cid, GTS_SAMPLE, t_ns, {
             "x": x, "y": y, "heading": heading, "v": v,
         })), pose_text(*texts))
-        self._track_progress(x, y)
         sched = self.r2v.transmit(t_ns)
         self._schedule(sched.t_ingest_start, self._emit, R2V_INGEST_START, cid)
         self._schedule(sched.t_ingest_done, self._emit, R2V_INGEST_DONE, cid)
@@ -222,21 +213,10 @@ class Runner:
                        (x, y, heading, v, t_ns, texts))
         if not self.stop_sampling:
             t_next = t_ns + self.period_ns
-            if t_next < self.t_limit_ns and not self._laps_reached():
+            if t_next < self.t_limit_ns and not self.analyzer.laps_done():
                 self._schedule(t_next, self._on_gts)
             else:
                 self.stop_sampling = True
-
-    def _track_progress(self, x: float, y: float) -> None:
-        s = project(self.path, (x, y)).arclength
-        if self._last_s is not None:
-            self._progress += self.path.lap_delta(s - self._last_s)
-        self._last_s = s
-
-    def _laps_reached(self) -> bool:
-        if self.laps_target is None:
-            return False
-        return self._progress >= self.laps_target * self.path.total_length
 
     def _on_sense_done(self, t_ns: int, cid: int, sample) -> None:
         stale = sample[4] < self._mirror[4]
@@ -390,7 +370,12 @@ class Analyzer:
 
     Each record is reduced as it is fed, to a fixed number of bytes per cycle
     in ``array`` columns.  ``rows`` holds the ground-truth samples as the
-    columns ``(t_ns, x, y, heading)``.  A sense frame of a scenario run is
+    columns ``(t_ns, x, y, heading)``.  ``path`` is the reference path of the
+    header's config.  Each ground-truth sample is projected onto it once, as
+    it is fed, and adds its step to ``progress`` (the unwrapped arc length,
+    each step wrapped to the nearest lap) and to ``distance`` (the straight
+    line from the sample before); the live lap stop (``laps_done``) and the
+    report read these same sums.  A sense frame of a scenario run is
     reduced to its ``frame_metrics``.  A cycle keeps a list of its stage
     times only while it is in flight: at its V2rDeliver, the last of the
     ``temporal.REQUIRED_STAGES``, it is assembled (``temporal.assemble``)
@@ -405,6 +390,9 @@ class Analyzer:
         self.cfg: dict | None = None
         self.run_id: str | None = None
         self.rows = (array("q"), array("d"), array("d"), array("d"))
+        self.path: ReferencePath | None = None
+        self.progress = self.distance = 0.0
+        self._last_s = 0.0  # arc length of the last ground-truth sample
         # Stage times of each cycle in flight, kept from its first record to
         # its ActuatorApply, or to the end when that never comes.
         self._in_flight: dict[int, list[int | None]] = {}
@@ -431,6 +419,11 @@ class Analyzer:
         elif stage is GTS_SAMPLE:
             x, y, heading = _numbers(ev, _POSE_KEYS)
             t_col, x_col, y_col, heading_col = self.rows
+            s = project(self.path, (x, y)).arclength
+            if t_col:
+                self.progress += self.path.lap_delta(s - self._last_s)
+                self.distance += math.hypot(x - x_col[-1], y - y_col[-1])
+            self._last_s = s
             t_col.append(t_ns)
             x_col.append(x)
             y_col.append(y)
@@ -475,9 +468,16 @@ class Analyzer:
             raise ValueError(f"config echo: run_id: {cfg['run_id']!r} differs from the records' "
                              f"run_id {ev.run_id!r}")
         self.cfg, self.run_id = cfg, ev.run_id
+        self.path = ReferencePath(cfg["path"]["vertices"], closed=cfg["path"]["closed"])
         if cfg["scenario"] is not None:
             self._npc_keys = [(nid, tuple(f"npc_{nid}_{k}" for k in ("x", "y", "vx", "vy", "r")))
                               for nid in (npc["id"] for npc in cfg["scenario"]["npcs"])]
+
+    def laps_done(self) -> bool:
+        """Whether a ``laps`` run has gone its laps: its progress has reached
+        ``laps`` times the path length.  Never true for a ``duration`` run."""
+        term = self.cfg["termination"]
+        return term["mode"] == "laps" and self.progress >= term["laps"] * self.path.total_length
 
     def _frame(self, ev: TimedEvent) -> None:
         """Reduce a sense event to its ``frame_metrics``: the ego's mirrored
@@ -522,25 +522,14 @@ class Analyzer:
         truncated = end is None
         aborted = end["aborted"] if end else False
 
-        run_path = ReferencePath(cfg["path"]["vertices"], closed=cfg["path"]["closed"])
-
         n_rows = len(self.rows[0])
         cte_summary = ate_summary = None
-        distance = 0.0
         max_cte = 0.0
-        progress = 0.0
         if n_rows:
             ctes, ates = array("d"), array("d")
-            last_s = None
-            for s, c, a in track_errors(run_path, zip(*self.rows), cfg["sut"]["goal_speed_mps"]):
+            for _s, c, a in track_errors(self.path, zip(*self.rows), cfg["sut"]["goal_speed_mps"]):
                 ctes.append(c)
                 ates.append(a)
-                if last_s is not None:
-                    progress += run_path.lap_delta(s - last_s)
-                last_s = s
-            _t, xs, ys, _heading = self.rows
-            for i in range(1, n_rows):
-                distance += math.hypot(xs[i] - xs[i - 1], ys[i] - ys[i - 1])
             cte_summary = summarize(ctes)
             ate_summary = summarize(ates)
             max_cte = max(ctes)
@@ -551,7 +540,7 @@ class Analyzer:
         completed = not aborted and not truncated and cte_summary is not None \
             and max_cte <= cfg["report"]["completion_corridor_m"]
         if cfg["termination"]["mode"] == "laps":
-            completed = completed and progress >= cfg["termination"]["laps"] * run_path.total_length
+            completed = completed and self.laps_done()
 
         safety = None
         if self._frames[0]:
@@ -596,8 +585,8 @@ class Analyzer:
             },
             "cte": cte_summary,
             "ate": ate_summary,
-            "distance_m": distance,
-            "progress_m": progress,
+            "distance_m": self.distance,
+            "progress_m": self.progress,
             "max_cte_m": max_cte,
             "latency_ms": temporal.summarize_latency(latency),
             "safety": safety,
@@ -614,15 +603,16 @@ def build_report(fold: Analyzer) -> dict:
 # Workflow stages
 
 
-def run_stage1(resolved: dict, log_path=None) -> tuple[dict, "Runner"]:
+def run_stage1(resolved: dict, log_path=None) -> tuple[dict, Analyzer]:
     """One closed-loop run, with the scenario if the config carries one;
-    returns (report, runner).  With ``log_path``, the audit log is written
-    there record by record, and the file is closed even if the run raises."""
+    returns (report, the run's analysis fold).  With ``log_path``, the audit
+    log is written there record by record, and the file is closed even if
+    the run raises."""
     runner = Runner(resolved)
     if log_path is None:
-        return runner.run(), runner
+        return runner.run(), runner.analyzer
     with runner.audit.write_ndjson(log_path):
-        return runner.run(), runner
+        return runner.run(), runner.analyzer
 
 
 def sweep_point_seed(base_seed: int, delay_ms: float, rep: int) -> int:
@@ -653,22 +643,18 @@ def run_stage2(sweep_resolved: dict, out) -> tuple[list[dict], dict[str, str]]:
             point["links"]["v2r"]["perturbation"]["fixed_delay_ms"] = float(delay)
             name = f"delay_{delay:g}ms_rep{rep}"
             (out / name).mkdir(parents=True, exist_ok=True)
-            report, _runner = run_stage1(point, out / name / ARTIFACTS["audit"])
+            report, _fold = run_stage1(point, out / name / ARTIFACTS["audit"])
             write_json(out / name / ARTIFACTS["report"], report)
             artifacts[f"audit_d{delay:g}_r{rep}"] = f"{name}/{ARTIFACTS['audit']}"
             artifacts[f"report_d{delay:g}_r{rep}"] = f"{name}/{ARTIFACTS['report']}"
             per_delay.append(report)
-        cte_rmse = [r["cte"]["rmse"] for r in per_delay if r["cte"] is not None]
-        cte_mean = [r["cte"]["mean"] for r in per_delay if r["cte"] is not None]
-        cte_p95 = [r["cte"]["p95"] for r in per_delay if r["cte"] is not None]
-        rows.append({
-            "delay_ms": float(delay),
-            "cte_rmse_m": float(np.mean(cte_rmse)) if cte_rmse else math.nan,
-            "cte_mean_m": float(np.mean(cte_mean)) if cte_mean else math.nan,
-            "cte_p95_m": float(np.mean(cte_p95)) if cte_p95 else math.nan,
-            "distance_m": float(np.mean([r["distance_m"] for r in per_delay])),
-            "completed": all(r["completed"] for r in per_delay),
-        })
+        ctes = [r["cte"] for r in per_delay if r["cte"] is not None]
+        row = {"delay_ms": float(delay)}
+        for key in ("rmse", "mean", "p95"):
+            row[f"cte_{key}_m"] = float(np.mean([c[key] for c in ctes])) if ctes else math.nan
+        row["distance_m"] = float(np.mean([r["distance_m"] for r in per_delay]))
+        row["completed"] = all(r["completed"] for r in per_delay)
+        rows.append(row)
     write_response_curve(rows, out / "response_curve.csv")
     artifacts["response_curve"] = "response_curve.csv"
     return rows, artifacts

@@ -40,7 +40,7 @@ def default_run(tmp_path_factory):
     resolved = resolve_run_config(presets.load("stage1-default"))
     log = tmp_path_factory.mktemp("default_run") / "audit.ndjson"
     t0 = time.monotonic()
-    report, _runner = run_stage1(resolved, log)
+    report, _fold = run_stage1(resolved, log)
     elapsed = time.monotonic() - t0
     return report, log, elapsed
 

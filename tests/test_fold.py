@@ -192,7 +192,7 @@ def test_a_number_beyond_its_column_fails_naming_its_line(tmp_path, capsys, cid,
 def stage3_log(tmp_path_factory):
     """The audit log of a full stage3-intersection run, 5,000 cycles."""
     log = tmp_path_factory.mktemp("stage3") / "audit.ndjson"
-    report, _runner = run_stage1(resolve_run_config(presets.load("stage3-intersection")), log)
+    report, _fold = run_stage1(resolve_run_config(presets.load("stage3-intersection")), log)
     return log, report["cycles"]["gts_samples"]
 
 

@@ -121,7 +121,7 @@ class TestScheduler:
 
 class TestStage1:
     def test_default_run_completes_and_is_audited(self):
-        report, runner = run_stage1(small_cfg())
+        report, _ = run_stage1(small_cfg())
         assert report["completed"]
         assert report["cycles"]["gts_samples"] == 200
         assert report["completeness"]["fraction"] == 1.0
