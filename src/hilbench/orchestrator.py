@@ -527,7 +527,7 @@ class Analyzer:
         max_cte = 0.0
         if n_rows:
             ctes, ates = array("d"), array("d")
-            for _s, c, a in track_errors(self.path, zip(*self.rows), cfg["sut"]["goal_speed_mps"]):
+            for c, a in track_errors(self.path, zip(*self.rows), cfg["sut"]["goal_speed_mps"]):
                 ctes.append(c)
                 ates.append(a)
             cte_summary = summarize(ctes)

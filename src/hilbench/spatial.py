@@ -183,9 +183,8 @@ def summarize(values) -> dict:
 
 
 def track_errors(path: ReferencePath, samples, goal_speed: float):
-    """Yield ``(arc length of the path projection, cross-track error,
-    along-track error)`` for each ``(t_ns, x, y, heading)`` sample of an
-    iterable.
+    """Yield ``(cross-track error, along-track error)`` for each ``(t_ns, x,
+    y, heading)`` sample of an iterable.
 
     The along-track schedule assumes constant progress at ``goal_speed``
     from the first sample, wrapped on a closed path and clamped at the end
@@ -197,8 +196,7 @@ def track_errors(path: ReferencePath, samples, goal_speed: float):
             t0 = t_ns
         sched = path._wrap_s(goal_speed * (t_ns - t0) / 1e9)
         proj = project(path, (x, y))
-        yield (proj.arclength, math.hypot(x - proj.point[0], y - proj.point[1]),
-               ate(path, (x, y), sched))
+        yield math.hypot(x - proj.point[0], y - proj.point[1]), ate(path, (x, y), sched)
 
 
 def write_trajectory_csv(path_obj: ReferencePath, samples, out_path, goal_speed: float) -> None:
@@ -208,5 +206,5 @@ def write_trajectory_csv(path_obj: ReferencePath, samples, out_path, goal_speed:
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t_ns,x,y,heading,cte,ate\n")
         errors = track_errors(path_obj, scored, goal_speed)
-        for (t_ns, x, y, heading), (_s, c, a) in zip(samples, errors):
+        for (t_ns, x, y, heading), (c, a) in zip(samples, errors):
             fh.write(f"{t_ns},{x!r},{y!r},{heading!r},{c!r},{a!r}\n")

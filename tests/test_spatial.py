@@ -20,14 +20,14 @@ UNIT_SQUARE = ReferencePath([(0, 0), (1, 0), (1, 1), (0, 1)], closed=True)
 
 def cte(path, p):
     """Cross-track error of one point, as ``track_errors`` reports it."""
-    ((_s, c, _a),) = track_errors(path, [(0, float(p[0]), float(p[1]), 0.0)], 0.0)
+    ((c, _a),) = track_errors(path, [(0, float(p[0]), float(p[1]), 0.0)], 0.0)
     return c
 
 
 def cte_summary(path, traj):
     """Summary of the ``track_errors`` cross-track errors of a trajectory."""
     samples = [(q.t_ns, q.x, q.y, q.heading) for q in traj]
-    return summarize([c for _s, c, _a in track_errors(path, samples, 0.0)])
+    return summarize([c for c, _a in track_errors(path, samples, 0.0)])
 
 
 def random_path(rng, n=20, closed=False):
@@ -303,13 +303,13 @@ class TestTrackErrors:
     def test_schedule_wraps_on_closed_and_clamps_on_open_paths(self):
         # 1 m/s for 5 s is 1 m into the second lap of the 4 m square.
         samples = [(0, 0.0, 0.0, 0.0), (5_000_000_000, 1.0, 0.0, 0.0)]
-        assert [a for _, _, a in track_errors(UNIT_SQUARE, samples, 1.0)] == pytest.approx([0.0, 0.0])
+        assert [a for _, a in track_errors(UNIT_SQUARE, samples, 1.0)] == pytest.approx([0.0, 0.0])
         # 12 s at 1 m/s is past the end of a 10 m line: the schedule stops there.
         straight = ReferencePath([(0, 0), (10, 0)])
         samples = [(0, 0.0, 0.0, 0.0), (12_000_000_000, 10.0, 0.5, 0.0)]
-        errors = list(track_errors(straight, samples, 1.0))
-        assert [a for _, _, a in errors] == pytest.approx([0.0, 0.0])
-        assert [s for s, _, _ in errors] == pytest.approx([0.0, 10.0])
+        assert [a for _, a in track_errors(straight, samples, 1.0)] == pytest.approx([0.0, 0.0])
+        assert [project(straight, (x, y)).arclength for _t, x, y, _h in samples] == \
+            pytest.approx([0.0, 10.0])
 
 
 class TestSummaries:
