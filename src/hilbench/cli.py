@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 1 configuration error, 2 run aborted.  Every command
 that produces files also writes a ``manifest.json`` listing them; ``stage2``
-lists the files ``orchestrator.run_stage2`` reports that it wrote.  The
-default output directory can be set with the ``HILBENCH_OUT`` environment
+lists the files ``orchestrator.run_stage2`` reports that it wrote, whose
+points run in forked workers, one per usable CPU, with the same bytes as one
+after another.  Before writing, a command deletes the files that the output
+directory's previous manifest lists, so the directory holds only its own.
+The default output directory can be set with the ``HILBENCH_OUT`` environment
 variable.  ``--config`` accepts either a file path or the name of a shipped
 preset (``stage1-default``, ``stage2-cliff-sweep``, ``stage3-intersection``).
 """
@@ -11,6 +14,7 @@ preset (``stage1-default``, ``stage2-cliff-sweep``, ``stage3-intersection``).
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -35,10 +39,36 @@ def _load_config_arg(arg: str) -> dict:
     return doc
 
 
-def _out_dir(args) -> Path:
+def _out_dir(args, reads: Path | None = None) -> Path:
+    """The command's output directory, made if missing and cleared of the
+    previous command's files: those its ``manifest.json`` lists, the
+    manifest itself, and the point directories this leaves empty.  A listed
+    path that resolves outside the directory, or that is the file the
+    command reads (``reads``), is refused before anything is deleted."""
     base = args.out or os.environ.get("HILBENCH_OUT") or "runs"
     out = Path(base)
     out.mkdir(parents=True, exist_ok=True)
+    manifest = out / "manifest.json"
+    if not manifest.is_file():
+        return out
+    try:
+        listed = [art["path"] for art in json.loads(manifest.read_text(encoding="utf-8"))["artifacts"]]
+        root = out.resolve()
+        paths = [(root / p).resolve() for p in listed]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{manifest}: not a manifest with a path for each artifact") from exc
+    for text, path in zip(listed, paths):
+        if root not in path.parents:
+            raise ValueError(f"{manifest} lists {text!r}, which is outside {out}; nothing deleted")
+        if reads is not None and path == reads.resolve():
+            raise ValueError(f"{manifest} lists {text!r}, the file this command reads; "
+                             f"choose another --out")
+    for path in paths:
+        path.unlink(missing_ok=True)
+        for parent in path.relative_to(root).parents[:-1]:
+            if (root / parent).is_dir() and not any((root / parent).iterdir()):
+                (root / parent).rmdir()
+    manifest.unlink()
     return out
 
 
@@ -170,7 +200,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_replay_report(args) -> int:
     report = orchestrator.replay_report(args.log)
-    out = _out_dir(args)
+    out = _out_dir(args, reads=Path(args.log))
     write_json(out / "report.json", report)
     _write_manifest(out, "replay-report", {"report": "report.json"},
                     {"aborted": report["aborted"], "truncated": report["truncated"]})

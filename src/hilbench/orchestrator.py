@@ -12,7 +12,8 @@ and the whole report is recomputable from the log alone (``replay_report``
 rebuilds the exact same report from the file).
 
 The three workflow stages map onto this loop: stage 1 runs it clean for a
-baseline, stage 2 sweeps the command-link perturbation delay and collects the
+baseline, stage 2 sweeps the command-link perturbation delay, one independent
+run per point (in forked workers, one per usable CPU), and collects the
 response curve, stage 3 arms a scripted multi-agent scenario on a trigger
 zone and scores the interaction safety metrics.
 """
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import partial
@@ -620,34 +623,74 @@ def sweep_point_seed(base_seed: int, delay_ms: float, rep: int) -> int:
     return substream_seed(base_seed, f"sweep/delay={delay_ms:g}/rep={rep}")
 
 
+def _run_point(point: dict, directory: Path) -> dict:
+    """One sweep point: make its directory, run it with its audit log there,
+    write its ``report.json`` and return the report."""
+    directory.mkdir(parents=True, exist_ok=True)
+    report, _fold = run_stage1(point, directory / ARTIFACTS["audit"])
+    write_json(directory / ARTIFACTS["report"], report)
+    return report
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_points(points: list[dict], directories: list[Path]) -> list[dict]:
+    """The reports of ``_run_point`` over the points, in their order.
+
+    The points run in a pool of forked workers, one per usable CPU, unless
+    there is one point, one usable CPU, no ``fork``, or a profile or trace
+    hook, which sees only its own process: then they run here, one after
+    another.  Either way each point writes the same bytes, and the first
+    point to fail, in order, raises its error once the workers are gone.
+    """
+    workers = min(len(points), _usable_cpus())
+    if (workers < 2 or not hasattr(os, "fork")
+            or sys.getprofile() is not None or sys.gettrace() is not None):
+        return list(map(_run_point, points, directories))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_run_point, points, directories))
+
+
 def run_stage2(sweep_resolved: dict, out) -> tuple[list[dict], dict[str, str]]:
     """Latency sweep: one stage-1-style run per (delay, repetition), written to
     its own ``delay_<label>ms_rep<rep>/`` directory of ``out`` (its audit log
     as it runs, then its report), then the ``response_curve.csv`` of ``out``.
+    The points are independent runs, so they run in forked workers, one per
+    usable CPU (see ``_run_points``), and are collected in delay x repetition
+    order; no byte depends on how they ran.
 
     Returns (rows, artifacts): the rows of the curve in delay order, and
     ``{artifact name: path relative to out}`` of every file written, for the
     manifest.  A point that aborts is recorded (completed = False) and the
-    sweep continues.
+    sweep continues; a point that raises stops the sweep with its error.
     """
     out = Path(out)
     base = sweep_resolved["base"]
-    rows = []
+    delays = sweep_resolved["injected_delays_ms"]
+    reps = range(sweep_resolved["repetitions"])
+    points, directories = [], []
     artifacts = {}
-    for delay in sweep_resolved["injected_delays_ms"]:
-        per_delay = []
-        for rep in range(sweep_resolved["repetitions"]):
+    for delay in delays:
+        for rep in reps:
             point = json.loads(json.dumps(base))
             point["seed"] = sweep_point_seed(base["seed"], delay, rep)
             point["run_id"] = f"{base['run_id']}-d{delay:g}ms-r{rep}"
             point["links"]["v2r"]["perturbation"]["fixed_delay_ms"] = float(delay)
             name = f"delay_{delay:g}ms_rep{rep}"
-            (out / name).mkdir(parents=True, exist_ok=True)
-            report, _fold = run_stage1(point, out / name / ARTIFACTS["audit"])
-            write_json(out / name / ARTIFACTS["report"], report)
+            points.append(point)
+            directories.append(out / name)
             artifacts[f"audit_d{delay:g}_r{rep}"] = f"{name}/{ARTIFACTS['audit']}"
             artifacts[f"report_d{delay:g}_r{rep}"] = f"{name}/{ARTIFACTS['report']}"
-            per_delay.append(report)
+    reports = iter(_run_points(points, directories))
+    rows = []
+    for delay in delays:
+        per_delay = [next(reports) for _rep in reps]
         ctes = [r["cte"] for r in per_delay if r["cte"] is not None]
         row = {"delay_ms": float(delay)}
         for key in ("rmse", "mean", "p95"):

@@ -134,6 +134,63 @@ class TestStageCommands:
         assert main(["validate-config", "--config", "stage1-default", "-q"]) == EXIT_OK
 
 
+def files_under(out):
+    return sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+
+
+def listed_in_manifest(out):
+    return sorted(["manifest.json"] + [a["path"] for a in
+                                       json.loads((out / "manifest.json").read_text())["artifacts"]])
+
+
+class TestOutputDirectoryHoldsOneCommand:
+    """Before writing, a command deletes the files its output directory's
+    previous manifest lists, and nothing else."""
+
+    def test_a_smaller_sweep_leaves_no_stale_point(self, tiny_cfg, tmp_path):
+        base = json.loads(Path(tiny_cfg).read_text())
+        out = tmp_path / "s2"
+        for delays in ([0, 10], [0]):
+            sweep = write_json(tmp_path / "sweep.json", {"injected_delays_ms": delays, "base": base})
+            assert main(["stage2", "--config", sweep, "--out", str(out), "-q"]) == EXIT_OK
+        assert not (out / "delay_10ms_rep0").exists()
+        assert files_under(out) == listed_in_manifest(out)
+
+    def test_stage1_into_a_stage3_directory_keeps_no_scenario_file(self, tiny_cfg, tmp_path):
+        script = write_json(tmp_path / "script.json", presets.load("stage3-intersection")["scenario"])
+        out = tmp_path / "run"
+        assert main(["stage3", "--config", tiny_cfg, "--script", script,
+                     "--out", str(out), "-q"]) == EXIT_OK
+        assert (out / "events.json").exists()
+        (out / "notes.txt").write_text("kept\n")
+        assert main(["stage1", "--config", tiny_cfg, "--out", str(out), "-q"]) == EXIT_OK
+        assert not (out / "safety.csv").exists() and not (out / "events.json").exists()
+        assert files_under(out) == sorted(listed_in_manifest(out) + ["notes.txt"])
+
+    def test_a_listed_path_outside_the_directory_deletes_nothing(self, tiny_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["stage1", "--config", tiny_cfg, "--out", str(out), "-q"]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["artifacts"].append({"name": "victim", "path": "../victim.txt"})
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        (tmp_path / "victim.txt").write_text("keep me\n")
+        before = {name: (out / name).read_bytes() for name in files_under(out)}
+        assert main(["stage1", "--config", tiny_cfg, "--out", str(out), "-q"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'../victim.txt'" in err
+        assert (tmp_path / "victim.txt").read_text() == "keep me\n"
+        assert {name: (out / name).read_bytes() for name in files_under(out)} == before
+
+    def test_replay_into_the_directory_of_its_log_deletes_nothing(self, tiny_cfg, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["stage1", "--config", tiny_cfg, "--out", str(out), "-q"]) == EXIT_OK
+        before = {name: (out / name).read_bytes() for name in files_under(out)}
+        assert main(["replay-report", "--log", str(out / "audit.ndjson"),
+                     "--out", str(out), "-q"]) == EXIT_CONFIG
+        assert "'audit.ndjson'" in capsys.readouterr().err
+        assert {name: (out / name).read_bytes() for name in files_under(out)} == before
+
+
 class TestReplayCommand:
     def test_replay_matches_original_report(self, tiny_cfg, tmp_path):
         out = tmp_path / "orig"

@@ -1,5 +1,8 @@
+import concurrent.futures
 import json
 import math
+import multiprocessing
+import sys
 from heapq import heappop, heappush
 
 import numpy as np
@@ -306,6 +309,81 @@ class TestStage2:
     def test_unsorted_delays_rejected(self):
         with pytest.raises(ConfigError):
             resolve_sweep_config({"injected_delays_ms": [10, 0], "base": {}})
+
+    @staticmethod
+    def short_perturbed_sweep() -> dict:
+        """3 delays x 2 repetitions of 4 s, with command jitter and loss."""
+        doc = presets.load("stage2-cliff-sweep")
+        doc["injected_delays_ms"] = [0, 20, 60]
+        doc["repetitions"] = 2
+        doc["base"]["termination"] = {"duration_s": 4.0}
+        doc["base"]["links"]["v2r"]["perturbation"] = {
+            "jitter": {"kind": "gaussian_truncated", "mean_ms": 4.0, "std_ms": 12.0},
+            "loss_probability": 0.05,
+        }
+        return doc
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker count of each process pool made, with two usable CPUs."""
+        made = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, workers, mp_context):
+                made.append((workers, mp_context.get_start_method()))
+                super().__init__(workers, mp_context=mp_context)
+
+        monkeypatch.setattr(orchestrator, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        return made
+
+    @staticmethod
+    def in_process(fn, *args):
+        """``fn(*args)`` under a no-op profile hook, which keeps a sweep in
+        this process."""
+        sys.setprofile(lambda frame, event, arg: None)
+        try:
+            return fn(*args)
+        finally:
+            sys.setprofile(None)
+
+    @staticmethod
+    def files(out):
+        return {p.relative_to(out).as_posix(): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()}
+
+    @pytest.mark.skipif(sys.gettrace() is not None, reason="a trace hook keeps the sweep in-process")
+    def test_pool_writes_the_bytes_of_the_in_process_sweep(self, tmp_path, pools):
+        sweep = resolve_sweep_config(self.short_perturbed_sweep())
+        pooled = run_stage2(sweep, tmp_path / "pool")
+        assert pools == [(2, "fork")]
+        assert multiprocessing.active_children() == []
+        serial = self.in_process(run_stage2, sweep, tmp_path / "serial")
+        assert pools == [(2, "fork")]
+        assert pooled == serial
+        files = self.files(tmp_path / "pool")
+        assert len(files) == 3 * 2 * 2 + 1
+        assert files == self.files(tmp_path / "serial")
+        assert b'"dropped":true' in files["delay_60ms_rep1/audit.ndjson"]
+
+    @pytest.mark.skipif(sys.gettrace() is not None, reason="a trace hook keeps the sweep in-process")
+    def test_a_failing_point_fails_the_same_way_pooled_and_in_process(self, tmp_path, capsys,
+                                                                     pools):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(self.short_perturbed_sweep()))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "delay_20ms_rep0").write_text("not a directory\n")
+        argv = ["stage2", "--config", str(config), "--out", str(out), "-q"]
+        errors = []
+        for run in (cli.main, lambda argv: self.in_process(cli.main, argv)):
+            assert run(argv) == cli.EXIT_CONFIG
+            errors.append(capsys.readouterr().err)
+            assert not (out / "manifest.json").exists()
+            assert multiprocessing.active_children() == []
+        assert pools == [(2, "fork")]
+        assert errors[0] == errors[1] == (
+            f"error: [Errno 17] File exists: '{out / 'delay_20ms_rep0'}'\n")
 
 
 class TestStage3:
