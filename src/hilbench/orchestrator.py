@@ -133,7 +133,9 @@ class Runner:
     state: its virtual clock ``now_ns`` (integer ns), its correlation IDs
     (``gts_count``: cycle ``n`` gets ``n``; the run records carry 0), its audit
     log, and its random streams (one ``rng_stream`` label per consumer, each
-    asked once).
+    asked once).  The controller only maps an observation to ``(speed,
+    steer)``: the runner checks that command and draws its processing latency
+    from ``sut.lat``.
 
     The scheduler is ``heap``, a min-heap of ``(t_ns, insertion sequence,
     handler, args)`` entries: ``run`` pops them in (time, insertion) order,
@@ -165,16 +167,16 @@ class Runner:
         sut_cfg = resolved["sut"]
         params = {"wheelbase": resolved["plant"]["wheelbase_m"],
                   "ego_radius": resolved["report"]["ego_radius_m"], **sut_cfg["params"]}
-        self.sut = PurePursuitSut(PurePursuitParams(**params),
-                                  sampler(sut_cfg["latency"], kind_key="mode"),
-                                  stream("sut.lat"))
+        self.sut = PurePursuitSut(PurePursuitParams(**params))
+        self._sut_latency_ms = sampler(sut_cfg["latency"], kind_key="mode")
+        self._sut_lat_rng = stream("sut.lat")
         self.goal_speed = sut_cfg["goal_speed_mps"]
         self.npcs = [Npc(spec) for spec in (resolved["scenario"] or {"npcs": []})["npcs"]]
         self.trigger_zone = (resolved["scenario"] or {}).get("trigger_zone")
         self.scenario_triggered = False
-        # (t_ns, state of each NPC at t_ns): computed once per sense event for
+        # The state of each NPC at the latest sense event: computed once for
         # its payload and reused by the controller step at the same instant.
-        self._npc_states: tuple[int, list[AgentState | None]] = (-1, [])
+        self._npc_states: list[AgentState | None] = []
 
         self.aborted = False
         self.abort_reason: str | None = None
@@ -234,8 +236,7 @@ class Runner:
                     npc.activate(t_ns)
         payload = {"x": x, "y": y, "heading": heading, "v": v, "stale": stale}
         body = sense_text(*texts, stale)
-        states = [npc.state_at(t_ns) for npc in self.npcs]
-        self._npc_states = (t_ns, states)
+        self._npc_states = states = [npc.state_at(t_ns) for npc in self.npcs]
         for a in states:
             if a is not None:
                 payload[f"npc_{a.agent_id}_x"] = a.x
@@ -247,24 +248,18 @@ class Runner:
         self.audit.append(_new(TimedEvent, (self.run_id, cid, R2V_SENSE_DONE, t_ns, payload)), body)
         self._schedule(t_ns, self._on_sut_in, cid)
 
-    def _detections(self, t_ns: int) -> tuple[AgentState, ...]:
+    def _detections(self) -> tuple[AgentState, ...]:
         rng_m = self.cfg["report"]["sensing_range_m"]
-        # An NPC's state depends only on t_ns and its activation time, and
-        # activation happens only where the cache is refreshed.
-        t_cached, states = self._npc_states
-        if t_cached != t_ns:
-            states = [npc.state_at(t_ns) for npc in self.npcs]
         x, y = self._mirror[0], self._mirror[1]
-        return tuple(a for a in states
+        return tuple(a for a in self._npc_states
                      if a is not None and math.hypot(a.x - x, a.y - y) <= rng_m)
 
     def _on_sut_in(self, t_ns: int, cid: int) -> None:
         self.audit.append(_new(TimedEvent, (self.run_id, cid, SUT_CMD_IN, t_ns, NO_PAYLOAD)))
         x, y, heading = self._mirror[:3]
         obs = Observation(
-            t_ns=t_ns,
             ego=TrajectorySample(t_ns, x, y, heading),
-            detections=self._detections(t_ns),
+            detections=self._detections(),
             route=self.path,
             goal_speed=self.goal_speed,
         )
@@ -276,13 +271,17 @@ class Runner:
         if cmd is None:
             self._abort("sut produced no command")
             return
-        if cmd.t_issued_ns - t_ns > 10 * self.period_ns:
+        speed, steer = cmd
+        if not (math.isfinite(speed) and math.isfinite(steer)):
+            self._abort("sut raised: command setpoints must be finite")
+            return
+        latency_ns = ms_to_ns(self._sut_latency_ms(self._sut_lat_rng))
+        if latency_ns > 10 * self.period_ns:
             self._abort("sut missed the 10-period watchdog deadline")
             return
-        self._schedule(cmd.t_issued_ns, self._on_sut_out, cid, cmd)
+        self._schedule(t_ns + latency_ns, self._on_sut_out, cid, speed, steer)
 
-    def _on_sut_out(self, t_ns: int, cid: int, cmd) -> None:
-        speed, steer, _t_issued = cmd
+    def _on_sut_out(self, t_ns: int, cid: int, speed: float, steer: float) -> None:
         texts = (float_text(speed), float_text(steer))
         self.audit.append(_new(TimedEvent, (self.run_id, cid, SUT_CMD_OUT, t_ns, {
             "speed": speed, "steer": steer,

@@ -1,28 +1,25 @@
 """Black-box driving controller contract and the reference implementation.
 
 A controller sees only the platform-published observation (synchronized ego
-pose, detected agents, route handle, goal speed) and returns one standardized
-control command.  The module deliberately imports nothing from the plant,
-link, or orchestration layers: the observation is the whole world, the route
-included.  The one state a controller keeps between steps is its velocity
-estimate, and a run builds a new controller, so each run starts from none.
+pose, detected agents, route handle, goal speed) and returns one command,
+``(speed, steer)``.  The module deliberately imports nothing from the plant,
+link, orchestration or core layers: the observation is the whole world, the
+route included, and time and randomness belong to the platform.  The one
+state a controller keeps between steps is its velocity estimate, and a run
+builds a new controller, so each run starts from none.
 
 The reference controller is pure pursuit for steering plus a curvature-based
-speed cap and a constant-velocity yield rule; its processing latency is drawn
-by the ``sample_ms(rng)`` callable the runner hands it, so the closed loop
-exhibits a realistic, measurable compute-time signature.
+speed cap and a constant-velocity yield rule.  The runner checks the command
+it returns and draws its processing latency, so the closed loop exhibits a
+realistic, measurable compute-time signature.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .core import ms_to_ns
 from .safety import AgentState
 from .spatial import ReferencePath, TrajectorySample, project
 
@@ -30,28 +27,10 @@ from .spatial import ReferencePath, TrajectorySample, project
 class Observation(NamedTuple):
     """Everything a controller is allowed to see for one cycle."""
 
-    t_ns: int
     ego: TrajectorySample
     detections: tuple[AgentState, ...]
     route: ReferencePath
     goal_speed: float
-
-
-class _ControlCommandFields(NamedTuple):
-    speed_setpoint: float
-    steer_setpoint: float
-    t_issued_ns: int
-
-
-class ControlCommand(_ControlCommandFields):
-    """One standardized control command, issued at ``t_issued_ns``."""
-
-    __slots__ = ()
-
-    def __new__(cls, speed_setpoint: float, steer_setpoint: float, t_issued_ns: int):
-        if not (math.isfinite(speed_setpoint) and math.isfinite(steer_setpoint)):
-            raise ValueError("command setpoints must be finite")
-        return tuple.__new__(cls, (speed_setpoint, steer_setpoint, t_issued_ns))
 
 
 @dataclass(frozen=True)
@@ -69,16 +48,13 @@ class PurePursuitParams:
 class PurePursuitSut:
     """Reference controller: pure pursuit + speed governor + yield rule."""
 
-    def __init__(self, params: PurePursuitParams,
-                 sample_latency_ms: Callable[[np.random.Generator], float],
-                 latency_rng: np.random.Generator) -> None:
+    def __init__(self, params: PurePursuitParams) -> None:
         self.params = params
-        self._sample_latency_ms = sample_latency_ms
-        self._lat_rng = latency_rng
         self._last_pose: TrajectorySample | None = None
         self._v_est = 0.0
 
-    def step(self, obs: Observation) -> ControlCommand:
+    def step(self, obs: Observation) -> tuple[float, float]:
+        """The command ``(speed, steer)`` that answers ``obs``."""
         p = self.params
         route = obs.route
 
@@ -99,10 +75,7 @@ class PurePursuitSut:
         speed = self._speed_with_curvature_cap(obs.goal_speed, route, proj.arclength, lookahead)
         if self._should_yield(obs):
             speed = 0.0
-
-        latency_ns = ms_to_ns(self._sample_latency_ms(self._lat_rng))
-        return ControlCommand(speed_setpoint=speed, steer_setpoint=steer,
-                              t_issued_ns=obs.t_ns + latency_ns)
+        return speed, steer
 
     def _update_velocity_estimate(self, ego: TrajectorySample) -> None:
         last = self._last_pose

@@ -10,7 +10,8 @@ import pytest
 
 from hilbench import cli, orchestrator, presets
 from hilbench.config import ConfigError, resolve_run_config, resolve_sweep_config
-from hilbench.core import AuditLog, Stage, TimedEvent, json_document, rng_stream
+from hilbench.core import AuditLog, Stage, TimedEvent, json_document, ms_to_ns, rng_stream
+from hilbench.links import sampler
 from hilbench.orchestrator import (
     Analyzer,
     Npc,
@@ -169,6 +170,35 @@ class TestStage1:
         assert report["aborted"]
         assert not report["completed"]
         assert "watchdog" in report["abort_reason"]
+
+    @pytest.mark.parametrize("latency", [
+        {"mode": "constant", "ms": 15.48},
+        {"mode": "bimodal", "components": [
+            {"mean_ms": 10.0, "std_ms": 2.0, "weight": 0.6},
+            {"mean_ms": 28.0, "std_ms": 3.0, "weight": 0.4},
+        ]},
+    ])
+    def test_runner_draws_the_controller_latency(self, tmp_path, latency):
+        # Each command leaves the controller one ``sut.lat`` draw after its
+        # SutCmdIn, the draws taken in SutCmdIn order, which is the order
+        # ``t_in`` is filled in from the time-ordered log.
+        cfg = small_cfg(termination={"duration_s": 1.0},
+                        sut={"name": "pure-pursuit", "goal_speed_mps": 0.3, "latency": latency})
+        _, lines = logged_run(cfg, tmp_path / "audit.ndjson")
+        t_in, t_out = {}, {}
+        for line in lines:
+            rec = json.loads(line)
+            if rec["stage"] in ("SutCmdIn", "SutCmdOut"):
+                (t_in if rec["stage"] == "SutCmdIn" else t_out)[rec["cid"]] = rec["t_ns"]
+        assert len(t_in) == len(t_out) == 50
+        sample_ms = sampler(cfg["sut"]["latency"], kind_key="mode")
+        rng = rng_stream(cfg["seed"], "sut.lat")
+        latencies = [t_out[cid] - t_in[cid] for cid in t_in]
+        assert latencies == [ms_to_ns(sample_ms(rng)) for _ in latencies]
+        if latency["mode"] == "constant":
+            assert set(latencies) == {15_480_000}
+        else:
+            assert len(set(latencies)) == len(latencies)
 
     def test_non_finite_setpoint_aborts_the_run(self):
         runner = Runner(small_cfg())
@@ -455,11 +485,10 @@ class TestStage3:
         def checking_sense_done(t_ns, cid, pose):
             on_sense_done(t_ns, cid, pose)
             if runner.scenario_triggered and len(checked) < 2:
-                # At this sense event (cached states) and one period later
-                # (recomputed ones).
-                for t in (t_ns, t_ns + runner.period_ns):
-                    assert runner._detections(t) == fresh(t)
-                    assert len(fresh(t)) == len(runner.npcs)
+                # The controller step at this instant sees the states this
+                # sense event computed.
+                assert runner._detections() == fresh(t_ns)
+                assert len(fresh(t_ns)) == len(runner.npcs)
                 checked.append(t_ns)
 
         runner._on_sense_done = checking_sense_done
