@@ -9,7 +9,12 @@ samplers from a resolved config, where no byte fixture pins them otherwise:
 - ``termination.mode: laps``: a ``stage1`` run of
   ``tests/data/laps_pin/config.json`` (the ``stage1-default`` preset that
   stops after one lap), and the same config capped by its
-  ``max_duration_s`` before its three laps.
+  ``max_duration_s`` before its three laps;
+- a ``stage3`` run of ``tests/data/scenario_pin/config.json``
+  (``stage3-intersection`` cut to 20 s, with an open route that
+  accelerates, cruises and brakes to rest, an open route too short to reach
+  its cruise speed, and a closed route; the ids ``a`` and ``a_x`` make the
+  sorted NPC payload keys interleave).
 
 A failure here means a run of the same config and seed no longer writes the
 same bytes.
@@ -17,6 +22,7 @@ same bytes.
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -25,6 +31,7 @@ from hilbench.cli import EXIT_OK, main
 
 ECHO_PIN_CONFIG = Path(__file__).parent / "data" / "echo_pin" / "config.json"
 LAPS_PIN_CONFIG = Path(__file__).parent / "data" / "laps_pin" / "config.json"
+SCENARIO_PIN_CONFIG = Path(__file__).parent / "data" / "scenario_pin" / "config.json"
 
 JITTER_CONFIG = {
     "schema_version": 1,
@@ -79,6 +86,15 @@ RUN_SHA256 = {
     },
 }
 
+SCENARIO_SHA256 = {
+    "audit.ndjson": "1062616804838abf5732afd21975f4fa1e68cd1d584da66291ce68fe27d37791",
+    "report.json": "0179496622992d333d60e474536aa06d4497b1040f0bf3a55bcf48734b123c9b",
+    "trajectory.csv": "d613ac99ee39a2ad1d18a6ce9655a2719171e8b8d3c906cf614c4ef86f52d958",
+    "latency.csv": "3f22280a49d6e564f9da6978396cb4c852edad1d59f21874c28a605b44e265b8",
+    "safety.csv": "0c1869ff88d3c1076cd0be0ac16af002f720fbfbc952755b7912730afe38cc54",
+    "events.json": "00fcc9b93eea4c86a592ae964553789b2568c4bcf647ee449486ed84017e9a18",
+}
+
 
 def _digests(out: Path, names) -> dict:
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
@@ -127,3 +143,42 @@ def test_replay_of_the_laps_log_equals_its_live_report(tmp_path):
     assert main(["replay-report", "--log", str(out / "audit.ndjson"), "--out", str(replayed),
                  "-q"]) == EXIT_OK
     assert (replayed / "report.json").read_bytes() == (out / "report.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def scenario_run(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("scenario_pin") / "out"
+    assert main(["stage3", "--config", str(SCENARIO_PIN_CONFIG), "--out", str(out),
+                 "-q"]) == EXIT_OK
+    return out
+
+
+def test_stage3_reproduces_pinned_scenario_digests(scenario_run):
+    assert _digests(scenario_run, SCENARIO_SHA256) == SCENARIO_SHA256
+
+
+def test_replay_of_the_scenario_log_equals_its_live_report(scenario_run, tmp_path):
+    assert main(["replay-report", "--log", str(scenario_run / "audit.ndjson"),
+                 "--out", str(tmp_path), "-q"]) == EXIT_OK
+    assert (tmp_path / "report.json").read_bytes() == (scenario_run / "report.json").read_bytes()
+
+
+def test_scenario_pin_covers_both_open_route_profiles(scenario_run):
+    report = json.loads((scenario_run / "report.json").read_text())
+    assert report["safety"]["triggered"] and report["completed"]
+    senses = [json.loads(line)["payload"]
+              for line in (scenario_run / "audit.ndjson").read_text().splitlines()
+              if '"stage":"R2vSenseDone"' in line]
+    npcs = {npc["id"]: npc for npc in json.loads(SCENARIO_PIN_CONFIG.read_text())["scenario"]["npcs"]}
+    for nid in ("a", "a_x"):
+        # Each open-route NPC ends at rest at its route's end.
+        end_x, end_y = npcs[nid]["route"]["vertices"][-1]
+        last = senses[-1]
+        assert (last[f"npc_{nid}_x"], last[f"npc_{nid}_y"]) == (end_x, end_y)
+        assert (last[f"npc_{nid}_vx"], last[f"npc_{nid}_vy"]) == (0.0, 0.0)
+    peak = {nid: max(math.hypot(p[f"npc_{nid}_vx"], p[f"npc_{nid}_vy"])
+                     for p in senses if f"npc_{nid}_x" in p) for nid in npcs}
+    # ``a`` cruises; ``a_x``'s route is shorter than its accelerate-plus-brake
+    # distance, so it brakes before reaching its cruise speed.
+    assert peak["a"] == npcs["a"]["speed"]["cruise_mps"]
+    assert peak["a_x"] < npcs["a_x"]["speed"]["cruise_mps"]
