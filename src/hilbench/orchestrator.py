@@ -25,7 +25,6 @@ import math
 import os
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
 from itertools import count
@@ -42,8 +41,8 @@ from .core import (ACTUATOR_APPLY, GTS_SAMPLE, NO_PAYLOAD, NS_PER_S, PERTURB_IN,
                    rng_stream, s_to_ns, sense_text, substream_seed, write_json)
 from .links import R2VLink, V2RLink, sampler
 from .plant import Plant
-from .safety import (AgentState, SafetyTrace, check_agent, d_min_trace, extract_events,
-                     finite_or_none, frame_metrics)
+from .safety import (AgentState, SafetyTrace, d_min_trace, extract_events, finite_or_none,
+                     frame_metrics)
 from .spatial import ReferencePath, TrajectorySample, project, summarize, track_errors
 from .sut import Observation, PurePursuitParams, PurePursuitSut
 
@@ -68,51 +67,40 @@ ARTIFACTS = {
 }
 
 
-@dataclass
-class _SpeedProfile:
-    accel: float
-    cruise: float
-    decel: float
-
-    def state_at(self, dt_s: float, route_len: float, looping: bool) -> tuple[float, float]:
-        """(arc position, speed) after dt seconds from standstill."""
-        t_acc = self.cruise / self.accel
-        s_acc = 0.5 * self.cruise**2 / self.accel
-        if looping:
-            if dt_s <= t_acc:
-                return 0.5 * self.accel * dt_s**2, self.accel * dt_s
-            return s_acc + self.cruise * (dt_s - t_acc), self.cruise
-        s_dec = 0.5 * self.cruise**2 / self.decel
-        if s_acc + s_dec <= route_len:
-            v_peak = self.cruise
-            cruise_len = route_len - s_acc - s_dec
-        else:
-            v_peak = math.sqrt(2.0 * route_len * self.accel * self.decel / (self.accel + self.decel))
-            cruise_len = 0.0
-            t_acc = v_peak / self.accel
-            s_acc = 0.5 * v_peak**2 / self.accel
-            s_dec = route_len - s_acc
-        t_cruise = cruise_len / v_peak if v_peak > 0 else 0.0
-        t_dec = v_peak / self.decel
-        if dt_s <= t_acc:
-            return 0.5 * self.accel * dt_s**2, self.accel * dt_s
-        if dt_s <= t_acc + t_cruise:
-            return s_acc + v_peak * (dt_s - t_acc), v_peak
-        td = dt_s - t_acc - t_cruise
-        if td <= t_dec:
-            return s_acc + cruise_len + v_peak * td - 0.5 * self.decel * td**2, v_peak - self.decel * td
-        return route_len, 0.0
+def npc_keys(npc_id: str) -> tuple[str, ...]:
+    """The payload keys of an NPC's state in a sense event: its position,
+    velocity and footprint radius, in ``AgentState`` order."""
+    return tuple(f"npc_{npc_id}_{k}" for k in ("x", "y", "vx", "vy", "r"))
 
 
 class Npc:
-    """Scripted route follower; dormant (invisible) until activated."""
+    """Scripted route follower; dormant (invisible) until activated.  From
+    standstill it accelerates to its cruise speed, then cruises on a closed
+    route, or brakes to rest at an open route's end, peaking at ``v_peak``
+    below cruise when the route is too short to reach it.  The profile's
+    constants are computed once; ``keys`` are its payload keys."""
 
     def __init__(self, spec: dict) -> None:
         self.npc_id = spec["id"]
+        self.keys = npc_keys(self.npc_id)
         self.route = ReferencePath(spec["route"]["vertices"], closed=spec["route"]["closed"])
         self.radius = spec["radius_m"]
-        self.profile = _SpeedProfile(spec["speed"]["accel_mps2"], spec["speed"]["cruise_mps"],
-                                     spec["speed"]["decel_mps2"])
+        speed, length = spec["speed"], self.route.total_length
+        accel, cruise, decel = speed["accel_mps2"], speed["cruise_mps"], speed["decel_mps2"]
+        self.accel, self.decel = accel, decel
+        self.t_acc = cruise / accel
+        self.s_acc = 0.5 * cruise**2 / accel
+        self.v_peak, self.cruise_len, self.t_cruise = cruise, 0.0, math.inf
+        if not self.route.closed:
+            s_dec = 0.5 * cruise**2 / decel
+            if self.s_acc + s_dec <= length:
+                self.cruise_len = length - self.s_acc - s_dec
+            else:
+                self.v_peak = math.sqrt(2.0 * length * accel * decel / (accel + decel))
+                self.t_acc = self.v_peak / accel
+                self.s_acc = 0.5 * self.v_peak**2 / accel
+            self.t_cruise = self.cruise_len / self.v_peak
+        self.t_dec = self.v_peak / decel
         self.activation_t_ns: int | None = None
 
     def activate(self, t_ns: int) -> None:
@@ -123,7 +111,15 @@ class Npc:
         if self.activation_t_ns is None or t_ns < self.activation_t_ns:
             return None
         dt = (t_ns - self.activation_t_ns) / NS_PER_S
-        s, v = self.profile.state_at(dt, self.route.total_length, self.route.closed)
+        if dt <= self.t_acc:
+            s, v = 0.5 * self.accel * dt**2, self.accel * dt
+        elif dt <= self.t_acc + self.t_cruise:
+            s, v = self.s_acc + self.v_peak * (dt - self.t_acc), self.v_peak
+        elif (td := dt - self.t_acc - self.t_cruise) <= self.t_dec:
+            s = self.s_acc + self.cruise_len + self.v_peak * td - 0.5 * self.decel * td**2
+            v = self.v_peak - self.decel * td
+        else:
+            s, v = self.route.total_length, 0.0
         x, y, tx, ty = self.route.pose_at(s)
         return AgentState(self.npc_id, int(t_ns), x, y, v * tx, v * ty, self.radius)
 
@@ -237,13 +233,9 @@ class Runner:
         payload = {"x": x, "y": y, "heading": heading, "v": v, "stale": stale}
         body = sense_text(*texts, stale)
         self._npc_states = states = [npc.state_at(t_ns) for npc in self.npcs]
-        for a in states:
+        for npc, a in zip(self.npcs, states):
             if a is not None:
-                payload[f"npc_{a.agent_id}_x"] = a.x
-                payload[f"npc_{a.agent_id}_y"] = a.y
-                payload[f"npc_{a.agent_id}_vx"] = a.vx
-                payload[f"npc_{a.agent_id}_vy"] = a.vy
-                payload[f"npc_{a.agent_id}_r"] = a.radius
+                payload.update(zip(npc.keys, (a.x, a.y, a.vx, a.vy, a.radius)))
                 body = None  # not the fixed shape: the payload is encoded whole
         self.audit.append(_new(TimedEvent, (self.run_id, cid, R2V_SENSE_DONE, t_ns, payload)), body)
         self._schedule(t_ns, self._on_sut_in, cid)
@@ -349,8 +341,6 @@ _POSE_KEYS = ("x", "y", "heading")
 _EGO_KEYS = ("x", "y", "v", "heading")
 #: Length of a cid's list of stage times, which ``Stage`` indexes.
 _N_STAGES = len(Stage)
-#: Agent id of the ego in a safety frame.
-_EGO = "ego"
 
 
 def _numbers(ev: TimedEvent, keys: tuple[str, ...]) -> tuple:
@@ -361,6 +351,15 @@ def _numbers(ev: TimedEvent, keys: tuple[str, ...]) -> tuple:
         for key in keys:
             _field(ev, key)
     return values
+
+
+def _agent(ev: TimedEvent, agent_id: str, x, y, vx, vy, radius) -> AgentState:
+    """The ``AgentState`` of one agent of a sense event; one that fails its
+    check names the stage, the cid and the agent."""
+    try:
+        return AgentState(agent_id, ev.t_ns, x, y, vx, vy, radius)
+    except ValueError as exc:
+        raise ValueError(f"{ev.stage.name} cid {ev.cid}: agent {agent_id!r}: {exc}") from exc
 
 
 class Analyzer:
@@ -472,8 +471,7 @@ class Analyzer:
         self.cfg, self.run_id = cfg, ev.run_id
         self.path = ReferencePath(cfg["path"]["vertices"], closed=cfg["path"]["closed"])
         if cfg["scenario"] is not None:
-            self._npc_keys = [(nid, tuple(f"npc_{nid}_{k}" for k in ("x", "y", "vx", "vy", "r")))
-                              for nid in (npc["id"] for npc in cfg["scenario"]["npcs"])]
+            self._npc_keys = [(npc["id"], npc_keys(npc["id"])) for npc in cfg["scenario"]["npcs"]]
 
     def laps_done(self) -> bool:
         """Whether a ``laps`` run has gone its laps: its progress has reached
@@ -483,21 +481,18 @@ class Analyzer:
 
     def _frame(self, ev: TimedEvent) -> None:
         """Reduce a sense event to its ``frame_metrics``: the ego's mirrored
-        state against that of every NPC the payload carries, each checked."""
+        state against that of every NPC the payload carries."""
         x, y, v, heading = _numbers(ev, _EGO_KEYS)
-        agents = {_EGO: (x, y, v * math.cos(heading), v * math.sin(heading),
-                         self.cfg["report"]["ego_radius_m"])}
-        for nid, keys in self._npc_keys:
-            if keys[0] in ev.payload:
-                agents[nid] = _numbers(ev, keys)
-        for state in agents.values():
-            check_agent(*state)
+        ego = _agent(ev, "ego", x, y, v * math.cos(heading), v * math.sin(heading),
+                     self.cfg["report"]["ego_radius_m"])
+        others = [_agent(ev, nid, *_numbers(ev, keys))
+                  for nid, keys in self._npc_keys if keys[0] in ev.payload]
+        ttc, dmin = frame_metrics(ego, others)
         t_col, ttc_col, dmin_col = self._frames
-        t_ns, ttc, dmin = frame_metrics(ev.t_ns, agents, _EGO)
-        t_col.append(t_ns)
+        t_col.append(ev.t_ns)
         ttc_col.append(ttc)
         dmin_col.append(dmin)
-        if len(agents) > 1:
+        if others:
             self._triggered = True
 
     def _latency(self) -> tuple[dict[str, np.ndarray], list[int], dict[int, Stage]]:
@@ -644,16 +639,22 @@ def _run_points(points: list[dict], directories: list[Path]) -> list[dict]:
     there is one point, one usable CPU, no ``fork``, or a profile or trace
     hook, which sees only its own process: then they run here, one after
     another.  Either way each point writes the same bytes, and the first
-    point to fail, in order, raises its error once the workers are gone.
+    point to fail, in order, raises its error once the workers are gone; in
+    the pool, a point that no worker has taken when a point fails never
+    starts.
     """
     workers = min(len(points), _usable_cpus())
     if (workers < 2 or not hasattr(os, "fork")
             or sys.getprofile() is not None or sys.gettrace() is not None):
         return list(map(_run_point, points, directories))
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(_run_point, points, directories))
+        futures = list(map(partial(pool.submit, _run_point), points, directories))
+        wait(futures, return_when=FIRST_EXCEPTION)
+        for future in futures:
+            future.cancel()
+        return [future.result() for future in futures]
 
 
 def run_stage2(sweep_resolved: dict, out) -> tuple[list[dict], dict[str, str]]:

@@ -1,11 +1,14 @@
 """Interaction safety metrics over synchronized multi-agent states.
 
-Agents are circles (circumscribed body footprints).  Time-to-collision uses
-constant-velocity extrapolation of the inter-body gap and solves the contact
-time in closed form; the minimum-gap trace keeps per-frame gaps (floored at
-zero: overlap counts as collision) plus the running global minima.  Event
-extraction turns a trace into global minima, alert-threshold crossings, and
-prominence-filtered valleys, each the dict that the report lists.
+Agents are circles (circumscribed body footprints), each one ``AgentState``,
+which rejects a non-positive radius or non-finite kinematics as it is built.
+Time-to-collision uses constant-velocity extrapolation of the inter-body gap
+and solves the contact time in closed form; ``frame_metrics`` scores one
+frame, the ego against the other agents, and the minimum-gap trace keeps
+per-frame gaps (floored at zero: overlap counts as collision) plus the running
+global minima.  Event extraction turns a trace into global minima,
+alert-threshold crossings, and prominence-filtered valleys, each the dict that
+the report lists.
 """
 
 from __future__ import annotations
@@ -16,16 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def check_agent(x: float, y: float, vx: float, vy: float, radius: float) -> None:
-    """Reject a non-positive footprint radius or non-finite kinematics."""
-    if radius <= 0.0:
-        raise ValueError("footprint radius must be positive")
-    for v in (x, y, vx, vy):
-        if not math.isfinite(v):
-            raise ValueError("agent kinematics must be finite")
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AgentState:
     """One agent's synchronized planar state at a frame time."""
 
@@ -38,7 +32,11 @@ class AgentState:
     radius: float
 
     def __post_init__(self):
-        check_agent(self.x, self.y, self.vx, self.vy, self.radius)
+        if self.radius <= 0.0:
+            raise ValueError("footprint radius must be positive")
+        for v in (self.x, self.y, self.vx, self.vy):
+            if not math.isfinite(v):
+                raise ValueError("agent kinematics must be finite")
 
 
 def contact_ttc(dpx: float, dpy: float, dvx: float, dvy: float, rsum: float) -> float:
@@ -88,29 +86,23 @@ class SafetyTrace:
         return int(self.t_ns.size)
 
 
-def frame_metrics(t_ns: int, agents, ego_id: str) -> tuple[int, float, float]:
-    """One frame of a safety trace: ``(t_ns, ttc, dmin)``, the least
-    time-to-contact and body gap between the ego and any other agent of
-    ``agents``, which maps an agent id to its ``(x, y, vx, vy, radius)`` and
-    must contain the ego.  Without any other agent both metrics are +inf.
+def frame_metrics(ego: AgentState, others) -> tuple[float, float]:
+    """One frame of a safety trace: ``(ttc, dmin)``, the least time-to-contact
+    and body gap between ``ego`` and any agent of ``others``.  Without any
+    other agent both metrics are +inf.
     """
-    ego = agents.get(ego_id)
-    if ego is None:
-        raise ValueError(f"frame at {t_ns} ns does not contain ego agent {ego_id!r}")
-    ex, ey, evx, evy, er = ego
+    ex, ey, evx, evy, er = ego.x, ego.y, ego.vx, ego.vy, ego.radius
     ttc = dmin = math.inf
-    for agent_id, (x, y, vx, vy, r) in agents.items():
-        if agent_id == ego_id:
-            continue
-        dpx, dpy, rsum = x - ex, y - ey, er + r
-        ttc = min(ttc, contact_ttc(dpx, dpy, vx - evx, vy - evy, rsum))
+    for a in others:
+        dpx, dpy, rsum = a.x - ex, a.y - ey, er + a.radius
+        ttc = min(ttc, contact_ttc(dpx, dpy, a.vx - evx, a.vy - evy, rsum))
         dmin = min(dmin, contact_gap(dpx, dpy, rsum))
-    return t_ns, ttc, dmin
+    return ttc, dmin
 
 
 def d_min_trace(t_ns, ttc_s, dmin_m) -> SafetyTrace:
-    """The safety trace of the frames whose ``frame_metrics`` are given as
-    three columns of equal length, in frame order.  Each global minimum is
+    """The safety trace of the frames whose times and ``frame_metrics`` are
+    given as three columns of equal length, in frame order.  Each global minimum is
     the first frame that holds it; a metric that is +inf in every frame has
     no time.
     """

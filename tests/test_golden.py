@@ -223,6 +223,27 @@ def test_replay_rejects_a_non_number_pose_field_naming_it(tmp_path, capsys, valu
         f"{json.loads(value)!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, reason", [
+    pytest.param('"npc_npc1_r":0.1', '"npc_npc1_r":0', "footprint radius must be positive",
+                 id="radius-zero"),
+    pytest.param('"npc_npc1_vx":0.0', '"npc_npc1_vx":1e999', "agent kinematics must be finite",
+                 id="vx-infinite"),
+])
+def test_replay_rejects_a_damaged_agent_naming_it(tmp_path, capsys, old, new, reason):
+    # Line 733 of the stage-3 fixture is cid 67's sense event, the first that
+    # carries the five NPCs.
+    lines = (DATA.parent / "golden_stage3" / "audit.ndjson").read_text().splitlines(keepends=True)
+    assert lines[732].count(old) == 1
+    lines[732] = lines[732].replace(old, new)
+    log = tmp_path / "audit.ndjson"
+    log.write_text("".join(lines))
+    message = f"line 733: R2vSenseDone cid 67: agent 'npc1': {reason}"
+    with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
+        replay_report(log)
+    assert main(["replay-report", "--log", str(log), "--out", str(tmp_path / "r"), "-q"]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_replay_flags_a_hand_off_no_component_counts(tmp_path):
     # Line 10 is cid 1's SutCmdIn, at the instant its sensing finished; 1 ns
     # later leaves a 1 ns gap between the sense and sut intervals.

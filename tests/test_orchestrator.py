@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import sys
+import time
 from heapq import heappop, heappush
 
 import numpy as np
@@ -23,6 +24,16 @@ from hilbench.orchestrator import (
     run_stage2,
     sweep_point_seed,
 )
+
+
+def _sleepy_point(point, directory):
+    """A stand-in for ``orchestrator._run_point``: point 1 raises at once,
+    every other point sleeps, then makes its directory."""
+    if point["index"] == 1:
+        raise RuntimeError("point 1 fails")
+    time.sleep(0.5)
+    directory.mkdir()
+    return {}
 
 
 def logged_run(cfg, log):
@@ -415,6 +426,21 @@ class TestStage2:
         assert errors[0] == errors[1] == (
             f"error: [Errno 17] File exists: '{out / 'delay_20ms_rep0'}'\n")
 
+
+    @pytest.mark.skipif(sys.gettrace() is not None, reason="a trace hook keeps the sweep in-process")
+    def test_a_failing_point_starts_no_point_left_in_the_queue(self, tmp_path, monkeypatch, pools):
+        # Two workers; point 1 fails at once while the others sleep, so no
+        # worker is free to take points 6 and 7 before the failure is seen.
+        monkeypatch.setattr(orchestrator, "_run_point", _sleepy_point)
+        points = [{"index": i} for i in range(8)]
+        directories = [tmp_path / f"p{i}" for i in range(8)]
+        with pytest.raises(RuntimeError, match="^point 1 fails$"):
+            orchestrator._run_points(points, directories)
+        assert pools == [(2, "fork")]
+        assert multiprocessing.active_children() == []
+        started = [i for i, d in enumerate(directories) if d.exists()]
+        assert 0 in started and 1 not in started
+        assert 6 not in started and 7 not in started
 
 class TestStage3:
     def test_requires_scenario(self, tmp_path, capsys):

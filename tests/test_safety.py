@@ -32,15 +32,15 @@ def body_gap(a, b):
     return contact_gap(b.x - a.x, b.y - a.y, a.radius + b.radius)
 
 
-def frame_of(*agents):
-    """The ``frame_metrics`` frame of agent states that share a timestamp."""
-    return agents[0].t_ns, {a.agent_id: (a.x, a.y, a.vx, a.vy, a.radius) for a in agents}
+def frame_of(ego, *others):
+    """The frame of agent states that share a timestamp: ``(t_ns, ego, others)``."""
+    return ego.t_ns, ego, others
 
 
-def trace_of(frames, ego_id="ego"):
-    """The ``d_min_trace`` of ``(t_ns, agents)`` frames, each reduced by
+def trace_of(frames):
+    """The ``d_min_trace`` of ``(t_ns, ego, others)`` frames, each reduced by
     ``frame_metrics``."""
-    metrics = [frame_metrics(t_ns, agents, ego_id) for t_ns, agents in frames]
+    metrics = [(t_ns, *frame_metrics(ego, others)) for t_ns, ego, others in frames]
     return d_min_trace(*([m[k] for m in metrics] for k in range(3)))
 
 
@@ -52,6 +52,24 @@ def stepping_oracle(ego, other, horizon=30.0, dt=1e-4):
     gap = np.hypot(dx, dy) - (ego.radius + other.radius)
     hit = np.nonzero(gap <= 0.0)[0]
     return float(s[hit[0]]) if hit.size else math.inf
+
+
+class TestAgentState:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"r": 0.0}, "footprint radius must be positive"),
+        ({"r": -0.1}, "footprint radius must be positive"),
+        ({"x": math.nan}, "agent kinematics must be finite"),
+        ({"vy": -math.inf}, "agent kinematics must be finite"),
+    ])
+    def test_rejects_a_bad_radius_or_kinematics(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            agent("a", 0, **{"x": 0.0, "y": 0.0, **kwargs})
+
+    def test_is_a_slots_dataclass_with_value_equality(self):
+        # The benchmark's tracer wraps the class's own ``__init__``.
+        assert "__init__" in vars(AgentState)
+        assert not hasattr(agent("a", 0, 1.0, 2.0), "__dict__")
+        assert agent("a", 0, 1.0, 2.0) == agent("a", 0, 1.0, 2.0) != agent("b", 0, 1.0, 2.0)
 
 
 class TestTtcBody:
@@ -125,11 +143,6 @@ class TestDminTrace:
         trace = trace_of(frames)
         assert trace.d_min == math.inf
         assert trace.t_at_d_min is None
-
-    def test_missing_ego_names_frame(self):
-        frames = [frame_of(agent("ego", 0, 0, 0)), frame_of(agent("other", 1, 0, 0))]
-        with pytest.raises(ValueError, match="frame at 1 ns does not contain ego agent 'ego'"):
-            trace_of(frames)
 
     def test_global_min_matches_exhaustive_scan(self):
         rng = rng_stream(33, "safety.test")
