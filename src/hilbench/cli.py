@@ -1,14 +1,17 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 configuration error, 2 run aborted.  Every command
-that produces files also writes a ``manifest.json`` listing them; ``stage2``
-lists the files ``orchestrator.run_stage2`` reports that it wrote, whose
-points run in forked workers, one per usable CPU, with the same bytes as one
-after another.  Before writing, a command deletes the files that the output
-directory's previous manifest lists, so the directory holds only its own.
-The default output directory can be set with the ``HILBENCH_OUT`` environment
-variable.  ``--config`` accepts either a file path or the name of a shipped
-preset (``stage1-default``, ``stage2-cliff-sweep``, ``stage3-intersection``).
+that produces files also writes a ``manifest.json`` listing them.  ``stage1``,
+``stage3`` and ``replay-report`` write a run directory with
+``orchestrator.write_run_files``; a live run's manifest also lists the audit
+log it wrote.  ``stage2`` lists the files ``orchestrator.run_stage2`` reports
+that it wrote, whose points run in forked workers, one per usable CPU, with
+the same bytes as one after another.  Before writing, a command deletes the
+files that the output directory's previous manifest lists, so the directory
+holds only its own.  The default output directory can be set with the
+``HILBENCH_OUT`` environment variable.  ``--config`` accepts either a file
+path or the name of a shipped preset (``stage1-default``,
+``stage2-cliff-sweep``, ``stage3-intersection``).
 """
 
 from __future__ import annotations
@@ -21,11 +24,9 @@ import sys
 from pathlib import Path
 
 from . import config as cfg_mod
-from . import orchestrator, presets, registration, temporal
+from . import orchestrator, presets, registration
 from .core import write_json
 from .plant import channel_params, fit_fopdt, run_step_experiment
-from .safety import write_safety_csv
-from .spatial import write_trajectory_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -81,27 +82,6 @@ def _write_manifest(out: Path, command: str, artifacts: dict, flags: dict | None
     })
 
 
-def _write_run_artifacts(out: Path, fold: orchestrator.Analyzer, report: dict) -> dict:
-    """Write ``report`` and the artifacts derived from the analysis fold of
-    its log; return ``{artifact name: relative path}``, the audit log that
-    the run wrote included."""
-    names = orchestrator.ARTIFACTS
-    write_json(out / names["report"], report)
-    written = ["audit", "report"]
-    if fold.rows[0]:
-        write_trajectory_csv(fold.path, zip(*fold.rows), out / names["trajectory"],
-                             fold.cfg["sut"]["goal_speed_mps"])
-        written.append("trajectory")
-    if all(report["latency_ms"].values()):
-        temporal.write_latency_report(report["latency_ms"], out / names["latency"])
-        written.append("latency")
-    if fold.safety_trace is not None:
-        write_safety_csv(fold.safety_trace, out / names["safety"])
-        write_json(out / names["events"], report["safety"]["events"])
-        written += ["safety", "events"]
-    return {key: names[key] for key in written}
-
-
 def _apply_seed_override(doc: dict, seed: int | None) -> dict:
     if seed is not None:
         doc = dict(doc)
@@ -119,8 +99,9 @@ def _cmd_run(args) -> int:
     if args.command == "stage3" and resolved["scenario"] is None:
         raise cfg_mod.ConfigError("scenario", "stage 3 requires a scenario (config or --script)")
     out = _out_dir(args)
-    report, fold = orchestrator.run_stage1(resolved, out / orchestrator.ARTIFACTS["audit"])
-    artifacts = _write_run_artifacts(out, fold, report)
+    log = orchestrator.ARTIFACTS["audit"]
+    report, fold = orchestrator.run_stage1(resolved, out / log)
+    artifacts = {"audit": log, **orchestrator.write_run_files(out, fold, report)}
     _write_manifest(out, args.command, artifacts, {"aborted": report["aborted"]})
     _print_run_summary(report, args)
     return EXIT_ABORT if report["aborted"] else EXIT_OK
@@ -199,10 +180,9 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_replay_report(args) -> int:
-    report = orchestrator.replay_report(args.log)
+    report, fold = orchestrator.replay_report(args.log)
     out = _out_dir(args, reads=Path(args.log))
-    write_json(out / "report.json", report)
-    _write_manifest(out, "replay-report", {"report": "report.json"},
+    _write_manifest(out, "replay-report", orchestrator.write_run_files(out, fold, report),
                     {"aborted": report["aborted"], "truncated": report["truncated"]})
     _print_run_summary(report, args)
     return EXIT_OK

@@ -8,8 +8,9 @@ One run is a single-threaded discrete-event loop.  Events are processed in
 
 with the plant integrating continuously between events.  Every stage boundary
 appends one audit record when it fires, so the log is globally time-ordered
-and the whole report is recomputable from the log alone (``replay_report``
-rebuilds the exact same report from the file).
+and the whole run directory is recomputable from the log alone:
+``replay_report`` rebuilds the exact same report and fold from the file, and
+``write_run_files`` writes the files of a fold, live or replayed.
 
 The three workflow stages map onto this loop: stage 1 runs it clean for a
 baseline, stage 2 sweeps the command-link perturbation delay, one independent
@@ -42,8 +43,9 @@ from .core import (ACTUATOR_APPLY, GTS_SAMPLE, NO_PAYLOAD, NS_PER_S, PERTURB_IN,
 from .links import R2VLink, V2RLink, sampler
 from .plant import Plant
 from .safety import (AgentState, SafetyTrace, d_min_trace, extract_events, finite_or_none,
-                     frame_metrics)
-from .spatial import ReferencePath, TrajectorySample, project, summarize, track_errors
+                     frame_metrics, write_safety_csv)
+from .spatial import (ReferencePath, TrajectorySample, project, summarize, track_errors,
+                      write_trajectory_csv)
 from .sut import Observation, PurePursuitParams, PurePursuitSut
 
 
@@ -177,7 +179,6 @@ class Runner:
         self.aborted = False
         self.abort_reason: str | None = None
         self.gts_count = 0
-        self.stop_sampling = False
         # Mirror: the virtual domain's freshest synchronized ego state, as the
         # pose sample it came from: (x, y, heading, v, sample t_ns, the
         # float_text of heading, v, x and y).
@@ -212,12 +213,9 @@ class Runner:
         self._schedule(sched.t_adv_done, self._emit, R2V_ADV_DONE, cid)
         self._schedule(sched.t_sense_done, self._on_sense_done, cid,
                        (x, y, heading, v, t_ns, texts))
-        if not self.stop_sampling:
-            t_next = t_ns + self.period_ns
-            if t_next < self.t_limit_ns and not self.analyzer.laps_done():
-                self._schedule(t_next, self._on_gts)
-            else:
-                self.stop_sampling = True
+        t_next = t_ns + self.period_ns
+        if t_next < self.t_limit_ns and not self.analyzer.laps_done():
+            self._schedule(t_next, self._on_gts)
 
     def _on_sense_done(self, t_ns: int, cid: int, sample) -> None:
         stale = sample[4] < self._mirror[4]
@@ -612,6 +610,27 @@ def run_stage1(resolved: dict, log_path=None) -> tuple[dict, Analyzer]:
         return runner.run(), runner.analyzer
 
 
+def write_run_files(out: Path, fold: Analyzer, report: dict) -> dict[str, str]:
+    """Write ``report`` and the files derived from ``fold``, the fold of its
+    log, live or replayed, into the run directory ``out``; return
+    ``{artifact name: path relative to out}`` of what was written.  The audit
+    log is not among them: a live run writes it as it runs, a replay reads it."""
+    write_json(out / ARTIFACTS["report"], report)
+    written = ["report"]
+    if fold.rows[0]:
+        write_trajectory_csv(fold.path, zip(*fold.rows), out / ARTIFACTS["trajectory"],
+                             fold.cfg["sut"]["goal_speed_mps"])
+        written.append("trajectory")
+    if all(report["latency_ms"].values()):
+        temporal.write_latency_report(report["latency_ms"], out / ARTIFACTS["latency"])
+        written.append("latency")
+    if fold.safety_trace is not None:
+        write_safety_csv(fold.safety_trace, out / ARTIFACTS["safety"])
+        write_json(out / ARTIFACTS["events"], report["safety"]["events"])
+        written += ["safety", "events"]
+    return {key: ARTIFACTS[key] for key in written}
+
+
 def sweep_point_seed(base_seed: int, delay_ms: float, rep: int) -> int:
     """Per-point seed, a function of the delay value (not its list position)."""
     return substream_seed(base_seed, f"sweep/delay={delay_ms:g}/rep={rep}")
@@ -715,12 +734,13 @@ def write_response_curve(rows: list[dict], path) -> None:
 # Replay
 
 
-def replay_report(log_path) -> dict:
-    """Rebuild the report from an audit log file alone (no simulation); a
+def replay_report(log_path) -> tuple[dict, Analyzer]:
+    """Rebuild the report from an audit log file alone (no simulation);
+    returns (report, the log's analysis fold), as ``run_stage1`` does.  A
     failure is a ``ValueError`` naming the log."""
     fold = Analyzer()
     AuditLog.read_ndjson(log_path, fold)
     try:
-        return build_report(fold)
+        return build_report(fold), fold
     except ValueError as exc:
         raise ValueError(f"{log_path}: {exc}") from exc

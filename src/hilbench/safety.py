@@ -1,12 +1,13 @@
 """Interaction safety metrics over synchronized multi-agent states.
 
 Agents are circles (circumscribed body footprints), each one ``AgentState``,
-which rejects a non-positive radius or non-finite kinematics as it is built.
-Time-to-collision uses constant-velocity extrapolation of the inter-body gap
-and solves the contact time in closed form; ``frame_metrics`` scores one
-frame, the ego against the other agents, and the minimum-gap trace keeps
-per-frame gaps (floored at zero: overlap counts as collision) plus the running
-global minima.  Event extraction turns a trace into global minima,
+which rejects a radius that is not positive (NaN too) or non-finite
+kinematics as it is built.  Time-to-collision uses constant-velocity
+extrapolation of the inter-body gap and solves the contact time in closed
+form; ``frame_metrics`` scores one frame, the ego against the other agents,
+and the minimum-gap trace keeps the per-frame columns it is given (gaps
+floored at zero: overlap counts as collision) plus the frame of each global
+minimum, found once.  Event extraction turns a trace into global minima,
 alert-threshold crossings, and prominence-filtered valleys, each the dict that
 the report lists.
 """
@@ -14,9 +15,8 @@ the report lists.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(slots=True)
@@ -32,7 +32,7 @@ class AgentState:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0.0:
+        if not self.radius > 0.0:
             raise ValueError("footprint radius must be positive")
         for v in (self.x, self.y, self.vx, self.vy):
             if not math.isfinite(v):
@@ -72,18 +72,22 @@ def contact_gap(dpx: float, dpy: float, rsum: float) -> float:
 
 @dataclass
 class SafetyTrace:
-    """Per-frame safety metrics plus global minima with their timestamps."""
+    """Per-frame safety metrics, the three columns ``d_min_trace`` is given,
+    plus each global minimum with the index and time of the first frame that
+    holds it (None when the metric is +inf in every frame)."""
 
-    t_ns: np.ndarray
-    ttc_s: np.ndarray
-    dmin_m: np.ndarray
+    t_ns: Sequence[int]
+    ttc_s: Sequence[float]
+    dmin_m: Sequence[float]
     ttc_min: float = math.inf
+    i_ttc_min: int | None = None
     t_at_ttc_min: int | None = None
     d_min: float = math.inf
+    i_d_min: int | None = None
     t_at_d_min: int | None = None
 
     def __len__(self) -> int:
-        return int(self.t_ns.size)
+        return len(self.t_ns)
 
 
 def frame_metrics(ego: AgentState, others) -> tuple[float, float]:
@@ -102,20 +106,16 @@ def frame_metrics(ego: AgentState, others) -> tuple[float, float]:
 
 def d_min_trace(t_ns, ttc_s, dmin_m) -> SafetyTrace:
     """The safety trace of the frames whose times and ``frame_metrics`` are
-    given as three columns of equal length, in frame order.  Each global minimum is
-    the first frame that holds it; a metric that is +inf in every frame has
-    no time.
+    given as three columns of equal length, in frame order; the trace keeps
+    the columns themselves.  Each global minimum is the first frame that
+    holds it; a metric that is +inf in every frame has no frame.
     """
-    trace = SafetyTrace(
-        t_ns=np.array(t_ns, dtype=np.int64),
-        ttc_s=np.array(ttc_s, dtype=float),
-        dmin_m=np.array(dmin_m, dtype=float),
-    )
-    for t, ttc, dmin in zip(t_ns, ttc_s, dmin_m):
+    trace = SafetyTrace(t_ns, ttc_s, dmin_m)
+    for i, (t, ttc, dmin) in enumerate(zip(t_ns, ttc_s, dmin_m)):
         if ttc < trace.ttc_min:
-            trace.ttc_min, trace.t_at_ttc_min = float(ttc), int(t)
+            trace.ttc_min, trace.i_ttc_min, trace.t_at_ttc_min = ttc, i, t
         if dmin < trace.d_min:
-            trace.d_min, trace.t_at_d_min = float(dmin), int(t)
+            trace.d_min, trace.i_d_min, trace.t_at_d_min = dmin, i, t
     return trace
 
 
@@ -163,21 +163,21 @@ def _valley_prominence(v: float, left_peak: float, right_peak: float) -> float:
 
 
 def _find_valleys(t_ns, values, min_prominence, min_separation_ns, exclude_idx):
-    vals = values.tolist()
-    left = _peaks_before_lower(vals)
-    right = _peaks_before_lower(vals[::-1])[::-1]
+    left = _peaks_before_lower(values)
+    right = _peaks_before_lower(values[::-1])[::-1]
     candidates = []
-    for i in range(1, len(vals) - 1):
-        if not math.isfinite(vals[i]) or i == exclude_idx:
+    for i in range(1, len(values) - 1):
+        v = values[i]
+        if not math.isfinite(v) or i == exclude_idx:
             continue
-        if vals[i - 1] > vals[i] < vals[i + 1]:
-            prom = _valley_prominence(vals[i], left[i], right[i])
+        if values[i - 1] > v < values[i + 1]:
+            prom = _valley_prominence(v, left[i], right[i])
             if prom >= min_prominence:
-                candidates.append((vals[i], i, prom))
+                candidates.append((v, i, prom))
     candidates.sort()  # ascending by value, then index
     chosen = []
     for val, i, prom in candidates:
-        if all(abs(int(t_ns[i]) - int(t_ns[j])) >= min_separation_ns for _, j, _ in chosen):
+        if all(abs(t_ns[i] - t_ns[j]) >= min_separation_ns for _, j, _ in chosen):
             chosen.append((val, i, prom))
     return chosen
 
@@ -203,32 +203,30 @@ def extract_events(
     events = []
     sep_ns = round(min_separation_s * 1e9)
 
+    t_ns = trace.t_ns
     specs = [
-        ("TTC", trace.ttc_s, trace.ttc_min, trace.t_at_ttc_min, ttc_prominence_s),
-        ("Dmin", trace.dmin_m, trace.d_min, trace.t_at_d_min, dmin_prominence_m),
+        ("TTC", trace.ttc_s, trace.ttc_min, trace.i_ttc_min, ttc_prominence_s),
+        ("Dmin", trace.dmin_m, trace.d_min, trace.i_d_min, dmin_prominence_m),
     ]
-    for metric, series, gmin, t_gmin, prom_min in specs:
-        if t_gmin is not None and math.isfinite(gmin):
-            events.append(_event("GlobalMin", metric, t_gmin, gmin))
+    for metric, series, gmin, i_gmin, prom_min in specs:
+        if i_gmin is not None and math.isfinite(gmin):
+            events.append(_event("GlobalMin", metric, t_ns[i_gmin], gmin))
 
-    # Falling crossings of the TTC alert threshold.
-    below = trace.ttc_s < ttc_threshold_s
-    for i in range(len(trace)):
-        if below[i] and (i == 0 or not below[i - 1]):
-            events.append(_event("ThresholdCross", "TTC", int(trace.t_ns[i]), float(trace.ttc_s[i])))
-    # Collision onset: the body gap reaching zero.
-    zero = trace.dmin_m <= 0.0
-    for i in range(len(trace)):
-        if zero[i] and (i == 0 or not zero[i - 1]):
-            events.append(_event("ThresholdCross", "Dmin", int(trace.t_ns[i]), 0.0))
+    # Falling crossings of the TTC alert threshold, then collision onsets:
+    # the body gap reaching zero.
+    below = zero = False
+    for t, ttc in zip(t_ns, trace.ttc_s):
+        if ttc < ttc_threshold_s and not below:
+            events.append(_event("ThresholdCross", "TTC", t, ttc))
+        below = ttc < ttc_threshold_s
+    for t, dmin in zip(t_ns, trace.dmin_m):
+        if dmin <= 0.0 and not zero:
+            events.append(_event("ThresholdCross", "Dmin", t, 0.0))
+        zero = dmin <= 0.0
 
-    for metric, series, gmin, t_gmin, prom_min in specs:
-        exclude = None
-        if t_gmin is not None:
-            hits = np.nonzero((trace.t_ns == t_gmin) & (series == gmin))[0]
-            exclude = int(hits[0]) if hits.size else None
-        for val, i, prom in _find_valleys(trace.t_ns, series, prom_min, sep_ns, exclude):
-            events.append(_event("Valley", metric, int(trace.t_ns[i]), val, prom))
+    for metric, series, gmin, i_gmin, prom_min in specs:
+        for val, i, prom in _find_valleys(t_ns, series, prom_min, sep_ns, i_gmin):
+            events.append(_event("Valley", metric, t_ns[i], val, prom))
     return events
 
 
@@ -236,6 +234,6 @@ def write_safety_csv(trace: SafetyTrace, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t_ns,ttc_s,dmin_m\n")
         for t, ttc, dm in zip(trace.t_ns, trace.ttc_s, trace.dmin_m):
-            ttc_s = "inf" if not math.isfinite(ttc) else repr(float(ttc))
-            dm_s = "inf" if not math.isfinite(dm) else repr(float(dm))
-            fh.write(f"{int(t)},{ttc_s},{dm_s}\n")
+            ttc_s = "inf" if not math.isfinite(ttc) else repr(ttc)
+            dm_s = "inf" if not math.isfinite(dm) else repr(dm)
+            fh.write(f"{t},{ttc_s},{dm_s}\n")

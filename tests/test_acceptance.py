@@ -206,7 +206,7 @@ def test_06_determinism_and_auditability(tmp_path):
     report1, _ = run_stage1(resolved, log1)
     run_stage1(resolved, log2)
     logs_identical = log1.read_bytes() == log2.read_bytes()
-    replayed = replay_report(log1)
+    replayed = replay_report(log1)[0]
     replay_exact = json_document(replayed) == json_document(report1)
     ok = logs_identical and replay_exact
     verdict("6 determinism-auditability", ok,

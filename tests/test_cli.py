@@ -198,7 +198,13 @@ class TestReplayCommand:
         out2 = tmp_path / "replay"
         assert main(["replay-report", "--log", str(out / "audit.ndjson"),
                      "--out", str(out2), "-q"]) == EXIT_OK
-        assert (out / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+        # Every file of the run but its audit log, byte for byte, and a
+        # manifest that lists exactly them.
+        assert files_under(out2) == listed_in_manifest(out2) \
+            == [name for name in files_under(out) if name != "audit.ndjson"]
+        for name in files_under(out2):
+            if name != "manifest.json":
+                assert (out2 / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_missing_log_is_config_error(self, tmp_path):
         assert main(["replay-report", "--log", str(tmp_path / "nope.ndjson"),

@@ -51,7 +51,7 @@ def logged_stage_times(log):
 def assert_report_matches_oracle(log):
     """Replay ``log``, check its latency fields against ``assemble_all`` over
     the log's stage times, and return the report."""
-    report = replay_report(log)
+    report = replay_report(log)[0]
     records, incomplete, gapped = assemble_all(logged_stage_times(log))
     assert list(report["cycles"]["incomplete"].items()) == \
         [(str(cid), stage.name) for cid, stage in incomplete.items()]

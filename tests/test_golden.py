@@ -33,7 +33,7 @@ GOLDEN_CONFIG = {
 
 
 def test_replay_of_stored_log_matches_stored_report():
-    replayed = replay_report(DATA / "audit.ndjson")
+    replayed = replay_report(DATA / "audit.ndjson")[0]
     assert json_document(replayed) == (DATA / "report.json").read_text()
 
 
@@ -102,11 +102,11 @@ def test_replay_drops_a_torn_final_line_and_reports_truncation(tmp_path, keep_li
     torn = lines[keep_lines][: len(lines[keep_lines]) // 2]
     log = tmp_path / "audit.ndjson"
     log.write_text("".join(lines[:keep_lines]) + torn)
-    report = replay_report(log)
+    report = replay_report(log)[0]
     assert report["truncated"] and not report["completed"]
     complete = tmp_path / "complete.ndjson"
     complete.write_text("".join(lines[:keep_lines]))
-    assert json_document(report) == json_document(replay_report(complete))
+    assert json_document(report) == json_document(replay_report(complete)[0])
     assert main(["replay-report", "--log", str(log), "--out", str(tmp_path / "r"), "-q"]) == EXIT_OK
     assert json.loads((tmp_path / "r" / "report.json").read_text())["truncated"] is True
 
@@ -226,6 +226,8 @@ def test_replay_rejects_a_non_number_pose_field_naming_it(tmp_path, capsys, valu
 @pytest.mark.parametrize("old, new, reason", [
     pytest.param('"npc_npc1_r":0.1', '"npc_npc1_r":0', "footprint radius must be positive",
                  id="radius-zero"),
+    pytest.param('"npc_npc1_r":0.1', '"npc_npc1_r":NaN', "footprint radius must be positive",
+                 id="radius-nan"),
     pytest.param('"npc_npc1_vx":0.0', '"npc_npc1_vx":1e999', "agent kinematics must be finite",
                  id="vx-infinite"),
 ])
@@ -253,7 +255,7 @@ def test_replay_flags_a_hand_off_no_component_counts(tmp_path):
     lines[9] = lines[9].replace(f'"t_ns":{record["t_ns"]}}}', f'"t_ns":{record["t_ns"] + 1}}}')
     log = tmp_path / "audit.ndjson"
     log.write_text("".join(lines))
-    report = replay_report(log)
+    report = replay_report(log)[0]
     assert report["completeness"] == {"fraction": 0.98, "violations": [1]}
     assert report["cycles"]["latency_records"] == 50
 

@@ -137,12 +137,23 @@ def test_dead_time_jitter_pin_depends_on_the_jitter(tmp_path):
     assert digest != RUN_SHA256["dead_time_jitter"]["audit.ndjson"]
 
 
-def test_replay_of_the_laps_log_equals_its_live_report(tmp_path):
-    out = _stage1(tmp_path, "laps1", LAPS_PIN_CONFIG)
-    replayed = tmp_path / "replayed"
-    assert main(["replay-report", "--log", str(out / "audit.ndjson"), "--out", str(replayed),
+def _assert_replay_rebuilds(live: Path, replayed: Path) -> None:
+    """Replay the audit log of the run directory ``live`` into ``replayed``,
+    which must then hold every other file of ``live`` byte for byte, and a
+    manifest that lists exactly those files."""
+    assert main(["replay-report", "--log", str(live / "audit.ndjson"), "--out", str(replayed),
                  "-q"]) == EXIT_OK
-    assert (replayed / "report.json").read_bytes() == (out / "report.json").read_bytes()
+    rebuilt = sorted(p.name for p in replayed.iterdir() if p.name != "manifest.json")
+    assert rebuilt == sorted(p.name for p in live.iterdir()
+                             if p.name not in ("audit.ndjson", "manifest.json"))
+    for name in rebuilt:
+        assert (replayed / name).read_bytes() == (live / name).read_bytes(), name
+    manifest = json.loads((replayed / "manifest.json").read_text())
+    assert sorted(art["path"] for art in manifest["artifacts"]) == rebuilt
+
+
+def test_replay_of_the_laps_log_equals_its_live_report(tmp_path):
+    _assert_replay_rebuilds(_stage1(tmp_path, "laps1", LAPS_PIN_CONFIG), tmp_path / "replayed")
 
 
 @pytest.fixture(scope="module")
@@ -158,9 +169,7 @@ def test_stage3_reproduces_pinned_scenario_digests(scenario_run):
 
 
 def test_replay_of_the_scenario_log_equals_its_live_report(scenario_run, tmp_path):
-    assert main(["replay-report", "--log", str(scenario_run / "audit.ndjson"),
-                 "--out", str(tmp_path), "-q"]) == EXIT_OK
-    assert (tmp_path / "report.json").read_bytes() == (scenario_run / "report.json").read_bytes()
+    _assert_replay_rebuilds(scenario_run, tmp_path / "replayed")
 
 
 def test_scenario_pin_covers_both_open_route_profiles(scenario_run):

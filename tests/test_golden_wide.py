@@ -5,7 +5,8 @@ Both fixtures were written by ``hilbench.cli.main`` from the configs below
 base with truncated-Gaussian command jitter and 5 % loss, delays 0 and 40 ms,
 2 s each).  A live re-run must reproduce every pinned file byte for byte, the
 ``manifest.json`` that lists them included, and
-``replay-report`` of each pinned audit log must reproduce its pinned report.
+``replay-report`` of each pinned audit log must reproduce its pinned report
+(and, for stage 3, every other pinned file but the log and the manifest).
 To regenerate a fixture on purpose, run the same command into the fixture
 directory and say why in the change log.
 """
@@ -135,9 +136,20 @@ def test_stage3_rerun_reproduces_pinned_bytes(stage3_out, name):
     assert (stage3_out / name).read_bytes() == (STAGE3_DATA / name).read_bytes()
 
 
-def test_stage3_replay_reproduces_pinned_report(tmp_path):
-    replayed = _replayed_report(STAGE3_DATA / "audit.ndjson", tmp_path)
-    assert replayed == (STAGE3_DATA / "report.json").read_bytes()
+@pytest.fixture(scope="module")
+def stage3_replay(tmp_path_factory):
+    out = tmp_path_factory.mktemp("stage3_replay")
+    _replayed_report(STAGE3_DATA / "audit.ndjson", out)
+    return out
+
+
+def test_stage3_replay_reproduces_pinned_report(stage3_replay):
+    assert (stage3_replay / "report.json").read_bytes() == (STAGE3_DATA / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ("trajectory.csv", "latency.csv", "safety.csv", "events.json"))
+def test_stage3_replay_rebuilds_every_pinned_file(stage3_replay, name):
+    assert (stage3_replay / name).read_bytes() == (STAGE3_DATA / name).read_bytes()
 
 
 def _reject_constant(name):

@@ -267,7 +267,7 @@ class TestReplay:
         cfg = small_cfg()
         log = tmp_path / "audit.ndjson"
         report, _ = run_stage1(cfg, log)
-        replayed = replay_report(log)
+        replayed = replay_report(log)[0]
         assert json_document(replayed) == json_document(report)
 
     def test_truncated_log_flagged_with_gaps(self, tmp_path):
@@ -275,7 +275,7 @@ class TestReplay:
         _, lines = logged_run(cfg, tmp_path / "full.ndjson")
         log = tmp_path / "audit.ndjson"
         (log).write_text("\n".join(lines[: int(len(lines) * 0.6)]) + "\n")
-        partial = replay_report(log)
+        partial = replay_report(log)[0]
         assert partial["truncated"]
         assert not partial["completed"]
         assert partial["cycles"]["incomplete"]
@@ -290,7 +290,7 @@ class TestReplay:
         cfg = small_cfg(links={"v2r": {"perturbation": {"loss_probability": 0.2}}})
         log = tmp_path / "audit.ndjson"
         report, _ = run_stage1(cfg, log)
-        replayed = replay_report(log)
+        replayed = replay_report(log)[0]
         assert replayed["cycles"]["v2r_dropped"] == report["cycles"]["v2r_dropped"] > 0
 
 

@@ -58,6 +58,7 @@ class TestAgentState:
     @pytest.mark.parametrize("kwargs, message", [
         ({"r": 0.0}, "footprint radius must be positive"),
         ({"r": -0.1}, "footprint radius must be positive"),
+        ({"r": math.nan}, "footprint radius must be positive"),
         ({"x": math.nan}, "agent kinematics must be finite"),
         ({"vy": -math.inf}, "agent kinematics must be finite"),
     ])
@@ -194,6 +195,14 @@ class TestEvents:
         assert [v["value"] for v in valleys] == [7.0, 9.0]  # ascending by depth
         gmin = [e for e in events if e["kind"] == "GlobalMin" and e["metric"] == "Dmin"]
         assert gmin[0]["value"] == 5.0
+
+    def test_global_min_is_the_first_frame_that_holds_it(self):
+        # Two equal dips: the first is the global minimum, the second a valley.
+        trace = dipping_trace([10, 3, 10, 10, 10, 10, 3, 10])
+        assert (trace.i_d_min, trace.t_at_d_min) == (1, 1_000_000_000)
+        events = extract_events(trace, dmin_prominence_m=1.0, min_separation_s=2.0)
+        assert [(e["kind"], e["t_ns"]) for e in events if e["metric"] == "Dmin"] == \
+            [("GlobalMin", 1_000_000_000), ("Valley", 6_000_000_000)]
 
     def test_ttc_threshold_cross_fixture(self):
         # TTC dips to 1.06 s; the 1.5 s alert threshold fires once.
