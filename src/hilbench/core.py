@@ -289,9 +289,9 @@ class AuditLog:
         A final line that lacks its newline and does not parse, with no end
         record before it, is a record torn by an interrupted write: it is
         dropped, and the log then lacks its end record, so its report reads
-        as truncated.  Any other bad line, and any ``ValueError`` or
-        ``OverflowError`` the consumer raises, raises ``ValueError`` naming
-        its line number.
+        as truncated.  Blank lines are skipped.  Any other bad line, and any
+        ``ValueError`` or ``OverflowError`` the consumer raises, raises
+        ``ValueError`` naming its line number.
         """
         log = None
         with open(path, "r", encoding="utf-8") as fh:

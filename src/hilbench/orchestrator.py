@@ -258,9 +258,6 @@ class Runner:
         except Exception as exc:  # controller misbehaved: abort, keep partial data
             self._abort(f"sut raised: {exc}")
             return
-        if cmd is None:
-            self._abort("sut produced no command")
-            return
         speed, steer = cmd
         if not (math.isfinite(speed) and math.isfinite(steer)):
             self._abort("sut raised: command setpoints must be finite")
@@ -497,7 +494,8 @@ class Analyzer:
         """The assembled records as ``{component: ns}`` columns in cid order,
         the cids of those with a hand-off that no component counts, and
         ``{cid: first missing stage}`` of every incomplete cycle."""
-        rows = np.array(self._records, dtype=np.int64).reshape(-1, len(temporal.COMPONENTS) + 2)
+        rows = np.frombuffer(self._records, dtype=np.int64)
+        rows = rows.reshape(-1, len(temporal.COMPONENTS) + 2)
         # Cycles complete out of cid order under R2V jitter or a reordering
         # injector.
         rows = rows[np.argsort(rows[:, 0])]

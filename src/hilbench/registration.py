@@ -43,11 +43,9 @@ class MatchedPairs:
         cols = ["t_ns"] + [f"pT{ax}" for ax in "xyz"[:d]] + [f"pL{ax}" for ax in "xyz"[:d]]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(cols) + "\n")
-            for i in range(len(self)):
-                row = [str(int(self.t_ns[i]))]
-                row += [repr(float(v)) for v in self.p_tracker[i]]
-                row += [repr(float(v)) for v in self.p_reference[i]]
-                fh.write(",".join(row) + "\n")
+            for t, tracker, reference in zip(self.t_ns.tolist(), self.p_tracker.tolist(),
+                                             self.p_reference.tolist()):
+                fh.write(",".join([str(t), *map(repr, tracker), *map(repr, reference)]) + "\n")
 
 
 class DegenerateGeometryError(ValueError):
@@ -301,8 +299,7 @@ class RegistrationModel:
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_json_dict(), sort_keys=True) + "\n")
 
 
 def evaluate(model: RegistrationModel, pairs: MatchedPairs, test_idx) -> dict:

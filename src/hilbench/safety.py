@@ -198,8 +198,6 @@ def extract_events(
     below the alert threshold emits one crossing; entering body contact
     (gap 0) emits a crossing on the distance metric.
     """
-    if len(trace) == 0:
-        raise ValueError("trace is empty")
     events = []
     sep_ns = round(min_separation_s * 1e9)
 

@@ -68,8 +68,6 @@ class ReferencePath:
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 2:
             raise PathError("path needs at least 2 planar vertices")
-        if not np.isfinite(v).all():
-            raise PathError("path vertices must be finite")
         if closed and np.array_equal(v[0], v[-1]):
             raise PathError("closed path must not repeat the first vertex")
         seg_start = v

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -7,8 +8,9 @@ import pytest
 from hilbench import presets
 from hilbench.cli import EXIT_ABORT, EXIT_CONFIG, EXIT_OK, main
 from hilbench.core import AuditLog
-from hilbench.orchestrator import Analyzer
+from hilbench.orchestrator import Analyzer, sweep_point_seed
 from hilbench.plant import Plant
+from hilbench.sut import PurePursuitSut
 
 
 def write_json(path, doc):
@@ -130,8 +132,49 @@ class TestStageCommands:
         assert (out / "safety.csv").exists()
         assert (out / "events.json").exists()
 
+    def test_stage2_seed_overrides_the_base_seed(self, tiny_cfg, tmp_path, capsys):
+        sweep = write_json(tmp_path / "sweep.json", {
+            "injected_delays_ms": [0],
+            "base": json.loads(Path(tiny_cfg).read_text()),
+        })
+        out = tmp_path / "s2"
+        assert main(["stage2", "--config", sweep, "--out", str(out), "--seed", "3"]) == EXIT_OK
+        report = json.loads((out / "delay_0ms_rep0" / "report.json").read_text())
+        assert report["seed"] == sweep_point_seed(3, 0.0, 0)
+        assert capsys.readouterr().out == (
+            f"delay    0.0 ms  cte_rmse {report['cte']['rmse']:.4f} m  "
+            f"completed {report['completed']}\n")
+
     def test_preset_name_accepted_as_config(self, tmp_path):
         assert main(["validate-config", "--config", "stage1-default", "-q"]) == EXIT_OK
+
+    def test_an_unknown_preset_name_lists_the_presets(self):
+        with pytest.raises(KeyError, match="unknown preset 'stage9'; available: "):
+            presets.load("stage9")
+
+
+class TestControllerFailure:
+    def test_a_controller_that_raises_aborts_the_run(self, tiny_cfg, tmp_path, capsys,
+                                                     monkeypatch):
+        # The run keeps what it logged before the failure, exits 2 naming the
+        # exception, and its log replays to the same report.
+        def broken_step(sut, obs):
+            raise RuntimeError("lost the route")
+
+        monkeypatch.setattr(PurePursuitSut, "step", broken_step)
+        out = tmp_path / "run"
+        assert main(["stage1", "--config", tiny_cfg, "--out", str(out)]) == EXIT_ABORT
+        report = json.loads((out / "report.json").read_text())
+        assert report["abort_reason"] == "sut raised: lost the route"
+        assert report["cycles"]["latency_records"] == 0
+        cte = report["cte"]
+        assert capsys.readouterr().out == (
+            f"run cli-test: completed=False cte_mean={cte['mean']:.4f} m "
+            f"cte_rmse={cte['rmse']:.4f} m ABORTED (sut raised: lost the route)\n")
+        assert main(["replay-report", "--log", str(out / "audit.ndjson"),
+                     "--out", str(tmp_path / "replayed"), "-q"]) == EXIT_OK
+        assert (tmp_path / "replayed" / "report.json").read_bytes() == \
+            (out / "report.json").read_bytes()
 
 
 def files_under(out):
@@ -181,6 +224,18 @@ class TestOutputDirectoryHoldsOneCommand:
         assert (tmp_path / "victim.txt").read_text() == "keep me\n"
         assert {name: (out / name).read_bytes() for name in files_under(out)} == before
 
+    @pytest.mark.parametrize("text", ["{bad", '{"artifacts": 5}', '{"artifacts": [{"name": "x"}]}'],
+                             ids=["not-json", "not-a-list", "no-path"])
+    def test_a_damaged_manifest_deletes_nothing(self, tiny_cfg, tmp_path, capsys, text):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "manifest.json").write_text(text)
+        (out / "notes.txt").write_text("kept\n")
+        assert main(["stage1", "--config", tiny_cfg, "--out", str(out), "-q"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"error: {out / 'manifest.json'}: not a manifest with "
+                                           f"a path for each artifact\n")
+        assert files_under(out) == ["manifest.json", "notes.txt"]
+
     def test_replay_into_the_directory_of_its_log_deletes_nothing(self, tiny_cfg, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["stage1", "--config", tiny_cfg, "--out", str(out), "-q"]) == EXIT_OK
@@ -212,8 +267,11 @@ class TestReplayCommand:
 
 
 class TestValidateCommand:
-    def test_valid_config_ok(self, tiny_cfg):
+    def test_valid_config_ok(self, tiny_cfg, capsys):
         assert main(["validate-config", "--config", tiny_cfg, "-q"]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert main(["validate-config", "--config", tiny_cfg]) == EXIT_OK
+        assert capsys.readouterr().out == "config ok\n"
 
     def test_invalid_field_reports_path(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "bad.json", {
@@ -463,12 +521,56 @@ class TestIdentifyCommand:
         assert fit["r2"] > 0.97
         assert (out / "step_log.csv").exists()
 
+    def test_identify_prints_its_fit(self, tiny_cfg, tmp_path, capsys):
+        out = tmp_path / "ident"
+        assert main(["identify", "--config", tiny_cfg, "--channel", "steering",
+                     "--amplitude", "0.2", "--noise-frac", "0.01", "--out", str(out)]) == EXIT_OK
+        fit = json.loads((out / "fopdt_fit.json").read_text())
+        assert capsys.readouterr().out == (
+            f"steering: K={fit['K']:.4f} tau_p={fit['tau_p_s']:.4f} s L={fit['L_s'] * 1e3:.1f} ms "
+            f"R2={fit['r2']:.4f} t90={fit['t90_s']:.3f} s\n")
+
+    def test_a_control_period_too_long_for_the_baseline_fails(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {**BASE, "plant": {"control_period_ms": 40.0}})
+        assert main(["identify", "--config", cfg, "--channel", "velocity",
+                     "--out", str(tmp_path / "ident"), "-q"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: baseline must cover at least 10 samples\n"
+
+    @pytest.mark.parametrize("amplitude, noise_frac, seed, dead_time, fits", [
+        ("0.3", "0", "0", 0.0, False),
+        ("0.3", "1", "0", 0.0, False),
+        ("0.3", "0.3", "3", 0.0, True),
+        ("-0.3", "3", "0", 0.0236, True),
+    ], ids=["noiseless", "noise-1", "noise-0.3", "noise-3"])
+    def test_a_channel_faster_than_the_control_period(self, tmp_path, capsys, amplitude,
+                                                      noise_frac, seed, dead_time, fits):
+        # With a 5 ms lag sampled every 20 ms, the log holds too few samples
+        # of the response for some or all of the dead times searched: those
+        # are skipped, and a log with none left fails naming the fit.
+        cfg = write_json(tmp_path / "cfg.json", {
+            **BASE, "plant": {"velocity": {"tau_p_s": 0.005, "L_s": dead_time}}})
+        out = tmp_path / "ident"
+        code = main(["identify", "--config", cfg, "--channel", "velocity",
+                     f"--amplitude={amplitude}", "--noise-frac", noise_frac, "--seed", seed,
+                     "--out", str(out), "-q"])
+        if fits:
+            assert code == EXIT_OK
+            fit = json.loads((out / "fopdt_fit.json").read_text())
+            assert all(math.isfinite(fit[key]) for key in ("K", "tau_p_s", "L_s", "t90_s"))
+        else:
+            assert code == EXIT_CONFIG
+            assert capsys.readouterr().err == \
+                "error: could not fit a first-order response to this log\n"
+
 
 class TestCalibrateCommand:
-    def test_calibrate_writes_model_and_metrics(self, tmp_path):
+    def test_calibrate_writes_model_and_metrics(self, tmp_path, capsys):
         out = tmp_path / "cal"
-        assert main(["calibrate", "--out", str(out), "--epochs", "5", "-q"]) == EXIT_OK
+        assert main(["calibrate", "--out", str(out), "--epochs", "5"]) == EXIT_OK
         metrics = json.loads((out / "calibration_metrics.json").read_text())
+        assert capsys.readouterr().out == "".join(
+            f"{name:10s} rmse {metrics['metrics'][name]['rmse_m'] * 1e3:9.3f} mm\n"
+            for name in ("raw", "rigid_svd", "affine", "hybrid"))
         assert metrics["n_train"] == 2746 and metrics["n_test"] == 687
         assert set(metrics["metrics"]) == {"raw", "rigid_svd", "affine", "hybrid"}
         assert (out / "model.json").exists()
@@ -479,17 +581,21 @@ class TestNumericFlags:
     @pytest.mark.parametrize("argv, message", [
         (["calibrate", "--epochs", "0"], "argument --epochs: must be an integer >= 1, not '0'"),
         (["calibrate", "--epochs", "-3"], "argument --epochs: must be an integer >= 1, not '-3'"),
+        (["calibrate", "--epochs", "two"], "argument --epochs: must be an integer >= 1, not 'two'"),
         (["identify", "--channel", "velocity", "--noise-frac", "-1"],
          "argument --noise-frac: must be a finite number >= 0, not '-1'"),
         (["identify", "--channel", "velocity", "--noise-frac", "nan"],
          "argument --noise-frac: must be a finite number >= 0, not 'nan'"),
+        (["identify", "--channel", "velocity", "--noise-frac", "lots"],
+         "argument --noise-frac: must be a finite number >= 0, not 'lots'"),
         (["identify", "--channel", "steering", "--amplitude", "0"],
          "argument --amplitude: must be a finite number other than 0, not '0'"),
         (["identify", "--channel", "steering", "--amplitude", "nan"],
          "argument --amplitude: must be a finite number other than 0, not 'nan'"),
         (["identify", "--channel", "steering", "--amplitude", "inf"],
          "argument --amplitude: must be a finite number other than 0, not 'inf'"),
-    ], ids=["epochs-0", "epochs-negative", "noise-frac-negative", "noise-frac-nan",
+    ], ids=["epochs-0", "epochs-negative", "epochs-word", "noise-frac-negative", "noise-frac-nan",
+            "noise-frac-word",
             "amplitude-0", "amplitude-nan", "amplitude-inf"])
     def test_out_of_range_value_exits_1_naming_the_flag(self, tiny_cfg, tmp_path, capsys, argv,
                                                          message):

@@ -149,6 +149,25 @@ class TestRunConfig:
             resolve_run_config(minimal(**doc))
         assert exc.value.path == path
 
+    @pytest.mark.parametrize("doc, path, message", [
+        ({"run_id": ""}, "run_id", "must be a non-empty string"),
+        ({"termination": 5.0}, "termination", "must be an object"),
+        ({"sut": {"latency": 15.48}}, "sut.latency", "must be an object"),
+        ({"path": {"closed": "yes", "vertices": [[0, 0], [1, 0]]}}, "path.closed",
+         "must be a boolean"),
+        ({"path": {"closed": False, "vertices": [[0, 0], [0, 0], [1, 0]]}}, "path.vertices",
+         "path contains a zero-length segment"),
+        ({"path": {"closed": True, "vertices": [[0, 0], [1, 0], [0, 0]]}}, "path.vertices",
+         "closed path must not repeat the first vertex"),
+        ({"plant": {"speed_map": [[0, 0], [0, 1]]}}, "plant.speed_map",
+         "command map commands must be strictly increasing"),
+    ], ids=["empty-run-id", "termination-not-object", "latency-not-object", "closed-not-bool",
+            "zero-length-segment", "closed-repeats-start", "map-commands-not-increasing"])
+    def test_rejections_name_their_path_and_rule(self, doc, path, message):
+        with pytest.raises(ConfigError) as exc:
+            resolve_run_config(minimal(**doc))
+        assert (exc.value.path, exc.value.message) == (path, message)
+
     def test_readme_example_resolves(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         section = readme.split("## Run configuration", 1)[1]

@@ -10,6 +10,9 @@ samplers from a resolved config, where no byte fixture pins them otherwise:
   ``tests/data/laps_pin/config.json`` (the ``stage1-default`` preset that
   stops after one lap), and the same config capped by its
   ``max_duration_s`` before its three laps;
+- a ``stage1`` run of ``tests/data/saturation_pin/config.json``, whose
+  commands exceed the speed and steering limits and both command maps, so
+  that its log carries every actuator flag;
 - a ``stage3`` run of ``tests/data/scenario_pin/config.json``
   (``stage3-intersection`` cut to 20 s, with an open route that
   accelerates, cruises and brakes to rest, an open route too short to reach
@@ -32,6 +35,7 @@ from hilbench.cli import EXIT_OK, main
 ECHO_PIN_CONFIG = Path(__file__).parent / "data" / "echo_pin" / "config.json"
 LAPS_PIN_CONFIG = Path(__file__).parent / "data" / "laps_pin" / "config.json"
 SCENARIO_PIN_CONFIG = Path(__file__).parent / "data" / "scenario_pin" / "config.json"
+SATURATION_PIN_CONFIG = Path(__file__).parent / "data" / "saturation_pin" / "config.json"
 
 JITTER_CONFIG = {
     "schema_version": 1,
@@ -84,6 +88,12 @@ RUN_SHA256 = {
         "trajectory.csv": "d38d85d0361497f499c0dffc3aa61fee9cd18085ee8588f7cf91c751d8ef871b",
         "latency.csv": "2816361a5345cf545e51d4676355aa39ad34d0893eade1cca7736c7ee95a50a8",
     },
+    "saturation": {
+        "audit.ndjson": "facc861325ad3e4ea542587490a8b876d53983a86aa6e6c1ad8f77e9c728101f",
+        "report.json": "09a64871dfe9848e4498fa724ae7f03dd5ff6a5a7e4b7a998cedd75c04549285",
+        "trajectory.csv": "32280a9b792bf1c1a1f10bcf166703e12f6e0b22a50a057505213be6254b52a4",
+        "latency.csv": "ae4b54c2583a075760154ae2a17d174b2e76fce6d7ba2fa2d1cf4f2d4816c323",
+    },
 }
 
 SCENARIO_SHA256 = {
@@ -123,7 +133,8 @@ def test_identify_reproduces_pinned_digests(tmp_path, channel):
 @pytest.mark.parametrize("name, doc", [("echo_pin", ECHO_PIN_CONFIG),
                                        ("dead_time_jitter", JITTER_CONFIG),
                                        ("laps1", LAPS_PIN_CONFIG),
-                                       ("laps_cap", LAPS_CAP_CONFIG)])
+                                       ("laps_cap", LAPS_CAP_CONFIG),
+                                       ("saturation", SATURATION_PIN_CONFIG)])
 def test_stage1_reproduces_pinned_digests(tmp_path, name, doc):
     expected = RUN_SHA256[name]
     assert _digests(_stage1(tmp_path, name, doc), expected) == expected

@@ -5,13 +5,15 @@ import multiprocessing
 import sys
 import time
 from heapq import heappop, heappush
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hilbench import cli, orchestrator, presets
 from hilbench.config import ConfigError, resolve_run_config, resolve_sweep_config
-from hilbench.core import AuditLog, Stage, TimedEvent, json_document, ms_to_ns, rng_stream
+from hilbench.core import (ACTUATOR_FLAGS, AuditLog, Stage, TimedEvent, json_document, ms_to_ns,
+                           rng_stream)
 from hilbench.links import sampler
 from hilbench.orchestrator import (
     Analyzer,
@@ -24,6 +26,8 @@ from hilbench.orchestrator import (
     run_stage2,
     sweep_point_seed,
 )
+
+SATURATION_PIN_CONFIG = Path(__file__).parent / "data" / "saturation_pin" / "config.json"
 
 
 def _sleepy_point(point, directory):
@@ -286,6 +290,33 @@ class TestReplay:
         with pytest.raises(ValueError):
             replay_report(log)
 
+    def test_a_run_that_ends_before_its_first_delivery_has_no_latency_row(self, tmp_path):
+        # The watchdog aborts the first cycle before its command leaves the
+        # controller, so no cycle reaches V2rDeliver and the fold assembles
+        # no latency row, live or replayed.
+        cfg = small_cfg(sut={"name": "pure-pursuit", "goal_speed_mps": 0.3,
+                             "latency": {"mode": "constant", "ms": 500.0}})
+        log = tmp_path / "audit.ndjson"
+        report, _ = run_stage1(cfg, log)
+        assert report["cycles"]["latency_records"] == report["cycles"]["v2r_delivered"] == 0
+        assert report["cycles"]["incomplete"] == {"1": "SutCmdOut", "2": "R2vAdvDone"}
+        assert set(report["latency_ms"].values()) == {None}
+        assert json_document(replay_report(log)[0]) == json_document(report)
+
+    def test_a_log_without_its_header_is_rejected_at_line_1(self, tmp_path):
+        _, lines = logged_run(small_cfg(termination={"duration_s": 0.2}), tmp_path / "full.ndjson")
+        log = tmp_path / "audit.ndjson"
+        log.write_text("\n".join(lines[1:]) + "\n")
+        with pytest.raises(ValueError, match="line 1: audit log does not start with a run header"):
+            replay_report(log)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        report, lines = logged_run(small_cfg(termination={"duration_s": 0.2}),
+                                   tmp_path / "full.ndjson")
+        log = tmp_path / "audit.ndjson"
+        log.write_text("\n" + "\n\n".join(lines) + "\n\n")
+        assert json_document(replay_report(log)[0]) == json_document(report)
+
     def test_replay_sees_drop_conservation(self, tmp_path):
         cfg = small_cfg(links={"v2r": {"perturbation": {"loss_probability": 0.2}}})
         log = tmp_path / "audit.ndjson"
@@ -464,6 +495,21 @@ class TestStage3:
                 "route": {"closed": False, "vertices": [[0, 0], [1, 0]]},
                 "speed": {"accel_mps2": 0.5, "cruise_mps": 0.3}, "radius_m": 0.1}]})
 
+    @pytest.mark.parametrize("edit, path, message", [
+        (lambda s: s.update(trigger_zone=[1.6, 0.4, 1.0, 1.0]), "scenario.trigger_zone",
+         "must satisfy x0 < x1 and y0 < y1"),
+        (lambda s: s["npcs"][0].update(id="ego"), "scenario.npcs[0].id",
+         "duplicate or reserved agent id 'ego'"),
+        (lambda s: s["npcs"][2].update(id=s["npcs"][1]["id"]), "scenario.npcs[2].id",
+         "duplicate or reserved agent id 'npc2'"),
+    ], ids=["trigger-zone-order", "reserved-id", "duplicate-id"])
+    def test_scenario_rules_fail_at_their_path(self, edit, path, message):
+        scenario = presets.load("stage3-intersection")["scenario"]
+        edit(scenario)
+        with pytest.raises(ConfigError) as exc:
+            small_cfg(scenario=scenario)
+        assert (exc.value.path, exc.value.message) == (path, message)
+
     def test_never_triggered_scenario_sees_no_agents(self):
         doc = presets.load("stage3-intersection")
         doc["termination"] = {"duration_s": 0.5}  # ends before the zone
@@ -603,4 +649,14 @@ class TestEveryLineReencodes:
         text = "\n".join(lines)
         for seen in ('"stale":true', '"stale":false', '"npc_'):
             assert seen in text
+        self.assert_lines_reencode(lines, fed)
+
+    def test_saturated_actuators(self, tmp_path, fed):
+        # The saturation pin commands more than the speed and steering limits
+        # and both command maps, so its ActuatorApply lines carry every flag.
+        cfg = resolve_run_config(json.loads(SATURATION_PIN_CONFIG.read_text()))
+        _, lines = logged_run(cfg, tmp_path / "audit.ndjson")
+        text = "\n".join(lines)
+        for flag in ACTUATOR_FLAGS:
+            assert f'"{flag}":true' in text
         self.assert_lines_reencode(lines, fed)

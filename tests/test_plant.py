@@ -281,6 +281,19 @@ class TestFitFopdt:
         with pytest.raises(ValueError):
             fit_fopdt(log)
 
+    @pytest.mark.parametrize("command, response, message", [
+        (np.where(np.arange(100) >= 20, 1.0, 0.0) + (np.arange(100) >= 60), np.zeros(100),
+         "log must contain a single step"),
+        (np.where(np.arange(100) >= 5, 1.0, 0.0), np.zeros(100),
+         "need at least 10 pre-step baseline samples"),
+        (np.where(np.arange(100) >= 20, 1.0, 0.0), np.full(100, 0.5),
+         "could not fit a first-order response to this log"),
+    ], ids=["two-steps", "short-baseline", "response-never-moves"])
+    def test_a_log_without_one_fittable_step_is_rejected(self, command, response, message):
+        log = StepLog("velocity", np.arange(100) * 0.02, command, response)
+        with pytest.raises(ValueError, match=message):
+            fit_fopdt(log)
+
     def test_recovery_error_shrinks_with_noise(self):
         cfg = plant_section("calibrated")
         steering = channel_params(cfg, "steering")

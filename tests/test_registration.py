@@ -14,6 +14,7 @@ from hilbench.registration import (
     Normalizer,
     RegistrationModel,
     ResidualMlp,
+    TrainingDivergedError,
     default_benchmark_field,
     evaluate,
     fit_affine,
@@ -56,6 +57,12 @@ class TestRigidSvd:
             fit_rigid_svd(p, np.arange(10))
 
 
+    def test_too_few_pairs_rejected(self):
+        p = pairs_from([[0, 0], [1, 0]], [[0, 0], [1, 0]])
+        with pytest.raises(DegenerateGeometryError, match="need at least 3 pairs"):
+            fit_rigid_svd(p, [0, 1])
+
+
 class TestAffine:
     def test_exact_affine_recovery(self):
         rng = rng_stream(7, "reg.test")
@@ -73,6 +80,11 @@ class TestAffine:
         a, t = fit_affine(pairs_from(src, src), np.arange(20))
         assert np.allclose(a, np.eye(2), atol=1e-9)
         assert np.allclose(t, 0.0, atol=1e-9)
+
+    def test_too_few_pairs_rejected(self):
+        p = pairs_from([[0, 0], [1, 0]], [[0, 0], [1, 0]])
+        with pytest.raises(DegenerateGeometryError, match="need at least 3 pairs"):
+            fit_affine(p, [0, 1])
 
     def test_rank_deficient_rejected(self):
         src = np.stack([np.linspace(0, 1, 10), np.linspace(0, 1, 10) * 2], axis=1)
@@ -128,6 +140,22 @@ class TestResidualMlp:
         mlp1, _ = fit_residual_mlp(p, train, affine, h)
         mlp2, _ = fit_residual_mlp(p, train, affine, h)
         assert np.array_equal(mlp1.params_flat(), mlp2.params_flat())
+
+    def test_a_non_finite_training_pair_stops_the_training(self):
+        rng = rng_stream(11, "reg.test")
+        src = rng.uniform(0, 4, size=(50, 2))
+        src[7, 0] = math.nan
+        p = pairs_from(src, src)
+        affine = (np.eye(2), np.zeros(2))
+        with pytest.raises(TrainingDivergedError, match="non-finite network output at step 0"):
+            fit_residual_mlp(p, np.arange(50), affine, MlpHyper(epochs=5, seed=1))
+
+    def test_a_non_finite_validation_pair_stops_the_training(self):
+        # One training pair: it is the validation set, and no batch trains.
+        p = pairs_from([[1.0, 2.0]], [[math.nan, 2.0]])
+        affine = (np.eye(2), np.zeros(2))
+        with pytest.raises(TrainingDivergedError, match="non-finite validation loss at epoch 0"):
+            fit_residual_mlp(p, [0], affine, MlpHyper(epochs=5, seed=1))
 
     def test_params_flat_is_a_copy(self):
         mlp = ResidualMlp([2, 4, 2], rng=rng_stream(18, "reg.test"))
