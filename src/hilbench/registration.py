@@ -107,54 +107,92 @@ class Normalizer:
         return (x - self.mean) / self.scale
 
 
+def _layer_views(flat: np.ndarray, sizes: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The weight matrices and bias vectors of a network with layer widths
+    ``sizes``, as views into ``flat`` (every weight matrix, then every bias
+    vector, row-major)."""
+    shapes = list(zip(sizes[:-1], sizes[1:])) + [(n,) for n in sizes[1:]]
+    views = np.split(flat, np.cumsum([math.prod(s) for s in shapes])[:-1])
+    views = [v.reshape(s) for v, s in zip(views, shapes)]
+    return views[:len(sizes) - 1], views[len(sizes) - 1:]
+
+
+@dataclass(frozen=True)
+class MlpWorkspace:
+    """Arrays for one forward and backward pass of up to ``rows`` input rows:
+    each layer's output, and each hidden layer's delta and tanh slope.  A
+    pass over fewer rows uses the leading rows of each."""
+
+    outputs: list[np.ndarray]
+    deltas: list[np.ndarray]
+    slopes: list[np.ndarray]
+
+
 class ResidualMlp:
     """Small tanh network mapping normalized inputs to residual corrections.
 
     ``weights`` and ``biases`` are views into one flat parameter vector
-    ``theta`` (every weight matrix, then every bias vector, row-major)."""
+    ``theta`` (every weight matrix, then every bias vector, row-major);
+    ``grad_w`` and ``grad_b`` are the same views into the flat gradient
+    ``grad`` that ``gradients`` writes."""
 
     def __init__(self, sizes: list[int], rng: np.random.Generator) -> None:
         self.sizes = list(sizes)
-        arrays = []
-        for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        self.theta = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in zip(sizes[:-1], sizes[1:])))
+        self.weights, self.biases = _layer_views(self.theta, self.sizes)
+        for i, w in enumerate(self.weights):
+            n_in, n_out = w.shape
             limit = math.sqrt(6.0 / (n_in + n_out))
-            w = rng.uniform(-limit, limit, size=(n_in, n_out))
-            if i == len(sizes) - 2:
+            w[:] = rng.uniform(-limit, limit, size=w.shape)
+            if i == len(self.weights) - 1:
                 w *= 0.1  # start the correction head near zero output
-            arrays.append(w)
-        arrays += [np.zeros(w.shape[1]) for w in arrays]
-        self.theta = np.concatenate([a.ravel() for a in arrays])
-        views = np.split(self.theta, np.cumsum([a.size for a in arrays])[:-1])
-        views = [v.reshape(a.shape) for v, a in zip(views, arrays)]
-        self.weights: list[np.ndarray] = views[:len(sizes) - 1]
-        self.biases: list[np.ndarray] = views[len(sizes) - 1:]
+        self.grad = np.zeros_like(self.theta)
+        self.grad_w, self.grad_b = _layer_views(self.grad, self.sizes)
+
+    def workspace(self, rows: int) -> MlpWorkspace:
+        hidden = self.sizes[1:-1]
+        return MlpWorkspace(outputs=[np.empty((rows, n)) for n in self.sizes[1:]],
+                            deltas=[np.empty((rows, n)) for n in hidden],
+                            slopes=[np.empty((rows, n)) for n in hidden])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.forward_with_cache(x)[0]
 
-    def forward_with_cache(self, x):
+    def forward_with_cache(self, x, work: MlpWorkspace | None = None):
         """``(output, activations)``: the activations are the input of each
-        layer, as ``gradients`` takes them."""
+        layer, as ``gradients`` takes them.  With ``work`` every layer is
+        written into its arrays, which the next pass through ``work``
+        overwrites; without it, into fresh arrays."""
+        n = x.shape[0]
         activations = [x]
-        h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(h @ w + b)
-            activations.append(h)
-        out = h @ self.weights[-1] + self.biases[-1]
-        return out, activations
+        last = len(self.weights) - 1
+        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
+            h = np.matmul(activations[-1], w,
+                          out=None if work is None else work.outputs[layer][:n])
+            h += b
+            if layer < last:
+                np.tanh(h, out=h)
+                activations.append(h)
+        return h, activations
 
-    def gradients(self, acts, err):
+    def gradients(self, acts, err, work: MlpWorkspace):
         """Backprop of the loss gradient ``err`` (dL/dout) through the layer
-        inputs ``acts`` of the forward pass that produced the output."""
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
+        inputs ``acts`` of the forward pass that produced the output.
+
+        Writes ``grad`` and returns its views ``(grad_w, grad_b)``, which the
+        next call overwrites.  The delta chain runs in the arrays of ``work``."""
+        n = err.shape[0]
         delta = err
         for layer in range(len(self.weights) - 1, -1, -1):
-            grads_w[layer] = acts[layer].T @ delta
-            grads_b[layer] = delta.sum(axis=0)
+            np.matmul(acts[layer].T, delta, out=self.grad_w[layer])
+            np.sum(delta, axis=0, out=self.grad_b[layer])
             if layer > 0:
-                delta = (delta @ self.weights[layer].T) * (1.0 - acts[layer] ** 2)
-        return grads_w, grads_b
+                # delta = (delta @ W.T) * (1 - a**2), one ufunc at a time.
+                back = np.matmul(delta, self.weights[layer].T, out=work.deltas[layer - 1][:n])
+                slope = np.square(acts[layer], out=work.slopes[layer - 1][:n])
+                np.subtract(1.0, slope, out=slope)
+                delta = np.multiply(back, slope, out=back)
+        return self.grad_w, self.grad_b
 
     def params_flat(self) -> np.ndarray:
         return self.theta.copy()
@@ -213,14 +251,22 @@ def fit_residual_mlp(pairs: MatchedPairs, train_idx, affine: tuple[np.ndarray, n
     d = pairs.d
     mlp = ResidualMlp([d, *MLP_HIDDEN, d], rng=rng)
 
-    # Adam moments of the flat parameter vector.
+    # Adam moments of the flat parameter vector, and two scratch vectors for
+    # its update.
     m = np.zeros_like(mlp.theta)
     v = np.zeros_like(mlp.theta)
+    t = np.empty_like(mlp.theta)
+    u = np.empty_like(mlp.theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step_count = 0
 
     def val_loss() -> float:
         return float(np.mean((mlp.forward(x_val) - y_val) ** 2))
+
+    # One batch's arrays, reused by every step: a step allocates no array.
+    work = mlp.workspace(MLP_BATCH)
+    err_buf = np.empty((MLP_BATCH, d))
+    finite_buf = np.empty((MLP_BATCH, d), dtype=bool)
 
     best = val_loss()
     best_theta = mlp.params_flat()
@@ -228,22 +274,42 @@ def fit_residual_mlp(pairs: MatchedPairs, train_idx, affine: tuple[np.ndarray, n
     n_tr = x_tr.shape[0]
     for _epoch in range(hyper.epochs):
         perm = rng.permutation(n_tr)
+        x_ep, y_ep = x_tr[perm], y_tr[perm]
         for start in range(0, n_tr, MLP_BATCH):
-            sel = perm[start:start + MLP_BATCH]
-            xb, yb = x_tr[sel], y_tr[sel]
-            pred, acts = mlp.forward_with_cache(xb)
-            err = 2.0 * (pred - yb) / xb.shape[0]
-            if not np.isfinite(pred).all():
+            xb, yb = x_ep[start:start + MLP_BATCH], y_ep[start:start + MLP_BATCH]
+            nb = xb.shape[0]
+            pred, acts = mlp.forward_with_cache(xb, work)
+            # err = 2.0 * (pred - yb) / nb
+            err = np.subtract(pred, yb, out=err_buf[:nb])
+            err *= 2.0
+            err /= nb
+            if not np.isfinite(pred, out=finite_buf[:nb]).all():
                 raise TrainingDivergedError(
                     f"non-finite network output at step {step_count}")
-            gw, gb = mlp.gradients(acts, err)
+            mlp.gradients(acts, err, work)
             step_count += 1
             corr1 = 1.0 - beta1**step_count
             corr2 = 1.0 - beta2**step_count
-            g = np.concatenate([a.ravel() for a in gw + gb])
-            m = beta1 * m + (1 - beta1) * g
-            v = beta2 * v + (1 - beta2) * g ** 2
-            mlp.theta -= MLP_STEP * (m / corr1) / (np.sqrt(v / corr2) + eps)
+            # The Adam update in place, one ufunc per operation of
+            #   m = beta1 * m + (1 - beta1) * g
+            #   v = beta2 * v + (1 - beta2) * g ** 2
+            #   theta -= MLP_STEP * (m / corr1) / (sqrt(v / corr2) + eps)
+            # with the same operands, so every value rounds the same.
+            g = mlp.grad
+            m *= beta1
+            np.multiply(1 - beta1, g, out=t)
+            m += t
+            v *= beta2
+            np.square(g, out=t)
+            t *= 1 - beta2
+            v += t
+            np.divide(m, corr1, out=t)
+            t *= MLP_STEP
+            np.divide(v, corr2, out=u)
+            np.sqrt(u, out=u)
+            u += eps
+            t /= u
+            mlp.theta -= t
         loss = val_loss()
         if not math.isfinite(loss):
             raise TrainingDivergedError(f"non-finite validation loss at epoch {_epoch}")

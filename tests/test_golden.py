@@ -52,6 +52,8 @@ def test_stored_report_sanity():
 
 #: sha256 of the files ``calibrate --seed 1 --epochs 5`` writes: the synthetic
 #: dataset, the trained hybrid model and the metrics of the model ladder.
+#: Recorded where NumPy dispatches its AVX-512 loops: ``np.exp`` (distortion
+#: field) and ``np.tanh`` (network) round differently on other SIMD paths.
 CALIBRATE_SHA256 = {
     "dataset.csv": "6114cfec8677bf3da78cd9a7516685da7302e43c78435c89926b5e08f094383c",
     "model.json": "adb2d20acb694a16e881ac97f7010733431df0d5115f58afc930dc40bc01d545",
@@ -63,7 +65,19 @@ def test_calibrate_reproduces_pinned_output_digests(tmp_path):
     assert main(["calibrate", "--seed", "1", "--epochs", "5", "--out", str(tmp_path), "-q"]) == EXIT_OK
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in CALIBRATE_SHA256}
-    assert digests == CALIBRATE_SHA256
+    assert digests == CALIBRATE_SHA256, (
+        f"calibrate digests differ; the pins were recorded with AVX-512 dispatch, and this "
+        f"NumPy enables {_simd_dispatch()}")
+
+
+def _simd_dispatch() -> list[str]:
+    """The enabled NumPy CPU features among X86_V3, X86_V4 and AVX512_*."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # NumPy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return [name for name, enabled in __cpu_features__.items()
+            if enabled and (name in ("X86_V3", "X86_V4") or name.startswith("AVX512_"))]
 
 
 def _golden_lines() -> list[str]:

@@ -9,6 +9,11 @@ from hilbench.registration import (
     DegenerateGeometryError,
     DistortionField,
     GaussianBump,
+    MLP_BATCH,
+    MLP_HIDDEN,
+    MLP_PATIENCE,
+    MLP_STEP,
+    MLP_VAL_FRACTION,
     MatchedPairs,
     MlpHyper,
     Normalizer,
@@ -28,6 +33,83 @@ from hilbench.registration import (
 def pairs_from(p_t, p_l):
     n = len(p_t)
     return MatchedPairs(np.arange(n, dtype=np.int64), np.asarray(p_t, float), np.asarray(p_l, float))
+
+
+def reference_fit(pairs, train_idx, affine, hyper):
+    """The allocating training loop ``fit_residual_mlp`` must reproduce bit
+    for bit: fresh arrays for every layer, delta and gradient, and Adam on a
+    concatenated gradient.  Returns the trained ``theta`` and the number of
+    epochs run."""
+    a_mat, t_vec = affine
+    idx = np.asarray(train_idx, dtype=int)
+    rng = rng_stream(hyper.seed, "reg.mlp")
+    x_all = pairs.p_tracker[idx]
+    resid = pairs.p_reference[idx] - (x_all @ a_mat.T + t_vec)
+    xn = Normalizer.fit(x_all)(x_all)
+    n = idx.size
+    order = rng.permutation(n)
+    n_val = max(int(round(MLP_VAL_FRACTION * n)), 1)
+    x_tr, y_tr = xn[order[n_val:]], resid[order[n_val:]]
+    x_val, y_val = xn[order[:n_val]], resid[order[:n_val]]
+    mlp = ResidualMlp([pairs.d, *MLP_HIDDEN, pairs.d], rng=rng)
+    weights, biases = mlp.weights, mlp.biases
+
+    def forward_with_cache(x):
+        acts = [x]
+        h = x
+        for w, b in zip(weights[:-1], biases[:-1]):
+            h = np.tanh(h @ w + b)
+            acts.append(h)
+        return h @ weights[-1] + biases[-1], acts
+
+    def gradients(acts, err):
+        gw, gb = [None] * len(weights), [None] * len(biases)
+        delta = err
+        for layer in range(len(weights) - 1, -1, -1):
+            gw[layer] = acts[layer].T @ delta
+            gb[layer] = delta.sum(axis=0)
+            if layer > 0:
+                delta = (delta @ weights[layer].T) * (1.0 - acts[layer] ** 2)
+        return gw, gb
+
+    def val_loss():
+        return float(np.mean((forward_with_cache(x_val)[0] - y_val) ** 2))
+
+    m = np.zeros_like(mlp.theta)
+    v = np.zeros_like(mlp.theta)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step_count = 0
+    best = val_loss()
+    best_theta = mlp.theta.copy()
+    stale = 0
+    epochs_run = 0
+    n_tr = x_tr.shape[0]
+    for _ in range(hyper.epochs):
+        epochs_run += 1
+        perm = rng.permutation(n_tr)
+        for start in range(0, n_tr, MLP_BATCH):
+            sel = perm[start:start + MLP_BATCH]
+            xb, yb = x_tr[sel], y_tr[sel]
+            pred, acts = forward_with_cache(xb)
+            err = 2.0 * (pred - yb) / xb.shape[0]
+            gw, gb = gradients(acts, err)
+            step_count += 1
+            corr1 = 1.0 - beta1**step_count
+            corr2 = 1.0 - beta2**step_count
+            g = np.concatenate([a.ravel() for a in gw + gb])
+            m = beta1 * m + (1 - beta1) * g
+            v = beta2 * v + (1 - beta2) * g ** 2
+            mlp.theta -= MLP_STEP * (m / corr1) / (np.sqrt(v / corr2) + eps)
+        loss = val_loss()
+        if loss < best - 1e-15:
+            best = loss
+            best_theta = mlp.theta.copy()
+            stale = 0
+        else:
+            stale += 1
+            if stale >= MLP_PATIENCE:
+                break
+    return best_theta, epochs_run
 
 
 class TestRigidSvd:
@@ -141,6 +223,48 @@ class TestResidualMlp:
         mlp2, _ = fit_residual_mlp(p, train, affine, h)
         assert np.array_equal(mlp1.params_flat(), mlp2.params_flat())
 
+    @pytest.mark.parametrize("n_points, n_train, epochs, noise", [
+        (780, 700, 12, 0.0),  # 630 training rows: two full batches and a short one
+        (120, 100, 40, 0.0),  # 90 training rows: less than one batch
+        (200, 150, 600, 0.01),  # a noisy fit improves, then stops early on MLP_PATIENCE
+    ])
+    def test_training_reproduces_the_allocating_loop_bit_for_bit(self, n_points, n_train,
+                                                                 epochs, noise):
+        rng = rng_stream(21, "reg.test")
+        src = rng.uniform(0, 4, size=(n_points, 2))
+        dst = src + 0.02 * np.sin(2.0 * src) + noise * rng.standard_normal(src.shape)
+        p = pairs_from(src, dst)
+        train = np.arange(n_train)
+        affine = fit_affine(p, train)
+        hyper = MlpHyper(epochs=epochs, seed=5)
+        expected, epochs_run = reference_fit(p, train, affine, hyper)
+        if noise:
+            # Past the patience: the best parameters are a trained copy.
+            assert MLP_PATIENCE < epochs_run < epochs
+        mlp, _ = fit_residual_mlp(p, train, affine, hyper)
+        assert np.array_equal(mlp.theta, expected)
+
+    def test_a_trained_output_is_not_overwritten_by_later_passes(self):
+        rng = rng_stream(22, "reg.test")
+        src = rng.uniform(0, 4, size=(300, 2))
+        p = pairs_from(src, src + 0.01 * np.cos(src))
+        train = np.arange(240)
+        a, t = fit_affine(p, train)
+        mlp, norm = fit_residual_mlp(p, train, (a, t), MlpHyper(epochs=5, seed=4))
+        model = RegistrationModel(a, t, normalizer=norm, mlp=mlp, train_idx=train)
+        x = norm(p.p_tracker[240:])
+        out, predicted = mlp.forward(x), model.predict(p.p_tracker[240:])
+        kept_out, kept_predicted = out.copy(), predicted.copy()
+        # One more training step through a workspace, then one more forward.
+        work = mlp.workspace(MLP_BATCH)
+        pred, acts = mlp.forward_with_cache(x[:50], work)
+        mlp.gradients(acts, pred, work)
+        mlp.theta -= 0.1 * mlp.grad
+        mlp.forward(2.0 * x)
+        model.predict(p.p_tracker[:10])
+        assert np.array_equal(out, kept_out)
+        assert np.array_equal(predicted, kept_predicted)
+
     def test_a_non_finite_training_pair_stops_the_training(self):
         rng = rng_stream(11, "reg.test")
         src = rng.uniform(0, 4, size=(50, 2))
@@ -188,8 +312,15 @@ class TestResidualMlp:
         r = rng.normal(size=(5, 2))
         out, acts = mlp.forward_with_cache(x)
         assert np.array_equal(out, mlp.forward(x))
-        gw, gb = mlp.gradients(acts, r)
+        gw, gb = mlp.gradients(acts, r, mlp.workspace(5))
         analytic = np.concatenate([g.ravel() for g in gw + gb])
+        assert np.array_equal(mlp.grad, analytic)
+        # A larger workspace, as the last short batch of a training epoch uses.
+        work = mlp.workspace(8)
+        out_work, acts_work = mlp.forward_with_cache(x, work)
+        assert np.array_equal(out_work, out)
+        mlp.gradients(acts_work, r, work)
+        assert np.array_equal(mlp.grad, analytic)
         theta = mlp.params_flat()
         h = 1e-6
         numeric = np.empty_like(theta)
