@@ -142,13 +142,13 @@ def _cmd_identify(args) -> int:
         "tau_p_s": fit.params.tau_p,
         "L_s": fit.params.L,
         "r2": fit.r2,
-        "t90_s": fit.t90,
+        "t90_s": fit.params.t90,
     }
     write_json(out / "fopdt_fit.json", fit_doc)
     _write_manifest(out, "identify", {"step_log": "step_log.csv", "fit": "fopdt_fit.json"})
     if not args.quiet:
         print(f"{args.channel}: K={fit.params.K:.4f} tau_p={fit.params.tau_p:.4f} s "
-              f"L={fit.params.L * 1e3:.1f} ms R2={fit.r2:.4f} t90={fit.t90:.3f} s")
+              f"L={fit.params.L * 1e3:.1f} ms R2={fit.r2:.4f} t90={fit.params.t90:.3f} s")
     return EXIT_OK
 
 

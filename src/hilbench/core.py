@@ -14,7 +14,6 @@ import json
 import math
 from collections.abc import Mapping
 from functools import lru_cache
-from itertools import combinations
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from types import MappingProxyType
 from typing import NamedTuple
@@ -126,29 +125,9 @@ def sense_text(heading: str, v: str, x: str, y: str, stale: bool) -> str:
 
 
 def command_text(speed: str, steer: str) -> str:
-    """Payload text of a ``SutCmdOut``: ``{speed, steer}``."""
+    """Payload text of a ``SutCmdOut``, and of an ``ActuatorApply`` that
+    carries no flag: ``{speed, steer}``."""
     return f'{{"speed":{speed},"steer":{steer}}}'
-
-
-#: The flags an ``ActuatorApply`` payload may add to ``{speed, steer}``, in
-#: key order; each is present only when true.
-ACTUATOR_FLAGS = ("speed_limited", "speed_map_clamped", "steer_limited", "steer_map_clamped")
-#: For each set of flags, the text that follows the ``speed`` value and the
-#: text that follows the ``steer`` value.
-_ACTUATOR_FLAG_TEXTS = {
-    frozenset(flags): tuple("".join(f',"{k}":true' for k in flags if k.startswith(prefix))
-                            for prefix in ("speed_", "steer_"))
-    for n in range(len(ACTUATOR_FLAGS) + 1) for flags in combinations(ACTUATOR_FLAGS, n)
-}
-
-
-def actuator_text(speed: str, steer: str, flags) -> str:
-    """Payload text of an ``ActuatorApply``: ``{speed, steer}`` and each of
-    ``flags``, a set of ``ACTUATOR_FLAGS`` names, as true."""
-    if not flags:
-        return f'{{"speed":{speed},"steer":{steer}}}'
-    after_speed, after_steer = _ACTUATOR_FLAG_TEXTS[frozenset(flags)]
-    return f'{{"speed":{speed}{after_speed},"steer":{steer}{after_steer}}}'
 
 
 class TimedEvent(NamedTuple):

@@ -38,7 +38,7 @@ from . import temporal
 from .core import (ACTUATOR_APPLY, GTS_SAMPLE, NO_PAYLOAD, NS_PER_S, PERTURB_IN, PERTURB_OUT,
                    R2V_ADV_DONE, R2V_INGEST_DONE, R2V_INGEST_START, R2V_SENSE_DONE, RUN_END,
                    RUN_HEADER, SUT_CMD_IN, SUT_CMD_OUT, V2R_DELIVER, AuditLog, Stage, TimedEvent,
-                   actuator_text, canonical_json, command_text, float_text, ms_to_ns, pose_text,
+                   canonical_json, command_text, float_text, ms_to_ns, pose_text,
                    rng_stream, s_to_ns, sense_text, substream_seed, write_json)
 from .links import R2VLink, V2RLink, sampler
 from .plant import Plant
@@ -52,10 +52,6 @@ from .sut import Observation, PurePursuitParams, PurePursuitSut
 #: ``_new(TimedEvent, fields)`` builds a record from its field tuple without the
 #: Python-level ``__new__`` of the named tuple.
 _new = tuple.__new__
-
-
-class SchedulerCorruptionError(RuntimeError):
-    """An event was scheduled or popped out of causal order."""
 
 
 #: Standard relative artifact names for one run directory.
@@ -138,10 +134,15 @@ class Runner:
     The scheduler is ``heap``, a min-heap of ``(t_ns, insertion sequence,
     handler, args)`` entries: ``run`` pops them in (time, insertion) order,
     sets ``now_ns`` to each entry's time and calls ``handler(t_ns, *args)``.
-    Every record the run emits goes straight to ``audit.append``.
-    A value that two records of one cycle carry is formatted once
-    (``float_text``), and both records are written with the fixed-shape
-    payload texts of ``core``.
+    Every record the run emits goes straight to ``audit.append``.  The loop
+    checks no order itself: every delay the run schedules is at least 0, and
+    every handler appends a record stamped with its entry's time, so an entry
+    that fired before the clock would stop the run at ``AuditLog.admit``, the
+    one order check, naming its time (or sooner, at the plant's own check, in
+    a handler that advances the plant).  A value that two records of one cycle carry is
+    formatted once (``float_text``), and both records are written with the
+    fixed-shape payload texts of ``core``; a flagged ``ActuatorApply`` goes
+    through the general encoder.
     """
 
     def __init__(self, resolved: dict) -> None:
@@ -190,9 +191,6 @@ class Runner:
     # -- event handlers -----------------------------------------------------
 
     def _schedule(self, t_ns: int, handler, *args) -> None:
-        now = self.now_ns
-        if t_ns < now:
-            raise SchedulerCorruptionError(f"event scheduled in the past ({t_ns} < {now})")
         heappush(self.heap, (int(t_ns), next(self._seq), handler, args))
 
     def _emit(self, t_ns: int, stage: Stage, cid: int, payload=NO_PAYLOAD) -> None:
@@ -289,7 +287,7 @@ class Runner:
         payload = {"speed": speed, "steer": steer}
         payload.update(flags)
         self.audit.append(_new(TimedEvent, (self.run_id, cid, ACTUATOR_APPLY, t_ns, payload)),
-                          actuator_text(*texts, flags))
+                          None if flags else command_text(*texts))
 
     def _abort(self, reason: str) -> None:
         self.aborted = True
@@ -303,8 +301,6 @@ class Runner:
         heap = self.heap
         while heap and not self.aborted:
             t_ns, _seq, handler, args = heappop(heap)
-            if t_ns < self.now_ns:
-                raise SchedulerCorruptionError(f"popped event at {t_ns} before clock {self.now_ns}")
             self.now_ns = t_ns
             handler(t_ns, *args)
         self._emit(self.now_ns, RUN_END, 0, {
@@ -432,7 +428,7 @@ class Analyzer:
                 self.dropped += _field(ev, "dropped", (bool,), "a bool")
         elif stage is V2R_DELIVER:  # the last of the temporal.REQUIRED_STAGES
             self.delivered += 1
-            rec = temporal.assemble(cid, t)
+            rec = temporal.assemble(t)
             if type(rec) is tuple:
                 self._records.append(cid)
                 self._records.extend(rec)
@@ -538,13 +534,7 @@ class Analyzer:
         safety = None
         if self._frames[0]:
             trace = self.safety_trace = d_min_trace(*self._frames)
-            events = extract_events(
-                trace,
-                ttc_threshold_s=cfg["report"]["ttc_threshold_s"],
-                ttc_prominence_s=cfg["report"]["ttc_prominence_s"],
-                dmin_prominence_m=cfg["report"]["dmin_prominence_m"],
-                min_separation_s=cfg["report"]["min_separation_s"],
-            )
+            events = extract_events(trace, cfg["report"])
             safety = {
                 "n_frames": len(trace),
                 "ttc_min_s": finite_or_none(trace.ttc_min),

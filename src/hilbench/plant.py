@@ -285,7 +285,6 @@ def run_step_experiment(
 class FopdtFit:
     params: FOPDTParams
     r2: float
-    t90: float
 
 
 def _weighted_log_slope(x, z):
@@ -398,5 +397,4 @@ def fit_fopdt(log: StepLog) -> FopdtFit:
 
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 - sse / ss_tot if ss_tot > 0.0 else 0.0
-    params = FOPDTParams(K=K, tau_p=tau, L=dead)
-    return FopdtFit(params=params, r2=r2, t90=params.t90)
+    return FopdtFit(params=FOPDTParams(K=K, tau_p=tau, L=dead), r2=r2)

@@ -182,29 +182,26 @@ def _find_valleys(t_ns, values, min_prominence, min_separation_ns, exclude_idx):
     return chosen
 
 
-def extract_events(
-    trace: SafetyTrace,
-    ttc_threshold_s: float = 1.5,
-    ttc_prominence_s: float = 0.3,
-    dmin_prominence_m: float = 1.0,
-    min_separation_s: float = 5.0,
-) -> list[dict]:
+def extract_events(trace: SafetyTrace, report: dict) -> list[dict]:
     """Global minima, TTC alert crossings, collisions, and valleys of a trace,
-    as the report's event dicts (``_event``).
+    as the report's event dicts (``_event``), with the thresholds of
+    ``report``, a resolved config's ``report`` section.
 
-    Valleys are strict local minima with at least the requested prominence
-    and pairwise separation; the global-minimum frame itself is excluded from
+    Valleys are strict local minima with at least the section's prominence
+    (``ttc_prominence_s``, ``dmin_prominence_m``) and pairwise separation
+    (``min_separation_s``); the global-minimum frame itself is excluded from
     valley candidates and reported as its own event.  Every fall of the TTC
-    below the alert threshold emits one crossing; entering body contact
-    (gap 0) emits a crossing on the distance metric.
+    below the alert threshold (``ttc_threshold_s``) emits one crossing;
+    entering body contact (gap 0) emits a crossing on the distance metric.
     """
     events = []
-    sep_ns = round(min_separation_s * 1e9)
+    sep_ns = round(report["min_separation_s"] * 1e9)
+    ttc_threshold_s = report["ttc_threshold_s"]
 
     t_ns = trace.t_ns
     specs = [
-        ("TTC", trace.ttc_s, trace.ttc_min, trace.i_ttc_min, ttc_prominence_s),
-        ("Dmin", trace.dmin_m, trace.d_min, trace.i_d_min, dmin_prominence_m),
+        ("TTC", trace.ttc_s, trace.ttc_min, trace.i_ttc_min, report["ttc_prominence_s"]),
+        ("Dmin", trace.dmin_m, trace.d_min, trace.i_d_min, report["dmin_prominence_m"]),
     ]
     for metric, series, gmin, i_gmin, prom_min in specs:
         if i_gmin is not None and math.isfinite(gmin):

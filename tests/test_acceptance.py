@@ -174,7 +174,7 @@ def test_04_fopdt_recovery():
             log = run_step_experiment(cfg, channel, amplitude, duration, noise, seed=seed)
             fit = fit_fopdt(log)
             good_r2 += fit.r2 > 0.97
-            good_t90 += abs(fit.t90 - t90_anchor) / t90_anchor < 0.05
+            good_t90 += abs(fit.params.t90 - t90_anchor) / t90_anchor < 0.05
         counts[channel] = (good_r2, good_t90)
     ok = all(r2 >= 19 and t90 >= 19 for r2, t90 in counts.values())
     verdict("4 fopdt-recovery", ok,

@@ -1,6 +1,5 @@
 import json
 import math
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +9,10 @@ from hypothesis import strategies as st
 
 from hilbench.config import resolve_run_config
 from hilbench.core import (
-    ACTUATOR_FLAGS,
     AuditLog,
     AuditOrderError,
     Stage,
     TimedEvent,
-    actuator_text,
     canonical_json,
     command_text,
     float_text,
@@ -24,7 +21,7 @@ from hilbench.core import (
     sense_text,
     substream_seed,
 )
-from hilbench.orchestrator import Runner, SchedulerCorruptionError, run_stage1
+from hilbench.orchestrator import Runner, run_stage1
 
 GOLDEN_LOGS = sorted((Path(__file__).parent / "data").glob("golden_*/**/audit.ndjson"))
 
@@ -70,14 +67,6 @@ class TestClock:
         runner = Runner(run_config())
         assert clock_readings(runner, [7, 7]) == [7, 7]
         assert runner.now_ns == 7
-
-    def test_negative_advance_rejected(self):
-        runner = Runner(run_config())
-        runner.now_ns = 7
-        with pytest.raises(SchedulerCorruptionError):
-            runner._schedule(6, lambda t_ns: None)
-        # The rejected entry is not queued and the clock does not move.
-        assert runner.heap == [] and runner.now_ns == 7
 
     def test_monotone_over_many_advances(self):
         times = list(np.cumsum([3, 0, 11, 2, 0, 1000]))
@@ -311,9 +300,6 @@ floats = st.one_of(
     st.floats(),
     st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-5, 1e-4, 1e15, math.nan, math.inf, -math.inf]),
 )
-#: Every set of ``ActuatorApply`` flags.
-FLAG_SETS = [flags for n in range(len(ACTUATOR_FLAGS) + 1)
-             for flags in combinations(ACTUATOR_FLAGS, n)]
 
 
 class TestFixedShapeTexts:
@@ -333,16 +319,13 @@ class TestFixedShapeTexts:
         assert sense_text(*texts, stale) == canonical_json(
             {"x": x, "y": y, "heading": heading, "v": v, "stale": stale})
 
-    @pytest.mark.parametrize("flags", FLAG_SETS, ids=lambda f: "+".join(f) or "none")
-    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(speed=floats, steer=floats)
-    def test_command_and_actuator_texts(self, flags, speed, steer):
+    def test_command_text(self, speed, steer):
+        # Also the text of an ActuatorApply without flags; a flagged one is
+        # encoded whole (TestEveryLineReencodes::test_saturated_actuators).
         texts = (float_text(speed), float_text(steer))
-        payload = {"speed": speed, "steer": steer}
-        assert command_text(*texts) == canonical_json(payload)
-        for order in (flags, flags[::-1]):
-            given_flags = dict.fromkeys(order, True)
-            assert actuator_text(*texts, given_flags) == canonical_json({**payload, **given_flags})
+        assert command_text(*texts) == canonical_json({"speed": speed, "steer": steer})
 
     def test_a_given_body_is_the_payload_text_of_the_line(self, tmp_path):
         ev = TimedEvent("r", 1, Stage.SutCmdOut, 5, {"speed": 0.5, "steer": -0.25})

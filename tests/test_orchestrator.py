@@ -4,7 +4,7 @@ import math
 import multiprocessing
 import sys
 import time
-from heapq import heappop, heappush
+from heapq import heappop
 from pathlib import Path
 
 import numpy as np
@@ -12,14 +12,13 @@ import pytest
 
 from hilbench import cli, orchestrator, presets
 from hilbench.config import ConfigError, resolve_run_config, resolve_sweep_config
-from hilbench.core import (ACTUATOR_FLAGS, AuditLog, Stage, TimedEvent, json_document, ms_to_ns,
+from hilbench.core import (AuditLog, AuditOrderError, Stage, TimedEvent, json_document, ms_to_ns,
                            rng_stream)
 from hilbench.links import sampler
 from hilbench.orchestrator import (
     Analyzer,
     Npc,
     Runner,
-    SchedulerCorruptionError,
     build_report,
     replay_report,
     run_stage1,
@@ -102,40 +101,81 @@ class TestScheduler:
             fn(t)
         assert seen == ["c", "a", "b"]
 
-    def test_scheduling_in_the_past_is_fatal(self):
-        runner = Runner(small_cfg())
-        runner.now_ns = 10
-        with pytest.raises(SchedulerCorruptionError):
-            runner._schedule(5, lambda t: None)
-
     def test_no_events_terminates_cleanly(self):
         assert len(Runner(small_cfg()).heap) == 0
 
-    def test_run_rejects_a_handler_that_schedules_into_the_past(self):
+    def test_a_stage_before_the_clock_fails_the_order_check(self):
+        # The R2V link of the third cycle ends its ingest 1 ns before the
+        # sample that started it: that stage's record fails AuditLog.admit,
+        # the run's one order check, naming its time.
         runner = Runner(small_cfg())
+        transmit = runner.r2v.transmit
+        t_third = 2 * runner.period_ns
+
+        def early_on_the_third_cycle(t_now_ns):
+            sched = transmit(t_now_ns)
+            if t_now_ns == t_third:
+                sched = sched._replace(t_ingest_done=t_now_ns - 1)
+            return sched
+
+        runner.r2v.transmit = early_on_the_third_cycle
+        with pytest.raises(AuditOrderError, match=f"^t_ns {t_third - 1} earlier than the "
+                                                  f"previous record's {t_third}$"):
+            runner.run()
+        assert runner.gts_count == 3
+
+
+class TestEveryEntryWrites:
+    """Every heap entry a run pops appends at least one record stamped with
+    the entry's time.  This is why the run loop needs no order check of its
+    own: an entry that fired before the clock would fail ``AuditLog.admit``."""
+
+    @staticmethod
+    def assert_every_entry_writes(cfg):
+        runner = Runner(cfg)
+        stamps = []
+        append = runner.audit.append
+
+        def stamping_append(event, body=None):
+            append(event, body)
+            stamps.append(event.t_ns)
+
+        schedule = runner._schedule
         fired = []
 
-        def first(t_ns):
-            fired.append(t_ns)
-            runner._schedule(t_ns - 1, lambda t: fired.append(t))
+        def schedule_checked(t_ns, handler, *args):
+            def checked(t, *a):
+                n = len(stamps)
+                handler(t, *a)
+                assert t in stamps[n:], f"{handler.__name__} at {t} appended no record of its time"
+                fired.append(handler.__name__)
 
-        runner._on_gts = lambda t_ns: runner._schedule(10, first)
-        with pytest.raises(SchedulerCorruptionError, match=r"scheduled in the past \(9 < 10\)"):
-            runner.run()
-        assert fired == [10]
+            schedule(t_ns, checked, *args)
 
-    def test_run_rejects_a_heap_entry_earlier_than_the_clock(self):
-        runner = Runner(small_cfg())
-        fired = []
+        runner.audit.append = stamping_append
+        runner._schedule = schedule_checked
+        report = runner.run()
+        assert not report["aborted"] and runner.heap == []
+        return fired
 
-        def first(t_ns):
-            fired.append(t_ns)
-            heappush(runner.heap, (t_ns - 1, -1, lambda t: fired.append(t), ()))
+    def test_stage3(self):
+        doc = presets.load("stage3-intersection")
+        doc["termination"] = {"duration_s": 8.0}
+        fired = self.assert_every_entry_writes(resolve_run_config(doc))
+        assert {"_on_gts", "_emit", "_on_sense_done", "_on_sut_in", "_on_sut_out",
+                "_on_actuator"} == set(fired)
 
-        runner._on_gts = lambda t_ns: runner._schedule(10, first)
-        with pytest.raises(SchedulerCorruptionError, match="popped event at 9 before clock 10"):
-            runner.run()
-        assert fired == [10]
+    def test_perturbed_stage2_point(self):
+        doc = presets.load("stage2-cliff-sweep")
+        doc["base"]["termination"] = {"duration_s": 8.0}
+        doc["base"]["links"]["v2r"]["perturbation"] = {
+            "jitter": {"kind": "gaussian_truncated", "mean_ms": 4.0, "std_ms": 12.0},
+            "loss_probability": 0.05,
+        }
+        point = resolve_sweep_config(doc)["base"]
+        point["links"]["v2r"]["perturbation"]["fixed_delay_ms"] = 40.0
+        fired = self.assert_every_entry_writes(point)
+        assert fired.count("_on_gts") == 400
 
 
 class TestStage1:
@@ -657,6 +697,6 @@ class TestEveryLineReencodes:
         cfg = resolve_run_config(json.loads(SATURATION_PIN_CONFIG.read_text()))
         _, lines = logged_run(cfg, tmp_path / "audit.ndjson")
         text = "\n".join(lines)
-        for flag in ACTUATOR_FLAGS:
+        for flag in ("speed_limited", "speed_map_clamped", "steer_limited", "steer_map_clamped"):
             assert f'"{flag}":true' in text
         self.assert_lines_reencode(lines, fed)

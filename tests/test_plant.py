@@ -272,7 +272,7 @@ class TestFitFopdt:
         for seed in range(20):
             log = run_step_experiment(cfg, "velocity", 1.0, 3.0, noise, seed=seed)
             fit = fit_fopdt(log)
-            if fit.r2 > 0.97 and abs(fit.t90 - t90_true) / t90_true < 0.05:
+            if fit.r2 > 0.97 and abs(fit.params.t90 - t90_true) / t90_true < 0.05:
                 hits += 1
         assert hits >= 19
 
@@ -304,7 +304,7 @@ class TestFitFopdt:
             for seed in range(20):
                 log = run_step_experiment(cfg, "steering", 0.3, 4.5, frac * 0.3, seed=seed)
                 fit = fit_fopdt(log)
-                errs.append(abs(fit.t90 - t90_true) / t90_true)
+                errs.append(abs(fit.params.t90 - t90_true) / t90_true)
             mean_err.append(sum(errs) / len(errs))
         assert mean_err[0] >= mean_err[1] >= mean_err[2] >= mean_err[3]
         assert mean_err[3] < 1e-3

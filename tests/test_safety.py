@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hilbench.config import resolve_run_config
 from hilbench.core import rng_stream, write_json
 from hilbench.safety import (
     AgentState,
@@ -15,6 +16,18 @@ from hilbench.safety import (
     frame_metrics,
     write_safety_csv,
 )
+
+
+#: The ``report`` section of a resolved config that sets none of it.
+DEFAULT_REPORT = resolve_run_config({
+    "schema_version": 1, "seed": 1, "termination": {"duration_s": 1.0},
+    "path": {"preset": "square-sandbox"}, "sut": {"name": "pure-pursuit"},
+})["report"]
+
+
+def report(**thresholds):
+    """``DEFAULT_REPORT`` with ``thresholds`` in place of its own."""
+    return {**DEFAULT_REPORT, **thresholds}
 
 
 def agent(aid, t, x, y, vx=0.0, vy=0.0, r=1.0):
@@ -182,7 +195,7 @@ def dipping_trace(values, metric="dmin", dt_s=1.0):
 class TestEvents:
     def test_monotone_trace_only_global_min(self):
         trace = dipping_trace([9, 8, 7, 6, 5])
-        events = extract_events(trace)
+        events = extract_events(trace, report())
         kinds = [(e["kind"], e["metric"]) for e in events]
         assert ("GlobalMin", "Dmin") in kinds
         assert not any(k == "Valley" for k, _ in kinds)
@@ -190,7 +203,7 @@ class TestEvents:
     def test_two_valleys_ordered_by_depth(self):
         vals = [10, 9, 10, 10, 10, 7, 10, 10, 10, 9.5, 10, 10, 10, 5, 10, 10]
         trace = dipping_trace(vals)
-        events = extract_events(trace, dmin_prominence_m=1.0, min_separation_s=2.0)
+        events = extract_events(trace, report(dmin_prominence_m=1.0, min_separation_s=2.0))
         valleys = [e for e in events if e["kind"] == "Valley" and e["metric"] == "Dmin"]
         assert [v["value"] for v in valleys] == [7.0, 9.0]  # ascending by depth
         gmin = [e for e in events if e["kind"] == "GlobalMin" and e["metric"] == "Dmin"]
@@ -200,7 +213,7 @@ class TestEvents:
         # Two equal dips: the first is the global minimum, the second a valley.
         trace = dipping_trace([10, 3, 10, 10, 10, 10, 3, 10])
         assert (trace.i_d_min, trace.t_at_d_min) == (1, 1_000_000_000)
-        events = extract_events(trace, dmin_prominence_m=1.0, min_separation_s=2.0)
+        events = extract_events(trace, report(dmin_prominence_m=1.0, min_separation_s=2.0))
         assert [(e["kind"], e["t_ns"]) for e in events if e["metric"] == "Dmin"] == \
             [("GlobalMin", 1_000_000_000), ("Valley", 6_000_000_000)]
 
@@ -208,7 +221,7 @@ class TestEvents:
         # TTC dips to 1.06 s; the 1.5 s alert threshold fires once.
         vals = [4.0, 3.0, 2.0, 1.06, 1.2, 2.5, 4.0]
         trace = dipping_trace(vals, metric="ttc")
-        events = extract_events(trace, ttc_threshold_s=1.5)
+        events = extract_events(trace, report(ttc_threshold_s=1.5))
         crossings = [e for e in events if e["kind"] == "ThresholdCross" and e["metric"] == "TTC"]
         assert len(crossings) == 1
         assert crossings[0]["value"] == pytest.approx(1.06, abs=1e-9)
@@ -216,13 +229,13 @@ class TestEvents:
     def test_each_dip_below_threshold_fires_once(self):
         vals = [4, 1.2, 4, 4, 1.0, 0.9, 4, 4, 1.4, 4]
         trace = dipping_trace(vals, metric="ttc")
-        events = extract_events(trace, ttc_threshold_s=1.5)
+        events = extract_events(trace, report(ttc_threshold_s=1.5))
         crossings = [e for e in events if e["kind"] == "ThresholdCross" and e["metric"] == "TTC"]
         assert len(crossings) == 3
 
     def test_collision_emits_dmin_cross(self):
         trace = dipping_trace([2.0, 1.0, 0.0, 0.0, 1.0])
-        events = extract_events(trace)
+        events = extract_events(trace, report())
         dmin_cross = [e for e in events if e["kind"] == "ThresholdCross" and e["metric"] == "Dmin"]
         assert len(dmin_cross) == 1
         assert dmin_cross[0]["value"] == 0.0
@@ -230,7 +243,7 @@ class TestEvents:
     def test_min_separation_suppresses_near_valleys(self):
         vals = [10, 6, 10, 6.5, 10, 10, 10, 10, 10, 10, 7, 10]
         trace = dipping_trace(vals, dt_s=1.0)
-        events = extract_events(trace, dmin_prominence_m=1.0, min_separation_s=5.0)
+        events = extract_events(trace, report(dmin_prominence_m=1.0, min_separation_s=5.0))
         valleys = [e for e in events if e["kind"] == "Valley"]
         # 6 and 6.5 are 2 s apart: the deeper one wins; 7 at t=10 survives.
         assert sorted(v["value"] for v in valleys) == [6.5, 7.0]
@@ -238,15 +251,15 @@ class TestEvents:
     def test_deterministic_and_idempotent(self):
         vals = [10, 6, 10, 6.5, 10, 3, 10, 9, 10, 7, 10]
         trace = dipping_trace(vals)
-        e1 = extract_events(trace)
-        e2 = extract_events(trace)
+        e1 = extract_events(trace, report())
+        e2 = extract_events(trace, report())
         assert e1 == e2
 
     def test_appended_calm_frames_keep_valleys(self):
         vals = [10, 6, 10, 10, 7, 10]
-        base = extract_events(dipping_trace(vals), min_separation_s=2.0)
+        base = extract_events(dipping_trace(vals), report(min_separation_s=2.0))
         extended = extract_events(dipping_trace(vals + [10, 10, 10, 10, 10, 10]),
-                                  min_separation_s=2.0)
+                                  report(min_separation_s=2.0))
         assert [e for e in base if e["kind"] == "Valley"] == \
             [e for e in extended if e["kind"] == "Valley"]
 
@@ -338,6 +351,6 @@ def test_csv_and_json_exports(tmp_path):
     lines = (tmp_path / "s.csv").read_text().splitlines()
     assert lines[0] == "t_ns,ttc_s,dmin_m"
     assert len(lines) == 6
-    events = extract_events(trace)
+    events = extract_events(trace, report())
     write_json(tmp_path / "e.json", events)
     assert json.loads((tmp_path / "e.json").read_text()) == events
