@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +301,22 @@ floats = st.one_of(
     st.floats(),
     st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-5, 1e-4, 1e15, math.nan, math.inf, -math.inf]),
 )
+#: Every set of the clamp flags ``Plant.apply_command`` can return.
+FLAG_SETS = [flags for n in range(5) for flags in combinations(
+    ("speed_limited", "speed_map_clamped", "steer_limited", "steer_map_clamped"), n)]
+
+
+class _FlaggingPlant:
+    """A plant whose ``apply_command`` returns the given flags, in order."""
+
+    def __init__(self, flags):
+        self.flags = flags
+
+    def advance_to(self, t_ns):
+        pass
+
+    def apply_command(self, t_ns, speed, steer):
+        return dict(self.flags)
 
 
 class TestFixedShapeTexts:
@@ -326,6 +343,23 @@ class TestFixedShapeTexts:
         # encoded whole (TestEveryLineReencodes::test_saturated_actuators).
         texts = (float_text(speed), float_text(steer))
         assert command_text(*texts) == canonical_json({"speed": speed, "steer": steer})
+
+    @pytest.mark.parametrize("flags", FLAG_SETS, ids=lambda f: "+".join(f) or "none")
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(speed=floats, steer=floats)
+    def test_command_and_actuator_texts(self, flags, speed, steer):
+        # The ActuatorApply line a run writes, with the flags in either order:
+        # command_text without flags, the general encoder with them.
+        texts = (float_text(speed), float_text(steer))
+        for order in (flags, flags[::-1]):
+            given_flags = dict.fromkeys(order, True)
+            runner = Runner(run_config())
+            runner.plant = _FlaggingPlant(given_flags)
+            lines = []
+            runner.audit.append = lambda event, body=None: lines.append(event.to_json(body))
+            runner._on_actuator(5, 1, speed, steer, texts)
+            assert lines == [canonical_json(_record(
+                "r", 1, Stage.ActuatorApply, 5, {"speed": speed, "steer": steer, **given_flags}))]
 
     def test_a_given_body_is_the_payload_text_of_the_line(self, tmp_path):
         ev = TimedEvent("r", 1, Stage.SutCmdOut, 5, {"speed": 0.5, "steer": -0.25})

@@ -4,7 +4,7 @@ import math
 import multiprocessing
 import sys
 import time
-from heapq import heappop
+from heapq import heappop, heappush
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +103,36 @@ class TestScheduler:
 
     def test_no_events_terminates_cleanly(self):
         assert len(Runner(small_cfg()).heap) == 0
+
+    def test_run_rejects_a_handler_that_schedules_into_the_past(self):
+        # Every handler writes a record of its time (TestEveryEntryWrites), so
+        # the entry scheduled 1 ns into the past fails AuditLog.admit.
+        runner = Runner(small_cfg())
+        fired = []
+
+        def first(t_ns):
+            fired.append(t_ns)
+            runner._emit(t_ns, Stage.R2vIngestStart, 1)
+            runner._schedule(t_ns - 1, runner._emit, Stage.R2vIngestStart, 2)
+
+        runner._on_gts = lambda t_ns: runner._schedule(10, first)
+        with pytest.raises(AuditOrderError, match=r"^t_ns 9 earlier than the previous record's 10$"):
+            runner.run()
+        assert fired == [10]
+
+    def test_run_rejects_a_heap_entry_earlier_than_the_clock(self):
+        runner = Runner(small_cfg())
+        fired = []
+
+        def first(t_ns):
+            fired.append(t_ns)
+            runner._emit(t_ns, Stage.R2vIngestStart, 1)
+            heappush(runner.heap, (t_ns - 1, -1, runner._emit, (Stage.R2vIngestStart, 2)))
+
+        runner._on_gts = lambda t_ns: runner._schedule(10, first)
+        with pytest.raises(AuditOrderError, match=r"^t_ns 9 earlier than the previous record's 10$"):
+            runner.run()
+        assert fired == [10]
 
     def test_a_stage_before_the_clock_fails_the_order_check(self):
         # The R2V link of the third cycle ends its ingest 1 ns before the
