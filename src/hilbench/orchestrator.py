@@ -72,11 +72,12 @@ def npc_keys(npc_id: str) -> tuple[str, ...]:
 
 
 class Npc:
-    """Scripted route follower; dormant (invisible) until activated.  From
-    standstill it accelerates to its cruise speed, then cruises on a closed
-    route, or brakes to rest at an open route's end, peaking at ``v_peak``
-    below cruise when the route is too short to reach it.  The profile's
-    constants are computed once; ``keys`` are its payload keys."""
+    """Scripted route follower, a pure route profile: ``state_at`` gives its
+    state at a time after the scenario's activation, which the runner holds.
+    From standstill it accelerates to its cruise speed, then cruises on a
+    closed route, or brakes to rest at an open route's end, peaking at
+    ``v_peak`` below cruise when the route is too short to reach it.  The
+    profile's constants are computed once; ``keys`` are its payload keys."""
 
     def __init__(self, spec: dict) -> None:
         self.npc_id = spec["id"]
@@ -99,16 +100,10 @@ class Npc:
                 self.s_acc = 0.5 * self.v_peak**2 / accel
             self.t_cruise = self.cruise_len / self.v_peak
         self.t_dec = self.v_peak / decel
-        self.activation_t_ns: int | None = None
 
-    def activate(self, t_ns: int) -> None:
-        if self.activation_t_ns is None:
-            self.activation_t_ns = int(t_ns)
-
-    def state_at(self, t_ns: int) -> AgentState | None:
-        if self.activation_t_ns is None or t_ns < self.activation_t_ns:
-            return None
-        dt = (t_ns - self.activation_t_ns) / NS_PER_S
+    def state_at(self, t_ns: int, activation_t_ns: int) -> AgentState:
+        """The state at ``t_ns``, not before ``activation_t_ns``, when it set off."""
+        dt = (t_ns - activation_t_ns) / NS_PER_S
         if dt <= self.t_acc:
             s, v = 0.5 * self.accel * dt**2, self.accel * dt
         elif dt <= self.t_acc + self.t_cruise:
@@ -129,7 +124,10 @@ class Runner:
     log, and its random streams (one ``rng_stream`` label per consumer, each
     asked once).  The controller only maps an observation to ``(speed,
     steer)``: the runner checks that command and draws its processing latency
-    from ``sut.lat``.
+    from ``sut.lat``.  It also holds the scenario's activation instant
+    (``activation_t_ns``), the first sense instant whose mirrored ego position
+    lies in the trigger zone: from then on every sense record carries the
+    state of every NPC, before it none.
 
     The scheduler is ``heap``, a min-heap of ``(t_ns, insertion sequence,
     handler, args)`` entries: ``run`` pops them in (time, insertion) order,
@@ -172,10 +170,10 @@ class Runner:
         self.goal_speed = sut_cfg["goal_speed_mps"]
         self.npcs = [Npc(spec) for spec in (resolved["scenario"] or {"npcs": []})["npcs"]]
         self.trigger_zone = (resolved["scenario"] or {}).get("trigger_zone")
-        self.scenario_triggered = False
-        # The state of each NPC at the latest sense event: computed once for
-        # its payload and reused by the controller step at the same instant.
-        self._npc_states: list[AgentState | None] = []
+        self.activation_t_ns: int | None = None
+        # The state of every NPC at the latest sense event, none before the
+        # activation: computed once for its payload, reused by the controller.
+        self._npc_states: list[AgentState] = []
 
         self.aborted = False
         self.abort_reason: str | None = None
@@ -220,27 +218,25 @@ class Runner:
         if not stale:
             self._mirror = sample
         x, y, heading, v, _t_sample, texts = self._mirror
-        if self.trigger_zone and not self.scenario_triggered:
+        if self.activation_t_ns is None and self.trigger_zone:
             x0, y0, x1, y1 = self.trigger_zone
             if x0 <= x <= x1 and y0 <= y <= y1:
-                self.scenario_triggered = True
-                for npc in self.npcs:
-                    npc.activate(t_ns)
+                self.activation_t_ns = t_ns
         payload = {"x": x, "y": y, "heading": heading, "v": v, "stale": stale}
-        body = sense_text(*texts, stale)
-        self._npc_states = states = [npc.state_at(t_ns) for npc in self.npcs]
-        for npc, a in zip(self.npcs, states):
-            if a is not None:
+        if self.activation_t_ns is None:
+            body = sense_text(*texts, stale)
+        else:
+            self._npc_states = [npc.state_at(t_ns, self.activation_t_ns) for npc in self.npcs]
+            for npc, a in zip(self.npcs, self._npc_states):
                 payload.update(zip(npc.keys, (a.x, a.y, a.vx, a.vy, a.radius)))
-                body = None  # not the fixed shape: the payload is encoded whole
+            body = None  # not the fixed shape: the payload is encoded whole
         self.audit.append(_new(TimedEvent, (self.run_id, cid, R2V_SENSE_DONE, t_ns, payload)), body)
         self._schedule(t_ns, self._on_sut_in, cid)
 
     def _detections(self) -> tuple[AgentState, ...]:
         rng_m = self.cfg["report"]["sensing_range_m"]
         x, y = self._mirror[0], self._mirror[1]
-        return tuple(a for a in self._npc_states
-                     if a is not None and math.hypot(a.x - x, a.y - y) <= rng_m)
+        return tuple(a for a in self._npc_states if math.hypot(a.x - x, a.y - y) <= rng_m)
 
     def _on_sut_in(self, t_ns: int, cid: int) -> None:
         self.audit.append(_new(TimedEvent, (self.run_id, cid, SUT_CMD_IN, t_ns, NO_PAYLOAD)))
@@ -367,15 +363,15 @@ class Analyzer:
     it is fed, and adds its step to ``progress`` (the unwrapped arc length,
     each step wrapped to the nearest lap) and to ``distance`` (the straight
     line from the sample before); the live lap stop (``laps_done``) and the
-    report read these same sums.  A sense frame of a scenario run is
-    reduced to its ``frame_metrics``.  A cycle keeps a list of its stage
-    times only while it is in flight: at its V2rDeliver, the last of the
-    ``temporal.REQUIRED_STAGES``, it is assembled (``temporal.assemble``)
-    into a fixed-size latency row, or noted as incomplete, and at its
-    ActuatorApply, which ends its chain, the list goes.  A cycle whose
-    command was dropped stays in flight.  After ``finish``, ``safety_trace``
-    is the trace behind ``report["safety"]`` (None when the report has no
-    safety section).
+    report read these same sums.  Every sense record of a scenario run is
+    reduced to its ``frame_metrics``, so one that lacks an ego field fails.
+    A cycle keeps a list of its stage times only while it is in flight: at
+    its V2rDeliver, the last of the ``temporal.REQUIRED_STAGES``, it is
+    assembled (``temporal.assemble``) into a fixed-size latency row, or noted
+    as incomplete, and at its ActuatorApply, which ends its chain, the list
+    goes.  A cycle whose command was dropped stays in flight.  After
+    ``finish``, ``safety_trace`` is the trace behind ``report["safety"]``
+    (None when the report has no safety section).
     """
 
     def __init__(self) -> None:
@@ -420,7 +416,7 @@ class Analyzer:
             x_col.append(x)
             y_col.append(y)
             heading_col.append(heading)
-        elif stage is R2V_SENSE_DONE and self._npc_keys is not None and "x" in payload:
+        elif stage is R2V_SENSE_DONE and self._npc_keys is not None:
             self._frame(ev)
         elif stage is PERTURB_IN:
             self.sent += 1

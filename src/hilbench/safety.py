@@ -34,9 +34,9 @@ class AgentState:
     def __post_init__(self):
         if not self.radius > 0.0:
             raise ValueError("footprint radius must be positive")
-        for v in (self.x, self.y, self.vx, self.vy):
-            if not math.isfinite(v):
-                raise ValueError("agent kinematics must be finite")
+        if not (math.isfinite(self.x) and math.isfinite(self.y)
+                and math.isfinite(self.vx) and math.isfinite(self.vy)):
+            raise ValueError("agent kinematics must be finite")
 
 
 def contact_ttc(dpx: float, dpy: float, dvx: float, dvy: float, rsum: float) -> float:

@@ -260,6 +260,27 @@ def test_replay_rejects_a_damaged_agent_naming_it(tmp_path, capsys, old, new, re
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line_no, cid", [(733, 67), (9, 1)],
+                         ids=["with-npcs", "before-activation"])
+def test_replay_rejects_a_sense_record_without_its_ego_x(tmp_path, capsys, line_no, cid):
+    # Line 733 of the stage-3 fixture is cid 67's sense event, the first that
+    # carries the five NPCs; line 9 is cid 1's, before the activation.  Every
+    # sense record of a scenario log is scored, so neither may lack a field.
+    lines = (DATA.parent / "golden_stage3" / "audit.ndjson").read_text().splitlines(keepends=True)
+    record = json.loads(lines[line_no - 1])
+    assert (record["cid"], record["stage"]) == (cid, "R2vSenseDone")
+    text = f',"x":{record["payload"]["x"]!r}'
+    assert lines[line_no - 1].count(text) == 1
+    lines[line_no - 1] = lines[line_no - 1].replace(text, "")
+    log = tmp_path / "audit.ndjson"
+    log.write_text("".join(lines))
+    message = f"line {line_no}: R2vSenseDone cid {cid}: payload field 'x' must be a number, not None"
+    with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
+        replay_report(log)
+    assert main(["replay-report", "--log", str(log), "--out", str(tmp_path / "r"), "-q"]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_replay_flags_a_hand_off_no_component_counts(tmp_path):
     # Line 10 is cid 1's SutCmdIn, at the instant its sensing finished; 1 ns
     # later leaves a 1 ns gap between the sense and sut intervals.

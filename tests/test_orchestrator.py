@@ -603,30 +603,28 @@ class TestStage3:
             "radius_m": 0.1,
         }
         npc = Npc(spec)
-        assert npc.state_at(0) is None  # dormant
-        npc.activate(0)
-        a = npc.state_at(int(0.5e9))
+        a = npc.state_at(int(0.5e9), 0)
         assert a.vx == pytest.approx(0.25)  # accelerating
-        mid = npc.state_at(int(3.0e9))
+        mid = npc.state_at(int(3.0e9), 0)
         assert mid.vx == pytest.approx(0.5)  # cruising
-        end = npc.state_at(int(60e9))
+        end = npc.state_at(int(60e9), 0)
         assert end.vx == 0.0 and end.x == pytest.approx(3.0)  # stopped at route end
 
-    def test_detections_equal_fresh_npc_states(self):
+    def test_detections_equal_fresh_npc_states(self, tmp_path):
         doc = presets.load("stage3-intersection")
         doc["termination"] = {"duration_s": 8.0}
         doc["report"]["sensing_range_m"] = 50.0  # every active NPC is detected
         runner = Runner(resolve_run_config(doc))
 
         def fresh(t_ns):
-            return tuple(a for a in (npc.state_at(t_ns) for npc in runner.npcs) if a is not None)
+            return tuple(npc.state_at(t_ns, runner.activation_t_ns) for npc in runner.npcs)
 
         checked = []
         on_sense_done = runner._on_sense_done
 
         def checking_sense_done(t_ns, cid, pose):
             on_sense_done(t_ns, cid, pose)
-            if runner.scenario_triggered and len(checked) < 2:
+            if runner.activation_t_ns is not None and len(checked) < 2:
                 # The controller step at this instant sees the states this
                 # sense event computed.
                 assert runner._detections() == fresh(t_ns)
@@ -634,8 +632,25 @@ class TestStage3:
                 checked.append(t_ns)
 
         runner._on_sense_done = checking_sense_done
-        runner.run()
-        assert len(checked) == 2 and checked[0] == runner.npcs[0].activation_t_ns
+        log = tmp_path / "audit.ndjson"
+        with runner.audit.write_ndjson(log):
+            runner.run()
+        assert len(checked) == 2 and checked[0] == runner.activation_t_ns
+        # A sense record before the activation carries no NPC field; every
+        # later one carries all five fields of every NPC.
+        every_npc_key = {key for npc in runner.npcs for key in npc.keys}
+        before = after = 0
+        for line in log.read_text().splitlines():
+            ev = TimedEvent.from_json(line)
+            if ev.stage is Stage.R2vSenseDone:
+                npc_fields = {key for key in ev.payload if key.startswith("npc_")}
+                if ev.t_ns < runner.activation_t_ns:
+                    assert npc_fields == set()
+                    before += 1
+                else:
+                    assert npc_fields == every_npc_key
+                    after += 1
+        assert before > 0 and after > 0 and len(every_npc_key) == 5 * len(runner.npcs)
 
     def test_closed_route_loops(self):
         spec = {
@@ -645,8 +660,7 @@ class TestStage3:
             "radius_m": 0.1,
         }
         npc = Npc(spec)
-        npc.activate(0)
-        late = npc.state_at(int(100e9))
+        late = npc.state_at(int(100e9), 0)
         assert math.hypot(late.vx, late.vy) == pytest.approx(0.5)  # still cruising
 
 

@@ -73,11 +73,19 @@ class TestAgentState:
         ({"r": -0.1}, "footprint radius must be positive"),
         ({"r": math.nan}, "footprint radius must be positive"),
         ({"x": math.nan}, "agent kinematics must be finite"),
+        ({"y": math.inf}, "agent kinematics must be finite"),
+        ({"vx": math.nan}, "agent kinematics must be finite"),
         ({"vy": -math.inf}, "agent kinematics must be finite"),
     ])
     def test_rejects_a_bad_radius_or_kinematics(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             agent("a", 0, **{"x": 0.0, "y": 0.0, **kwargs})
+
+    def test_checks_the_radius_first_then_x_y_vx_vy_in_order(self):
+        with pytest.raises(ValueError, match="^footprint radius must be positive$"):
+            AgentState("a", 0, math.nan, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(OverflowError):  # an int beyond the float range, before y
+            AgentState("a", 0, 10**400, math.nan, 0.0, 0.0, 0.1)
 
     def test_is_a_slots_dataclass_with_value_equality(self):
         # The benchmark's tracer wraps the class's own ``__init__``.
