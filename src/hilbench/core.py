@@ -1,9 +1,9 @@
 """Deterministic run plumbing shared by every other module.
 
-Event stages, the audit record and its canonical line, the append-only audit
-log with its one order check, seeded random substreams addressed by label, and
-time-unit conversions.  Two runs started from the same (config, seed) produce
-byte-identical audit logs.
+Event stages, the payload shape of each stage's record, the audit record and
+its canonical line, the append-only audit log with its one order check,
+seeded random substreams addressed by label, and time-unit conversions.  Two
+runs started from the same (config, seed) produce byte-identical audit logs.
 """
 
 from __future__ import annotations
@@ -75,9 +75,6 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _encode_payload = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
                                  None, ":", ",", True, False, True)
 
-#: JSON types of an audit payload value.
-_SCALARS = frozenset((bool, int, float, str))
-
 #: The payload of a record that carries none: empty and read-only, so the one
 #: default that every such record shares cannot be changed through any of them.
 NO_PAYLOAD = MappingProxyType({})
@@ -109,25 +106,48 @@ def float_text(v: float) -> str:
     return "NaN" if v != v else ("Infinity" if v > 0.0 else "-Infinity")
 
 
-# Fixed-shape payload texts.  Each takes the ``float_text`` of its values, so
-# a run formats a value once and reuses its text in a later record of the
-# same cycle; each equals ``canonical_json`` of the payload dict it stands for.
+#: The JSON kinds of a payload field, worded as a failed check names them, and
+#: the types ``json`` reads for each: a number is an int or a float, not a bool.
+NUMBER, BOOL, INT, STRING = "a number", "a bool", "an integer", "a string"
+_KIND_TYPES = {NUMBER: (int, float), BOOL: (bool,), INT: (int,), STRING: (str,)}
+_COMMAND = {"speed": NUMBER, "steer": NUMBER}
 
-def pose_text(heading: str, v: str, x: str, y: str) -> str:
-    """Payload text of a ``GtsSample``: ``{heading, v, x, y}``."""
-    return f'{{"heading":{heading},"v":{v},"x":{x},"y":{y}}}'
+#: The one statement of each stage's payload: its fields with their JSON
+#: kinds, in canonical (sorted) key order, and the flags it may carry, only as
+#: ``true``.  From the scenario's activation on, a sense record also carries
+#: the ``npc_keys`` of every NPC of the run header's config; before it, none.
+PAYLOAD_SHAPES = {
+    RUN_HEADER: ({"config_json": STRING}, ()),
+    GTS_SAMPLE: ({"heading": NUMBER, "v": NUMBER, "x": NUMBER, "y": NUMBER}, ()),
+    R2V_INGEST_START: ({}, ()),
+    R2V_INGEST_DONE: ({}, ()),
+    R2V_ADV_DONE: ({}, ()),
+    R2V_SENSE_DONE: ({"heading": NUMBER, "stale": BOOL, "v": NUMBER, "x": NUMBER, "y": NUMBER}, ()),
+    SUT_CMD_IN: ({}, ()),
+    SUT_CMD_OUT: (_COMMAND, ()),
+    PERTURB_IN: ({}, ("dropped",)),
+    PERTURB_OUT: ({}, ()),
+    V2R_DELIVER: ({}, ("fifo_clamped",)),
+    ACTUATOR_APPLY: (_COMMAND, ("speed_limited", "speed_map_clamped", "steer_limited",
+                                "steer_map_clamped")),
+    RUN_END: ({"abort_reason": STRING, "aborted": BOOL, "gts_samples": INT}, ()),
+}
 
 
-def sense_text(heading: str, v: str, x: str, y: str, stale: bool) -> str:
-    """Payload text of an ``R2vSenseDone`` that carries no NPC:
-    ``{heading, stale, v, x, y}``."""
-    return f'{{"heading":{heading},"stale":{"true" if stale else "false"},"v":{v},"x":{x},"y":{y}}}'
+def npc_keys(npc_id: str) -> tuple[str, ...]:
+    """The payload keys of an NPC's state in a sense record, numbers in
+    ``AgentState`` order: its position, velocity and footprint radius."""
+    return tuple(f"npc_{npc_id}_{k}" for k in ("x", "y", "vx", "vy", "r"))
 
 
-def command_text(speed: str, steer: str) -> str:
-    """Payload text of a ``SutCmdOut``, and of an ``ActuatorApply`` that
-    carries no flag: ``{speed, steer}``."""
-    return f'{{"speed":{speed},"steer":{steer}}}'
+#: The fixed-shape payload texts of the records a run writes most, without
+#: flag or NPC: each takes the tuple of its fields' texts in table order (the
+#: ``float_text`` of a number, ``true`` or ``false`` of a bool) and returns
+#: ``canonical_json`` of the payload, so a run formats each value once and
+#: reuses its text in a later record of the same cycle.
+pose_text, sense_text, command_text = (
+    ("{" + ",".join(f'"{key}":%s' for key in PAYLOAD_SHAPES[stage][0]) + "}").__mod__
+    for stage in (GTS_SAMPLE, R2V_SENSE_DONE, SUT_CMD_OUT))
 
 
 class TimedEvent(NamedTuple):
@@ -162,7 +182,8 @@ class TimedEvent(NamedTuple):
     @staticmethod
     def from_json(line: str) -> "TimedEvent":
         """Parse one audit line; ``cid`` and ``t_ns`` must be JSON integers and
-        every payload value a scalar, or ``ValueError`` names the field."""
+        the payload an object, or ``ValueError`` names the field.  Its values
+        are checked by ``check_payload``."""
         try:
             obj, end = _raw_decode(line)
         except ValueError:
@@ -178,14 +199,39 @@ class TimedEvent(NamedTuple):
         if type(t_ns) is not int:
             raise ValueError(f"t_ns must be an integer, not {t_ns!r}")
         payload = obj.get("payload", NO_PAYLOAD)
-        if payload is not NO_PAYLOAD:
-            if type(payload) is not dict:
-                raise ValueError("payload must be an object")
-            if not _SCALARS.issuperset(map(type, payload.values())):
-                key, value = next((k, v) for k, v in payload.items() if type(v) not in _SCALARS)
-                raise ValueError(f"payload field {key!r} must be a scalar, not {value!r}")
+        if payload is not NO_PAYLOAD and type(payload) is not dict:
+            raise ValueError("payload must be an object")
         return tuple.__new__(TimedEvent, (obj["run_id"], cid, _STAGES[obj["stage"]], t_ns,
                                           payload))
+
+
+def check_payload(event: TimedEvent, known: dict) -> None:
+    """Raise ``ValueError`` unless the payload of ``event`` fits its stage's
+    entry of ``PAYLOAD_SHAPES``, naming the stage, the cid and the first field
+    at fault.  A sense record's ``npc_`` fields must be numbers; which NPCs it
+    carries, the analysis fold checks against the run header.  ``known``, one
+    per log, maps each ``(stage, keys)`` found to fit to its value types and
+    flags: a record of a shape already seen costs one lookup, any other is
+    checked field by field."""
+    _run_id, cid, stage, _t_ns, payload = event
+    keys, types = tuple(payload), tuple(map(type, payload.values()))
+    fit = known.get((stage, keys))
+    if fit is not None and fit[0] == types and (not fit[1] or all(map(payload.get, fit[1]))):
+        return
+    fields, flags = PAYLOAD_SHAPES[stage]
+    if stage is R2V_SENSE_DONE:
+        fields = {**fields, **dict.fromkeys((k for k in keys if k.startswith("npc_")), NUMBER)}
+    where = f"{stage.name} cid {cid}: payload field"
+    for key, kind in fields.items():
+        if type(value := payload.get(key)) not in _KIND_TYPES[kind]:
+            raise ValueError(f"{where} {key!r} must be {kind}, not {value!r}")
+    for key in (key for key in keys if key not in fields):
+        if key not in flags:
+            raise ValueError(f"{where} {key!r} is not a field of {stage.name}")
+        if (value := payload[key]) is not True:
+            raise ValueError(f"{where} {key!r} must be "
+                             f"{'true' if type(value) is bool else BOOL}, not {value!r}")
+    known[stage, keys] = types, tuple(k for k in keys if k in flags)
 
 
 class AuditLog:
@@ -263,30 +309,33 @@ class AuditLog:
     def read_ndjson(path, consumer) -> None:
         """Feed ``consumer`` each record of a log that ``append`` wrote, line
         by line, to a file opened by ``write_ndjson``, through the same order
-        check (``admit``).
+        check (``admit``), once its payload fits its shape (``check_payload``).
 
-        A final line that lacks its newline and does not parse, with no end
-        record before it, is a record torn by an interrupted write: it is
-        dropped, and the log then lacks its end record, so its report reads
-        as truncated.  Blank lines are skipped.  Any other bad line, and any
-        ``ValueError`` or ``OverflowError`` the consumer raises, raises
-        ``ValueError`` naming its line number.
+        A final line that lacks its newline and does not decode (UTF-8) or
+        parse, with no end record before it, is a record torn by an
+        interrupted write: it is dropped, and the log then lacks its end
+        record, so its report reads as truncated.  Blank lines are skipped.
+        Any other bad line or payload, and any ``ValueError`` or
+        ``OverflowError`` the consumer raises, raises ``ValueError`` naming
+        its line number.
         """
         log = None
-        with open(path, "r", encoding="utf-8") as fh:
+        known = {}  # the payload shapes found to fit so far, for check_payload
+        with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text:
-                    continue
                 try:
+                    text = line.decode("utf-8").strip()
+                    if not text:
+                        continue
                     event = TimedEvent.from_json(text)
-                except (ValueError, KeyError, TypeError) as exc:
-                    if not line.endswith("\n") and not (log is not None and log.ended):
+                except (ValueError, KeyError, TypeError) as exc:  # also a UnicodeDecodeError
+                    if not line.endswith(b"\n") and not (log is not None and log.ended):
                         break  # torn final line
                     raise ValueError(f"{path}: line {lineno}: not an audit record ({exc})") from exc
                 if log is None:
                     log = AuditLog(event.run_id, consumer)
                 try:
+                    check_payload(event, known)
                     log.admit(event)
                 except (ValueError, OverflowError) as exc:  # also a number beyond a fold's column
                     raise ValueError(f"{path}: line {lineno}: {exc}") from exc

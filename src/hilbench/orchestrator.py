@@ -29,17 +29,18 @@ from array import array
 from functools import partial
 from heapq import heappop, heappush
 from itertools import count
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfg_mod
 from . import temporal
-from .core import (ACTUATOR_APPLY, GTS_SAMPLE, NO_PAYLOAD, NS_PER_S, PERTURB_IN, PERTURB_OUT,
-                   R2V_ADV_DONE, R2V_INGEST_DONE, R2V_INGEST_START, R2V_SENSE_DONE, RUN_END,
-                   RUN_HEADER, SUT_CMD_IN, SUT_CMD_OUT, V2R_DELIVER, AuditLog, Stage, TimedEvent,
-                   canonical_json, command_text, float_text, ms_to_ns, pose_text,
-                   rng_stream, s_to_ns, sense_text, substream_seed, write_json)
+from .core import (ACTUATOR_APPLY, GTS_SAMPLE, NO_PAYLOAD, NS_PER_S, PAYLOAD_SHAPES, PERTURB_IN,
+                   PERTURB_OUT, R2V_ADV_DONE, R2V_INGEST_DONE, R2V_INGEST_START, R2V_SENSE_DONE,
+                   RUN_END, RUN_HEADER, SUT_CMD_IN, SUT_CMD_OUT, V2R_DELIVER, AuditLog, Stage,
+                   TimedEvent, canonical_json, command_text, float_text, ms_to_ns, npc_keys,
+                   pose_text, rng_stream, s_to_ns, sense_text, substream_seed, write_json)
 from .links import R2VLink, V2RLink, sampler
 from .plant import Plant
 from .safety import (AgentState, SafetyTrace, d_min_trace, extract_events, finite_or_none,
@@ -63,12 +64,6 @@ ARTIFACTS = {
     "safety": "safety.csv",
     "events": "events.json",
 }
-
-
-def npc_keys(npc_id: str) -> tuple[str, ...]:
-    """The payload keys of an NPC's state in a sense event: its position,
-    velocity and footprint radius, in ``AgentState`` order."""
-    return tuple(f"npc_{npc_id}_{k}" for k in ("x", "y", "vx", "vy", "r"))
 
 
 class Npc:
@@ -139,8 +134,8 @@ class Runner:
     one order check, naming its time (or sooner, at the plant's own check, in
     a handler that advances the plant).  A value that two records of one cycle carry is
     formatted once (``float_text``), and both records are written with the
-    fixed-shape payload texts of ``core``; a flagged ``ActuatorApply`` goes
-    through the general encoder.
+    fixed-shape payload texts of ``core``; a flagged ``ActuatorApply`` or an
+    NPC-carrying sense record goes through the general encoder.
     """
 
     def __init__(self, resolved: dict) -> None:
@@ -202,7 +197,7 @@ class Runner:
         texts = (float_text(heading), float_text(v), float_text(x), float_text(y))
         self.audit.append(_new(TimedEvent, (self.run_id, cid, GTS_SAMPLE, t_ns, {
             "x": x, "y": y, "heading": heading, "v": v,
-        })), pose_text(*texts))
+        })), pose_text(texts))
         sched = self.r2v.transmit(t_ns)
         self._schedule(sched.t_ingest_start, self._emit, R2V_INGEST_START, cid)
         self._schedule(sched.t_ingest_done, self._emit, R2V_INGEST_DONE, cid)
@@ -224,7 +219,7 @@ class Runner:
                 self.activation_t_ns = t_ns
         payload = {"x": x, "y": y, "heading": heading, "v": v, "stale": stale}
         if self.activation_t_ns is None:
-            body = sense_text(*texts, stale)
+            body = sense_text((texts[0], "true" if stale else "false") + texts[1:])
         else:
             self._npc_states = [npc.state_at(t_ns, self.activation_t_ns) for npc in self.npcs]
             for npc, a in zip(self.npcs, self._npc_states):
@@ -266,7 +261,7 @@ class Runner:
         texts = (float_text(speed), float_text(steer))
         self.audit.append(_new(TimedEvent, (self.run_id, cid, SUT_CMD_OUT, t_ns, {
             "speed": speed, "steer": steer,
-        })), command_text(*texts))
+        })), command_text(texts))
         sched = self.v2r.transmit(t_ns)
         if sched.dropped:
             self._schedule(sched.t_perturb_in, self._emit, PERTURB_IN, cid, {"dropped": True})
@@ -283,7 +278,7 @@ class Runner:
         payload = {"speed": speed, "steer": steer}
         payload.update(flags)
         self.audit.append(_new(TimedEvent, (self.run_id, cid, ACTUATOR_APPLY, t_ns, payload)),
-                          None if flags else command_text(*texts))
+                          None if flags else command_text(texts))
 
     def _abort(self, reason: str) -> None:
         self.aborted = True
@@ -311,33 +306,10 @@ class Runner:
 # Report building (shared by live runs and log replay)
 
 
-def _field(ev: TimedEvent, key: str, types=(int, float), kind: str = "a number"):
-    """The payload value of ``key``, whose type must be one of ``types`` (by
-    default a JSON number: an int or a float, not a bool)."""
-    value = ev.payload.get(key)
-    if type(value) not in types:
-        raise ValueError(f"{ev.stage.name} cid {ev.cid}: payload field {key!r} must be "
-                         f"{kind}, not {value!r}")
-    return value
-
-
-#: Types of a JSON number, as ``_field`` checks it by default.
-_NUMBERS = frozenset((int, float))
-#: Payload keys of a ground-truth row, and of the ego state a sense event carries.
-_POSE_KEYS = ("x", "y", "heading")
-_EGO_KEYS = ("x", "y", "v", "heading")
 #: Length of a cid's list of stage times, which ``Stage`` indexes.
 _N_STAGES = len(Stage)
-
-
-def _numbers(ev: TimedEvent, keys: tuple[str, ...]) -> tuple:
-    """The payload values of ``keys``, each of which must be a JSON number; the
-    first that is not fails as ``_field`` words it."""
-    values = tuple(map(ev.payload.get, keys))
-    if not _NUMBERS.issuperset(map(type, values)):
-        for key in keys:
-            _field(ev, key)
-    return values
+#: The fields of a sense record that carries no NPC.
+_SENSE_FIELDS = frozenset(PAYLOAD_SHAPES[R2V_SENSE_DONE][0])
 
 
 def _agent(ev: TimedEvent, agent_id: str, x, y, vx, vy, radius) -> AgentState:
@@ -364,7 +336,12 @@ class Analyzer:
     each step wrapped to the nearest lap) and to ``distance`` (the straight
     line from the sample before); the live lap stop (``laps_done``) and the
     report read these same sums.  Every sense record of a scenario run is
-    reduced to its ``frame_metrics``, so one that lacks an ego field fails.
+    reduced to its ``frame_metrics``.  Payloads are read as
+    ``core.PAYLOAD_SHAPES`` states them: a live run writes them so, and
+    replay checks each record before the fold is fed it.  The fold checks
+    what is not a shape: a sense record carries the fields of every NPC of
+    the header or of none, each agent passes ``AgentState``'s rule, and
+    ``gts_samples`` counts the samples.
     A cycle keeps a list of its stage times only while it is in flight: at
     its V2rDeliver, the last of the ``temporal.REQUIRED_STAGES``, it is
     assembled (``temporal.assemble``) into a fixed-size latency row, or noted
@@ -393,7 +370,8 @@ class Analyzer:
         self.sent = self.dropped = self.delivered = 0
         self.end: dict | None = None
         self.safety_trace: SafetyTrace | None = None
-        self._npc_keys = None  # per NPC of a scenario: (id, its payload keys)
+        self._npcs = []  # per NPC of the header: (id, the reader of its payload fields)
+        self._sense_keys = _SENSE_FIELDS  # the keys of a sense record that carries the NPCs
 
     def feed(self, ev: TimedEvent) -> None:
         _run_id, cid, stage, t_ns, payload = ev
@@ -405,7 +383,7 @@ class Analyzer:
         if self.cfg is None:
             self._header(ev)
         elif stage is GTS_SAMPLE:
-            x, y, heading = _numbers(ev, _POSE_KEYS)
+            x, y, heading = payload["x"], payload["y"], payload["heading"]
             t_col, x_col, y_col, heading_col = self.rows
             s = project(self.path, (x, y)).arclength
             if t_col:
@@ -416,12 +394,17 @@ class Analyzer:
             x_col.append(x)
             y_col.append(y)
             heading_col.append(heading)
-        elif stage is R2V_SENSE_DONE and self._npc_keys is not None:
-            self._frame(ev)
+        elif stage is R2V_SENSE_DONE:
+            if len(payload) > len(_SENSE_FIELDS) and payload.keys() != self._sense_keys:
+                key = min(payload.keys() ^ self._sense_keys)
+                raise ValueError(f"R2vSenseDone cid {cid}: payload field {key!r}: a sense "
+                                 f"record carries the fields of every NPC of the header, or none")
+            if self._npcs:
+                self._frame(ev)
         elif stage is PERTURB_IN:
             self.sent += 1
             if "dropped" in payload:
-                self.dropped += _field(ev, "dropped", (bool,), "a bool")
+                self.dropped += 1
         elif stage is V2R_DELIVER:  # the last of the temporal.REQUIRED_STAGES
             self.delivered += 1
             rec = temporal.assemble(t)
@@ -434,9 +417,7 @@ class Analyzer:
             if t[V2R_DELIVER] is not None:  # assembled, and no later stage may follow
                 del self._in_flight[cid]
         elif stage is RUN_END:
-            _field(ev, "aborted", (bool,), "a bool")
-            _field(ev, "abort_reason", (str,), "a string")
-            samples = _field(ev, "gts_samples", (int,), "an integer")
+            samples = payload["gts_samples"]
             if samples != len(self.rows[0]):
                 raise ValueError(f"RunEnd cid {cid}: payload field 'gts_samples' is {samples}, "
                                  f"but the log holds {len(self.rows[0])} GtsSample records")
@@ -445,11 +426,8 @@ class Analyzer:
     def _header(self, ev: TimedEvent) -> None:
         if ev.stage is not Stage.RunHeader:
             raise ValueError("audit log does not start with a run header")
-        text = ev.payload.get("config_json")
         try:  # resolved again, so that a damaged echo fails naming its field
-            if not isinstance(text, str):
-                raise ValueError("config_json: missing or not a string")
-            cfg = cfg_mod.resolve_run_config(json.loads(text))
+            cfg = cfg_mod.resolve_run_config(json.loads(ev.payload["config_json"]))
         except ValueError as exc:  # also a ConfigError or a JSON syntax error
             raise ValueError(f"config echo: {exc}") from exc
         if cfg["run_id"] != ev.run_id:
@@ -457,8 +435,9 @@ class Analyzer:
                              f"run_id {ev.run_id!r}")
         self.cfg, self.run_id = cfg, ev.run_id
         self.path = ReferencePath(cfg["path"]["vertices"], closed=cfg["path"]["closed"])
-        if cfg["scenario"] is not None:
-            self._npc_keys = [(npc["id"], npc_keys(npc["id"])) for npc in cfg["scenario"]["npcs"]]
+        ids = [npc["id"] for npc in (cfg["scenario"] or {"npcs": []})["npcs"]]
+        self._npcs = [(i, itemgetter(*npc_keys(i))) for i in ids]
+        self._sense_keys = _SENSE_FIELDS.union(*map(npc_keys, ids))
 
     def laps_done(self) -> bool:
         """Whether a ``laps`` run has gone its laps: its progress has reached
@@ -469,11 +448,13 @@ class Analyzer:
     def _frame(self, ev: TimedEvent) -> None:
         """Reduce a sense event to its ``frame_metrics``: the ego's mirrored
         state against that of every NPC the payload carries."""
-        x, y, v, heading = _numbers(ev, _EGO_KEYS)
-        ego = _agent(ev, "ego", x, y, v * math.cos(heading), v * math.sin(heading),
-                     self.cfg["report"]["ego_radius_m"])
-        others = [_agent(ev, nid, *_numbers(ev, keys))
-                  for nid, keys in self._npc_keys if keys[0] in ev.payload]
+        payload = ev.payload
+        v, heading = payload["v"], payload["heading"]
+        ego = _agent(ev, "ego", payload["x"], payload["y"], v * math.cos(heading),
+                     v * math.sin(heading), self.cfg["report"]["ego_radius_m"])
+        others = []
+        if len(payload) > len(_SENSE_FIELDS):  # from the activation on
+            others = [_agent(ev, nid, *fields(payload)) for nid, fields in self._npcs]
         ttc, dmin = frame_metrics(ego, others)
         t_col, ttc_col, dmin_col = self._frames
         t_col.append(ev.t_ns)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hilbench.config import resolve_run_config
 from hilbench.core import (
+    PAYLOAD_SHAPES,
     AuditLog,
     AuditOrderError,
     Stage,
@@ -182,9 +183,11 @@ class TestAuditLog:
     def test_ndjson_file_round_trip(self, tmp_path):
         log = AuditLog("r", Collected())
         p = tmp_path / "a.ndjson"
+        pose = {"heading": 0.0, "v": 0.5, "x": 0.1, "y": -2}
         with log.write_ndjson(p):
-            log.append(TimedEvent("r", 1, Stage.GtsSample, 0, {"x": 0.1}))
-            log.append(TimedEvent("r", 1, Stage.R2vSenseDone, 40, {"x": 0.30000000000000004}))
+            log.append(TimedEvent("r", 1, Stage.GtsSample, 0, pose))
+            log.append(TimedEvent("r", 1, Stage.R2vSenseDone, 40,
+                                  {**pose, "x": 0.30000000000000004, "stale": False}))
         events = Collected()
         AuditLog.read_ndjson(p, events)
         assert events == log.consumer
@@ -331,18 +334,24 @@ class TestFixedShapeTexts:
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(heading=floats, v=floats, x=floats, y=floats, stale=st.booleans())
     def test_pose_and_sense_texts(self, heading, v, x, y, stale):
-        texts = [float_text(value) for value in (heading, v, x, y)]
-        assert pose_text(*texts) == canonical_json({"x": x, "y": y, "heading": heading, "v": v})
-        assert sense_text(*texts, stale) == canonical_json(
-            {"x": x, "y": y, "heading": heading, "v": v, "stale": stale})
+        # Each takes its fields' texts in the table's key order.
+        assert list(PAYLOAD_SHAPES[Stage.GtsSample][0]) == ["heading", "v", "x", "y"]
+        assert list(PAYLOAD_SHAPES[Stage.R2vSenseDone][0]) == ["heading", "stale", "v", "x", "y"]
+        heading_text, v_text, x_text, y_text = (float_text(value) for value in (heading, v, x, y))
+        assert pose_text((heading_text, v_text, x_text, y_text)) == canonical_json(
+            {"x": x, "y": y, "heading": heading, "v": v})
+        assert sense_text((heading_text, float_text(stale), v_text, x_text, y_text)) == \
+            canonical_json({"x": x, "y": y, "heading": heading, "v": v, "stale": stale})
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(speed=floats, steer=floats)
     def test_command_text(self, speed, steer):
         # Also the text of an ActuatorApply without flags; a flagged one is
         # encoded whole (TestEveryLineReencodes::test_saturated_actuators).
+        assert list(PAYLOAD_SHAPES[Stage.SutCmdOut][0]) == ["speed", "steer"]
+        assert PAYLOAD_SHAPES[Stage.ActuatorApply][0] == PAYLOAD_SHAPES[Stage.SutCmdOut][0]
         texts = (float_text(speed), float_text(steer))
-        assert command_text(*texts) == canonical_json({"speed": speed, "steer": steer})
+        assert command_text(texts) == canonical_json({"speed": speed, "steer": steer})
 
     @pytest.mark.parametrize("flags", FLAG_SETS, ids=lambda f: "+".join(f) or "none")
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -363,7 +372,7 @@ class TestFixedShapeTexts:
 
     def test_a_given_body_is_the_payload_text_of_the_line(self, tmp_path):
         ev = TimedEvent("r", 1, Stage.SutCmdOut, 5, {"speed": 0.5, "steer": -0.25})
-        body = command_text(float_text(0.5), float_text(-0.25))
+        body = command_text((float_text(0.5), float_text(-0.25)))
         assert ev.to_json(body) == ev.to_json() == canonical_json(
             _record("r", 1, Stage.SutCmdOut, 5, ev.payload))
         log = AuditLog("r")

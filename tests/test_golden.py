@@ -131,9 +131,8 @@ def test_replay_drops_a_torn_final_line_and_reports_truncation(tmp_path, keep_li
     (552, lambda line: line[:40] + "\n"),
     (2, lambda line: line.replace('"payload":{"heading":0.0,"v":0.0,"x":0.7,"y":0.7}',
                                   '"payload":[0.7,0.7]')),
-    # A mistyped cid, t_ns or payload value, which a lenient parse would
-    # coerce or carry into the report.
-    pytest.param(2, lambda line: line.replace('"x":0.7', '"x":null'), id="x-null"),
+    # A mistyped cid or t_ns, which a lenient parse would coerce or carry
+    # into the report.  (A mistyped payload value fails its record's shape.)
     pytest.param(2, lambda line: line.replace('"t_ns":0}', '"t_ns":0.5}'), id="t_ns-float"),
     pytest.param(2, lambda line: line.replace('"t_ns":0}', '"t_ns":false}'), id="t_ns-bool"),
     pytest.param(2, lambda line: line.replace('"cid":1,', '"cid":"1",'), id="cid-string"),
@@ -212,6 +211,10 @@ def test_replay_rejects_a_record_after_the_end_record(tmp_path):
                  "'abort_reason' must be a string, not 5", id="reason-int"),
     pytest.param(12, '"payload":{}', '"payload":{"dropped":1}', "PerturbIn cid 1: payload "
                  "field 'dropped' must be a bool, not 1", id="dropped-int"),
+    pytest.param(2, '"x":0.7', '"x":null', "GtsSample cid 1: payload field 'x' must be a "
+                 "number, not None", id="x-null"),
+    pytest.param(1, '{"config_json":', '{"echo":', "RunHeader cid 0: payload field "
+                 "'config_json' must be a string, not None", id="echo-missing"),
 ])
 def test_replay_rejects_a_mistyped_end_or_drop_field_naming_it(tmp_path, capsys, bad_line, old,
                                                                 new, message):
@@ -312,10 +315,9 @@ def _echo(damage):
     (_echo(lambda c: c.update(linkz={})), "linkz: unexpected field"),
     (_echo(lambda c: c.update(run_id="other-run")),
      "run_id: 'other-run' differs from the records' run_id 'golden-stage1'"),
-    (lambda p: p.pop("config_json"), "config_json: missing or not a string"),
     (lambda p: p.update(config_json="{bad"), "Expecting property name"),
 ], ids=["path-missing", "corridor-string", "goal-speed-null", "extra-key", "other-run-id",
-        "echo-missing", "echo-not-json"])
+        "echo-not-json"])
 def test_replay_rejects_a_damaged_config_echo_naming_the_field(tmp_path, capsys, damage, message):
     lines = _golden_lines()
     header = json.loads(lines[0])

@@ -12,8 +12,8 @@ import pytest
 
 from hilbench import cli, orchestrator, presets
 from hilbench.config import ConfigError, resolve_run_config, resolve_sweep_config
-from hilbench.core import (AuditLog, AuditOrderError, Stage, TimedEvent, json_document, ms_to_ns,
-                           rng_stream)
+from hilbench.core import (PAYLOAD_SHAPES, AuditLog, AuditOrderError, Stage, TimedEvent,
+                           check_payload, json_document, ms_to_ns, rng_stream)
 from hilbench.links import sampler
 from hilbench.orchestrator import (
     Analyzer,
@@ -26,7 +26,10 @@ from hilbench.orchestrator import (
     sweep_point_seed,
 )
 
-SATURATION_PIN_CONFIG = Path(__file__).parent / "data" / "saturation_pin" / "config.json"
+PIN_DATA = Path(__file__).parent / "data"
+SATURATION_PIN_CONFIG = PIN_DATA / "saturation_pin" / "config.json"
+#: The audit logs of the golden fixtures of all three stages.
+GOLDEN_LOGS = sorted(PIN_DATA.glob("golden_*/**/audit.ndjson"))
 
 
 def _sleepy_point(point, directory):
@@ -692,7 +695,9 @@ class TestReportContent:
 class TestEveryLineReencodes:
     """A run writes its most frequent payloads from fixed-shape texts, not
     through the encoder: every line must still be the encoding of its record,
-    both as read back and as the analysis fold was fed it."""
+    both as read back and as the analysis fold was fed it.  Every line of
+    every pin must also fit the table of payload shapes that replay checks
+    (``core.PAYLOAD_SHAPES``)."""
 
     @pytest.fixture
     def fed(self, monkeypatch):
@@ -707,10 +712,41 @@ class TestEveryLineReencodes:
         return records
 
     @staticmethod
-    def assert_lines_reencode(lines, fed):
+    def assert_lines_fit_the_table(lines):
+        """Check each line against the table; return the ``{(stage, sorted
+        payload keys)}`` of the lines, with each NPC's keys as one ``npc``."""
+        known, shapes = {}, set()
+        for line in lines:
+            ev = TimedEvent.from_json(line)
+            check_payload(ev, known)
+            keys = sorted(key for key in ev.payload if not key.startswith("npc_"))
+            shapes.add((ev.stage, tuple(keys) + (("npc",) if len(keys) < len(ev.payload) else ())))
+        return shapes
+
+    @classmethod
+    def assert_lines_reencode(cls, lines, fed):
         assert [ev.to_json() for ev in fed] == lines
         for line in lines:
             assert TimedEvent.from_json(line).to_json() == line
+        cls.assert_lines_fit_the_table(lines)
+
+    @pytest.mark.parametrize("path", GOLDEN_LOGS, ids=lambda p: p.parent.name)
+    def test_every_golden_line_fits_the_table(self, path):
+        shapes = self.assert_lines_fit_the_table(path.read_text().splitlines())
+        # Each stage has its table's fields, with or without its flags, and
+        # a sense record of the stage-3 log carries the NPCs or none.
+        assert {stage for stage, _keys in shapes} == set(Stage)
+        for stage, keys in shapes:
+            fields, flags = PAYLOAD_SHAPES[stage]
+            assert set(keys) - set(flags) - {"npc"} == set(fields)
+        assert ((Stage.R2vSenseDone, ("heading", "stale", "v", "x", "y", "npc")) in shapes) == \
+            (path.parent.name == "golden_stage3")
+
+    @pytest.mark.parametrize("name", ["echo_pin", "laps_pin", "scenario_pin"])
+    def test_every_line_of_a_pinned_run_fits_the_table(self, tmp_path, name, fed):
+        cfg = resolve_run_config(json.loads((PIN_DATA / name / "config.json").read_text()))
+        _, lines = logged_run(cfg, tmp_path / "audit.ndjson")
+        self.assert_lines_reencode(lines, fed)
 
     def test_perturbed_stage2_point(self, tmp_path, fed):
         doc = presets.load("stage2-cliff-sweep")
